@@ -46,17 +46,10 @@ def _emit(record: ResultRecord, csv: bool) -> None:
             click.echo(row)
 
 
-def _run(command: str, payload, seed, settings: dict, fn, csv: bool) -> None:
-    """Shared command wrapper: timing, digests, error-to-exit-code mapping."""
+def _run(command: str, payload, seed, settings: dict, fn, csv: bool) -> dict:
+    """Shared command wrapper: timing, digests, the emitted record."""
     start = time.perf_counter()
-    try:
-        results = fn()
-    except (EnumerationCapError, UnnormalizableError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_REFUSAL)
-    except (ModelError, ZboundsError, OSError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    results = fn()
     record = ResultRecord(
         command=command,
         digest=canonical_digest(payload),
@@ -66,14 +59,32 @@ def _run(command: str, payload, seed, settings: dict, fn, csv: bool) -> None:
         settings=settings,
     )
     _emit(record, csv)
+    return results
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
 
 
-@click.group()
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+class _Main(click.Group):
+    """The command group; the one place that maps errors to exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ZboundsError, OSError, json.JSONDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            refusal = isinstance(exc, (EnumerationCapError, UnnormalizableError))
+            sys.exit(EXIT_REFUSAL if refusal else EXIT_INPUT)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact, Bethe, and mean-field partition functions, with verification
     suites for their ordering and identity properties."""
@@ -90,16 +101,7 @@ def cmd_z(model_path, cap, csv):
         model = load_model(model_path)
         return {"z": exact_partition(model, cap=cap)}
 
-    _run("z", _read_payload(model_path), None, {"cap": cap}, body, csv)
-
-
-def _read_payload(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    _run("z", _load_json(model_path), None, {"cap": cap}, body, csv)
 
 
 @main.command("bp")
@@ -130,7 +132,7 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
         return out
 
     settings = {"damping": damping, "tolerance": tol, "max_iters": max_iters}
-    _run("bp", _read_payload(model_path), seed, settings, body, csv)
+    _run("bp", _load_json(model_path), seed, settings, body, csv)
 
 
 @main.command("z-bethe")
@@ -151,7 +153,7 @@ def cmd_z_bethe(model_path, restarts, seed, damping, refine_steps, csv):
         return {"z_bethe": zb, "log_z_bethe": math.log(zb) if zb > 0 else float("-inf")}
 
     settings = {"restarts": restarts, "damping": damping, "refine_steps": refine_steps}
-    _run("z-bethe", _read_payload(model_path), seed, settings, body, csv)
+    _run("z-bethe", _load_json(model_path), seed, settings, body, csv)
 
 
 @main.command("z-meanfield")
@@ -167,7 +169,7 @@ def cmd_z_meanfield(model_path, restarts, seed, csv):
         _nu, zmf = mean_field(model, restarts=restarts, seed=seed)
         return {"z_mean_field": zmf}
 
-    _run("z-meanfield", _read_payload(model_path), seed, {"restarts": restarts}, body, csv)
+    _run("z-meanfield", _load_json(model_path), seed, {"restarts": restarts}, body, csv)
 
 
 @main.group("cover")
@@ -181,12 +183,7 @@ def cmd_cover() -> None:
 @click.option("--seed", default=0, show_default=True)
 def cmd_cover_sample(model_path, m, seed):
     """Emit a uniformly sampled CoverSpec as JSON."""
-    try:
-        model = load_model(model_path)
-        spec = covers_mod.sample_cover(model, m, seed)
-    except ModelError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    spec = covers_mod.sample_cover(load_model(model_path), m, seed)
     click.echo(json.dumps(cover_spec_to_json(spec)))
 
 
@@ -216,7 +213,7 @@ def cmd_cover_build(spec_path, with_z, csv):
             out["z_base"] = exact_partition(spec.base)
         return out
 
-    _run("cover-build", _read_payload(spec_path), None, {}, body, csv)
+    _run("cover-build", _load_json(spec_path), None, {}, body, csv)
 
 
 @cmd_cover.command("estimate")
@@ -240,7 +237,7 @@ def cmd_cover_estimate(model_path, m, samples, seed, csv):
             "note": est.note,
         }
 
-    _run("cover-estimate", _read_payload(model_path), seed, {"m": m, "samples": samples}, body, csv)
+    _run("cover-estimate", _load_json(model_path), seed, {"m": m, "samples": samples}, body, csv)
 
 
 def _potts_from_file(path: str) -> potts_mod.PottsModel:
@@ -251,7 +248,10 @@ def _potts_from_file(path: str) -> potts_mod.PottsModel:
     J = extras["J"]
     if np.isscalar(J):
         J = [J] * len(edges)
-    return potts_mod.PottsModel(n, edges, extras["q"], J, field=extras.get("h"))
+    try:
+        return potts_mod.PottsModel(n, edges, extras["q"], J, field=extras.get("h"))
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"malformed graph file {path}: {exc}") from exc
 
 
 @main.command("potts")
@@ -265,7 +265,7 @@ def cmd_potts(graph_path, csv):
         model = _potts_from_file(graph_path)
         return {"z_potts": potts_mod.potts_partition(model)}
 
-    _run("potts", _read_payload(graph_path), None, {}, body, csv)
+    _run("potts", _load_json(graph_path), None, {}, body, csv)
 
 
 @main.command("rc")
@@ -278,7 +278,7 @@ def cmd_rc(graph_path, csv):
         model = _potts_from_file(graph_path)
         return {"z_rc": potts_mod.rc_partition(model)}
 
-    _run("rc", _read_payload(graph_path), None, {}, body, csv)
+    _run("rc", _load_json(graph_path), None, {}, body, csv)
 
 
 @main.command("counterexample")
@@ -332,8 +332,7 @@ def cmd_wef(code_path, lam, restarts, seed, csv):
     """Weight enumerator of a linear code (generator matrix text file)."""
 
     def body():
-        with open(code_path) as fh:
-            mat = matroid_mod.parse_generator_matrix(fh.read())
+        mat = matroid_mod.parse_generator_matrix(_read_text(code_path))
         res = matroid_mod.weight_enumerator(mat, lam, restarts=restarts, seed=seed)
         out = {
             "exact": res.exact,
@@ -345,13 +344,7 @@ def cmd_wef(code_path, lam, restarts, seed, csv):
             out["mean_field_bound"] = res.mean_field_bound
         return out
 
-    try:
-        with open(code_path) as fh:
-            payload = fh.read()
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    _run("wef", payload, seed, {"lambda": lam, "restarts": restarts}, body, csv)
+    _run("wef", _read_text(code_path), seed, {"lambda": lam, "restarts": restarts}, body, csv)
 
 
 @main.command("matroid")
@@ -363,8 +356,7 @@ def cmd_matroid(code_path, coupling, csv):
     """Matroid Potts and random-cluster partition functions of a matrix."""
 
     def body():
-        with open(code_path) as fh:
-            mat = matroid_mod.parse_generator_matrix(fh.read())
+        mat = matroid_mod.parse_generator_matrix(_read_text(code_path))
         J = np.full(mat.n_cols, 1.0 if coupling is None else coupling)
         return {
             "z_potts": matroid_mod.matroid_potts_partition(mat, J),
@@ -372,13 +364,7 @@ def cmd_matroid(code_path, coupling, csv):
             "rank": matroid_mod.rank(mat),
         }
 
-    try:
-        with open(code_path) as fh:
-            payload = fh.read()
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    _run("matroid", payload, None, {"coupling": coupling}, body, csv)
+    _run("matroid", _read_text(code_path), None, {"coupling": coupling}, body, csv)
 
 
 @main.command("hom")
@@ -397,7 +383,7 @@ def cmd_hom(model_path, csv):
             raise ModelError(f"hom model file must carry w, a, b: {exc}") from exc
         return {"z_hom": hom_partition(model), "z_edge": edge_partition(model)}
 
-    _run("hom", _read_payload(model_path), None, {}, body, csv)
+    _run("hom", _load_json(model_path), None, {}, body, csv)
 
 
 @main.command("check-lsm")
@@ -410,80 +396,51 @@ def cmd_check_lsm(table_path, model_path, csv):
     """Exhaustive log-supermodularity check of a table or of a model's
     factors; exits 1 when the check fails."""
     if (table_path is None) == (model_path is None):
-        click.echo("error: pass exactly one of --table / --model", err=True)
-        sys.exit(EXIT_INPUT)
-    start = time.perf_counter()
-    payload = _read_payload(table_path or model_path)
-    try:
+        raise ModelError("pass exactly one of --table / --model")
+
+    def body():
         if table_path is not None:
             rep = is_log_supermodular(np.asarray(_load_json(table_path), dtype=float))
-            results = {"log_supermodular": rep.ok, "worst_ratio": rep.worst_ratio}
+            out = {"log_supermodular": rep.ok, "worst_ratio": rep.worst_ratio}
             if rep.witness:
-                results["witness"] = list(rep.witness)
-            ok = rep.ok
-        else:
-            reps = model_is_log_supermodular(load_model(model_path))
-            ok = all(r.ok for r in reps.values())
-            results = {
-                "log_supermodular": ok,
-                "factors_checked": len(reps),
-                "failing_factors": [str(fid) for fid, r in reps.items() if not r.ok],
-            }
-    except EnumerationCapError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_REFUSAL)
-    except (ModelError, ZboundsError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    record = ResultRecord(
-        command="check-lsm",
-        digest=canonical_digest(payload),
-        results=results,
-        runtime_s=time.perf_counter() - start,
-    )
-    _emit(record, csv)
-    if not ok:
+                out["witness"] = list(rep.witness)
+            return out
+        reps = model_is_log_supermodular(load_model(model_path))
+        return {
+            "log_supermodular": all(r.ok for r in reps.values()),
+            "factors_checked": len(reps),
+            "failing_factors": [str(fid) for fid, r in reps.items() if not r.ok],
+        }
+
+    results = _run("check-lsm", _load_json(table_path or model_path), None, {}, body, csv)
+    if not results["log_supermodular"]:
         sys.exit(EXIT_REFUSAL)
 
 
 @main.command("verify")
-@click.argument(
-    "theorem",
-    type=click.Choice(
-        ["3.5", "5.1", "5.2-ordering", "5.3", "5.5", "5.6", "6.2",
-         "appendix-a", "appendix-b", "counterexample"]
-    ),
-)
-@click.option("--trials", default=None, type=int, help="Trial count where applicable.")
+@click.argument("theorem", type=click.Choice(list(verify_mod.SUITES)))
+@click.option("--trials", default=None, type=click.IntRange(min=0),
+              help="Trial count where applicable.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--jobs", default=1, show_default=True, help="Parallel trial workers.")
 @click.option("--csv", is_flag=True)
-def cmd_verify(theorem, trials, seed, jobs, csv):
+def cmd_verify(theorem, trials, seed, csv):
     """Run a verification suite; exit 0 iff every trial passes."""
-    start = time.perf_counter()
-    try:
-        reports = verify_mod.dispatch(theorem, trials, seed, jobs)
-    except ModelError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    all_ok = all(r.ok for r in reports)
-    results = {}
-    for r in reports:
-        click.echo(r.summary(), err=True)
-        key = r.name.replace(" ", "_")
-        results[f"{key}.passes"] = r.passes
-        results[f"{key}.trials"] = r.trials
-        results[f"{key}.worst_slack"] = r.worst_slack
-    record = ResultRecord(
-        command=f"verify {theorem}",
-        digest=canonical_digest({"theorem": theorem, "trials": trials, "seed": seed}),
-        results=results,
-        seed=seed,
-        runtime_s=time.perf_counter() - start,
-        settings={"trials": trials, "jobs": jobs},
-    )
-    _emit(record, csv)
-    if not all_ok:
+    reports = []
+
+    def body():
+        reports.extend(verify_mod.dispatch(theorem, trials, seed))
+        results = {}
+        for r in reports:
+            click.echo(r.summary(), err=True)
+            key = r.name.replace(" ", "_")
+            results[f"{key}.passes"] = r.passes
+            results[f"{key}.trials"] = r.trials
+            results[f"{key}.worst_slack"] = r.worst_slack
+        return results
+
+    payload = {"theorem": theorem, "trials": trials, "seed": seed}
+    _run(f"verify {theorem}", payload, seed, {"trials": trials}, body, csv)
+    if not all(r.ok for r in reports):
         sys.exit(EXIT_REFUSAL)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, ModelError
 from .lattice import LsmReport, is_log_supermodular
-from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, PotentialTable
+from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, PotentialTable, exact_partition
 from .potts import _check_simple
 
 
@@ -80,22 +80,10 @@ def hom_partition_matrix(
         raise ModelError("gamma must be square and match w")
     if np.any(gamma < 0) or np.any(w < 0):
         raise ModelError("weights must be nonnegative")
-    total = n**n_vertices
-    if total > cap:
-        raise EnumerationCapError(f"{total} colorings exceed the enumeration cap {cap}")
-    radix = n ** np.arange(n_vertices - 1, -1, -1, dtype=np.int64) if n_vertices else np.zeros(0, np.int64)
-    parts = []
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        sigma = (idx[:, None] // radix[None, :]) % n if n_vertices else np.zeros((idx.size, 0), int)
-        vals = np.ones(idx.size)
-        for k in range(n_vertices):
-            vals = vals * w[sigma[:, k]]
-        for i, j in edges:
-            vals = vals * gamma[sigma[:, i], sigma[:, j]]
-        parts.append(math.fsum(vals))
-    return math.fsum(parts)
+    if n == 0:
+        # No colours: no colouring exists unless there is nothing to colour.
+        return 0.0 if n_vertices else 1.0
+    return exact_partition(_gamma_factor_graph(n_vertices, edges, w, gamma), cap)
 
 
 def hom_partition(model: HomModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -141,19 +129,6 @@ def edge_weight_table(model: HomModel, cap_edges: int = 16) -> np.ndarray:
     if m > cap_edges:
         raise EnumerationCapError(f"{m} edges exceed the table cap {cap_edges}")
     return np.array([edge_weight(model, mask) for mask in range(1 << m)])
-
-
-def power_sum_exchange_holds(
-    c_own: float, c_other: float, s1: int, s2: int, s_meet: int, s_join: int,
-    rel_tol: float = 1e-12,
-) -> bool:
-    """The scalar rearrangement inequality behind rank-2 log-supermodularity:
-
-    c^s1 d^s2 + c^s2 d^s1 <= c^{s_join} d^{s_meet} + c^{s_meet} d^{s_join}.
-    """
-    lhs = c_own**s1 * c_other**s2 + c_own**s2 * c_other**s1
-    rhs = c_own**s_join * c_other**s_meet + c_own**s_meet * c_other**s_join
-    return lhs <= rhs * (1 + rel_tol) + 1e-300
 
 
 @dataclass
@@ -208,14 +183,18 @@ def check_rank2_lsm(
     return Rank2LsmReport(table_check=rep, scalar_checked=checked, scalar_failures=failures)
 
 
+def _gamma_factor_graph(n_vertices: int, edges: Sequence, w, gamma) -> FactorGraph:
+    """Pairwise factor-graph form of a target matrix: node potentials w,
+    one table Gamma per edge."""
+    n = len(w)
+    variables = [(v, n) for v in range(n_vertices)]
+    factors = [
+        Factor(f"e{k}", (i, j), PotentialTable((n, n), np.ravel(gamma)))
+        for k, (i, j) in enumerate(edges)
+    ]
+    return FactorGraph(variables, factors, {v: w for v in range(n_vertices)})
+
+
 def hom_to_factor_graph(model: HomModel) -> FactorGraph:
     """Pairwise factor-graph form: node potentials w, edge tables Gamma."""
-    n = model.n_states
-    variables = [(v, n) for v in range(model.n_vertices)]
-    gamma = model.gamma
-    factors = [
-        Factor(f"e{k}", (i, j), PotentialTable((n, n), gamma.ravel()))
-        for k, (i, j) in enumerate(model.edges)
-    ]
-    pots = {v: model.w for v in range(model.n_vertices)}
-    return FactorGraph(variables, factors, pots)
+    return _gamma_factor_graph(model.n_vertices, model.edges, model.w, model.gamma)

@@ -77,12 +77,6 @@ def load_model(path: str) -> FactorGraph:
     return model_from_json(doc)
 
 
-def save_model(model: FactorGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=1)
-        fh.write("\n")
-
-
 def cover_spec_to_json(spec: CoverSpec) -> dict:
     return {
         "M": spec.m,

@@ -234,17 +234,6 @@ def check_correlation_inequality(
     )
 
 
-def model_table(model: FactorGraph) -> np.ndarray:
-    """Flat joint-weight table of a model in assignment-enumeration order.
-
-    For an all-binary model the result is directly usable with the
-    log-supermodularity checks above.
-    """
-    from .models import dense_joint
-
-    return dense_joint(model).ravel()
-
-
 def switch_bipartite(model: FactorGraph, part_a, part_b) -> FactorGraph:
     """Flip the B side of a pairwise binary bipartite model.
 

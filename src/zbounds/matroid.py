@@ -447,15 +447,16 @@ def parse_generator_matrix(text: str) -> GFMatrix:
     head = lines[0].split()
     if len(head) != 3:
         raise ModelError("header must be 'q k n'")
-    q, k, n = (int(x) for x in head)
-    if len(lines) != 1 + k:
-        raise ModelError(f"expected {k} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+    try:
+        q, k, n = (int(x) for x in head)
+        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
+    except ValueError as exc:
+        raise ModelError(f"generator matrix entries must be integers: {exc}") from exc
+    if len(rows) != k:
+        raise ModelError(f"expected {k} matrix rows, found {len(rows)}")
+    for ln, row in zip(lines[1:], rows):
         if len(row) != n:
             raise ModelError(f"row '{ln}' does not have {n} entries")
-        rows.append(row)
     return GFMatrix(gf(q), rows)
 
 

@@ -191,12 +191,6 @@ class FactorGraph:
     def node_potential(self, vid: VarId):
         return self._node_potentials.get(vid)
 
-    def factor(self, fid) -> Factor:
-        for fac in self._factors:
-            if fac.id == fid:
-                return fac
-        raise KeyError(fid)
-
     def incidences(self, vid: VarId):
         """(factor id, scope position) pairs of every factor touching ``vid``."""
         return tuple(self._incidence[vid])

@@ -21,7 +21,7 @@ import numpy as np
 from .covers import CoverSpec, lifted_id
 from .errors import EnumerationCapError, ModelError
 from .lattice import sorted_stack
-from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, PotentialTable
+from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, PotentialTable, exact_partition
 
 
 class UnionFind:
@@ -125,29 +125,7 @@ def potts_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> fl
     """Sum the spin model over all q^n spin vectors (integer q only)."""
     if float(model.q) != int(model.q):
         raise ModelError("spin enumeration needs an integer q")
-    q = int(model.q)
-    n = model.n_vertices
-    total = q**n
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} spin configurations exceed the enumeration cap {cap}"
-        )
-    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
-    parts = []
-    chunk = 1 << 20
-    ew = np.exp(model.coupling)
-    fw = np.exp(model.field) if model.field is not None else None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        sigma = (idx[:, None] // radix[None, :]) % q if n else np.zeros((idx.size, 0), int)
-        w = np.ones(idx.size)
-        if fw is not None:
-            for k in range(n):
-                w = w * fw[sigma[:, k]]
-        for e, (i, j) in enumerate(model.edges):
-            w = w * np.where(sigma[:, i] == sigma[:, j], ew[e], 1.0)
-        parts.append(math.fsum(w))
-    return math.fsum(parts)
+    return exact_partition(potts_to_factor_graph(model), cap)
 
 
 def rc_weight(model: PottsModel, mask: int) -> float:

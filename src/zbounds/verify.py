@@ -2,15 +2,13 @@
 
 Every suite returns a VerifyReport with pass counts and the worst signed
 slack seen (negative slack = violation beyond tolerance).  Per-trial seeds
-are derived as seed + trial index, so results are independent of how the
-trial loop is scheduled.
+are derived as seed + trial index, so each trial can be rerun on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +53,16 @@ class VerifyReport:
         )
 
 
-def run_trials(n: int, fn, jobs: int = 1) -> list:
-    """Run fn(0..n-1), optionally in a thread pool, ordered by index."""
-    if jobs <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(n)))
+def run_trials(name: str, trials: int, one, tolerance: float) -> VerifyReport:
+    """Run one(0..trials-1), each returning (ok, slack), into one report."""
+    results = [one(i) for i in range(trials)]
+    return VerifyReport(
+        name=name,
+        trials=trials,
+        passes=sum(1 for ok, _ in results if ok),
+        worst_slack=min((slack for _, slack in results), default=0.0),
+        details={"tolerance": tolerance},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,7 @@ def random_hom(
 # ---------------------------------------------------------------------------
 
 
-def verify_cover_bound(trials: int = 100, seed: int = 0, jobs: int = 1) -> VerifyReport:
+def verify_cover_bound(trials: int = 100, seed: int = 0) -> VerifyReport:
     """Z(H) <= Z(G)^M for random covers of log-supermodular models."""
 
     def one(i: int) -> tuple:
@@ -171,16 +173,8 @@ def verify_cover_bound(trials: int = 100, seed: int = 0, jobs: int = 1) -> Verif
             worst = min(worst, slack)
         return worst >= -REL_TOL_COVER, worst
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
-    return VerifyReport(
-        name="cover-bound (2- and 3-covers of log-supermodular models)",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_COVER},
-    )
+    name = "cover-bound (2- and 3-covers of log-supermodular models)"
+    return run_trials(name, trials, one, REL_TOL_COVER)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,7 @@ def verify_component_inequality(seed: int = 0) -> VerifyReport:
     )
 
 
-def verify_field_weight_inequality(trials: int = 1000, seed: int = 0, jobs: int = 1) -> VerifyReport:
+def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyReport:
     """Sampled weighted version with uniform external fields."""
 
     def one(i: int) -> tuple:
@@ -233,16 +227,8 @@ def verify_field_weight_inequality(trials: int = 1000, seed: int = 0, jobs: int 
         slack = (rep.rhs_weight - rep.lhs_weight) / max(rep.rhs_weight, 1e-300)
         return bool(rep.ok), float(slack)
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
-    return VerifyReport(
-        name="random-cluster weight cover inequality with uniform fields (sampled)",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_COVER},
-    )
+    name = "random-cluster weight cover inequality with uniform fields (sampled)"
+    return run_trials(name, trials, one, REL_TOL_COVER)
 
 
 def verify_rank_inequality(seed: int = 0) -> VerifyReport:
@@ -279,7 +265,7 @@ def verify_rank_inequality(seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_potts_rc_identity(trials: int = 50, seed: int = 0, jobs: int = 1) -> VerifyReport:
+def verify_potts_rc_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
     """Z_rc == Z_Potts under p = e^J - 1 on random ferromagnetic instances."""
 
     def one(i: int) -> tuple:
@@ -292,19 +278,10 @@ def verify_potts_rc_identity(trials: int = 50, seed: int = 0, jobs: int = 1) -> 
         rel = abs(zrc - zp) / max(zp, 1e-300)
         return rel <= REL_TOL_IDENTITY, -rel
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
-    return VerifyReport(
-        name="Potts / random-cluster identity",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_IDENTITY},
-    )
+    return run_trials("Potts / random-cluster identity", trials, one, REL_TOL_IDENTITY)
 
 
-def verify_hom_edge_identity(trials: int = 50, seed: int = 0, jobs: int = 1) -> VerifyReport:
+def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
     """Z_edge == Z_hom on random rank-2 homomorphism models."""
 
     def one(i: int) -> tuple:
@@ -315,16 +292,7 @@ def verify_hom_edge_identity(trials: int = 50, seed: int = 0, jobs: int = 1) -> 
         rel = abs(ze - zh) / max(zh, 1e-300)
         return rel <= REL_TOL_IDENTITY, -rel
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
-    return VerifyReport(
-        name="homomorphism / edge-subset identity",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_IDENTITY},
-    )
+    return run_trials("homomorphism / edge-subset identity", trials, one, REL_TOL_IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +312,7 @@ def _check_ordering(fg: FactorGraph, z: float, seed: int, restarts: int = 24) ->
 
 
 def verify_potts_ordering(
-    trials: int = 30, seed: int = 0, with_field: bool = False, jobs: int = 1
+    trials: int = 30, seed: int = 0, with_field: bool = False
 ) -> VerifyReport:
     """Z_MF <= Z_B <= Z for ferromagnetic Potts (optionally uniform field)."""
 
@@ -354,20 +322,11 @@ def verify_potts_ordering(
         z = potts.potts_partition(model)
         return _check_ordering(potts_to_factor_graph(model), z, seed + i)[:2]
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
     label = "uniform-field" if with_field else "no-field"
-    return VerifyReport(
-        name=f"ferromagnetic Potts ordering ({label})",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_ORDERING},
-    )
+    return run_trials(f"ferromagnetic Potts ordering ({label})", trials, one, REL_TOL_ORDERING)
 
 
-def verify_matroid_ordering(trials: int = 30, seed: int = 0, jobs: int = 1) -> VerifyReport:
+def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
     """Z_MF <= Z_B <= Z_Potts for matroid Potts models with J >= 0."""
 
     def one(i: int) -> tuple:
@@ -378,19 +337,10 @@ def verify_matroid_ordering(trials: int = 30, seed: int = 0, jobs: int = 1) -> V
         fg = matroid.incidence_factor_graph(mat, J)
         return _check_ordering(fg, z_unnorm, seed + i)[:2]
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
-    return VerifyReport(
-        name="matroid Potts ordering",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_ORDERING},
-    )
+    return run_trials("matroid Potts ordering", trials, one, REL_TOL_ORDERING)
 
 
-def verify_hom_ordering(trials: int = 30, seed: int = 0, jobs: int = 1) -> VerifyReport:
+def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
     """Z_MF <= Z_B <= Z_hom for rank-2 homomorphism models."""
 
     def one(i: int) -> tuple:
@@ -399,16 +349,7 @@ def verify_hom_ordering(trials: int = 30, seed: int = 0, jobs: int = 1) -> Verif
         z = hom_partition(model)
         return _check_ordering(hom_to_factor_graph(model), z, seed + i)[:2]
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
-    return VerifyReport(
-        name="rank-2 homomorphism ordering",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_ORDERING},
-    )
+    return run_trials("rank-2 homomorphism ordering", trials, one, REL_TOL_ORDERING)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +357,7 @@ def verify_hom_ordering(trials: int = 30, seed: int = 0, jobs: int = 1) -> Verif
 # ---------------------------------------------------------------------------
 
 
-def verify_tree_exactness(trials: int = 30, seed: int = 0, jobs: int = 1) -> VerifyReport:
+def verify_tree_exactness(trials: int = 30, seed: int = 0) -> VerifyReport:
     """Bethe optimum equals the true partition function on trees."""
 
     def one(i: int) -> tuple:
@@ -427,16 +368,7 @@ def verify_tree_exactness(trials: int = 30, seed: int = 0, jobs: int = 1) -> Ver
         rel = abs(zb - z) / max(z, 1e-300)
         return rel <= REL_TOL_TREE, -rel
 
-    results = run_trials(trials, one, jobs)
-    passes = sum(1 for ok, _ in results if ok)
-    worst = min((s for _, s in results), default=0.0)
-    return VerifyReport(
-        name="tree exactness of the Bethe optimum",
-        trials=trials,
-        passes=passes,
-        worst_slack=worst,
-        details={"tolerance": REL_TOL_TREE},
-    )
+    return run_trials("tree exactness of the Bethe optimum", trials, one, REL_TOL_TREE)
 
 
 def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
@@ -644,36 +576,33 @@ def verify_weight_enumerator(seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def dispatch(tag: str, trials: int | None, seed: int, jobs: int = 1) -> list:
+# CLI tag -> (default trial count, runner(trials, seed) -> list of reports)
+SUITES = {
+    "3.5": (100, lambda n, seed: [verify_cover_bound(n, seed)]),
+    "5.1": (None, lambda n, seed: [verify_component_inequality(seed)]),
+    "5.2-ordering": (
+        30,
+        lambda n, seed: [
+            verify_potts_ordering(n, seed, with_field=False),
+            verify_potts_ordering(n, seed + 10_000, with_field=True),
+        ],
+    ),
+    "5.3": (1000, lambda n, seed: [verify_field_weight_inequality(n, seed)]),
+    "5.5": (None, lambda n, seed: [verify_rank_inequality(seed)]),
+    "5.6": (30, lambda n, seed: [verify_matroid_ordering(n, seed)]),
+    "6.2": (30, lambda n, seed: [verify_hom_ordering(n, seed)]),
+    "appendix-a": (50, lambda n, seed: [verify_potts_rc_identity(n, seed)]),
+    "appendix-b": (50, lambda n, seed: [verify_hom_edge_identity(n, seed)]),
+    "counterexample": (
+        64,
+        lambda n, seed: [verify_counterexample(restarts=max(64, n), seed=seed)],
+    ),
+}
+
+
+def dispatch(tag: str, trials: int | None, seed: int) -> list:
     """Run the suite(s) registered under a CLI tag."""
-
-    def t(default):
-        return default if trials is None else trials
-
-    if tag == "3.5":
-        return [verify_cover_bound(t(100), seed, jobs)]
-    if tag == "5.1":
-        return [verify_component_inequality(seed)]
-    if tag == "5.3":
-        return [verify_field_weight_inequality(t(1000), seed, jobs)]
-    if tag == "5.2-ordering":
-        return [
-            verify_potts_ordering(t(30), seed, with_field=False, jobs=jobs),
-            verify_potts_ordering(t(30), seed + 10_000, with_field=True, jobs=jobs),
-        ]
-    if tag == "5.5":
-        return [verify_rank_inequality(seed)]
-    if tag == "5.6":
-        return [verify_matroid_ordering(t(30), seed, jobs)]
-    if tag == "6.2":
-        return [verify_hom_ordering(t(30), seed, jobs)]
-    if tag == "appendix-a":
-        return [verify_potts_rc_identity(t(50), seed, jobs)]
-    if tag == "appendix-b":
-        return [verify_hom_edge_identity(t(50), seed, jobs)]
-    if tag == "counterexample":
-        return [verify_counterexample(restarts=max(64, t(64)), seed=seed)]
-    raise ModelError(
-        "unknown theorem tag; expected one of 3.5, 5.1, 5.2-ordering, 5.3, "
-        "5.5, 5.6, 6.2, appendix-a, appendix-b, counterexample"
-    )
+    if tag not in SUITES:
+        raise ModelError(f"unknown theorem tag; expected one of {', '.join(SUITES)}")
+    default, run = SUITES[tag]
+    return run(default if trials is None else trials, seed)

@@ -200,14 +200,39 @@ class TestCommands:
         res = runner.invoke(main, ["verify", "nope"])
         assert res.exit_code == 2
 
-    def test_verify_jobs_deterministic(self, runner):
-        r1 = runner.invoke(main, ["verify", "appendix-b", "--trials", "8", "--seed", "3"])
-        r2 = runner.invoke(
-            main, ["verify", "appendix-b", "--trials", "8", "--seed", "3", "--jobs", "4"]
-        )
-        rec1 = last_record(r1.output)["results"]
-        rec2 = last_record(r2.output)["results"]
-        assert rec1 == rec2
+    def test_verify_same_seed_deterministic(self, runner):
+        args = ["verify", "appendix-b", "--trials", "8", "--seed", "3"]
+        r1 = runner.invoke(main, args)
+        r2 = runner.invoke(main, args)
+        assert r1.exit_code == 0, r1.output
+        assert last_record(r1.output)["results"] == last_record(r2.output)["results"]
+
+    def test_verify_negative_trials_exit_2(self, runner):
+        res = runner.invoke(main, ["verify", "appendix-a", "--trials", "-3"])
+        assert res.exit_code == 2
+
+    def test_cover_sample_missing_model_exit_2(self, runner, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        res = runner.invoke(main, ["cover", "sample", "--model", missing, "--m", "2"])
+        assert res.exit_code == 2
+        assert "error:" in res.output
+
+    @pytest.mark.parametrize("command", [["matroid"], ["wef", "--lam", "0.5"]])
+    def test_non_integer_generator_matrix_exit_2(self, runner, tmp_path, command):
+        code = tmp_path / "code.txt"
+        code.write_text("2 1 3\n1 x 1\n")
+        res = runner.invoke(main, command + ["--code", str(code)])
+        assert res.exit_code == 2
+        assert "error:" in res.output
+
+    @pytest.mark.parametrize("command", ["potts", "rc"])
+    def test_non_numeric_coupling_exit_2(self, runner, tmp_path, command):
+        doc = {"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "q": 3, "J": "abc"}
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command, "--graph", str(p)])
+        assert res.exit_code == 2
+        assert "error:" in res.output
 
     def test_counterexample_reports_gap(self, runner):
         res = runner.invoke(

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from zbounds.errors import ModelError
+from zbounds.errors import EnumerationCapError, ModelError
 from zbounds.homs import (
     HomModel,
     check_rank2_lsm,
@@ -13,7 +14,6 @@ from zbounds.homs import (
     hom_partition,
     hom_partition_matrix,
     hom_to_factor_graph,
-    power_sum_exchange_holds,
     s_count,
 )
 from zbounds.lattice import is_log_supermodular
@@ -58,6 +58,29 @@ class TestHomPartition:
     def test_negative_weight_rejected(self):
         with pytest.raises(ModelError):
             HomModel(2, [(0, 1)], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
+
+    def test_zero_states(self):
+        # no colours: no colouring of a nonempty graph
+        assert hom_partition(HomModel(3, TRIANGLE, [], [], [])) == 0.0
+        assert hom_partition_matrix(2, [(0, 1)], [], np.zeros((0, 0))) == 0.0
+
+    def test_no_vertices(self):
+        assert hom_partition_matrix(0, [], [1.0, 2.0], np.ones((2, 2))) == 1.0
+        assert hom_partition_matrix(0, [], [], np.zeros((0, 0))) == 1.0
+
+    def test_single_state(self):
+        # one colour: Z = w^|V| * Gamma^|E|
+        assert hom_partition_matrix(3, TRIANGLE, [2.0], [[3.0]]) == pytest.approx(8.0 * 27.0)
+
+    def test_cap(self):
+        with pytest.raises(EnumerationCapError):
+            hom_partition_matrix(8, [(0, 1)], np.ones(4), np.ones((4, 4)), cap=1000)
+
+    def test_bad_gamma_rejected(self):
+        with pytest.raises(ModelError):
+            hom_partition_matrix(2, [(0, 1)], [1.0, 1.0], [[1.0, -1.0], [1.0, 1.0]])
+        with pytest.raises(ModelError):
+            hom_partition_matrix(2, [(0, 1)], [1.0, 1.0], np.ones((2, 3)))
 
 
 class TestSCount:
@@ -183,12 +206,18 @@ class TestRank2Lsm:
             lhs = c**s1 * c**s2 + c**s2 * c**s1
             rhs = c**sj * c**sm + c**sm * c**sj
             assert lhs == pytest.approx(rhs, rel=1e-12)
-            assert power_sum_exchange_holds(c, c, s1, s2, sm, sj)
 
 
 class TestBetheForm:
     def test_factor_graph_matches_hom_partition(self):
+        # Both enumerations against an independent loop over colourings.
         rng = np.random.default_rng(9)
         m = random_hom(rng)
-        fg = hom_to_factor_graph(m)
-        assert exact_partition(fg) == pytest.approx(hom_partition(m), rel=1e-12)
+        gamma = m.gamma
+        loop = math.fsum(
+            math.prod(m.w[c] for c in col) * math.prod(gamma[col[i], col[j]] for i, j in m.edges)
+            for col in itertools.product(range(m.n_states), repeat=m.n_vertices)
+        )
+        assert exact_partition(hom_to_factor_graph(m)) == pytest.approx(loop, rel=1e-12)
+        assert hom_partition(m) == pytest.approx(loop, rel=1e-12)
+        assert edge_partition(m) == pytest.approx(loop, rel=1e-12)

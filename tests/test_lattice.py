@@ -14,11 +14,10 @@ from zbounds.lattice import (
     is_log_supermodular,
     meet_join,
     model_is_log_supermodular,
-    model_table,
     sorted_stack,
     switch_bipartite,
 )
-from zbounds.models import FactorGraph, exact_partition
+from zbounds.models import FactorGraph, dense_joint, exact_partition
 
 bit_vectors = st.lists(st.integers(0, 1), min_size=1, max_size=8)
 
@@ -156,8 +155,8 @@ class TestCorrelationInequality:
             [(f.id, f.scope, f.table.values) for f in lifted.cover.factors],
             lifted.cover.node_potentials,
         )
-        g = model_table(reordered)
-        f = model_table(base)
+        g = dense_joint(reordered).ravel()
+        f = dense_joint(base).ravel()
         rep = check_correlation_inequality(g, [f, f])
         assert rep.sum_ok
         assert rep.sum_lhs == pytest.approx(exact_partition(lifted.cover), rel=1e-12)

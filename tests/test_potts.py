@@ -87,6 +87,29 @@ class TestPottsPartition:
         with pytest.raises(EnumerationCapError):
             potts_partition(m, cap=1000)
 
+    def test_no_vertices(self):
+        assert potts_partition(PottsModel(0, [], 3, [])) == 1.0
+        assert potts_partition(PottsModel(0, [], 2, [], field=[0.3, -0.2])) == 1.0
+
+    def test_single_state(self):
+        # q = 1: every edge is satisfied
+        m = PottsModel(3, TRIANGLE, 1, [0.2, 0.5, 0.7])
+        assert potts_partition(m) == pytest.approx(math.exp(1.4), rel=1e-14)
+
+    def test_field_matches_spin_loop(self):
+        rng = np.random.default_rng(3)
+        edges = TRIANGLE + [(2, 3)]
+        J, h = rng.uniform(0.1, 1.0, 4), rng.uniform(-1.0, 1.0, 3)
+        total = math.fsum(
+            math.exp(
+                sum(h[s] for s in sigma)
+                + sum(J[e] for e, (i, j) in enumerate(edges) if sigma[i] == sigma[j])
+            )
+            for sigma in itertools.product(range(3), repeat=4)
+        )
+        m = PottsModel(4, edges, 3, J, field=h)
+        assert potts_partition(m) == pytest.approx(total, rel=1e-12)
+
     def test_monotone_in_edges(self):
         rng = np.random.default_rng(0)
         base_edges = [(0, 1), (1, 2)]
