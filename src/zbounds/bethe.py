@@ -618,23 +618,22 @@ def mean_field(
     (where the factor-correlation term vanishes), so the result never
     exceeds the Bethe optimum and always lower-bounds the true partition
     function.  Returns (node marginals, Z_MF).
+
+    All restarts advance together, one row each in ``(restarts, card)``
+    belief arrays; a restart whose sweep changes no belief by ``tol`` or
+    more stops moving while the others go on.
     """
     _check_budget(model, max_vars, max_factors)
     g = _Graph(model)
     rng = np.random.default_rng(seed)
     n = len(g.var_ids)
-    log_tables = []
-    for _fid, _scope, table in g.factors:
-        with np.errstate(divide="ignore"):
-            log_tables.append(np.where(table > 0, np.log(np.where(table > 0, table, 1.0)), _NEG_INF))
 
-    inits = []
     first = []
     for vi in range(n):
         p = g.phis[vi]
         s = p.sum()
         first.append(p / s if s > 0 else np.full(p.size, 1.0 / p.size))
-    inits.append(first)
+    inits = [first]
     for _r in range(max(1, restarts) - 1):
         inits.append(
             [
@@ -645,50 +644,86 @@ def mean_field(
     support_init = _positive_assignment_init(model, g, rng)
     if support_init is not None:
         inits.append(support_init)
+    nu = [np.array([init[vi] for init in inits]) for vi in range(n)]
+
+    plan = _mean_field_plan(g)
+    active = np.arange(len(inits))
+    for _sweep in range(max_sweeps):
+        rows = [b[active] for b in nu]
+        delta = _mean_field_sweep(rows, plan, active.size)
+        for b, r in zip(nu, rows):
+            b[active] = r
+        active = active[delta >= tol]
+        if active.size == 0:
+            break
 
     best_val = _NEG_INF
     best_nu = None
-    for init in inits:
-        nu = [p.copy() for p in init]
-        for _sweep in range(max_sweeps):
-            delta = 0.0
-            for vi in range(n):
-                score = np.where(g.phis[vi] > 0, np.log(np.where(g.phis[vi] > 0, g.phis[vi], 1.0)), _NEG_INF)
-                score = score.astype(float).copy()
-                for fi, pos in g.incident[vi]:
-                    _fid, scope, table = g.factors[fi]
-                    logt = log_tables[fi]
-                    w = np.ones(())
-                    for l, vj in enumerate(scope):
-                        shape = [1] * len(scope)
-                        shape[l] = g.cards[vj]
-                        vec = np.ones(g.cards[vj]) if l == pos else nu[vj]
-                        w = w * vec.reshape(shape)
-                    axes = tuple(a for a in range(len(scope)) if a != pos)
-                    finite = np.isfinite(logt)
-                    contrib = np.where(finite & (w > 0), w * np.where(finite, logt, 0.0), 0.0)
-                    score_part = contrib.sum(axis=axes) if axes else contrib
-                    blocked = ((~finite) & (w > _ZERO_TOL)).any(axis=axes) if axes else (~finite) & (w > _ZERO_TOL)
-                    score = np.where(blocked, _NEG_INF, score + score_part)
-                if np.all(np.isneginf(score)):
-                    new = nu[vi]  # no admissible move; keep the current belief
-                else:
-                    e = np.exp(score - score[np.isfinite(score)].max())
-                    e = np.where(np.isfinite(score), e, 0.0)
-                    new = e / e.sum()
-                delta = max(delta, float(np.max(np.abs(new - nu[vi]))))
-                nu[vi] = new
-            if delta < tol:
-                break
-        nu_map = {g.var_ids[vi]: nu[vi] for vi in range(n)}
+    for r in range(len(inits)):
+        nu_map = {g.var_ids[vi]: nu[vi][r] for vi in range(n)}
         val = bethe_objective(model, product_beliefs(model, nu_map), validate=False)
         if val > best_val:
             best_val = val
             best_nu = nu_map
     if best_nu is None:
-        best_nu = {g.var_ids[vi]: inits[0][vi] for vi in range(n)}
+        best_nu = {g.var_ids[vi]: first[vi] for vi in range(n)}
     z = math.exp(best_val) if best_val != _NEG_INF else 0.0
     return best_nu, z
+
+
+def _mean_field_plan(g: _Graph) -> list:
+    """What each coordinate update reads, computed once per call.
+
+    Per variable: its log node potential (-inf at zeros) and, per incident
+    factor, the other scope variables with the shape their (restarts,
+    card) beliefs broadcast to, the axes summed out, the table's support
+    mask and its complement, and the log table (0 off the support).
+    """
+    factor_terms = []
+    for _fid, _scope, table in g.factors:
+        support = table > 0
+        factor_terms.append((support, ~support, np.log(np.where(support, table, 1.0))))
+    plan = []
+    for vi, phi in enumerate(g.phis):
+        node_score = np.where(phi > 0, np.log(np.where(phi > 0, phi, 1.0)), _NEG_INF)
+        terms = []
+        for fi, pos in g.incident[vi]:
+            scope = g.factors[fi][1]
+            others = []
+            for l, vj in enumerate(scope):
+                if l != pos:
+                    shape = [-1] + [1] * len(scope)
+                    shape[1 + l] = g.cards[vj]
+                    others.append((vj, tuple(shape)))
+            axes = tuple(1 + l for l in range(len(scope)) if l != pos)
+            terms.append((others, axes) + factor_terms[fi])
+        plan.append((node_score, terms))
+    return plan
+
+
+def _mean_field_sweep(nu: list, plan: list, restarts: int) -> np.ndarray:
+    """One coordinate-ascent pass over the variables, in place.
+
+    ``nu`` holds one (restarts, card) belief array per variable; returns
+    each restart's largest belief change.
+    """
+    delta = np.zeros(restarts)
+    for vi, (node_score, terms) in enumerate(plan):
+        score = np.broadcast_to(node_score, nu[vi].shape)
+        for others, axes, support, off_support, log_table in terms:
+            w = 1.0
+            for vj, shape in others:
+                w = w * nu[vj].reshape(shape)
+            contrib = np.where(support & (w > 0), w * log_table, 0.0)
+            blocked = (off_support & (w > _ZERO_TOL)).any(axis=axes)
+            score = np.where(blocked, _NEG_INF, score + contrib.sum(axis=axes))
+        top = score.max(axis=1, keepdims=True)
+        movable = top > _NEG_INF  # a row scored -inf everywhere keeps its belief
+        e = np.exp(score - np.where(movable, top, 0.0))
+        new = np.where(movable, e / np.where(movable, e.sum(axis=1, keepdims=True), 1.0), nu[vi])
+        delta = np.maximum(delta, np.abs(new - nu[vi]).max(axis=1))
+        nu[vi] = new
+    return delta
 
 
 def _positive_assignment_init(model: FactorGraph, g: _Graph, rng, tries: int = 200):

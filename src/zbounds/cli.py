@@ -33,7 +33,7 @@ from .io import (
     model_to_json,
 )
 from .lattice import is_log_supermodular, model_is_log_supermodular
-from .models import exact_partition
+from .models import exact_partition, float_array
 
 EXIT_REFUSAL = 1
 EXIT_INPUT = 2
@@ -400,7 +400,7 @@ def cmd_check_lsm(table_path, model_path, csv):
 
     def body():
         if table_path is not None:
-            rep = is_log_supermodular(np.asarray(_load_json(table_path), dtype=float))
+            rep = is_log_supermodular(float_array(_load_json(table_path), "table entries"))
             out = {"log_supermodular": rep.ok, "worst_ratio": rep.worst_ratio}
             if rep.witness:
                 out["witness"] = list(rep.witness)

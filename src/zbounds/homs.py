@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import EnumerationCapError, ModelError
 from .lattice import LsmReport, is_log_supermodular
-from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, PotentialTable, exact_partition
+from .models import (
+    DEFAULT_ENUMERATION_CAP,
+    Factor,
+    FactorGraph,
+    PotentialTable,
+    exact_partition,
+    float_array,
+)
 from .potts import _check_simple
 
 
@@ -38,9 +45,9 @@ class HomModel:
     def __init__(self, n_vertices, edges, w, a, b) -> None:
         self.n_vertices = int(n_vertices)
         self.edges = _check_simple(self.n_vertices, edges)
-        self.w = np.asarray(w, dtype=float)
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        self.w = float_array(w, "w")
+        self.a = float_array(a, "a")
+        self.b = float_array(b, "b")
         n = self.w.size
         if self.a.shape != (n,) or self.b.shape != (n,):
             raise ModelError("w, a, b must share one length")

@@ -28,11 +28,6 @@ def index_of_bits(bits: Sequence[int]) -> int:
     return idx
 
 
-def bits_of_index(idx: int, n: int) -> np.ndarray:
-    """Inverse of index_of_bits."""
-    return np.array([(idx >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-
-
 def meet_join(x, y) -> tuple:
     """Coordinatewise (min, max) of two 0/1 vectors."""
     x = np.asarray(x, dtype=np.uint8)

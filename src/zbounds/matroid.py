@@ -458,10 +458,3 @@ def parse_generator_matrix(text: str) -> GFMatrix:
         if len(row) != n:
             raise ModelError(f"row '{ln}' does not have {n} entries")
     return GFMatrix(gf(q), rows)
-
-
-def format_generator_matrix(matrix: GFMatrix) -> str:
-    lines = [f"{matrix.field.q} {matrix.n_rows} {matrix.n_cols}"]
-    for row in matrix.entries:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"

@@ -29,8 +29,16 @@ DEFAULT_ENUMERATION_CAP = 1 << 26
 _DENSE_BLOCK = 1 << 22
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ModelError when an entry is not a number."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{what} must be numbers: {exc}") from exc
+
+
 def _as_table_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = float_array(values, "potential entries")
     if arr.ndim != 1:
         arr = arr.ravel()
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):

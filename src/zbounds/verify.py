@@ -301,7 +301,7 @@ def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
 
 
 def _check_ordering(fg: FactorGraph, z: float, seed: int, restarts: int = 24) -> tuple:
-    nu, zmf = mean_field(fg, restarts=8, seed=seed)
+    _nu, zmf = mean_field(fg, restarts=8, seed=seed)
     _tau, zb = maximize_bethe(
         fg, restarts=restarts, seed=seed, bp_iters=1200, refine_steps=25, refine_top=1
     )

@@ -12,14 +12,16 @@ from zbounds.bethe import (
     run_bp,
 )
 from zbounds.errors import ModelError
+from zbounds.homs import HomModel, hom_to_factor_graph
 from zbounds.lattice import model_is_log_supermodular
+from zbounds.matroid import GFMatrix, gf, incidence_factor_graph
 from zbounds.models import (
     FactorGraph,
     PseudoMarginals,
     exact_marginals,
     exact_partition,
 )
-from zbounds.potts import build_counterexample
+from zbounds.potts import PottsModel, build_counterexample, potts_to_factor_graph
 from zbounds.verify import random_lsm_pairwise_model, random_tree_model
 
 
@@ -184,8 +186,6 @@ class TestMaximizeBethe:
         # equality-constraint triangle (identity edge tables): every
         # feasible belief profile scores exp(0) = 1, below Z = 2, and the
         # optimizer must not leak value through infeasible profiles
-        from zbounds.homs import HomModel, hom_to_factor_graph
-
         hom = HomModel(3, [(0, 1), (1, 2), (0, 2)], [1, 1], [1, 0], [0, 1])
         m = hom_to_factor_graph(hom)
         z = exact_partition(m)
@@ -242,3 +242,175 @@ class TestMeanField:
     def test_deterministic(self):
         m = random_tree_model(np.random.default_rng(10))
         assert mean_field(m, restarts=6, seed=3)[1] == mean_field(m, restarts=6, seed=3)[1]
+
+
+def _pinned_models():
+    """Small models that cover every branch of mean field's coordinate ascent."""
+    return {
+        "potts_uniform_field": potts_to_factor_graph(
+            PottsModel(
+                4, [(0, 1), (1, 2), (2, 3), (0, 2)], 3, [0.7, 1.1, 0.4, 0.9],
+                field=[0.3, -0.5, 0.1],
+            )
+        ),
+        "matroid_incidence": incidence_factor_graph(
+            GFMatrix(gf(3), [[1, 2, 0, 1], [1, 1, 1, 0], [0, 1, 2, 1]]),
+            [2.5, 3.0, 0.8, 2.0],
+        ),
+        "hom_hard_zeros": hom_to_factor_graph(
+            HomModel(
+                4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                [1.0, 0.5, 2.0], [1.0, 0.0, 0.5], [0.0, 1.0, 0.5],
+            )
+        ),
+        "zero_node_potential": FactorGraph(
+            [("x", 3), ("y", 2), ("z", 3)],
+            [
+                ("f", ("x", "y"), [0.6, 1.9, 1.2, 0.4, 2.3, 0.8]),
+                ("g", ("y", "z"), [1.4, 0.5, 2.1, 0.7, 1.1, 0.3]),
+            ],
+            {"x": [0.0, 1.0, 2.0], "z": [1.5, 0.0, 0.5]},
+        ),
+        "no_factors": FactorGraph([("a", 2), ("b", 3)], [], {"a": [1.0, 3.0], "b": [2.0, 1.0, 1.0]}),
+        "cardinality_one": FactorGraph(
+            [("u", 1), ("v", 2), ("w", 3)],
+            [("f", ("u", "v"), [1.0, 2.0]), ("g", ("v", "w"), [0.9, 2.2, 0.5, 1.3, 0.6, 1.7])],
+        ),
+        "all_blocked_triangle": FactorGraph(
+            [(v, 2) for v in range(3)],
+            [(f"e{k}", e, [0.0, 1.0, 1.0, 0.0]) for k, e in enumerate([(0, 1), (1, 2), (0, 2)])],
+        ),
+    }
+
+
+# (model, restarts, seed) -> (Z_MF, node beliefs), recorded with every
+# restart run on its own.  Running the restarts batched must not change a
+# restart's arithmetic, so these hold exactly, not to a tolerance.
+PINNED_MEAN_FIELD = {
+    ("potts_uniform_field", 8, 1): (
+        299.6098331183591,
+        {
+            0: [0.6177694110687101, 0.11509572200221957, 0.26713486692907024],
+            1: [0.6350338135016415, 0.10746708444327956, 0.2574991020550791],
+            2: [0.6611636025867735, 0.0933253705123607, 0.24551102690086588],
+            3: [0.48748315180183793, 0.17453415211244838, 0.3379826960857137],
+        },
+    ),
+    ("potts_uniform_field", 16, 4): (
+        299.6098331183591,
+        {
+            0: [0.6177694110691027, 0.11509572200215809, 0.2671348669287392],
+            1: [0.6350338135019891, 0.10746708444322539, 0.2574991020547856],
+            2: [0.6611636025870601, 0.09332537051231778, 0.24551102690062218],
+            3: [0.4874831518018841, 0.17453415211244191, 0.33798269608567405],
+        },
+    ),
+    ("matroid_incidence", 8, 1): (
+        4068.487306373758,
+        {
+            "r0": [0.9988055743377986, 0.0005972128311007938, 0.0005972128311007938],
+            "r1": [0.9961723832492442, 0.0019138083753778977, 0.0019138083753778977],
+            "r2": [0.9937945840056805, 0.0031027079971596917, 0.0031027079971596917],
+        },
+    ),
+    ("matroid_incidence", 16, 4): (
+        4068.487306373758,
+        {
+            "r0": [0.9988055743377986, 0.0005972128311007981, 0.0005972128311007981],
+            "r1": [0.9961723832492442, 0.0019138083753778977, 0.0019138083753778977],
+            "r2": [0.9937945840056805, 0.0031027079971596917, 0.0031027079971596917],
+        },
+    ),
+    ("hom_hard_zeros", 8, 1): (
+        7.999999999999995,
+        {
+            0: [0.5000000000000878, 0.0, 0.49999999999991224],
+            1: [0.5000000000000546, 0.0, 0.49999999999994543],
+            2: [0.500000000000034, 0.0, 0.4999999999999661],
+            3: [0.5000000000000211, 0.0, 0.49999999999997885],
+        },
+    ),
+    ("hom_hard_zeros", 16, 4): (
+        7.999999999999995,
+        {
+            0: [0.5000000000000878, 0.0, 0.49999999999991224],
+            1: [0.5000000000000546, 0.0, 0.49999999999994543],
+            2: [0.500000000000034, 0.0, 0.4999999999999661],
+            3: [0.5000000000000211, 0.0, 0.49999999999997885],
+        },
+    ),
+    ("zero_node_potential", 8, 1): (
+        20.381975892316067,
+        {
+            "x": [0.0, 0.20616214438049876, 0.7938378556195013],
+            "y": [0.8947003194984802, 0.1052996805015198],
+            "z": [0.6953099571823497, 0.0, 0.3046900428176503],
+        },
+    ),
+    ("zero_node_potential", 16, 4): (
+        20.381975892316074,
+        {
+            "x": [0.0, 0.20616214438049946, 0.7938378556195005],
+            "y": [0.8947003194984834, 0.10529968050151667],
+            "z": [0.6953099571823488, 0.0, 0.30469004281765116],
+        },
+    ),
+    ("no_factors", 8, 1): (
+        15.999999999999998,
+        {
+            "a": [0.25, 0.75],
+            "b": [0.5, 0.25, 0.25],
+        },
+    ),
+    ("no_factors", 16, 4): (
+        15.999999999999998,
+        {
+            "a": [0.25, 0.75],
+            "b": [0.5, 0.25, 0.25],
+        },
+    ),
+    ("cardinality_one", 8, 1): (
+        9.664799613506236,
+        {
+            "u": [1.0],
+            "v": [0.2822240069618038, 0.7177759930381963],
+            "w": [0.36155507025011285, 0.26711895694301624, 0.3713259728068708],
+        },
+    ),
+    ("cardinality_one", 16, 4): (
+        9.664799613506236,
+        {
+            "u": [1.0],
+            "v": [0.2822240069618038, 0.7177759930381963],
+            "w": [0.36155507025011285, 0.26711895694301624, 0.3713259728068708],
+        },
+    ),
+    ("all_blocked_triangle", 8, 1): (
+        0.0,
+        {
+            0: [0.5, 0.5],
+            1: [0.5, 0.5],
+            2: [0.5, 0.5],
+        },
+    ),
+    ("all_blocked_triangle", 16, 4): (
+        0.0,
+        {
+            0: [0.5, 0.5],
+            1: [0.5, 0.5],
+            2: [0.5, 0.5],
+        },
+    ),
+}
+
+
+class TestMeanFieldPinned:
+    @pytest.mark.parametrize("name,restarts,seed", sorted(PINNED_MEAN_FIELD))
+    def test_value_and_beliefs_unchanged(self, name, restarts, seed):
+        model = _pinned_models()[name]
+        nu, zmf = mean_field(model, restarts=restarts, seed=seed)
+        expected_z, expected_nu = PINNED_MEAN_FIELD[(name, restarts, seed)]
+        assert zmf == expected_z
+        assert list(nu) == list(model.var_ids)
+        for v in model.var_ids:
+            assert nu[v].tolist() == expected_nu[v]

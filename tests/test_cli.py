@@ -234,6 +234,42 @@ class TestCommands:
         assert res.exit_code == 2
         assert "error:" in res.output
 
+    @pytest.mark.parametrize(
+        "command,flag,doc",
+        [
+            (["check-lsm"], "--table", [[1, "a"], [1, 2]]),
+            (
+                ["z"],
+                "--model",
+                {
+                    "variables": [{"id": "x", "cardinality": 2}],
+                    "factors": [{"id": "f", "scope": ["x"], "table": [1.0, "x"]}],
+                },
+            ),
+            (
+                ["z-meanfield"],
+                "--model",
+                {
+                    "variables": [{"id": "x", "cardinality": 2}],
+                    "factors": [],
+                    "node_potentials": {"x": ["x", 2.0]},
+                },
+            ),
+            (
+                ["hom"],
+                "--model",
+                {"n_vertices": 2, "edges": [[0, 1]], "w": [1, 1], "a": ["abc", 1], "b": [0, 1]},
+            ),
+        ],
+        ids=["check-lsm-table", "factor-table", "node-potential", "hom-weights"],
+    )
+    def test_non_numeric_entry_exit_2(self, runner, tmp_path, command, flag, doc):
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, command + [flag, str(p)])
+        assert res.exit_code == 2
+        assert "error:" in res.output
+
     def test_counterexample_reports_gap(self, runner):
         res = runner.invoke(
             main, ["counterexample", "--restarts", "8", "--seed", "0"]

@@ -10,7 +10,6 @@ from zbounds.lattice import is_log_supermodular
 from zbounds.matroid import (
     GFMatrix,
     check_rank_cover_inequality,
-    format_generator_matrix,
     gf,
     incidence_factor_graph,
     lift_matrix,
@@ -287,12 +286,6 @@ class TestWeightEnumerator:
         res = weight_enumerator(m, 0.5, restarts=4)
         assert res.exact == pytest.approx(1 + 0.5**3, rel=1e-12)
         assert res.identity_value == pytest.approx(res.exact, rel=1e-9)
-
-    def test_format_roundtrip(self):
-        m = parse_generator_matrix("3 2 4\n1 2 0 1\n0 1 1 2\n")
-        again = parse_generator_matrix(format_generator_matrix(m))
-        assert np.array_equal(m.entries, again.entries)
-        assert again.field.q == 3
 
     def test_bad_header(self):
         with pytest.raises(ModelError):
