@@ -32,14 +32,18 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)))
 
 
-def _energy(weights: np.ndarray, pot: np.ndarray) -> float:
-    """sum weights*log(pot); -inf when weight mass sits on a zero of pot."""
-    weights = np.asarray(weights, dtype=float)
-    pot = np.asarray(pot, dtype=float)
-    if np.any((weights > _ZERO_TOL) & (pot <= 0)):
+def _log_support(pot: np.ndarray) -> tuple:
+    """(support, log values with 0 off the support) of a nonnegative potential."""
+    support = pot > 0
+    return support, np.log(np.where(support, pot, 1.0))
+
+
+def _energy(weights: np.ndarray, support: np.ndarray, log_pot: np.ndarray) -> float:
+    """sum weights*log(pot) from pot's ``_log_support``; -inf when weight
+    mass sits on a zero of pot."""
+    if np.any((weights > _ZERO_TOL) & ~support):
         return _NEG_INF
-    mask = (weights > 0) & (pot > 0)
-    return float(np.sum(np.where(mask, weights * np.log(np.where(pot > 0, pot, 1.0)), 0.0)))
+    return float(np.sum(np.where((weights > 0) & support, weights * log_pot, 0.0)))
 
 
 def bethe_objective(
@@ -66,14 +70,14 @@ def bethe_objective(
         ti = np.asarray(tau.node[v], dtype=float)
         pot = model.node_potential(v)
         if pot is not None:
-            e = _energy(ti, pot)
+            e = _energy(ti, *_log_support(pot))
             if e == _NEG_INF:
                 return _NEG_INF
             total += e
         total += _entropy(ti)
     for fac in model.factors:
         ta = np.asarray(tau.factor[fac.id], dtype=float)
-        e = _energy(ta, fac.table.as_ndarray())
+        e = _energy(ta, *_log_support(fac.table.as_ndarray()))
         if e == _NEG_INF:
             return _NEG_INF
         total += e
@@ -128,15 +132,8 @@ def bethe_gradient(model: FactorGraph, tau: PseudoMarginals) -> PseudoMarginals:
 
 @dataclass
 class BPState:
-    """Messages and bookkeeping of a (damped, synchronous) BP run.
+    """Bookkeeping of a (damped, synchronous) BP run."""
 
-    ``var_to_factor`` is keyed by (variable id, factor id) and
-    ``factor_to_var`` by (factor id, variable id); each message is a
-    normalized vector over the variable's states.
-    """
-
-    var_to_factor: dict
-    factor_to_var: dict
     damping: float
     iterations: int
     residual: float
@@ -144,29 +141,69 @@ class BPState:
 
 
 class _Graph:
-    """Preprocessed incidence structure for message passing."""
+    """One model's constants for the Bethe layer, compiled once per call.
+
+    Variables are numbered by their position in ``model.var_ids``.  Per
+    variable: ``cards``; ``phis``, the node potential (ones where the model
+    has none); ``node_logs``, its ``_log_support`` pair, or None where the
+    model has no potential; ``start``, the potential normalized (uniform
+    when it sums to 0); ``incident``, its (factor index, scope position)
+    pairs; and ``mean_field``, the terms of its coordinate-ascent update.
+    Per factor: ``factors`` holds (id, scope positions, table) and
+    ``factor_logs`` the table's ``_log_support`` pair.  ``potential_order``
+    lists the variables with a node potential in the order
+    ``models.evaluate`` multiplies them.
+    """
 
     def __init__(self, model: FactorGraph) -> None:
-        self.model = model
         self.var_ids = model.var_ids
         self.cards = [model.card(v) for v in self.var_ids]
-        self.vpos = {v: k for k, v in enumerate(self.var_ids)}
-        self.phis = []
-        for v in self.var_ids:
+        vpos = {v: k for k, v in enumerate(self.var_ids)}
+        self.phis, self.node_logs, self.start = [], [], []
+        for v, card in zip(self.var_ids, self.cards):
             pot = model.node_potential(v)
-            self.phis.append(
-                np.ones(model.card(v)) if pot is None else np.asarray(pot, dtype=float)
-            )
-        self.factors = []
+            phi = np.ones(card) if pot is None else np.asarray(pot, dtype=float)
+            s = phi.sum()
+            self.phis.append(phi)
+            self.node_logs.append(None if pot is None else _log_support(phi))
+            self.start.append(phi / s if s > 0 else np.full(card, 1.0 / card))
+        self.potential_order = [vpos[v] for v in model.node_potentials]
+        self.factors, self.factor_logs = [], []
         self.incident = [[] for _ in self.var_ids]
         for fi, fac in enumerate(model.factors):
             table = fac.table.as_ndarray()
             if table.sum() == 0:
                 raise ModelError(f"factor {fac.id!r} has an all-zero table")
-            scope = tuple(self.vpos[v] for v in fac.scope)
+            scope = tuple(vpos[v] for v in fac.scope)
             self.factors.append((fac.id, scope, table))
+            self.factor_logs.append(_log_support(table))
             for pos, vi in enumerate(scope):
                 self.incident[vi].append((fi, pos))
+        self.mean_field = [self._mean_field_terms(vi) for vi in range(len(self.var_ids))]
+
+    def _mean_field_terms(self, vi: int) -> tuple:
+        """Variable vi's log node potential (-inf at zeros) and, per incident
+        factor, the other scope variables with the shape their (restarts,
+        card) beliefs broadcast to, the axes summed out, the table's support
+        and its complement, and the log table."""
+        node = self.node_logs[vi]
+        if node is None:
+            node_score = np.zeros(self.cards[vi])
+        else:
+            node_score = np.where(node[0], node[1], _NEG_INF)
+        terms = []
+        for fi, pos in self.incident[vi]:
+            scope = self.factors[fi][1]
+            support, log_table = self.factor_logs[fi]
+            others = []
+            for l, vj in enumerate(scope):
+                if l != pos:
+                    shape = [-1] + [1] * len(scope)
+                    shape[1 + l] = self.cards[vj]
+                    others.append((vj, tuple(shape)))
+            axes = tuple(1 + l for l in range(len(scope)) if l != pos)
+            terms.append((others, axes, support, ~support, log_table))
+        return node_score, terms
 
 
 def _normalize_rows(msg: np.ndarray) -> np.ndarray:
@@ -234,14 +271,19 @@ def _var_to_factor_sweep(g: _Graph, f2v: list) -> list:
     return out
 
 
-def _beliefs(g: _Graph, v2f: list, f2v: list, restart: int) -> PseudoMarginals:
-    node = {}
-    for vi, v in enumerate(g.var_ids):
+def _node_beliefs(g: _Graph, f2v: list, restart: int) -> list:
+    node = []
+    for vi in range(len(g.var_ids)):
         b = g.phis[vi].copy()
         for fi, pos in g.incident[vi]:
             b = b * f2v[fi][pos][restart]
         s = b.sum()
-        node[v] = b / s if s > 0 else np.full(b.size, 1.0 / b.size)
+        node.append(b / s if s > 0 else np.full(b.size, 1.0 / b.size))
+    return node
+
+
+def _beliefs(g: _Graph, v2f: list, f2v: list, restart: int) -> PseudoMarginals:
+    node = dict(zip(g.var_ids, _node_beliefs(g, f2v, restart)))
     factor = {}
     for fi, (fid, scope, table) in enumerate(g.factors):
         t = table.copy()
@@ -291,47 +333,26 @@ def _bp_engine(
 
 def run_bp(
     model: FactorGraph,
-    init: BPState | int | None = None,
+    init: int | None = None,
     max_iters: int = 10_000,
     tol: float = 1e-10,
     damping: float = 0.5,
 ) -> tuple:
     """Run damped synchronous sum-product to (approximate) convergence.
 
-    ``init`` may be a previous BPState to resume, an integer seed for a
-    random positive initialization, or None for uniform messages.  Returns
-    (BPState, beliefs, Bethe objective at the beliefs).  Non-convergence is
-    reported through the state's ``converged`` flag; the last iterate is
-    returned either way.
+    ``init`` is an integer seed for a random positive initialization, or
+    None for uniform messages.  Returns (BPState, beliefs, Bethe objective
+    at the beliefs).  Non-convergence is reported through the state's
+    ``converged`` flag; the last iterate is returned either way.
     """
     g = _Graph(model)
-    if isinstance(init, BPState):
-        v2f = []
-        for _fid_scope in g.factors:
-            v2f.append([])
-        for fi, (fid, scope, _t) in enumerate(g.factors):
-            for vi in scope:
-                v = g.var_ids[vi]
-                msg = np.asarray(init.var_to_factor[(v, fid)], dtype=float)
-                v2f[fi].append(_normalize_rows(msg[None, :]))
-    elif isinstance(init, int):
-        v2f = _init_messages(g, 2, init)
-        v2f = [[m[1:2] for m in msgs] for msgs in v2f]
-    else:
+    if init is None:
         v2f = _init_messages(g, 1, None)
+    else:
+        v2f = [[m[1:2] for m in msgs] for msgs in _init_messages(g, 2, init)]
     v2f, f2v, iterations, residual = _bp_engine(g, v2f, max_iters, tol, damping)
     tau = _beliefs(g, v2f, f2v, 0)
     state = BPState(
-        var_to_factor={
-            (g.var_ids[vi], fid): v2f[fi][pos][0].copy()
-            for fi, (fid, scope, _t) in enumerate(g.factors)
-            for pos, vi in enumerate(scope)
-        },
-        factor_to_var={
-            (fid, g.var_ids[vi]): f2v[fi][pos][0].copy()
-            for fi, (fid, scope, _t) in enumerate(g.factors)
-            for pos, vi in enumerate(scope)
-        },
         damping=damping,
         iterations=iterations,
         residual=float(residual[0]),
@@ -377,55 +398,57 @@ def _ipf(kernel: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
     return t, worst
 
 
-def _envelope(model: FactorGraph, nu: Mapping, ipf_iters: int = 300) -> tuple:
+def _envelope(g: _Graph, nu: list, vi: int | None = None) -> tuple:
     """Best Bethe value over factor beliefs consistent with node beliefs nu.
 
-    Returns (value, factor beliefs).  The inner problems decouple per
+    Returns (value, factor beliefs by id).  The inner problems decouple per
     factor and are solved by IPF, so the returned beliefs always satisfy
-    the consistency constraints (up to IPF tolerance).
+    the consistency constraints (up to IPF tolerance).  Given a variable
+    ``vi``, only the terms touching it are summed: its node term and the
+    terms of its factors, all that changes when only nu[vi] moves.
     """
+    if vi is None:
+        variables, factors = range(len(nu)), range(len(g.factors))
+    else:
+        variables, factors = (vi,), [fi for fi, _pos in g.incident[vi]]
+    entropy = [_entropy(ni) for ni in nu]
     value = 0.0
-    node_entropy = {}
-    for v in model.var_ids:
-        ni = np.asarray(nu[v], dtype=float)
-        node_entropy[v] = _entropy(ni)
-        pot = model.node_potential(v)
-        if pot is not None:
-            e = _energy(ni, pot)
+    for u in variables:
+        if g.node_logs[u] is not None:
+            e = _energy(nu[u], *g.node_logs[u])
             if e == _NEG_INF:
                 return _NEG_INF, {}
             value += e
-        value += node_entropy[v]
+        value += entropy[u]
     factor_beliefs = {}
-    for fac in model.factors:
-        table = fac.table.as_ndarray()
-        margins = [np.asarray(nu[v], dtype=float) for v in fac.scope]
-        t, residual = _ipf(table, margins, iters=ipf_iters)
+    for fi in factors:
+        fid, scope, table = g.factors[fi]
+        t, residual = _ipf(table, [nu[u] for u in scope])
         if residual > 1e-8:
             # margins infeasible for the table's support; no consistent
             # factor belief exists, so this node-belief profile is invalid
             return _NEG_INF, {}
-        factor_beliefs[fac.id] = t
-        e = _energy(t, table)
+        factor_beliefs[fid] = t
+        e = _energy(t, *g.factor_logs[fi])
         if e == _NEG_INF:
             return _NEG_INF, {}
         value += e + _entropy(t)
-        for v in fac.scope:
-            value -= node_entropy[v]
+        for u in scope:
+            value -= entropy[u]
     return value, factor_beliefs
 
 
-def _clean_nu(model: FactorGraph, nu: Mapping, floor: float = 1e-12) -> dict:
-    out = {}
-    for v in model.var_ids:
-        ni = np.maximum(np.asarray(nu[v], dtype=float), floor)
-        out[v] = ni / ni.sum()
+def _clean_nu(nu: list, floor: float = 1e-12) -> list:
+    out = []
+    for ni in nu:
+        ni = np.maximum(np.asarray(ni, dtype=float), floor)
+        out.append(ni / ni.sum())
     return out
 
 
 def _polish_nu(
-    model: FactorGraph,
-    nu: Mapping,
+    g: _Graph,
+    nu: list,
     steps: int,
     fd_step: float = 1e-5,
     init_rate: float = 0.5,
@@ -436,64 +459,37 @@ def _polish_nu(
     variable are recomputed) and a backtracking step size; every iterate is
     feasible because factor beliefs are re-derived by IPF.
     """
-    incident = {v: [] for v in model.var_ids}
-    for fac in model.factors:
-        for v in fac.scope:
-            incident[v].append(fac)
-
-    def local_value(v, nu_all):
-        val = 0.0
-        ni = nu_all[v]
-        pot = model.node_potential(v)
-        if pot is not None:
-            e = _energy(ni, pot)
-            if e == _NEG_INF:
-                return _NEG_INF
-            val += e
-        val += _entropy(ni)
-        for fac in incident[v]:
-            table = fac.table.as_ndarray()
-            margins = [nu_all[u] for u in fac.scope]
-            t, residual = _ipf(table, margins)
-            e = _energy(t, table)
-            if residual > 1e-8 or e == _NEG_INF:
-                return _NEG_INF
-            val += e + _entropy(t)
-            for u in fac.scope:
-                val -= _entropy(nu_all[u])
-        return val
-
-    nu = _clean_nu(model, nu)
-    theta = {v: np.log(nu[v]) for v in model.var_ids}
-    best_val, best_factors = _envelope(model, nu)
-    best_nu = dict(nu)
+    nu = _clean_nu(nu)
+    theta = [np.log(ni) for ni in nu]
+    best_val, best_factors = _envelope(g, nu)
+    best_nu = list(nu)
     rate = init_rate
     for _ in range(steps):
-        grad = {}
-        for v in model.var_ids:
-            base = dict(best_nu)
-            g = np.zeros(model.card(v))
-            for s in range(model.card(v)):
+        grad = []
+        for vi, card in enumerate(g.cards):
+            base = list(best_nu)
+            d = np.zeros(card)
+            for s in range(card):
                 sides = []
                 for sign in (1.0, -1.0):
-                    th = theta[v].copy()
+                    th = theta[vi].copy()
                     th[s] += sign * fd_step
                     e = np.exp(th - th.max())
-                    base[v] = e / e.sum()
-                    sides.append(local_value(v, base))
+                    base[vi] = e / e.sum()
+                    sides.append(_envelope(g, base, vi)[0])
                 if math.isfinite(sides[0]) and math.isfinite(sides[1]):
-                    g[s] = (sides[0] - sides[1]) / (2.0 * fd_step)
-            grad[v] = g
+                    d[s] = (sides[0] - sides[1]) / (2.0 * fd_step)
+            grad.append(d)
         improved = False
         while rate >= 1e-4:
-            cand_nu = {}
-            for v in model.var_ids:
-                th = np.clip(theta[v] + rate * grad[v], -40.0, 40.0)
+            cand_nu = []
+            for th, d in zip(theta, grad):
+                th = np.clip(th + rate * d, -40.0, 40.0)
                 e = np.exp(th - th.max())
-                cand_nu[v] = e / e.sum()
-            val, factors = _envelope(model, cand_nu)
+                cand_nu.append(e / e.sum())
+            val, factors = _envelope(g, cand_nu)
             if val > best_val:
-                theta = {v: np.log(np.maximum(cand_nu[v], 1e-300)) for v in model.var_ids}
+                theta = [np.log(np.maximum(ni, 1e-300)) for ni in cand_nu]
                 best_val, best_factors, best_nu = val, factors, cand_nu
                 rate = min(rate * 1.5, 10.0)
                 improved = True
@@ -556,12 +552,10 @@ def maximize_bethe(
     g = _Graph(model)
     candidates = []
 
-    if model.factors:
+    if g.factors:
         v2f = _init_messages(g, max(1, restarts), seed)
-        v2f, f2v, _iters, residual = _bp_engine(g, v2f, bp_iters, bp_tol, damping)
-        for r in range(max(1, restarts)):
-            tau = _beliefs(g, v2f, f2v, r)
-            candidates.append(tau.node)
+        v2f, f2v, _iters, _residual = _bp_engine(g, v2f, bp_iters, bp_tol, damping)
+        candidates.extend(_node_beliefs(g, f2v, r) for r in range(max(1, restarts)))
 
     mf_nu, _mf_value = mean_field(
         model,
@@ -570,36 +564,25 @@ def maximize_bethe(
         max_vars=max_vars,
         max_factors=max_factors,
     )
-    candidates.append(mf_nu)
-    candidates.append({v: np.full(model.card(v), 1.0 / model.card(v)) for v in model.var_ids})
-    candidates.append(
-        {
-            v: (
-                np.asarray(model.node_potential(v), dtype=float)
-                / np.sum(model.node_potential(v))
-                if model.node_potential(v) is not None
-                and np.sum(model.node_potential(v)) > 0
-                else np.full(model.card(v), 1.0 / model.card(v))
-            )
-            for v in model.var_ids
-        }
-    )
+    candidates.append([mf_nu[v] for v in g.var_ids])
+    candidates.append([np.full(card, 1.0 / card) for card in g.cards])
+    candidates.append(g.start)  # field-proportional
 
     scored = []
     for nu in candidates:
-        nu = _clean_nu(model, nu)
-        val, factors = _envelope(model, nu)
+        nu = _clean_nu(nu)
+        val, factors = _envelope(g, nu)
         scored.append((val, nu, factors))
     scored.sort(key=lambda item: item[0], reverse=True)
 
     best_val, best_nu, best_factors = scored[0]
     for val, nu, _factors in scored[: max(1, refine_top)]:
         if refine_steps > 0:
-            r_nu, r_factors, r_val = _polish_nu(model, nu, steps=refine_steps)
+            r_nu, r_factors, r_val = _polish_nu(g, nu, steps=refine_steps)
             if r_val > best_val:
                 best_val, best_nu, best_factors = r_val, r_nu, r_factors
 
-    tau = PseudoMarginals(node=dict(best_nu), factor=dict(best_factors))
+    tau = PseudoMarginals(node=dict(zip(g.var_ids, best_nu)), factor=dict(best_factors))
     return tau, math.exp(best_val) if best_val != _NEG_INF else 0.0
 
 
@@ -628,29 +611,20 @@ def mean_field(
     rng = np.random.default_rng(seed)
     n = len(g.var_ids)
 
-    first = []
-    for vi in range(n):
-        p = g.phis[vi]
-        s = p.sum()
-        first.append(p / s if s > 0 else np.full(p.size, 1.0 / p.size))
-    inits = [first]
+    inits = [g.start]
     for _r in range(max(1, restarts) - 1):
         inits.append(
-            [
-                (lambda p: p / p.sum())(rng.uniform(0.05, 1.0, size=g.cards[vi]))
-                for vi in range(n)
-            ]
+            [(lambda p: p / p.sum())(rng.uniform(0.05, 1.0, size=card)) for card in g.cards]
         )
-    support_init = _positive_assignment_init(model, g, rng)
+    support_init = _positive_assignment_init(g, rng)
     if support_init is not None:
         inits.append(support_init)
     nu = [np.array([init[vi] for init in inits]) for vi in range(n)]
 
-    plan = _mean_field_plan(g)
     active = np.arange(len(inits))
     for _sweep in range(max_sweeps):
         rows = [b[active] for b in nu]
-        delta = _mean_field_sweep(rows, plan, active.size)
+        delta = _mean_field_sweep(rows, g.mean_field, active.size)
         for b, r in zip(nu, rows):
             b[active] = r
         active = active[delta >= tol]
@@ -666,46 +640,16 @@ def mean_field(
             best_val = val
             best_nu = nu_map
     if best_nu is None:
-        best_nu = {g.var_ids[vi]: first[vi] for vi in range(n)}
+        best_nu = dict(zip(g.var_ids, g.start))
     z = math.exp(best_val) if best_val != _NEG_INF else 0.0
     return best_nu, z
-
-
-def _mean_field_plan(g: _Graph) -> list:
-    """What each coordinate update reads, computed once per call.
-
-    Per variable: its log node potential (-inf at zeros) and, per incident
-    factor, the other scope variables with the shape their (restarts,
-    card) beliefs broadcast to, the axes summed out, the table's support
-    mask and its complement, and the log table (0 off the support).
-    """
-    factor_terms = []
-    for _fid, _scope, table in g.factors:
-        support = table > 0
-        factor_terms.append((support, ~support, np.log(np.where(support, table, 1.0))))
-    plan = []
-    for vi, phi in enumerate(g.phis):
-        node_score = np.where(phi > 0, np.log(np.where(phi > 0, phi, 1.0)), _NEG_INF)
-        terms = []
-        for fi, pos in g.incident[vi]:
-            scope = g.factors[fi][1]
-            others = []
-            for l, vj in enumerate(scope):
-                if l != pos:
-                    shape = [-1] + [1] * len(scope)
-                    shape[1 + l] = g.cards[vj]
-                    others.append((vj, tuple(shape)))
-            axes = tuple(1 + l for l in range(len(scope)) if l != pos)
-            terms.append((others, axes) + factor_terms[fi])
-        plan.append((node_score, terms))
-    return plan
 
 
 def _mean_field_sweep(nu: list, plan: list, restarts: int) -> np.ndarray:
     """One coordinate-ascent pass over the variables, in place.
 
-    ``nu`` holds one (restarts, card) belief array per variable; returns
-    each restart's largest belief change.
+    ``nu`` holds one (restarts, card) belief array per variable and ``plan``
+    is ``_Graph.mean_field``; returns each restart's largest belief change.
     """
     delta = np.zeros(restarts)
     for vi, (node_score, terms) in enumerate(plan):
@@ -726,28 +670,26 @@ def _mean_field_sweep(nu: list, plan: list, restarts: int) -> np.ndarray:
     return delta
 
 
-def _positive_assignment_init(model: FactorGraph, g: _Graph, rng, tries: int = 200):
+def _positive_assignment_init(g: _Graph, rng, tries: int = 200):
     """One-hot beliefs at a sampled positive-weight assignment, if found.
 
     Gives coordinate ascent a feasible starting point on models whose
     tables contain hard zeros, where interior initializations are blocked
-    in every direction.
+    in every direction.  The first heaviest of ``tries`` uniform draws wins;
+    each weight is multiplied up in ``models.evaluate``'s order.
     """
-    from .models import evaluate
-
-    best_x = None
-    best_w = 0.0
-    for _ in range(tries):
-        x = {v: int(rng.integers(0, model.card(v))) for v in model.var_ids}
-        w = evaluate(model, x)
-        if w > best_w:
-            best_w = w
-            best_x = x
-    if best_x is None:
+    draws = rng.integers(0, g.cards, size=(tries, len(g.cards)))
+    w = np.ones(tries)
+    for vi in g.potential_order:
+        w = w * g.phis[vi][draws[:, vi]]
+    for _fid, scope, table in g.factors:
+        w = w * table[tuple(draws[:, vi] for vi in scope)]
+    best = int(np.argmax(w))
+    if not w[best] > 0:
         return None
     init = []
-    for vi, v in enumerate(g.var_ids):
-        p = np.zeros(g.cards[vi])
-        p[best_x[v]] = 1.0
+    for vi, card in enumerate(g.cards):
+        p = np.zeros(card)
+        p[draws[best, vi]] = 1.0
         init.append(p)
     return init

@@ -26,6 +26,7 @@ REL_TOL_COVER = 1e-9
 REL_TOL_ORDERING = 1e-6
 REL_TOL_TREE = 1e-6
 REL_TOL_GRADIENT = 1e-5
+_REL_TOL_LSM = 1e-12
 COUNTEREXAMPLE_REL_TOL = 0.01
 
 
@@ -53,14 +54,21 @@ class VerifyReport:
         )
 
 
-def run_trials(name: str, trials: int, one, tolerance: float) -> VerifyReport:
-    """Run one(0..trials-1), each returning (ok, slack), into one report."""
-    results = [one(i) for i in range(trials)]
+def run_trials(name: str, cases, one, tolerance: float) -> VerifyReport:
+    """Run one(case) for each case in order, each returning (ok, slack),
+    into one report; ``cases`` is ``range(trials)`` or a generator."""
+    trials = passes = 0
+    worst = 0.0
+    for case in cases:
+        ok, slack = one(case)
+        worst = slack if trials == 0 else min(worst, slack)
+        trials += 1
+        passes += 1 if ok else 0
     return VerifyReport(
         name=name,
         trials=trials,
-        passes=sum(1 for ok, _ in results if ok),
-        worst_slack=min((slack for _, slack in results), default=0.0),
+        passes=passes,
+        worst_slack=float(worst),
         details={"tolerance": tolerance},
     )
 
@@ -174,7 +182,7 @@ def verify_cover_bound(trials: int = 100, seed: int = 0) -> VerifyReport:
         return worst >= -REL_TOL_COVER, worst
 
     name = "cover-bound (2- and 3-covers of log-supermodular models)"
-    return run_trials(name, trials, one, REL_TOL_COVER)
+    return run_trials(name, range(trials), one, REL_TOL_COVER)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +198,19 @@ def verify_component_inequality(seed: int = 0) -> VerifyReport:
     """Exhaustively check k_H <= sum_m k_G(stacks) on all pinned 2-covers
     of the triangle and all 2^6 layered edge subsets."""
     base = _triangle_potts()
-    fg = potts_to_factor_graph(base)
-    trials = 0
-    passes = 0
-    worst = float("inf")
-    for spec in covers.iter_cover_specs(fg, 2):
-        for a1 in range(8):
-            for a2 in range(8):
-                rep = potts.check_cover_component_inequality(base, spec, [a1, a2])
-                trials += 1
-                slack = rep.rhs_components - rep.lhs_components
-                worst = min(worst, slack)
-                if rep.component_ok:
-                    passes += 1
-    return VerifyReport(
-        name="component-count cover inequality (exhaustive, triangle 2-covers)",
-        trials=trials,
-        passes=passes,
-        worst_slack=float(worst),
+    cases = (
+        (spec, [a1, a2])
+        for spec in covers.iter_cover_specs(potts_to_factor_graph(base), 2)
+        for a1 in range(8)
+        for a2 in range(8)
     )
+
+    def one(case) -> tuple:
+        rep = potts.check_cover_component_inequality(base, *case)
+        return rep.component_ok, rep.rhs_components - rep.lhs_components
+
+    name = "component-count cover inequality (exhaustive, triangle 2-covers)"
+    return run_trials(name, cases, one, 0)
 
 
 def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyReport:
@@ -228,36 +230,32 @@ def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyR
         return bool(rep.ok), float(slack)
 
     name = "random-cluster weight cover inequality with uniform fields (sampled)"
-    return run_trials(name, trials, one, REL_TOL_COVER)
+    return run_trials(name, range(trials), one, REL_TOL_COVER)
 
 
 def verify_rank_inequality(seed: int = 0) -> VerifyReport:
     """Exhaustive rank cover inequality on seeded 2x3 GF(2)/GF(3) matrices."""
     rng = np.random.default_rng(seed)
-    trials = 0
-    passes = 0
-    worst = float("inf")
-    for q in (2, 3):
-        entries = rng.integers(0, q, size=(2, 3))
-        for c in range(3):
-            if not entries[:, c].any():
-                entries[int(rng.integers(0, 2)), c] = int(rng.integers(1, q))
-        mat = GFMatrix(gf(q), entries)
-        fg = matroid.incidence_factor_graph(mat, np.zeros(3))
-        for spec in covers.iter_cover_specs(fg, 2):
-            for a1 in range(8):
-                for a2 in range(8):
-                    rep = matroid.check_rank_cover_inequality(mat, spec, [a1, a2])
-                    trials += 1
-                    worst = min(worst, rep.slack)
-                    if rep.ok:
-                        passes += 1
-    return VerifyReport(
-        name="matroid rank cover inequality (exhaustive, 2x3 matrices)",
-        trials=trials,
-        passes=passes,
-        worst_slack=float(worst),
-    )
+
+    def cases():
+        for q in (2, 3):
+            entries = rng.integers(0, q, size=(2, 3))
+            for c in range(3):
+                if not entries[:, c].any():
+                    entries[int(rng.integers(0, 2)), c] = int(rng.integers(1, q))
+            mat = GFMatrix(gf(q), entries)
+            fg = matroid.incidence_factor_graph(mat, np.zeros(3))
+            for spec in covers.iter_cover_specs(fg, 2):
+                for a1 in range(8):
+                    for a2 in range(8):
+                        yield mat, spec, [a1, a2]
+
+    def one(case) -> tuple:
+        rep = matroid.check_rank_cover_inequality(*case)
+        return rep.ok, rep.slack
+
+    name = "matroid rank cover inequality (exhaustive, 2x3 matrices)"
+    return run_trials(name, cases(), one, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,7 @@ def verify_potts_rc_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
         rel = abs(zrc - zp) / max(zp, 1e-300)
         return rel <= REL_TOL_IDENTITY, -rel
 
-    return run_trials("Potts / random-cluster identity", trials, one, REL_TOL_IDENTITY)
+    return run_trials("Potts / random-cluster identity", range(trials), one, REL_TOL_IDENTITY)
 
 
 def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
@@ -292,7 +290,7 @@ def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
         rel = abs(ze - zh) / max(zh, 1e-300)
         return rel <= REL_TOL_IDENTITY, -rel
 
-    return run_trials("homomorphism / edge-subset identity", trials, one, REL_TOL_IDENTITY)
+    return run_trials("homomorphism / edge-subset identity", range(trials), one, REL_TOL_IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +321,8 @@ def verify_potts_ordering(
         return _check_ordering(potts_to_factor_graph(model), z, seed + i)[:2]
 
     label = "uniform-field" if with_field else "no-field"
-    return run_trials(f"ferromagnetic Potts ordering ({label})", trials, one, REL_TOL_ORDERING)
+    name = f"ferromagnetic Potts ordering ({label})"
+    return run_trials(name, range(trials), one, REL_TOL_ORDERING)
 
 
 def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
@@ -337,7 +336,7 @@ def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
         fg = matroid.incidence_factor_graph(mat, J)
         return _check_ordering(fg, z_unnorm, seed + i)[:2]
 
-    return run_trials("matroid Potts ordering", trials, one, REL_TOL_ORDERING)
+    return run_trials("matroid Potts ordering", range(trials), one, REL_TOL_ORDERING)
 
 
 def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
@@ -349,7 +348,7 @@ def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
         z = hom_partition(model)
         return _check_ordering(hom_to_factor_graph(model), z, seed + i)[:2]
 
-    return run_trials("rank-2 homomorphism ordering", trials, one, REL_TOL_ORDERING)
+    return run_trials("rank-2 homomorphism ordering", range(trials), one, REL_TOL_ORDERING)
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +367,28 @@ def verify_tree_exactness(trials: int = 30, seed: int = 0) -> VerifyReport:
         rel = abs(zb - z) / max(z, 1e-300)
         return rel <= REL_TOL_TREE, -rel
 
-    return run_trials("tree exactness of the Bethe optimum", trials, one, REL_TOL_TREE)
+    return run_trials("tree exactness of the Bethe optimum", range(trials), one, REL_TOL_TREE)
 
 
 def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
     """Analytic objective gradient vs central finite differences."""
     rng = np.random.default_rng(seed)
-    passes = 0
-    worst = float("inf")
     h = 1e-6
-    for i in range(points):
-        model = random_tree_model(rng, max_vertices=4)
-        ref = FactorGraph(
-            [(v, model.card(v)) for v in model.var_ids],
-            [
-                (fac.id, fac.scope, np.exp(rng.uniform(-1, 1, fac.table.values.size)))
-                for fac in model.factors
-            ],
-        )
-        tau = exact_marginals(ref)
+
+    def cases():
+        for _ in range(points):
+            model = random_tree_model(rng, max_vertices=4)
+            ref = FactorGraph(
+                [(v, model.card(v)) for v in model.var_ids],
+                [
+                    (fac.id, fac.scope, np.exp(rng.uniform(-1, 1, fac.table.values.size)))
+                    for fac in model.factors
+                ],
+            )
+            yield model, exact_marginals(ref)
+
+    def one(case) -> tuple:
+        model, tau = case
         grad = bethe_gradient(model, tau)
         worst_here = 0.0
         for v in model.var_ids:
@@ -401,16 +403,10 @@ def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
                     worst_here,
                     _fd_error(model, tau, ("factor", fac.id, idx), grad.factor[fac.id][idx], h),
                 )
-        worst = min(worst, -worst_here)
-        if worst_here <= REL_TOL_GRADIENT:
-            passes += 1
-    return VerifyReport(
-        name="Bethe objective gradient vs finite differences",
-        trials=points,
-        passes=passes,
-        worst_slack=worst + REL_TOL_GRADIENT,
-        details={"tolerance": REL_TOL_GRADIENT},
-    )
+        return worst_here <= REL_TOL_GRADIENT, REL_TOL_GRADIENT - worst_here
+
+    name = "Bethe objective gradient vs finite differences"
+    return run_trials(name, cases(), one, REL_TOL_GRADIENT)
 
 
 def _fd_error(model, tau, coord, analytic, h) -> float:
@@ -437,56 +433,42 @@ def _fd_error(model, tau, coord, analytic, h) -> float:
 def verify_structure_suites(seed: int = 0) -> VerifyReport:
     """Exhaustive component supermodularity, rank submodularity, and
     edge-weight log-supermodularity on small instances."""
-    trials = 0
-    passes = 0
-    worst = float("inf")
 
-    # k_G supermodular: every labeled graph on <= 4 vertices, all subset pairs.
-    for n in range(1, 5):
-        pairs = list(itertools.combinations(range(n), 2))
-        for picked in range(1 << len(pairs)):
-            edges = [pairs[t] for t in range(len(pairs)) if (picked >> t) & 1]
-            m = len(edges)
-            k_cache = [count_components(n, edges, mask) for mask in range(1 << m)]
-            for a in range(1 << m):
-                for b in range(1 << m):
-                    slack = k_cache[a & b] + k_cache[a | b] - k_cache[a] - k_cache[b]
-                    trials += 1
-                    worst = min(worst, slack)
-                    if slack >= 0:
-                        passes += 1
+    def results():
+        # k_G supermodular: every labeled graph on <= 4 vertices, all subset pairs.
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for picked in range(1 << len(pairs)):
+                edges = [pairs[t] for t in range(len(pairs)) if (picked >> t) & 1]
+                m = len(edges)
+                k_cache = [count_components(n, edges, mask) for mask in range(1 << m)]
+                for a in range(1 << m):
+                    for b in range(1 << m):
+                        slack = k_cache[a & b] + k_cache[a | b] - k_cache[a] - k_cache[b]
+                        yield slack >= 0, slack
 
-    # r_S submodular: seeded matrices with <= 6 columns over GF(2)/GF(3)/GF(4).
-    rng = np.random.default_rng(seed)
-    for q in (2, 3, 4):
-        for _ in range(2):
-            rows = int(rng.integers(2, 5))
-            cols = int(rng.integers(3, 7))
-            mat = GFMatrix(gf(q), rng.integers(0, q, size=(rows, cols)))
-            r_cache = [matroid.rank(mat, mask) for mask in range(1 << cols)]
-            for a in range(1 << cols):
-                for b in range(1 << cols):
-                    slack = r_cache[a] + r_cache[b] - r_cache[a & b] - r_cache[a | b]
-                    trials += 1
-                    worst = min(worst, slack)
-                    if slack >= 0:
-                        passes += 1
+        # r_S submodular: seeded matrices with <= 6 columns over GF(2)/GF(3)/GF(4).
+        rng = np.random.default_rng(seed)
+        for q in (2, 3, 4):
+            for _ in range(2):
+                rows = int(rng.integers(2, 5))
+                cols = int(rng.integers(3, 7))
+                mat = GFMatrix(gf(q), rng.integers(0, q, size=(rows, cols)))
+                r_cache = [matroid.rank(mat, mask) for mask in range(1 << cols)]
+                for a in range(1 << cols):
+                    for b in range(1 << cols):
+                        slack = r_cache[a] + r_cache[b] - r_cache[a & b] - r_cache[a | b]
+                        yield slack >= 0, slack
 
-    # edge-subset weight log-supermodular on seeded rank-2 models, |E| <= 6.
-    for _ in range(4):
-        model = random_hom(rng, max_vertices=4, max_edges=6, max_states=3)
-        rep = lattice.is_log_supermodular(edge_weight_table(model))
-        trials += 1
-        worst = min(worst, 1.0 - rep.worst_ratio)
-        if rep.ok:
-            passes += 1
+        # edge-subset weight log-supermodular on seeded rank-2 models, |E| <= 6.
+        for _ in range(4):
+            model = random_hom(rng, max_vertices=4, max_edges=6, max_states=3)
+            rep = lattice.is_log_supermodular(edge_weight_table(model), rel_tol=_REL_TOL_LSM)
+            yield rep.ok, 1.0 - rep.worst_ratio
 
-    return VerifyReport(
-        name="supermodularity / submodularity / rank-2 log-supermodularity",
-        trials=trials,
-        passes=passes,
-        worst_slack=float(worst),
-    )
+    # each case is already a (pass, slack) result
+    name = "supermodularity / submodularity / rank-2 log-supermodularity"
+    return run_trials(name, results(), lambda result: result, _REL_TOL_LSM)
 
 
 # ---------------------------------------------------------------------------
