@@ -27,9 +27,10 @@ _NEG_INF = float("-inf")
 _ZERO_TOL = 1e-12
 
 
-def _entropy(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    return float(-np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)))
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy of each row of p (axis 0 indexes rows), with 0 log 0 = 0."""
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    return -terms.sum(axis=tuple(range(1, p.ndim)))
 
 
 def _log_support(pot: np.ndarray) -> tuple:
@@ -38,12 +39,12 @@ def _log_support(pot: np.ndarray) -> tuple:
     return support, np.log(np.where(support, pot, 1.0))
 
 
-def _energy(weights: np.ndarray, support: np.ndarray, log_pot: np.ndarray) -> float:
-    """sum weights*log(pot) from pot's ``_log_support``; -inf when weight
-    mass sits on a zero of pot."""
-    if np.any((weights > _ZERO_TOL) & ~support):
-        return _NEG_INF
-    return float(np.sum(np.where((weights > 0) & support, weights * log_pot, 0.0)))
+def _energy(weights: np.ndarray, support: np.ndarray, log_pot: np.ndarray) -> tuple:
+    """Per row of weights (axis 0 indexes rows): sum weights*log(pot) from
+    pot's ``_log_support``, and whether weight mass sits on a zero of pot."""
+    axes = tuple(range(1, weights.ndim))
+    blocked = ((weights > _ZERO_TOL) & ~support).any(axis=axes)
+    return np.where((weights > 0) & support, weights * log_pot, 0.0).sum(axis=axes), blocked
 
 
 def bethe_objective(
@@ -70,18 +71,18 @@ def bethe_objective(
         ti = np.asarray(tau.node[v], dtype=float)
         pot = model.node_potential(v)
         if pot is not None:
-            e = _energy(ti, *_log_support(pot))
-            if e == _NEG_INF:
+            e, blocked = _energy(ti[None], *_log_support(pot))
+            if blocked[0]:
                 return _NEG_INF
-            total += e
-        total += _entropy(ti)
+            total += float(e[0])
+        total += float(_entropy(ti[None])[0])
     for fac in model.factors:
         ta = np.asarray(tau.factor[fac.id], dtype=float)
-        e = _energy(ta, *_log_support(fac.table.as_ndarray()))
-        if e == _NEG_INF:
+        e, blocked = _energy(ta[None], *_log_support(fac.table.as_ndarray()))
+        if blocked[0]:
             return _NEG_INF
-        total += e
-        total += _entropy(ta)
+        total += float(e[0])
+        total += float(_entropy(ta[None])[0])
         for pos, v in enumerate(fac.scope):
             axes = tuple(a for a in range(ta.ndim) if a != pos)
             marg = ta.sum(axis=axes)
@@ -367,83 +368,126 @@ def run_bp(
 # ---------------------------------------------------------------------------
 
 
+_ALL = -1  # in ``_envelope``'s ``vi``: a row that sums every term
+
+
 def _ipf(kernel: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
          tol: float = 1e-13) -> tuple:
-    """Iterative proportional fitting of ``kernel`` onto the given margins.
+    """Iterative proportional fitting of ``kernel`` onto rows of margins.
 
-    Converges to the maximizer of <tau, log kernel> + H(tau) subject to the
-    margin constraints whenever the margins are feasible for the kernel's
-    support.  Returns (table, residual); a residual that stays large means
-    the margins are infeasible for the support.
+    ``margins`` holds one (rows, card) array per kernel axis, and each row
+    is fitted on its own.  A row stops once a sweep leaves its residual
+    below ``tol``, so it makes the same sweeps as when fitted alone.  Each
+    row converges to the maximizer of <tau, log kernel> + H(tau) subject to
+    its margin constraints whenever they are feasible for the kernel's
+    support.  Returns (tables of shape (rows,) + kernel.shape, residuals);
+    a residual that stays large means the row's margins are infeasible
+    for the support.
     """
     t = np.asarray(kernel, dtype=float)
-    s = t.sum()
-    if s <= 0:
-        raise ModelError("IPF kernel has zero mass")
-    t = t / s
-    ndim = t.ndim
-    worst = 0.0
+    t = np.repeat((t / t.sum())[None], len(margins[0]), axis=0)
+    residual = np.zeros(len(t))
+    # the rows still sweeping: their indices, tables and margins
+    active, cur_t, targets = np.arange(len(t)), t, list(margins)
     for _ in range(iters):
-        worst = 0.0
-        for axis, target in enumerate(margins):
-            axes = tuple(a for a in range(ndim) if a != axis)
-            cur = t.sum(axis=axes)
-            worst = max(worst, float(np.max(np.abs(cur - target))))
+        worst = np.zeros(len(active))
+        for axis, target in enumerate(targets):
+            axes = tuple(1 + a for a in range(t.ndim - 1) if a != axis)
+            cur = cur_t.sum(axis=axes)
+            worst = np.maximum(worst, np.abs(cur - target).max(axis=1))
             ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
-            shape = [1] * ndim
-            shape[axis] = target.size
-            t = t * ratio.reshape(shape)
-        if worst < tol:
-            break
-    return t, worst
+            shape = [len(active)] + [1] * (t.ndim - 1)
+            shape[1 + axis] = target.shape[1]
+            cur_t = cur_t * ratio.reshape(shape)
+        residual[active] = worst
+        done = worst < tol
+        if done.any():
+            t[active[done]] = cur_t[done]
+            going = ~done
+            active, cur_t = active[going], cur_t[going]
+            targets = [target[going] for target in targets]
+            if not active.size:
+                break
+    t[active] = cur_t
+    return t, residual
 
 
-def _envelope(g: _Graph, nu: list, vi: int | None = None) -> tuple:
-    """Best Bethe value over factor beliefs consistent with node beliefs nu.
+def _envelope(g: _Graph, nu: list, vi: np.ndarray) -> tuple:
+    """Best Bethe value over factor beliefs consistent with node beliefs nu,
+    for a batch of rows.
 
-    Returns (value, factor beliefs by id).  The inner problems decouple per
-    factor and are solved by IPF, so the returned beliefs always satisfy
-    the consistency constraints (up to IPF tolerance).  Given a variable
-    ``vi``, only the terms touching it are summed: its node term and the
-    terms of its factors, all that changes when only nu[vi] moves.
+    ``nu`` holds one (rows, card) array per variable and ``vi`` each row's
+    variable, or ``_ALL``.  A row with a variable sums only the terms
+    touching it: its node term and the terms of its factors, all that
+    changes when only that variable's belief moves.  The inner problems
+    decouple per factor and are solved by IPF, one pass over the rows that
+    need the factor, so the returned beliefs always satisfy the
+    consistency constraints (up to IPF tolerance).  Returns (values,
+    factor beliefs by id per row).  A row whose margins are infeasible for
+    a table's support, or whose mass sits on a zero, scores -inf with
+    ``{}``.  Each row's terms are added in the same order as for that row
+    alone, so its value and beliefs do not depend on the other rows.
     """
-    if vi is None:
-        variables, factors = range(len(nu)), range(len(g.factors))
-    else:
-        variables, factors = (vi,), [fi for fi, _pos in g.incident[vi]]
+    full = vi == _ALL
     entropy = [_entropy(ni) for ni in nu]
-    value = 0.0
-    for u in variables:
-        if g.node_logs[u] is not None:
-            e = _energy(nu[u], *g.node_logs[u])
-            if e == _NEG_INF:
-                return _NEG_INF, {}
-            value += e
-        value += entropy[u]
-    factor_beliefs = {}
-    for fi in factors:
-        fid, scope, table = g.factors[fi]
-        t, residual = _ipf(table, [nu[u] for u in scope])
-        if residual > 1e-8:
-            # margins infeasible for the table's support; no consistent
-            # factor belief exists, so this node-belief profile is invalid
-            return _NEG_INF, {}
-        factor_beliefs[fid] = t
-        e = _energy(t, *g.factor_logs[fi])
-        if e == _NEG_INF:
-            return _NEG_INF, {}
-        value += e + _entropy(t)
+    value = np.zeros(len(vi))
+    dead = np.zeros(len(vi), dtype=bool)
+    for u, node in enumerate(g.node_logs):
+        rows = np.flatnonzero(full | (vi == u))
+        if node is not None:
+            e, blocked = _energy(nu[u][rows], *node)
+            dead[rows] |= blocked
+            value[rows] += e
+        value[rows] += entropy[u][rows]
+    factor_beliefs = [{} for _ in vi]
+    for fi, (fid, scope, table) in enumerate(g.factors):
+        # a row that is already -inf skips its later factors
+        rows = np.flatnonzero((full | np.isin(vi, scope)) & ~dead)
+        if not rows.size:
+            continue
+        t, residual = _ipf(table, [nu[u][rows] for u in scope])
+        e, blocked = _energy(t, *g.factor_logs[fi])
+        # residual above 1e-8: margins infeasible for the table's support;
+        # no consistent factor belief exists, so the row is invalid
+        dead[rows] |= (residual > 1e-8) | blocked
+        value[rows] += e + _entropy(t)
         for u in scope:
-            value -= entropy[u]
-    return value, factor_beliefs
+            value[rows] -= entropy[u][rows]
+        for r, tr in zip(rows, t):
+            factor_beliefs[r][fid] = tr
+    value[dead] = _NEG_INF
+    return value, [{} if d else f for d, f in zip(dead, factor_beliefs)]
 
 
 def _clean_nu(nu: list, floor: float = 1e-12) -> list:
+    """Node beliefs floored and renormalized along their last axis."""
     out = []
     for ni in nu:
         ni = np.maximum(np.asarray(ni, dtype=float), floor)
-        out.append(ni / ni.sum())
+        out.append(ni / ni.sum(axis=-1, keepdims=True))
     return out
+
+
+def _softmax(theta: np.ndarray) -> np.ndarray:
+    e = np.exp(theta - theta.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _difference_points(theta: list, nu: list, owner: np.ndarray, fd_step: float) -> list:
+    """Node beliefs of the central-difference rows: nu in every row, except
+    that the rows owned by variable vi (state s up, then down, for each s)
+    take the softmax of theta[vi] with entry s moved by fd_step."""
+    points = []
+    for vi, (th, ni) in enumerate(zip(theta, nu)):
+        rows = np.repeat(ni[None], len(owner), axis=0)
+        card = th.size
+        moved = np.repeat(th[None], 2 * card, axis=0)
+        moved[np.arange(2 * card), np.repeat(np.arange(card), 2)] += np.tile(
+            [fd_step, -fd_step], card
+        )
+        rows[owner == vi] = _softmax(moved)
+        points.append(rows)
+    return points
 
 
 def _polish_nu(
@@ -455,48 +499,50 @@ def _polish_nu(
 ) -> tuple:
     """Ascent on node beliefs through the envelope, in logit coordinates.
 
-    Uses local central differences (only the terms touching the perturbed
-    variable are recomputed) and a backtracking step size; every iterate is
-    feasible because factor beliefs are re-derived by IPF.
+    Each of the ``steps`` (at least one) makes two batched envelope calls:
+    one for every local central difference (a row recomputes only the
+    terms touching its perturbed variable; the first call also scores nu
+    itself), and one for every backtracking rate, rate / 2, ... >= 1e-4,
+    of which the first that improves is taken.  Every iterate is feasible
+    because factor beliefs are re-derived by IPF.
     """
     nu = _clean_nu(nu)
     theta = [np.log(ni) for ni in nu]
-    best_val, best_factors = _envelope(g, nu)
-    best_nu = list(nu)
+    best_nu = nu
     rate = init_rate
+    differences = np.repeat(np.arange(len(nu)), [2 * card for card in g.cards])
+    # the first call also scores nu itself, in a leading row of every term
+    owner = np.concatenate(([_ALL], differences))
     for _ in range(steps):
-        grad = []
-        for vi, card in enumerate(g.cards):
-            base = list(best_nu)
+        values, factors = _envelope(g, _difference_points(theta, best_nu, owner, fd_step), owner)
+        if owner[0] == _ALL:
+            best_val, best_factors = values[0], factors[0]
+            values, owner = values[1:], differences
+        grad, start = [], 0
+        for card in g.cards:
+            up, down = values[start : start + 2 * card : 2], values[start + 1 : start + 2 * card : 2]
             d = np.zeros(card)
-            for s in range(card):
-                sides = []
-                for sign in (1.0, -1.0):
-                    th = theta[vi].copy()
-                    th[s] += sign * fd_step
-                    e = np.exp(th - th.max())
-                    base[vi] = e / e.sum()
-                    sides.append(_envelope(g, base, vi)[0])
-                if math.isfinite(sides[0]) and math.isfinite(sides[1]):
-                    d[s] = (sides[0] - sides[1]) / (2.0 * fd_step)
+            both = np.isfinite(up) & np.isfinite(down)
+            d[both] = (up[both] - down[both]) / (2.0 * fd_step)
             grad.append(d)
-        improved = False
+            start += 2 * card
+        rates = []
         while rate >= 1e-4:
-            cand_nu = []
-            for th, d in zip(theta, grad):
-                th = np.clip(th + rate * d, -40.0, 40.0)
-                e = np.exp(th - th.max())
-                cand_nu.append(e / e.sum())
-            val, factors = _envelope(g, cand_nu)
-            if val > best_val:
-                theta = [np.log(np.maximum(ni, 1e-300)) for ni in cand_nu]
-                best_val, best_factors, best_nu = val, factors, cand_nu
-                rate = min(rate * 1.5, 10.0)
-                improved = True
-                break
+            rates.append(rate)
             rate *= 0.5
-        if not improved:
+        stepped = [
+            _softmax(np.clip(th + np.array(rates)[:, None] * d, -40.0, 40.0))
+            for th, d in zip(theta, grad)
+        ]
+        values, factors = _envelope(g, stepped, np.full(len(rates), _ALL))
+        better = np.flatnonzero(values > best_val)
+        if not better.size:
             break
+        k = better[0]
+        best_nu = [rows[k] for rows in stepped]
+        theta = [np.log(np.maximum(ni, 1e-300)) for ni in best_nu]
+        best_val, best_factors = values[k], factors[k]
+        rate = min(rates[k] * 1.5, 10.0)
     return best_nu, best_factors, best_val
 
 
@@ -568,17 +614,16 @@ def maximize_bethe(
     candidates.append([np.full(card, 1.0 / card) for card in g.cards])
     candidates.append(g.start)  # field-proportional
 
-    scored = []
-    for nu in candidates:
-        nu = _clean_nu(nu)
-        val, factors = _envelope(g, nu)
-        scored.append((val, nu, factors))
-    scored.sort(key=lambda item: item[0], reverse=True)
+    nu = _clean_nu([np.array([c[vi] for c in candidates]) for vi in range(len(g.cards))])
+    values, factors = _envelope(g, nu, np.full(len(candidates), _ALL))
+    # a stable sort: ties keep candidate order
+    scored = sorted(range(len(candidates)), key=values.__getitem__, reverse=True)
 
-    best_val, best_nu, best_factors = scored[0]
-    for val, nu, _factors in scored[: max(1, refine_top)]:
+    best = scored[0]
+    best_val, best_nu, best_factors = values[best], [b[best] for b in nu], factors[best]
+    for r in scored[: max(1, refine_top)]:
         if refine_steps > 0:
-            r_nu, r_factors, r_val = _polish_nu(g, nu, steps=refine_steps)
+            r_nu, r_factors, r_val = _polish_nu(g, [b[r] for b in nu], steps=refine_steps)
             if r_val > best_val:
                 best_val, best_nu, best_factors = r_val, r_nu, r_factors
 

@@ -436,6 +436,8 @@ def cmd_verify(theorem, trials, seed, csv):
             results[f"{key}.passes"] = r.passes
             results[f"{key}.trials"] = r.trials
             results[f"{key}.worst_slack"] = r.worst_slack
+            if "worst_trial" in r.details:
+                results[f"{key}.worst_trial"] = r.details["worst_trial"]
         return results
 
     payload = {"theorem": theorem, "trials": trials, "seed": seed}

@@ -56,12 +56,18 @@ class VerifyReport:
 
 def run_trials(name: str, cases, one, tolerance: float) -> VerifyReport:
     """Run one(case) for each case in order, each returning (ok, slack),
-    into one report; ``cases`` is ``range(trials)`` or a generator."""
+    into one report; ``cases`` is ``range(trials)`` or a generator.
+
+    ``details["worst_trial"]`` is the index of the first case with the
+    worst slack (None when there is no case); trial i of a seeded suite
+    runs on seed + i, so the index reruns it.
+    """
     trials = passes = 0
-    worst = 0.0
+    worst, worst_trial = 0.0, None
     for case in cases:
         ok, slack = one(case)
-        worst = slack if trials == 0 else min(worst, slack)
+        if trials == 0 or slack < worst:
+            worst, worst_trial = slack, trials
         trials += 1
         passes += 1 if ok else 0
     return VerifyReport(
@@ -69,7 +75,7 @@ def run_trials(name: str, cases, one, tolerance: float) -> VerifyReport:
         trials=trials,
         passes=passes,
         worst_slack=float(worst),
-        details={"tolerance": tolerance},
+        details={"tolerance": tolerance, "worst_trial": worst_trial},
     )
 
 
@@ -579,6 +585,10 @@ SUITES = {
         64,
         lambda n, seed: [verify_counterexample(restarts=max(64, n), seed=seed)],
     ),
+    "tree": (30, lambda n, seed: [verify_tree_exactness(n, seed)]),
+    "gradient": (20, lambda n, seed: [verify_gradient(n, seed)]),
+    "structure": (None, lambda n, seed: [verify_structure_suites(seed)]),
+    "weight-enumerator": (None, lambda n, seed: [verify_weight_enumerator(seed)]),
 }
 
 

@@ -196,6 +196,30 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert "10/10" in res.output
 
+    @pytest.mark.parametrize(
+        "tag,trials,expected",
+        [("tree", 2, 2), ("gradient", 2, 2), ("structure", None, 18256), ("weight-enumerator", None, 6)],
+    )
+    def test_verify_acceptance_tags(self, runner, tag, trials, expected):
+        args = [] if trials is None else ["--trials", str(trials)]
+        res = runner.invoke(main, ["verify", tag, *args, "--seed", "3"])
+        assert res.exit_code == 0, res.output
+        assert f"{expected}/{expected} trials" in res.output
+
+    def test_verify_reports_worst_trial(self, runner):
+        res = runner.invoke(main, ["verify", "tree", "--trials", "3", "--seed", "5"])
+        assert res.exit_code == 0, res.output
+        results = last_record(res.output)["results"]
+        worst = results["tree_exactness_of_the_Bethe_optimum.worst_trial"]
+        assert worst in (0, 1, 2)
+        # trial i runs on seed + i, so the worst trial reruns on its own
+        rerun = runner.invoke(main, ["verify", "tree", "--trials", "1", "--seed", str(5 + worst)])
+        again = last_record(rerun.output)["results"]
+        assert (
+            again["tree_exactness_of_the_Bethe_optimum.worst_slack"]
+            == results["tree_exactness_of_the_Bethe_optimum.worst_slack"]
+        )
+
     def test_verify_unknown_tag(self, runner):
         res = runner.invoke(main, ["verify", "nope"])
         assert res.exit_code == 2
