@@ -305,7 +305,8 @@ def _bp_engine(
     damping: float,
 ) -> tuple:
     """Damped synchronous sweeps until every restart's residual is < tol."""
-    restarts = v2f[0][0].shape[0] if g.factors else 1
+    # a constant factor (empty scope) has no messages
+    restarts = next((msgs[0].shape[0] for msgs in v2f if msgs), 1)
     f2v = _factor_to_var_sweep(g, v2f)
     residual = np.full(restarts, np.inf)
     iterations = 0
@@ -445,7 +446,10 @@ def _envelope(g: _Graph, nu: list, vi: np.ndarray) -> tuple:
         rows = np.flatnonzero((full | np.isin(vi, scope)) & ~dead)
         if not rows.size:
             continue
-        t, residual = _ipf(table, [nu[u][rows] for u in scope])
+        if scope:
+            t, residual = _ipf(table, [nu[u][rows] for u in scope])
+        else:  # a constant factor: belief 1, so the row gains its log value
+            t, residual = np.ones(rows.size), np.zeros(rows.size)
         e, blocked = _energy(t, *g.factor_logs[fi])
         # residual above 1e-8: margins infeasible for the table's support;
         # no consistent factor belief exists, so the row is invalid

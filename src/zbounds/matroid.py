@@ -20,7 +20,15 @@ import numpy as np
 from .covers import CoverSpec, lifted_id
 from .errors import EnumerationCapError, ModelError
 from .lattice import sorted_stack
-from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, PotentialTable
+from .models import (
+    DEFAULT_ENUMERATION_CAP,
+    Factor,
+    FactorGraph,
+    PotentialTable,
+    check_subset_cap,
+    fsum_blocks,
+    subset_products,
+)
 
 # Irreducible polynomials over GF(p), coefficients low-to-high degree.
 _IRREDUCIBLE = {
@@ -207,21 +215,24 @@ def rank(matrix: GFMatrix, mask: int | None = None) -> int:
 
 
 def _codewords(matrix: GFMatrix, cap: int) -> np.ndarray:
-    """All products sigma @ S over the field, one row per sigma."""
+    """All products sigma @ S over the field, one row per sigma.
+
+    Row r belongs to the sigma whose base-q digits, most significant
+    first, spell r.  The words grow one row of S at a time: each word so
+    far is extended by every multiple of the next row, so no (q^k, k)
+    array of sigmas is formed.
+    """
     f = matrix.field
-    q, k, n = f.q, matrix.n_rows, matrix.n_cols
-    total = q**k
+    q, n = f.q, matrix.n_cols
+    total = q**matrix.n_rows
     if total > cap:
         raise EnumerationCapError(
             f"{total} spin configurations exceed the enumeration cap {cap}"
         )
-    radix = q ** np.arange(k - 1, -1, -1, dtype=np.int64) if k else np.zeros(0, np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    sigma = (idx[:, None] // radix[None, :]) % q if k else np.zeros((total, 0), np.int64)
-    words = np.zeros((total, n), dtype=np.int64)
-    for i in range(k):
-        prod = f.mul_table[sigma[:, i][:, None], matrix.entries[i][None, :]]
-        words = f.add_table[words, prod]
+    words = np.zeros((1, n), dtype=f.add_table.dtype)
+    for row in matrix.entries:
+        multiples = f.mul_table[np.arange(q)[:, None], row[None, :]]
+        words = f.add_table[words[:, None], multiples[None]].reshape(len(words) * q, n)
     return words
 
 
@@ -254,17 +265,20 @@ def matroid_rc_partition(
     if np.any(p < 0):
         raise ModelError("column weights must be >= 0")
     n = matrix.n_cols
-    if 2**n > cap:
-        raise EnumerationCapError(f"2^{n} column subsets exceed the enumeration cap {cap}")
+    check_subset_cap(n, cap, "column")
     q = float(matrix.field.q)
-    parts = []
-    for mask in range(1 << n):
-        w = q ** (-rank(matrix, mask))
-        for c in range(n):
-            if (mask >> c) & 1:
-                w *= p[c]
-        parts.append(w)
-    return math.fsum(parts)
+    # one product row per possible rank r, each started from q^(-r)
+    first = [q ** (-r) for r in range(min(matrix.n_rows, n) + 1)]
+
+    def blocks():
+        start = 0
+        for products in subset_products(p, first):
+            size = products.shape[1]
+            ranks = [rank(matrix, mask) for mask in range(start, start + size)]
+            yield products[ranks, np.arange(size)]
+            start += size
+
+    return fsum_blocks(blocks())
 
 
 def incidence_factor_graph(matrix: GFMatrix, couplings) -> FactorGraph:

@@ -12,9 +12,10 @@ row-major, with the LAST scope variable fastest.  States are 0-based.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +28,10 @@ DEFAULT_ENUMERATION_CAP = 1 << 26
 # Joint tensors above this size are never materialized; enumeration falls
 # back to conditioning on leading variables.
 _DENSE_BLOCK = 1 << 22
+
+# Subset sums walk their 2^m masks in blocks of this many consecutive masks,
+# so the arrays of one block do not grow with 2^m.
+_MASK_BLOCK_BITS = 16
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -257,7 +262,7 @@ def dense_joint(model: FactorGraph, limit: int = _DENSE_BLOCK) -> np.ndarray:
     for v, pot in model.node_potentials.items():
         vec_shape = [1] * n
         vec_shape[axis[v]] = model.card(v)
-        w = w * pot.reshape(vec_shape)
+        np.multiply(w, pot.reshape(vec_shape), out=w)
     for fac in model.factors:
         arr = fac.table.as_ndarray()
         positions = [axis[v] for v in fac.scope]
@@ -266,8 +271,61 @@ def dense_joint(model: FactorGraph, limit: int = _DENSE_BLOCK) -> np.ndarray:
         new_shape = [1] * n
         for p in sorted(positions):
             new_shape[p] = shape[p]
-        w = w * arr.reshape(new_shape)
+        np.multiply(w, arr.reshape(new_shape), out=w)
     return w
+
+
+def check_subset_cap(m: int, cap: int, what: str) -> None:
+    """Refuse a sum over the 2^m subsets of m ``what`` above ``cap``."""
+    if 2**m > cap:
+        raise EnumerationCapError(f"2^{m} {what} subsets exceed the enumeration cap {cap}")
+
+
+def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
+    """``math.fsum`` over every entry of a stream of arrays, holding one
+    array at a time."""
+    return math.fsum(itertools.chain.from_iterable(b.ravel().tolist() for b in blocks))
+
+
+def mask_blocks(m: int) -> Iterator[np.ndarray]:
+    """The 2^m subsets of m indices, in blocks of consecutive masks.
+
+    Yields one (m, size) bool array per block, in increasing mask order:
+    entry [j, r] is set when the block's r-th mask holds index j.
+    """
+    low = min(m, _MASK_BLOCK_BITS)
+    low_bits = ((np.arange(1 << low) >> np.arange(low)[:, None]) & 1).astype(bool)
+    for start in range(0, 1 << m, 1 << low):
+        bits = np.empty((m, 1 << low), dtype=bool)
+        bits[:low] = low_bits
+        bits[low:] = ((start >> np.arange(low, m)) & 1).astype(bool)[:, None]
+        yield bits
+
+
+def subset_products(weights: np.ndarray, first=1.0) -> Iterator[np.ndarray]:
+    """Products of ``weights`` over every mask, blocked as in ``mask_blocks``.
+
+    Each entry is ``first`` times weights[j] for every set bit j, multiplied
+    one at a time in increasing j, so it equals that loop's value bit for
+    bit.  The products are built by doubling: the masks with top bit j are
+    those below 2^j times weights[j].  ``first`` may be an array; the
+    blocks then carry its shape in front of the mask axis.
+    """
+    m = len(weights)
+    low = min(m, _MASK_BLOCK_BITS)
+    first = np.asarray(first, dtype=float)
+    low_products = np.empty(first.shape + (1 << low,))
+    low_products[..., 0] = first
+    for j in range(low):
+        np.multiply(
+            low_products[..., : 1 << j], weights[j], out=low_products[..., 1 << j : 2 << j]
+        )
+    for start in range(0, 1 << m, 1 << low):
+        out = low_products.copy()
+        for j in range(low, m):
+            if start >> j & 1:
+                out *= weights[j]
+        yield out
 
 
 def condition(model: FactorGraph, vid: VarId, state: int) -> tuple:

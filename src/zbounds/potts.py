@@ -19,9 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from .covers import CoverSpec, lifted_id
-from .errors import EnumerationCapError, ModelError
+from .errors import ModelError
 from .lattice import sorted_stack
-from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, PotentialTable, exact_partition
+from .models import (
+    DEFAULT_ENUMERATION_CAP,
+    Factor,
+    FactorGraph,
+    PotentialTable,
+    check_subset_cap,
+    exact_partition,
+    fsum_blocks,
+    mask_blocks,
+    subset_products,
+)
 
 
 class UnionFind:
@@ -152,11 +162,63 @@ def rc_weight(model: PottsModel, mask: int) -> float:
 
 
 def rc_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Sum rc_weight over all 2^|E| edge subsets."""
-    m = len(model.edges)
-    if 2**m > cap:
-        raise EnumerationCapError(f"2^{m} edge subsets exceed the enumeration cap {cap}")
-    return math.fsum(rc_weight(model, mask) for mask in range(1 << m))
+    """Sum rc_weight over all 2^|E| edge subsets.
+
+    The weights are built one block of masks at a time: the edge products
+    by ``subset_products``, and every mask's components by min-label
+    propagation.  Without a field each weight equals ``rc_weight`` bit for
+    bit.  With a field the component factors are multiplied in order of
+    their smallest vertex, not of the union-find root, so a weight may
+    differ from ``rc_weight`` in its last bits.
+    """
+    n, m = model.n_vertices, len(model.edges)
+    check_subset_cap(m, cap, "edge")
+    # q^k for k components, by the same power rc_weight takes; with a field,
+    # the weight of one component by its number of vertices
+    if model.field is None:
+        q_power = np.array([model.q**k for k in range(n + 1)])
+    else:
+        size_weight = np.array(
+            [math.fsum(math.exp(h * size) for h in model.field) for size in range(n + 1)]
+        )
+
+    def blocks():
+        for bits, w in zip(mask_blocks(m), subset_products(model.edge_probabilities)):
+            labels = _component_labels(n, model.edges, bits)
+            roots = labels == np.arange(n)[:, None]
+            if model.field is None:
+                w *= q_power[roots.sum(axis=0)]
+            else:
+                # sizes[v, r]: the vertices labelled v under mask r
+                flat = labels.astype(np.intp) * w.size + np.arange(w.size)
+                sizes = np.bincount(flat.ravel(), minlength=n * w.size).reshape(n, w.size)
+                for v in range(n):
+                    w *= np.where(roots[v], size_weight[sizes[v]], 1.0)
+            yield w
+
+    return fsum_blocks(blocks())
+
+
+def _component_labels(n_vertices: int, edges: Sequence, bits: np.ndarray) -> np.ndarray:
+    """Per vertex and mask, the smallest vertex of its component.
+
+    ``bits`` is a block from ``mask_blocks``.  Each sweep lowers both ends
+    of every chosen edge to their smaller label, until a sweep changes
+    nothing.  Returns an (n_vertices, masks) array.
+    """
+    kind = np.min_scalar_type(n_vertices)
+    # an unchosen edge ORs all ones into the label it offers, so the
+    # minimum keeps the other end's label
+    offers = np.where(bits, kind.type(0), kind.type(np.iinfo(kind).max))
+    labels = np.repeat(np.arange(n_vertices, dtype=kind)[:, None], bits.shape[1], axis=1)
+    offer = np.empty(bits.shape[1], dtype=kind)
+    while True:
+        before = labels.copy()
+        for (i, j), off in zip(edges, offers):
+            np.minimum(labels[i], np.bitwise_or(labels[j], off, out=offer), out=labels[i])
+            np.minimum(labels[j], np.bitwise_or(labels[i], off, out=offer), out=labels[j])
+        if np.array_equal(before, labels):
+            return labels
 
 
 def potts_to_factor_graph(model: PottsModel) -> FactorGraph:

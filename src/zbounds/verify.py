@@ -593,8 +593,13 @@ SUITES = {
 
 
 def dispatch(tag: str, trials: int | None, seed: int) -> list:
-    """Run the suite(s) registered under a CLI tag."""
+    """Run the suite(s) registered under a CLI tag.
+
+    The exhaustive tags (default trial count None) refuse a trial count.
+    """
     if tag not in SUITES:
         raise ModelError(f"unknown theorem tag; expected one of {', '.join(SUITES)}")
     default, run = SUITES[tag]
+    if default is None and trials is not None:
+        raise ModelError(f"tag {tag} runs every case; it takes no trial count")
     return run(default if trials is None else trials, seed)

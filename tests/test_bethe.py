@@ -158,6 +158,39 @@ class TestRunBP:
         assert best > log_z
 
 
+class TestConstantFactors:
+    """A factor with an empty scope multiplies Z by its one entry."""
+
+    MODELS = {
+        "with-variable": (
+            FactorGraph([("x", 2)], [("c", (), [2.0]), ("f", ("x",), [1.0, 3.0])]),
+            8.0,
+        ),
+        "no-variables": (FactorGraph([], [("c", (), [2.5])]), 2.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_run_bp(self, name):
+        model, z = self.MODELS[name]
+        state, tau, value = run_bp(model)
+        assert state.converged
+        assert math.exp(value) == pytest.approx(z, rel=1e-12)
+        assert tau.polytope_violation(model) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_maximize_bethe(self, name):
+        model, z = self.MODELS[name]
+        assert exact_partition(model) == z
+        tau, zb = maximize_bethe(model, restarts=4, seed=0)
+        assert zb == pytest.approx(z, rel=1e-12)
+        assert bethe_objective(model, tau) == pytest.approx(math.log(z), abs=1e-12)
+
+    def test_zero_constant_rejected(self):
+        model = FactorGraph([("x", 2)], [("c", (), [0.0])])
+        with pytest.raises(ModelError):
+            run_bp(model)
+
+
 class TestMaximizeBethe:
     def test_tree_recovers_z(self):
         rng = np.random.default_rng(4)

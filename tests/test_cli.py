@@ -206,6 +206,13 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert f"{expected}/{expected} trials" in res.output
 
+    @pytest.mark.parametrize("tag", ["5.1", "5.5", "structure", "weight-enumerator"])
+    def test_verify_exhaustive_tag_refuses_trials(self, runner, tag):
+        res = runner.invoke(main, ["verify", tag, "--trials", "2"])
+        assert res.exit_code == 2
+        assert "error:" in res.output
+        assert "trial count" in res.output
+
     def test_verify_reports_worst_trial(self, runner):
         res = runner.invoke(main, ["verify", "tree", "--trials", "3", "--seed", "5"])
         assert res.exit_code == 0, res.output
