@@ -369,9 +369,8 @@ def run_bp(
 # ---------------------------------------------------------------------------
 
 
-_ALL = -1  # in ``_envelope``'s ``vi``: a row that sums every term
-
-
+# an infeasible row never converges, and its scalings may overflow
+@np.errstate(over="ignore", divide="ignore")
 def _ipf(kernel: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
          tol: float = 1e-13) -> tuple:
     """Iterative proportional fitting of ``kernel`` onto rows of margins.
@@ -381,15 +380,19 @@ def _ipf(kernel: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
     below ``tol``, so it makes the same sweeps as when fitted alone.  Each
     row converges to the maximizer of <tau, log kernel> + H(tau) subject to
     its margin constraints whenever they are feasible for the kernel's
-    support.  Returns (tables of shape (rows,) + kernel.shape, residuals);
-    a residual that stays large means the row's margins are infeasible
-    for the support.
+    support.  Returns (tables of shape (rows,) + kernel.shape, residuals,
+    log-scalings): a residual that stays large means the row's margins are
+    infeasible for the support, and the log-scalings hold one (rows, card)
+    array per axis, the log of the product of every scaling applied along
+    it (-inf where a state's scaling reached 0).  They are the Lagrange
+    multipliers of the margin constraints, up to a constant per axis.
     """
     t = np.asarray(kernel, dtype=float)
     t = np.repeat((t / t.sum())[None], len(margins[0]), axis=0)
     residual = np.zeros(len(t))
-    # the rows still sweeping: their indices, tables and margins
-    active, cur_t, targets = np.arange(len(t)), t, list(margins)
+    scale = [np.ones(target.shape) for target in margins]
+    # the rows still sweeping: their indices, tables, margins and scalings
+    active, cur_t, targets, cur_scale = np.arange(len(t)), t, list(margins), list(scale)
     for _ in range(iters):
         worst = np.zeros(len(active))
         for axis, target in enumerate(targets):
@@ -400,74 +403,83 @@ def _ipf(kernel: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
             shape = [len(active)] + [1] * (t.ndim - 1)
             shape[1 + axis] = target.shape[1]
             cur_t = cur_t * ratio.reshape(shape)
+            cur_scale[axis] = cur_scale[axis] * ratio
         residual[active] = worst
         done = worst < tol
         if done.any():
             t[active[done]] = cur_t[done]
+            for s, cs in zip(scale, cur_scale):
+                s[active[done]] = cs[done]
             going = ~done
             active, cur_t = active[going], cur_t[going]
             targets = [target[going] for target in targets]
+            cur_scale = [cs[going] for cs in cur_scale]
             if not active.size:
                 break
     t[active] = cur_t
-    return t, residual
+    for s, cs in zip(scale, cur_scale):
+        s[active] = cs
+    return t, residual, [np.log(s) for s in scale]
 
 
-def _envelope(g: _Graph, nu: list, vi: np.ndarray) -> tuple:
+def _envelope(g: _Graph, nu: list) -> tuple:
     """Best Bethe value over factor beliefs consistent with node beliefs nu,
     for a batch of rows.
 
-    ``nu`` holds one (rows, card) array per variable and ``vi`` each row's
-    variable, or ``_ALL``.  A row with a variable sums only the terms
-    touching it: its node term and the terms of its factors, all that
-    changes when only that variable's belief moves.  The inner problems
-    decouple per factor and are solved by IPF, one pass over the rows that
-    need the factor, so the returned beliefs always satisfy the
-    consistency constraints (up to IPF tolerance).  Returns (values,
-    factor beliefs by id per row).  A row whose margins are infeasible for
-    a table's support, or whose mass sits on a zero, scores -inf with
-    ``{}``.  Each row's terms are added in the same order as for that row
-    alone, so its value and beliefs do not depend on the other rows.
+    ``nu`` holds one (rows, card) array per variable; a model without
+    variables has one row, its empty profile.  The inner problems
+    decouple per factor and are solved by IPF, one pass over the rows, so
+    the returned beliefs always satisfy the consistency constraints (up to
+    IPF tolerance).  Returns (values, factor beliefs by id per row, and per
+    variable the (rows, card) sum of its factors' IPF log-scalings).  A row
+    whose margins are infeasible for a table's support, or whose mass sits
+    on a zero, scores -inf with ``{}``; its log-scalings are meaningless.
+    Each row's terms are added in the same order as for that row alone, so
+    its value and beliefs do not depend on the other rows.
     """
-    full = vi == _ALL
+    rows = len(nu[0]) if nu else 1
     entropy = [_entropy(ni) for ni in nu]
-    value = np.zeros(len(vi))
-    dead = np.zeros(len(vi), dtype=bool)
+    value = np.zeros(rows)
+    dead = np.zeros(rows, dtype=bool)
     for u, node in enumerate(g.node_logs):
-        rows = np.flatnonzero(full | (vi == u))
         if node is not None:
-            e, blocked = _energy(nu[u][rows], *node)
-            dead[rows] |= blocked
-            value[rows] += e
-        value[rows] += entropy[u][rows]
-    factor_beliefs = [{} for _ in vi]
+            e, blocked = _energy(nu[u], *node)
+            dead |= blocked
+            value += e
+        value += entropy[u]
+    lam = [np.zeros(ni.shape) for ni in nu]
+    factor_beliefs = [{} for _ in range(rows)]
     for fi, (fid, scope, table) in enumerate(g.factors):
         # a row that is already -inf skips its later factors
-        rows = np.flatnonzero((full | np.isin(vi, scope)) & ~dead)
-        if not rows.size:
-            continue
+        live = np.flatnonzero(~dead)
+        if not live.size:
+            break
         if scope:
-            t, residual = _ipf(table, [nu[u][rows] for u in scope])
+            t, residual, log_scale = _ipf(table, [nu[u][live] for u in scope])
         else:  # a constant factor: belief 1, so the row gains its log value
-            t, residual = np.ones(rows.size), np.zeros(rows.size)
+            t, residual, log_scale = np.ones(live.size), np.zeros(live.size), []
         e, blocked = _energy(t, *g.factor_logs[fi])
         # residual above 1e-8: margins infeasible for the table's support;
         # no consistent factor belief exists, so the row is invalid
-        dead[rows] |= (residual > 1e-8) | blocked
-        value[rows] += e + _entropy(t)
-        for u in scope:
-            value[rows] -= entropy[u][rows]
-        for r, tr in zip(rows, t):
+        dead[live] |= (residual > 1e-8) | blocked
+        value[live] += e + _entropy(t)
+        for u, ls in zip(scope, log_scale):
+            value[live] -= entropy[u][live]
+            lam[u][live] += ls
+        for r, tr in zip(live, t):
             factor_beliefs[r][fid] = tr
     value[dead] = _NEG_INF
-    return value, [{} if d else f for d, f in zip(dead, factor_beliefs)]
+    return value, [{} if d else f for d, f in zip(dead, factor_beliefs)], lam
 
 
-def _clean_nu(nu: list, floor: float = 1e-12) -> list:
-    """Node beliefs floored and renormalized along their last axis."""
+def _clean_nu(g: _Graph, nu: list, floor: float = 1e-12) -> list:
+    """Node beliefs floored on each node potential's support and
+    renormalized along their last axis; entries off the support are kept,
+    so a zero there stays a zero."""
     out = []
-    for ni in nu:
-        ni = np.maximum(np.asarray(ni, dtype=float), floor)
+    for ni, node in zip(nu, g.node_logs):
+        ni = np.asarray(ni, dtype=float)
+        ni = np.where(True if node is None else node[0], np.maximum(ni, floor), ni)
         out.append(ni / ni.sum(axis=-1, keepdims=True))
     return out
 
@@ -477,75 +489,62 @@ def _softmax(theta: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _difference_points(theta: list, nu: list, owner: np.ndarray, fd_step: float) -> list:
-    """Node beliefs of the central-difference rows: nu in every row, except
-    that the rows owned by variable vi (state s up, then down, for each s)
-    take the softmax of theta[vi] with entry s moved by fd_step."""
-    points = []
-    for vi, (th, ni) in enumerate(zip(theta, nu)):
-        rows = np.repeat(ni[None], len(owner), axis=0)
-        card = th.size
-        moved = np.repeat(th[None], 2 * card, axis=0)
-        moved[np.arange(2 * card), np.repeat(np.arange(card), 2)] += np.tile(
-            [fd_step, -fd_step], card
-        )
-        rows[owner == vi] = _softmax(moved)
-        points.append(rows)
-    return points
+def _logit_gradient(g: _Graph, nu: list, lam: list) -> list:
+    """Gradient of the envelope in the logits of one row of node beliefs.
+
+    With the factor beliefs optimal for nu, the envelope's gradient in nu_i
+    is log phi_i + (d_i - 1)(log nu_i + 1) - sum_a lambda_ai, where d_i is
+    the variable's degree and lambda_ai the log-scalings of its factors
+    (the envelope theorem).  Through the softmax that becomes
+    nu_i * (grad - <nu_i, grad>).  Entries off the node potential's support
+    and non-finite entries get gradient 0.
+    """
+    out = []
+    for vi, (ni, li) in enumerate(zip(nu, lam)):
+        support, log_phi = (True, 0.0) if g.node_logs[vi] is None else g.node_logs[vi]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = log_phi + (len(g.incident[vi]) - 1) * (np.log(ni) + 1.0) - li
+        grad = np.where(np.isfinite(grad) & support, grad, 0.0)
+        out.append(ni * (grad - ni @ grad))
+    return out
 
 
-def _polish_nu(
-    g: _Graph,
-    nu: list,
-    steps: int,
-    fd_step: float = 1e-5,
-    init_rate: float = 0.5,
-) -> tuple:
+def _polish_nu(g: _Graph, nu: list, steps: int) -> tuple:
     """Ascent on node beliefs through the envelope, in logit coordinates.
 
-    Each of the ``steps`` (at least one) makes two batched envelope calls:
-    one for every local central difference (a row recomputes only the
-    terms touching its perturbed variable; the first call also scores nu
-    itself), and one for every backtracking rate, rate / 2, ... >= 1e-4,
-    of which the first that improves is taken.  Every iterate is feasible
-    because factor beliefs are re-derived by IPF.
+    One envelope call scores the start point; each of the ``steps`` then
+    makes one batched call over the backtracking rates, rate, rate / 2,
+    ... >= 1e-4, and takes the first that improves, growing the next
+    step's rate by 1.5 (at most 10).  The gradient comes from the IPF
+    log-scalings of the current point.  Every iterate is feasible because
+    factor beliefs are re-derived by IPF; a zero belief stays zero.
     """
-    nu = _clean_nu(nu)
-    theta = [np.log(ni) for ni in nu]
-    best_nu = nu
-    rate = init_rate
-    differences = np.repeat(np.arange(len(nu)), [2 * card for card in g.cards])
-    # the first call also scores nu itself, in a leading row of every term
-    owner = np.concatenate(([_ALL], differences))
+    nu = _clean_nu(g, [np.asarray(ni)[None] for ni in nu])
+    values, factors, lam = _envelope(g, nu)
+    best_nu = [ni[0] for ni in nu]
+    best_val, best_factors, best_lam = values[0], factors[0], [li[0] for li in lam]
+    rate = 0.5
     for _ in range(steps):
-        values, factors = _envelope(g, _difference_points(theta, best_nu, owner, fd_step), owner)
-        if owner[0] == _ALL:
-            best_val, best_factors = values[0], factors[0]
-            values, owner = values[1:], differences
-        grad, start = [], 0
-        for card in g.cards:
-            up, down = values[start : start + 2 * card : 2], values[start + 1 : start + 2 * card : 2]
-            d = np.zeros(card)
-            both = np.isfinite(up) & np.isfinite(down)
-            d[both] = (up[both] - down[both]) / (2.0 * fd_step)
-            grad.append(d)
-            start += 2 * card
+        if best_val == _NEG_INF:  # an infeasible start has no gradient
+            break
         rates = []
         while rate >= 1e-4:
             rates.append(rate)
             rate *= 0.5
-        stepped = [
-            _softmax(np.clip(th + np.array(rates)[:, None] * d, -40.0, 40.0))
-            for th, d in zip(theta, grad)
-        ]
-        values, factors = _envelope(g, stepped, np.full(len(rates), _ALL))
+        stepped = []
+        for ni, d in zip(best_nu, _logit_gradient(g, best_nu, best_lam)):
+            with np.errstate(divide="ignore"):
+                moved = np.log(ni) + np.array(rates)[:, None] * d
+            # a zero belief (logit -inf) stays zero
+            np.clip(moved, -40.0, 40.0, out=moved, where=np.isfinite(moved))
+            stepped.append(_softmax(moved))
+        values, factors, lam = _envelope(g, stepped)
         better = np.flatnonzero(values > best_val)
         if not better.size:
             break
         k = better[0]
         best_nu = [rows[k] for rows in stepped]
-        theta = [np.log(np.maximum(ni, 1e-300)) for ni in best_nu]
-        best_val, best_factors = values[k], factors[k]
+        best_val, best_factors, best_lam = values[k], factors[k], [li[k] for li in lam]
         rate = min(rates[k] * 1.5, 10.0)
     return best_nu, best_factors, best_val
 
@@ -618,10 +617,11 @@ def maximize_bethe(
     candidates.append([np.full(card, 1.0 / card) for card in g.cards])
     candidates.append(g.start)  # field-proportional
 
-    nu = _clean_nu([np.array([c[vi] for c in candidates]) for vi in range(len(g.cards))])
-    values, factors = _envelope(g, nu, np.full(len(candidates), _ALL))
-    # a stable sort: ties keep candidate order
-    scored = sorted(range(len(candidates)), key=values.__getitem__, reverse=True)
+    nu = _clean_nu(g, [np.array([c[vi] for c in candidates]) for vi in range(len(g.cards))])
+    values, factors, _lam = _envelope(g, nu)
+    # a stable sort: ties keep candidate order; a model without variables
+    # has one row
+    scored = sorted(range(len(values)), key=values.__getitem__, reverse=True)
 
     best = scored[0]
     best_val, best_nu, best_factors = values[best], [b[best] for b in nu], factors[best]

@@ -29,7 +29,7 @@ from .io import (
     cover_spec_from_json,
     cover_spec_to_json,
     graph_from_json,
-    load_model,
+    model_from_json,
     model_to_json,
 )
 from .lattice import is_log_supermodular, model_is_log_supermodular
@@ -97,11 +97,12 @@ def main() -> None:
 def cmd_z(model_path, cap, csv):
     """Exact partition function of a factor-graph JSON file."""
 
-    def body():
-        model = load_model(model_path)
-        return {"z": exact_partition(model, cap=cap)}
+    doc = _load_json(model_path)
 
-    _run("z", _load_json(model_path), None, {"cap": cap}, body, csv)
+    def body():
+        return {"z": exact_partition(model_from_json(doc), cap=cap)}
+
+    _run("z", doc, None, {"cap": cap}, body, csv)
 
 
 @main.command("bp")
@@ -114,9 +115,10 @@ def cmd_z(model_path, cap, csv):
 @click.option("--beliefs", is_flag=True, help="Include the belief vectors in the JSON.")
 def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
     """Run damped sum-product BP and report the objective at its beliefs."""
+    doc = _load_json(model_path)
 
     def body():
-        model = load_model(model_path)
+        model = model_from_json(doc)
         state, tau, value = run_bp(
             model, init=seed, max_iters=max_iters, tol=tol, damping=damping
         )
@@ -132,7 +134,7 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
         return out
 
     settings = {"damping": damping, "tolerance": tol, "max_iters": max_iters}
-    _run("bp", _load_json(model_path), seed, settings, body, csv)
+    _run("bp", doc, seed, settings, body, csv)
 
 
 @main.command("z-bethe")
@@ -144,16 +146,17 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
 @click.option("--csv", is_flag=True)
 def cmd_z_bethe(model_path, restarts, seed, damping, refine_steps, csv):
     """Best-found Bethe partition function (multistart BP plus refinement)."""
+    doc = _load_json(model_path)
 
     def body():
-        model = load_model(model_path)
+        model = model_from_json(doc)
         _tau, zb = maximize_bethe(
             model, restarts=restarts, seed=seed, damping=damping, refine_steps=refine_steps
         )
         return {"z_bethe": zb, "log_z_bethe": math.log(zb) if zb > 0 else float("-inf")}
 
     settings = {"restarts": restarts, "damping": damping, "refine_steps": refine_steps}
-    _run("z-bethe", _load_json(model_path), seed, settings, body, csv)
+    _run("z-bethe", doc, seed, settings, body, csv)
 
 
 @main.command("z-meanfield")
@@ -163,13 +166,13 @@ def cmd_z_bethe(model_path, restarts, seed, damping, refine_steps, csv):
 @click.option("--csv", is_flag=True)
 def cmd_z_meanfield(model_path, restarts, seed, csv):
     """Naive mean-field lower bound by coordinate ascent."""
+    doc = _load_json(model_path)
 
     def body():
-        model = load_model(model_path)
-        _nu, zmf = mean_field(model, restarts=restarts, seed=seed)
+        _nu, zmf = mean_field(model_from_json(doc), restarts=restarts, seed=seed)
         return {"z_mean_field": zmf}
 
-    _run("z-meanfield", _load_json(model_path), seed, {"restarts": restarts}, body, csv)
+    _run("z-meanfield", doc, seed, {"restarts": restarts}, body, csv)
 
 
 @main.group("cover")
@@ -183,7 +186,7 @@ def cmd_cover() -> None:
 @click.option("--seed", default=0, show_default=True)
 def cmd_cover_sample(model_path, m, seed):
     """Emit a uniformly sampled CoverSpec as JSON."""
-    spec = covers_mod.sample_cover(load_model(model_path), m, seed)
+    spec = covers_mod.sample_cover(model_from_json(_load_json(model_path)), m, seed)
     click.echo(json.dumps(cover_spec_to_json(spec)))
 
 
@@ -193,9 +196,10 @@ def cmd_cover_sample(model_path, m, seed):
 @click.option("--csv", is_flag=True)
 def cmd_cover_build(spec_path, with_z, csv):
     """Build the lifted model of a CoverSpec; optionally compute its Z."""
+    doc = _load_json(spec_path)
 
     def body():
-        spec = cover_spec_from_json(_load_json(spec_path))
+        spec = cover_spec_from_json(doc)
         lifted = covers_mod.build_cover(spec)
         ok, diag = covers_mod.validate_cover(
             lifted.cover, spec.base, lifted.var_copy_map, lifted.factor_copy_map
@@ -213,7 +217,7 @@ def cmd_cover_build(spec_path, with_z, csv):
             out["z_base"] = exact_partition(spec.base)
         return out
 
-    _run("cover-build", _load_json(spec_path), None, {}, body, csv)
+    _run("cover-build", doc, None, {}, body, csv)
 
 
 @cmd_cover.command("estimate")
@@ -225,10 +229,10 @@ def cmd_cover_build(spec_path, with_z, csv):
 def cmd_cover_estimate(model_path, m, samples, seed, csv):
     """M-th root of the average lifted partition function over sampled
     covers (a finite-M heuristic for the Bethe value)."""
+    doc = _load_json(model_path)
 
     def body():
-        model = load_model(model_path)
-        est = covers_mod.bethe_estimate_via_covers(model, m, samples, seed)
+        est = covers_mod.bethe_estimate_via_covers(model_from_json(doc), m, samples, seed)
         return {
             "estimate": est.estimate,
             "mean_z": est.mean_z,
@@ -237,11 +241,10 @@ def cmd_cover_estimate(model_path, m, samples, seed, csv):
             "note": est.note,
         }
 
-    _run("cover-estimate", _load_json(model_path), seed, {"m": m, "samples": samples}, body, csv)
+    _run("cover-estimate", doc, seed, {"m": m, "samples": samples}, body, csv)
 
 
-def _potts_from_file(path: str) -> potts_mod.PottsModel:
-    doc = _load_json(path)
+def _potts_from_json(doc, path: str) -> potts_mod.PottsModel:
     n, edges, extras = graph_from_json(doc)
     if "q" not in extras or "J" not in extras:
         raise ModelError("graph file must carry 'q' and 'J'")
@@ -260,12 +263,12 @@ def _potts_from_file(path: str) -> potts_mod.PottsModel:
 def cmd_potts(graph_path, csv):
     """Exact Potts partition function of a graph JSON file
     ({n_vertices, edges, q, J[, h]})."""
+    doc = _load_json(graph_path)
 
     def body():
-        model = _potts_from_file(graph_path)
-        return {"z_potts": potts_mod.potts_partition(model)}
+        return {"z_potts": potts_mod.potts_partition(_potts_from_json(doc, graph_path))}
 
-    _run("potts", _load_json(graph_path), None, {}, body, csv)
+    _run("potts", doc, None, {}, body, csv)
 
 
 @main.command("rc")
@@ -273,12 +276,12 @@ def cmd_potts(graph_path, csv):
 @click.option("--csv", is_flag=True)
 def cmd_rc(graph_path, csv):
     """Exact random-cluster partition function (p = e^J - 1)."""
+    doc = _load_json(graph_path)
 
     def body():
-        model = _potts_from_file(graph_path)
-        return {"z_rc": potts_mod.rc_partition(model)}
+        return {"z_rc": potts_mod.rc_partition(_potts_from_json(doc, graph_path))}
 
-    _run("rc", _load_json(graph_path), None, {}, body, csv)
+    _run("rc", doc, None, {}, body, csv)
 
 
 @main.command("counterexample")
@@ -330,9 +333,10 @@ def cmd_counterexample(pair_mode, field_mode, restarts, seed, emit_model, csv):
 @click.option("--csv", is_flag=True)
 def cmd_wef(code_path, lam, restarts, seed, csv):
     """Weight enumerator of a linear code (generator matrix text file)."""
+    text = _read_text(code_path)
 
     def body():
-        mat = matroid_mod.parse_generator_matrix(_read_text(code_path))
+        mat = matroid_mod.parse_generator_matrix(text)
         res = matroid_mod.weight_enumerator(mat, lam, restarts=restarts, seed=seed)
         out = {
             "exact": res.exact,
@@ -344,7 +348,7 @@ def cmd_wef(code_path, lam, restarts, seed, csv):
             out["mean_field_bound"] = res.mean_field_bound
         return out
 
-    _run("wef", _read_text(code_path), seed, {"lambda": lam, "restarts": restarts}, body, csv)
+    _run("wef", text, seed, {"lambda": lam, "restarts": restarts}, body, csv)
 
 
 @main.command("matroid")
@@ -354,9 +358,10 @@ def cmd_wef(code_path, lam, restarts, seed, csv):
 @click.option("--csv", is_flag=True)
 def cmd_matroid(code_path, coupling, csv):
     """Matroid Potts and random-cluster partition functions of a matrix."""
+    text = _read_text(code_path)
 
     def body():
-        mat = matroid_mod.parse_generator_matrix(_read_text(code_path))
+        mat = matroid_mod.parse_generator_matrix(text)
         J = np.full(mat.n_cols, 1.0 if coupling is None else coupling)
         return {
             "z_potts": matroid_mod.matroid_potts_partition(mat, J),
@@ -364,7 +369,7 @@ def cmd_matroid(code_path, coupling, csv):
             "rank": matroid_mod.rank(mat),
         }
 
-    _run("matroid", _read_text(code_path), None, {"coupling": coupling}, body, csv)
+    _run("matroid", text, None, {"coupling": coupling}, body, csv)
 
 
 @main.command("hom")
@@ -373,9 +378,9 @@ def cmd_matroid(code_path, coupling, csv):
 @click.option("--csv", is_flag=True)
 def cmd_hom(model_path, csv):
     """Weighted homomorphism and edge-subset partition functions."""
+    doc = _load_json(model_path)
 
     def body():
-        doc = _load_json(model_path)
         n, edges, extras = graph_from_json(doc)
         try:
             model = HomModel(n, edges, extras["w"], extras["a"], extras["b"])
@@ -383,7 +388,7 @@ def cmd_hom(model_path, csv):
             raise ModelError(f"hom model file must carry w, a, b: {exc}") from exc
         return {"z_hom": hom_partition(model), "z_edge": edge_partition(model)}
 
-    _run("hom", _load_json(model_path), None, {}, body, csv)
+    _run("hom", doc, None, {}, body, csv)
 
 
 @main.command("check-lsm")
@@ -397,22 +402,23 @@ def cmd_check_lsm(table_path, model_path, csv):
     factors; exits 1 when the check fails."""
     if (table_path is None) == (model_path is None):
         raise ModelError("pass exactly one of --table / --model")
+    doc = _load_json(table_path or model_path)
 
     def body():
         if table_path is not None:
-            rep = is_log_supermodular(float_array(_load_json(table_path), "table entries"))
+            rep = is_log_supermodular(float_array(doc, "table entries"))
             out = {"log_supermodular": rep.ok, "worst_ratio": rep.worst_ratio}
             if rep.witness:
                 out["witness"] = list(rep.witness)
             return out
-        reps = model_is_log_supermodular(load_model(model_path))
+        reps = model_is_log_supermodular(model_from_json(doc))
         return {
             "log_supermodular": all(r.ok for r in reps.values()),
             "factors_checked": len(reps),
             "failing_factors": [str(fid) for fid, r in reps.items() if not r.ok],
         }
 
-    results = _run("check-lsm", _load_json(table_path or model_path), None, {}, body, csv)
+    results = _run("check-lsm", doc, None, {}, body, csv)
     if not results["log_supermodular"]:
         sys.exit(EXIT_REFUSAL)
 

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ModelError
-from .models import Factor, FactorGraph, exact_partition
+from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, exact_partition
 
 
 def lifted_id(base_id, layer: int) -> str:
@@ -231,42 +231,9 @@ class CoverEstimate:
     )
 
 
-def bethe_estimate_via_covers(
-    base: FactorGraph,
-    m: int,
-    num_samples: int,
-    seed: int,
-    cap: int | None = None,
-) -> CoverEstimate:
-    """Estimate the M-th root of the average cover partition function."""
-    if num_samples < 1:
-        raise ModelError("need at least one sample")
-    zs = []
-    for k in range(num_samples):
-        spec = sample_cover(base, m, seed + k)
-        lifted = build_cover(spec)
-        kwargs = {} if cap is None else {"cap": cap}
-        zs.append(exact_partition(lifted.cover, **kwargs))
-    mean = math.fsum(zs) / len(zs)
-    var = math.fsum((z - mean) ** 2 for z in zs) / len(zs)
-    return CoverEstimate(
-        m=m,
-        num_samples=num_samples,
-        mean_z=mean,
-        estimate=mean ** (1.0 / m),
-        variance=var,
-    )
-
-
-def cover_average_exhaustive(
-    base: FactorGraph, m: int, cap: int | None = None
-) -> CoverEstimate:
-    """Exact average of Z over all pinned permutation covers (small bases)."""
-    zs = []
-    for spec in iter_cover_specs(base, m):
-        lifted = build_cover(spec)
-        kwargs = {} if cap is None else {"cap": cap}
-        zs.append(exact_partition(lifted.cover, **kwargs))
+def _cover_average(m: int, specs, cap: int, exhaustive: bool) -> CoverEstimate:
+    """Mean and variance of the lifted Z over ``specs``, and its M-th root."""
+    zs = [exact_partition(build_cover(spec).cover, cap=cap) for spec in specs]
     mean = math.fsum(zs) / len(zs)
     var = math.fsum((z - mean) ** 2 for z in zs) / len(zs)
     return CoverEstimate(
@@ -275,5 +242,26 @@ def cover_average_exhaustive(
         mean_z=mean,
         estimate=mean ** (1.0 / m),
         variance=var,
-        exhaustive=True,
+        exhaustive=exhaustive,
     )
+
+
+def bethe_estimate_via_covers(
+    base: FactorGraph,
+    m: int,
+    num_samples: int,
+    seed: int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> CoverEstimate:
+    """Estimate the M-th root of the average cover partition function."""
+    if num_samples < 1:
+        raise ModelError("need at least one sample")
+    specs = (sample_cover(base, m, seed + k) for k in range(num_samples))
+    return _cover_average(m, specs, cap, exhaustive=False)
+
+
+def cover_average_exhaustive(
+    base: FactorGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> CoverEstimate:
+    """Exact average of Z over all pinned permutation covers (small bases)."""
+    return _cover_average(m, iter_cover_specs(base, m), cap, exhaustive=True)

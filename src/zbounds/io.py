@@ -68,15 +68,6 @@ def model_from_json(doc: Mapping) -> FactorGraph:
     return FactorGraph(variables, factors, pots)
 
 
-def load_model(path: str) -> FactorGraph:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"invalid JSON in {path}: {exc}") from exc
-    return model_from_json(doc)
-
-
 def cover_spec_to_json(spec: CoverSpec) -> dict:
     return {
         "M": spec.m,

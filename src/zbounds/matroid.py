@@ -30,6 +30,9 @@ from .models import (
     subset_products,
 )
 
+# matroid_potts_partition weighs its codewords in blocks of this many words.
+_WORD_BLOCK = 1 << 16
+
 # Irreducible polynomials over GF(p), coefficients low-to-high degree.
 _IRREDUCIBLE = {
     4: (2, (1, 1, 1)),          # x^2 + x + 1
@@ -247,9 +250,12 @@ def matroid_potts_partition(
     if J.shape != (matrix.n_cols,):
         raise ModelError("need one coupling per column")
     words = _codewords(matrix, cap)
-    log_w = (words == 0) @ J
+    blocks = (
+        np.exp((words[start : start + _WORD_BLOCK] == 0) @ J)
+        for start in range(0, len(words), _WORD_BLOCK)
+    )
     norm = float(matrix.field.q) ** matrix.n_rows
-    return math.fsum(np.exp(log_w)) / norm
+    return fsum_blocks(blocks) / norm
 
 
 def matroid_rc_partition(

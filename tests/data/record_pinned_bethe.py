@@ -1,0 +1,77 @@
+"""Write tests/data/pinned_bethe.json from the current Bethe layer.
+
+Run from the repository root with ``python3 tests/data/record_pinned_bethe.py``.
+It records the three sections that ``tests/test_bethe.py`` pins with ==, at
+the settings documented above ``PINNED_BETHE`` there:
+
+- ``maximize_bethe``: each pinned model at restarts 8 and seed 1, and at
+  restarts 16 and seed 4, with refine_steps=10 and refine_top=2;
+- ``run_bp``: each pinned model with init None and init 5;
+- ``maximize_bethe_long``: the four counterexample conventions at
+  restarts=64, seed=0, refine_steps=120 and refine_top=3.
+
+Re-record only after a change that is meant to move the pins, and list every
+pin that moved in the change's notes.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+
+from test_bethe import _pinned_bethe_models  # noqa: E402
+
+from zbounds.bethe import maximize_bethe, run_bp  # noqa: E402
+from zbounds.potts import build_counterexample  # noqa: E402
+
+CONVENTIONS = ["unordered/direct", "unordered/exp", "ordered/direct", "ordered/exp"]
+
+
+def _tables(tau, model) -> dict:
+    return {
+        "node": [tau.node[v].tolist() for v in model.var_ids],
+        "factor": [tau.factor[fac.id].tolist() for fac in model.factors],
+    }
+
+
+def record() -> dict:
+    models = _pinned_bethe_models()
+    short, bp, long = {}, {}, {}
+    for name, model in models.items():
+        for restarts, seed in ((8, 1), (16, 4)):
+            tau, zb = maximize_bethe(
+                model, restarts=restarts, seed=seed, refine_steps=10, refine_top=2
+            )
+            short[f"{name}/{restarts}/{seed}"] = {"z_bethe": zb, **_tables(tau, model)}
+    for name, model in models.items():
+        for init in (None, 5):
+            state, tau, value = run_bp(model, init=init)
+            bp[f"{name}/{init}"] = {
+                "value": value,
+                "iterations": state.iterations,
+                "residual": state.residual,
+                "converged": state.converged,
+                "node": [tau.node[v].tolist() for v in model.var_ids],
+            }
+    for key in CONVENTIONS:
+        model = build_counterexample(*key.split("/"))
+        tau, zb = maximize_bethe(model, restarts=64, seed=0, refine_steps=120, refine_top=3)
+        long[key] = {"z_bethe": zb, **_tables(tau, model)}
+    return {"maximize_bethe": short, "run_bp": bp, "maximize_bethe_long": long}
+
+
+def dump(pins: dict) -> str:
+    """One line per pin, sections in recording order."""
+    sections = []
+    for section, entries in pins.items():
+        lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in entries.items())
+        sections.append(f" {json.dumps(section)}: {{\n{lines}\n }}")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
+if __name__ == "__main__":
+    (Path(__file__).parent / "pinned_bethe.json").write_text(dump(record()))

@@ -228,12 +228,6 @@ class TestMaximizeBethe:
         assert tau.polytope_violation(m) <= 1e-9
         assert bethe_objective(m, tau) == pytest.approx(math.log(zb), abs=1e-9)
 
-    @pytest.mark.xfail(
-        reason="_clean_nu floors the zero-potential state to just under _ZERO_TOL: "
-        "_energy neither blocks nor charges that mass, but its entropy counts, "
-        "so Z_B exceeds Z by 2.8e-11 relative",
-        strict=True,
-    )
     def test_tree_with_zero_node_potential_not_above_z(self):
         m = FactorGraph([(0, 2), (1, 2)], [("f", (0, 1), [1, 2, 3, 4])], {0: [0, 1]})
         _tau, zb = maximize_bethe(m)
@@ -582,88 +576,90 @@ def _ref_energy(weights, support, log_pot):
 
 
 def _ref_ipf(kernel, margins, iters=300, tol=1e-13):
-    """(table, residual, sweeps) of one row."""
+    """(table, residual, sweeps, log-scaling per axis) of one row."""
     t = np.asarray(kernel, dtype=float)
     t = t / t.sum()
+    scale = [np.ones(target.size) for target in margins]
     worst, sweeps = 0.0, 0
-    for sweeps in range(1, iters + 1):
-        worst = 0.0
-        for axis, target in enumerate(margins):
-            axes = tuple(a for a in range(t.ndim) if a != axis)
-            cur = t.sum(axis=axes)
-            worst = max(worst, float(np.max(np.abs(cur - target))))
-            ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
-            shape = [1] * t.ndim
-            shape[axis] = target.size
-            t = t * ratio.reshape(shape)
-        if worst < tol:
-            break
-    return t, worst, sweeps
+    with np.errstate(over="ignore", divide="ignore"):
+        for sweeps in range(1, iters + 1):
+            worst = 0.0
+            for axis, target in enumerate(margins):
+                axes = tuple(a for a in range(t.ndim) if a != axis)
+                cur = t.sum(axis=axes)
+                worst = max(worst, float(np.max(np.abs(cur - target))))
+                ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
+                shape = [1] * t.ndim
+                shape[axis] = target.size
+                t = t * ratio.reshape(shape)
+                scale[axis] = scale[axis] * ratio
+            if worst < tol:
+                break
+        return t, worst, sweeps, [np.log(s) for s in scale]
 
 
-def _ref_envelope(g, nu, vi=None):
-    if vi is None:
-        variables, factors = range(len(nu)), range(len(g.factors))
-    else:
-        variables, factors = (vi,), [fi for fi, _pos in g.incident[vi]]
+def _ref_envelope(g, nu):
+    """(value, factor beliefs, summed log-scalings per variable) of one row;
+    the log-scalings are None when the value is -inf."""
     entropy = [_ref_entropy(ni) for ni in nu]
     value = 0.0
-    for u in variables:
+    for u in range(len(nu)):
         if g.node_logs[u] is not None:
             e = _ref_energy(nu[u], *g.node_logs[u])
             if e == float("-inf"):
-                return e, {}
+                return e, {}, None
             value += e
         value += entropy[u]
     factor_beliefs = {}
-    for fi in factors:
+    lam = [np.zeros(ni.size) for ni in nu]
+    for fi in range(len(g.factors)):
         fid, scope, table = g.factors[fi]
-        t, residual, _sweeps = _ref_ipf(table, [nu[u] for u in scope])
+        t, residual, _sweeps, log_scale = _ref_ipf(table, [nu[u] for u in scope])
         if residual > 1e-8:
-            return float("-inf"), {}
+            return float("-inf"), {}, None
         factor_beliefs[fid] = t
         e = _ref_energy(t, *g.factor_logs[fi])
         if e == float("-inf"):
-            return e, {}
+            return e, {}, None
         value += e + _ref_entropy(t)
-        for u in scope:
+        for u, ls in zip(scope, log_scale):
             value -= entropy[u]
-    return value, factor_beliefs
+            lam[u] = lam[u] + ls
+    return value, factor_beliefs, lam
 
 
-def _ref_polish(g, nu, steps, fd_step=1e-5, init_rate=0.5):
-    nu = bethe._clean_nu(nu)
-    theta = [np.log(ni) for ni in nu]
-    best_val, best_factors = _ref_envelope(g, nu)
+def _ref_polish(g, nu, steps):
+    nu = [row[0] for row in bethe._clean_nu(g, [np.asarray(ni, dtype=float)[None] for ni in nu])]
+    best_val, best_factors, lam = _ref_envelope(g, nu)
     best_nu = list(nu)
-    rate = init_rate
+    rate = 0.5
     for _ in range(steps):
+        if best_val == float("-inf"):
+            break
         grad = []
-        for vi, card in enumerate(g.cards):
-            base = list(best_nu)
-            d = np.zeros(card)
-            for s in range(card):
-                sides = []
-                for sign in (1.0, -1.0):
-                    th = theta[vi].copy()
-                    th[s] += sign * fd_step
-                    e = np.exp(th - th.max())
-                    base[vi] = e / e.sum()
-                    sides.append(_ref_envelope(g, base, vi)[0])
-                if math.isfinite(sides[0]) and math.isfinite(sides[1]):
-                    d[s] = (sides[0] - sides[1]) / (2.0 * fd_step)
-            grad.append(d)
+        for vi, (ni, li) in enumerate(zip(best_nu, lam)):
+            node, degree = g.node_logs[vi], len(g.incident[vi])
+            d = np.zeros(ni.size)
+            # entry by entry, on the potential's support only
+            for s in range(ni.size):
+                if ni[s] > 0 and (node is None or node[0][s]):
+                    log_phi = 0.0 if node is None else node[1][s]
+                    d[s] = log_phi + (degree - 1) * (np.log(ni[s]) + 1.0) - li[s]
+            d[~np.isfinite(d)] = 0.0
+            grad.append(ni * (d - ni @ d))
         improved = False
         while rate >= 1e-4:
             cand_nu = []
-            for th, d in zip(theta, grad):
-                th = np.clip(th + rate * d, -40.0, 40.0)
+            for ni, d in zip(best_nu, grad):
+                with np.errstate(divide="ignore"):
+                    th = np.log(ni) + rate * d
+                # a zero belief keeps its logit -inf
+                th = np.where(ni > 0, np.clip(th, -40.0, 40.0), th)
                 e = np.exp(th - th.max())
                 cand_nu.append(e / e.sum())
-            val, factors = _ref_envelope(g, cand_nu)
+            val, factors, cand_lam = _ref_envelope(g, cand_nu)
             if val > best_val:
-                theta = [np.log(np.maximum(ni, 1e-300)) for ni in cand_nu]
-                best_val, best_factors, best_nu = val, factors, cand_nu
+                best_val, best_factors, best_nu, lam = val, factors, cand_nu, cand_lam
                 rate = min(rate * 1.5, 10.0)
                 improved = True
                 break
@@ -712,12 +708,15 @@ class TestBatchedEnvelope:
             nu = self._rows(g, rng, 9)
             for _fid, scope, table in g.factors:
                 margins = [nu[u] for u in scope]
-                t, residual = bethe._ipf(table, margins)
+                t, residual, log_scale = bethe._ipf(table, margins)
                 for r in range(len(t)):
-                    want, want_res, n = _ref_ipf(table, [m[r] for m in margins])
+                    want, want_res, n, want_scale = _ref_ipf(table, [m[r] for m in margins])
                     sweeps.add(n)
                     assert t[r].tobytes() == want.tobytes(), name
                     assert residual[r] == want_res, name
+                    assert [ls[r].tobytes() for ls in log_scale] == [
+                        ls.tobytes() for ls in want_scale
+                    ], name
         assert len(sweeps) > 10  # rows stop after many different sweep counts
         assert 300 in sweeps  # and some never converge
 
@@ -726,23 +725,20 @@ class TestBatchedEnvelope:
         for name, model in self._models().items():
             g = bethe._Graph(model)
             n = len(g.cards)
-            nu = self._rows(g, rng, 6)
-            # every row once summing all terms, then once per variable
-            vi = np.repeat(np.arange(-1, n), 6)
-            batch = [np.tile(b, (n + 1, 1)) for b in nu]
-            values, factors = bethe._envelope(g, batch, vi)
-            assert len(values) == len(factors) == 6 * (n + 1)
-            for r, owner in enumerate(vi):
-                want, want_factors = _ref_envelope(
-                    g, [b[r] for b in batch], None if owner == bethe._ALL else int(owner)
-                )
+            batch = self._rows(g, rng, 6)
+            values, factors, lam = bethe._envelope(g, batch)
+            assert len(values) == len(factors) == (6 if n else 1)
+            for r in range(len(values)):
+                want, want_factors, want_lam = _ref_envelope(g, [b[r] for b in batch])
                 assert values[r] == want, (name, r)
                 assert _same_factors(factors[r], want_factors), (name, r)
+                if want_lam is not None:
+                    assert [li[r].tobytes() for li in lam] == [li.tobytes() for li in want_lam]
 
     def test_infeasible_row_scores_neg_inf(self):
         g = bethe._Graph(self._models()["equality_pair"])
         nu = [np.array([[0.9, 0.1], [0.5, 0.5]]), np.array([[0.1, 0.9], [0.5, 0.5]])]
-        values, factors = bethe._envelope(g, nu, np.full(2, bethe._ALL))
+        values, factors, _lam = bethe._envelope(g, nu)
         assert values[0] == float("-inf") and factors[0] == {}
         # the flat row fits the diagonal table, whose entropy is all that remains
         assert values[1] == pytest.approx(math.log(2.0), abs=1e-12)
@@ -750,8 +746,8 @@ class TestBatchedEnvelope:
 
     def test_model_without_variables(self):
         g = bethe._Graph(FactorGraph([]))
-        values, factors = bethe._envelope(g, [], np.full(3, bethe._ALL))
-        assert values.tolist() == [0.0, 0.0, 0.0] and factors == [{}, {}, {}]
+        values, factors, lam = bethe._envelope(g, [])
+        assert values.tolist() == [0.0] and factors == [{}] and lam == []
         tau, zb = maximize_bethe(FactorGraph([]), restarts=4)
         assert zb == 1.0 and tau.node == {} and tau.factor == {}
 
@@ -773,11 +769,65 @@ class TestBatchedEnvelope:
             assert _same_factors(got_factors, want_factors)
 
 
+def _gradient_models():
+    """Potts models with a field, rank-2 homomorphisms, trees and the four
+    counterexample conventions: 21 models, every table positive."""
+    rng = np.random.default_rng(7)
+    models = []
+    for k in range(11):
+        n = int(rng.integers(3, 6))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        edges = edges or [(0, 1)]
+        q = int(rng.integers(2, 4))
+        if k < 6:
+            coupling = rng.uniform(0.2, 1.5, len(edges))
+            potts = PottsModel(n, edges, q, coupling, field=rng.normal(size=q))
+            models.append(potts_to_factor_graph(potts))
+        else:
+            w, a, b = rng.uniform(0.2, 2.0, (3, q))
+            models.append(hom_to_factor_graph(HomModel(n, edges, w, a, b)))
+    models.extend(random_tree_model(rng) for _ in range(6))
+    for pair_mode in ("unordered", "ordered"):
+        for field_mode in ("direct", "exp"):
+            models.append(build_counterexample(pair_mode, field_mode))
+    return models
+
+
+class TestPolishGradient:
+    def test_logit_gradient_matches_central_differences(self):
+        # the polish's gradient, from IPF's log-scalings, against central
+        # differences of the envelope in the logits, at random interior beliefs
+        rng = np.random.default_rng(8)
+        models = _gradient_models()
+        assert len(models) >= 20
+        step = 1e-5
+        for model in models:
+            g = bethe._Graph(model)
+            theta = [rng.normal(size=c) for c in g.cards]
+            nu = [bethe._softmax(th) for th in theta]
+            values, _factors, lam = bethe._envelope(g, [ni[None] for ni in nu])
+            assert np.isfinite(values[0])
+            grad = np.concatenate(bethe._logit_gradient(g, nu, [li[0] for li in lam]))
+            points = []
+            for vi, card in enumerate(g.cards):
+                for s in range(card):
+                    for sign in (1.0, -1.0):
+                        moved = [th.copy() for th in theta]
+                        moved[vi][s] += sign * step
+                        points.append([bethe._softmax(th) for th in moved])
+            batch = [np.array([p[vi] for p in points]) for vi in range(len(g.cards))]
+            sides, _factors, _lam = bethe._envelope(g, batch)
+            differences = (sides[0::2] - sides[1::2]) / (2.0 * step)
+            scale = max(1.0, np.abs(grad).max())
+            assert np.abs(differences - grad).max() <= 1e-8 * scale
+
+
 class TestLayerProbe:
     """The benchmark counts mean-field work by wrapping the public function
     wherever a module binds it; a caller that bypasses it hides that work.
     The envelope's call count is pinned here, so a return to one call per
-    candidate or per difference point fails a test, not only the benchmark."""
+    candidate or to finite-difference rows fails a test, not only the
+    benchmark."""
 
     @staticmethod
     def _count_mean_field(monkeypatch) -> list:
@@ -807,16 +857,17 @@ class TestLayerProbe:
         rows = []
         original = bethe._envelope
 
-        def counted(g, nu, vi):
-            rows.append(len(vi))
-            return original(g, nu, vi)
+        def counted(g, nu):
+            rows.append(len(nu[0]))
+            return original(g, nu)
 
         monkeypatch.setattr(bethe, "_envelope", counted)
         model = _pinned_models()["potts_uniform_field"]
         bethe.maximize_bethe(model, restarts=8, refine_steps=5, refine_top=2)
         # one call scores the 8 BP restarts, mean field, flat and
-        # field-proportional candidates; each polish step then makes one call
-        # for its differences and one for its backtracking rates
+        # field-proportional candidates; each polish then makes one call for
+        # its start point and one per step for its backtracking rates
         assert rows[0] == 8 + 3
-        assert len(rows) % 2 == 1 and len(rows) <= 1 + 2 * 2 * 5
-        assert len(rows) >= 1 + 2 * 2  # both polishes took a step
+        assert len(rows) <= 1 + 2 * (1 + 5)
+        assert len(rows) >= 1 + 2 * (1 + 1)  # both polishes took a step
+        assert sorted(rows[1:]).count(1) == 2  # one start row per polish

@@ -1,3 +1,4 @@
+import builtins
 import json
 
 import numpy as np
@@ -84,6 +85,26 @@ class TestCommands:
         assert rec["results"]["z"] == 3.0
         # default CSV row present
         assert any(line.startswith("z,") for line in res.output.splitlines())
+
+    @pytest.mark.parametrize(
+        "command",
+        [["z"], ["bp"], ["z-bethe", "--restarts", "2"], ["z-meanfield"], ["check-lsm"],
+         ["cover", "estimate", "--m", "2", "--samples", "2"]],
+        ids=" ".join,
+    )
+    def test_reads_input_once(self, runner, tree_file, monkeypatch, command):
+        # the digest must describe the bytes the command computed on
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        res = runner.invoke(main, command + ["--model", tree_file])
+        assert res.exit_code == 0, res.output
+        assert opened.count(tree_file) == 1
 
     def test_z_malformed_json_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

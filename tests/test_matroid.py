@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from zbounds.covers import iter_cover_specs, sample_cover
 from zbounds.errors import ModelError
 from zbounds.lattice import is_log_supermodular
+from zbounds import matroid
 from zbounds.matroid import (
     GFMatrix,
     check_rank_cover_inequality,
@@ -191,6 +193,44 @@ class TestMatroidPartitions:
         m = GFMatrix(gf(2), inc)
         for mask in range(1 << len(edges)):
             assert rank(m, mask) == 4 - count_components(4, edges, mask)
+
+
+class TestBlockedPottsSum:
+    """``matroid_potts_partition`` weighs its codewords one block at a time;
+    the sum must equal the one formed over the whole word array."""
+
+    @staticmethod
+    def _reference(matrix, J):
+        words = matroid._codewords(matrix, 1 << 22)
+        return math.fsum(np.exp((words == 0) @ J)) / matrix.field.q**matrix.n_rows
+
+    @pytest.mark.parametrize("q,k,n", [(3, 6, 8), (2, 17, 9), (3, 11, 7), (4, 9, 6)])
+    def test_matches_full_product(self, q, k, n):
+        # 729 words fit one block; the others span two to four
+        rng = np.random.default_rng(q * 100 + k)
+        matrix = GFMatrix(gf(q), rng.integers(0, q, size=(k, n)))
+        J = rng.uniform(-1.0, 2.0, n)
+        assert matroid_potts_partition(matrix, J, cap=1 << 22) == self._reference(matrix, J)
+
+    def test_memory_bounded_by_block(self, monkeypatch):
+        # at blocks of 2^10 words, the sum peaks no higher than building the
+        # words; the float (words, n) product alone would take 4.8 MiB
+        monkeypatch.setattr(matroid, "_WORD_BLOCK", 1 << 10)
+        rng = np.random.default_rng(19)
+        matrix = GFMatrix(gf(3), rng.integers(0, 3, size=(10, 10)))
+        peaks = []
+        for call in (
+            lambda: matroid._codewords(matrix, 1 << 22),
+            lambda: matroid_potts_partition(matrix, np.ones(10)),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 256 * 1024
 
 
 class TestRankCoverInequality:
