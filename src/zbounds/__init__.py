@@ -20,7 +20,13 @@ from .covers import (
     sample_cover,
     validate_cover,
 )
-from .errors import EnumerationCapError, ModelError, UnnormalizableError, ZboundsError
+from .errors import (
+    EnumerationCapError,
+    ModelError,
+    NumericRangeError,
+    UnnormalizableError,
+    ZboundsError,
+)
 from .homs import (
     HomModel,
     check_rank2_lsm,

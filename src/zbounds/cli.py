@@ -21,7 +21,13 @@ from . import matroid as matroid_mod
 from . import potts as potts_mod
 from . import verify as verify_mod
 from .bethe import maximize_bethe, mean_field, run_bp
-from .errors import EnumerationCapError, ModelError, UnnormalizableError, ZboundsError
+from .errors import (
+    EnumerationCapError,
+    ModelError,
+    NumericRangeError,
+    UnnormalizableError,
+    ZboundsError,
+)
 from .homs import HomModel, edge_partition, hom_partition
 from .io import (
     ResultRecord,
@@ -80,7 +86,9 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (ZboundsError, OSError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
-            refusal = isinstance(exc, (EnumerationCapError, UnnormalizableError))
+            refusal = isinstance(
+                exc, (EnumerationCapError, NumericRangeError, UnnormalizableError)
+            )
             sys.exit(EXIT_REFUSAL if refusal else EXIT_INPUT)
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ModelError (malformed input) exits 2,
-the numerical refusals (cap exceeded, unnormalizable model) exit 1.
+the numerical refusals (cap exceeded, unnormalizable model, a sum out of
+float range) exit 1.
 """
 
 
@@ -19,3 +20,7 @@ class EnumerationCapError(ZboundsError):
 
 class UnnormalizableError(ZboundsError):
     """The partition function is zero, so marginals do not exist."""
+
+
+class NumericRangeError(ZboundsError):
+    """An exact sum overflowed or is NaN, so no finite value can be returned."""

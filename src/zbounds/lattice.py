@@ -9,6 +9,7 @@ bitwise AND / OR whatever the coordinate-to-bit mapping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -210,8 +211,6 @@ def check_correlation_inequality(
     witness = None
     if not pointwise_ok:
         witness = int(np.argmax(bad_zero)) if bad_zero.any() else int(np.argmax(ratio))
-
-    import math
 
     sum_lhs = math.fsum(g)
     sum_rhs = 1.0

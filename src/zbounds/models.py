@@ -19,7 +19,12 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import EnumerationCapError, ModelError, UnnormalizableError
+from .errors import (
+    EnumerationCapError,
+    ModelError,
+    NumericRangeError,
+    UnnormalizableError,
+)
 
 VarId = Union[int, str]
 
@@ -30,8 +35,20 @@ DEFAULT_ENUMERATION_CAP = 1 << 26
 _DENSE_BLOCK = 1 << 22
 
 # Subset sums walk their 2^m masks in blocks of this many consecutive masks,
-# so the arrays of one block do not grow with 2^m.
+# and dense joints are built in slabs of at most this many states, so the
+# arrays of one block do not grow with the space.
 _MASK_BLOCK_BITS = 16
+
+# fsum_blocks: a lone array under _SMALL_SUM entries is cheaper to sum as
+# Python floats; larger streams go through the exponent buckets in chunks
+# of _SUM_CHUNK entries.  A bucket sum of at most _BUCKET_EXACT entries,
+# each below 2^27 units of its bucket's ulp, stays below 2^53 units: exact.
+_SMALL_SUM = 512
+_SUM_CHUNK = 1 << 14
+_BUCKET_EXACT = 1 << 26
+_BUCKETS = 1 << 12
+_EXPONENT_SHIFT = np.uint64(52)
+_HI_MASK = np.uint64((1 << 64) - (1 << 26))
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -249,30 +266,57 @@ def evaluate(model: FactorGraph, x: Assignment) -> float:
     return total
 
 
+def _joint_slabs(model: FactorGraph) -> Iterator[np.ndarray]:
+    """The joint weight tensor in C-order slabs, one per assignment of the
+    leading variables.
+
+    A slab spans the trailing axes, at most 2^_MASK_BLOCK_BITS entries
+    unless the last axis alone is longer.  Each entry is the product of the
+    node potentials in dict order, then the factors in model order, so it
+    equals the one-shot tensor bit for bit.  Every slab is written into the
+    same buffer, which the next slab overwrites.
+    """
+    axis = {v: k for k, v in enumerate(model.var_ids)}
+    shape = tuple(model.card(v) for v in model.var_ids)
+    n = len(shape)
+    terms = []
+    for v, pot in model.node_potentials.items():
+        vec_shape = [1] * n
+        vec_shape[axis[v]] = model.card(v)
+        terms.append(pot.reshape(vec_shape))
+    for fac in model.factors:
+        positions = [axis[v] for v in fac.scope]
+        arr = fac.table.as_ndarray().transpose(np.argsort(positions))
+        new_shape = [1] * n
+        for p in positions:
+            new_shape[p] = shape[p]
+        terms.append(arr.reshape(new_shape))
+    lead = max(n - 1, 0)
+    while lead > 0 and math.prod(shape[lead - 1 :]) <= 1 << _MASK_BLOCK_BITS:
+        lead -= 1
+    slab = np.empty(shape[lead:])
+    for states in itertools.product(*map(range, shape[:lead])):
+        slab.fill(1.0)
+        # overflow and inf * 0 surface in the checked sum, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in terms:
+                index = tuple(s if t.shape[a] > 1 else 0 for a, s in enumerate(states))
+                np.multiply(slab, t[index], out=slab)
+        yield slab
+
+
 def dense_joint(model: FactorGraph, limit: int = _DENSE_BLOCK) -> np.ndarray:
     """The full joint weight tensor, one axis per variable in model order."""
     if model.joint_size > limit:
         raise EnumerationCapError(
             f"joint space of {model.joint_size} states exceeds the dense limit {limit}"
         )
-    axis = {v: k for k, v in enumerate(model.var_ids)}
-    shape = tuple(model.card(v) for v in model.var_ids)
-    w = np.ones(shape)
-    n = len(shape)
-    for v, pot in model.node_potentials.items():
-        vec_shape = [1] * n
-        vec_shape[axis[v]] = model.card(v)
-        np.multiply(w, pot.reshape(vec_shape), out=w)
-    for fac in model.factors:
-        arr = fac.table.as_ndarray()
-        positions = [axis[v] for v in fac.scope]
-        order = np.argsort(positions)
-        arr = arr.transpose(order)
-        new_shape = [1] * n
-        for p in sorted(positions):
-            new_shape[p] = shape[p]
-        np.multiply(w, arr.reshape(new_shape), out=w)
-    return w
+    w = np.empty(model.joint_size)
+    start = 0
+    for slab in _joint_slabs(model):
+        w[start : start + slab.size] = slab.ravel()
+        start += slab.size
+    return w.reshape([model.card(v) for v in model.var_ids])
 
 
 def check_subset_cap(m: int, cap: int, what: str) -> None:
@@ -281,10 +325,74 @@ def check_subset_cap(m: int, cap: int, what: str) -> None:
         raise EnumerationCapError(f"2^{m} {what} subsets exceed the enumeration cap {cap}")
 
 
+def _checked_fsum(values) -> float:
+    """``math.fsum(values)``; NumericRangeError unless it is finite."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError) as exc:  # intermediate overflow, inf - inf
+        raise NumericRangeError(f"exact sum is out of float range ({exc})") from None
+    if not math.isfinite(total):
+        raise NumericRangeError(f"exact sum is {total}: a weight overflowed or is NaN")
+    return total
+
+
 def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
-    """``math.fsum`` over every entry of a stream of arrays, holding one
-    array at a time."""
-    return math.fsum(itertools.chain.from_iterable(b.ravel().tolist() for b in blocks))
+    """The correctly rounded sum of every entry of a stream of arrays, equal
+    to ``math.fsum`` over them, holding one array at a time.
+
+    Each entry splits into its top 27 significand bits and the exact rest.
+    Entries that share a sign and an exponent are multiples of one ulp, so
+    per (sign, exponent) bucket both parts sum exactly by ``np.bincount``
+    for up to _BUCKET_EXACT entries; ``math.fsum`` rounds the bucket sums
+    once.  A lone array under _SMALL_SUM entries goes to ``math.fsum``
+    directly.
+
+    Raises NumericRangeError when an entry or the sum is not finite, and
+    also when the entries of one sign and exponent alone overflow, even if
+    entries of the other sign would cancel them.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        return 0.0
+    if first.size < _SMALL_SUM:
+        # the next block may overwrite this one's buffer
+        first = first.copy()
+        second = next(blocks, None)
+        if second is None:
+            return _checked_fsum(first.ravel().tolist())
+        blocks = itertools.chain((first, second), blocks)
+    else:
+        blocks = itertools.chain((first,), blocks)
+    step = min(_SUM_CHUNK, _BUCKET_EXACT)
+    hi_sums = np.zeros(_BUCKETS)
+    lo_sums = np.zeros(_BUCKETS)
+    parts = []
+    count = 0
+    for block in blocks:
+        x = np.ascontiguousarray(block, dtype=float).ravel()
+        for start in range(0, x.size, step):
+            chunk = x[start : start + step]
+            if count + chunk.size > _BUCKET_EXACT:
+                _flush_buckets(parts, hi_sums, lo_sums)
+                count = 0
+            bits = chunk.view(np.uint64)
+            key = (bits >> _EXPONENT_SHIFT).view(np.int64)
+            part = (bits & _HI_MASK).view(float)
+            hi_sums += np.bincount(key, part, _BUCKETS)
+            with np.errstate(invalid="ignore"):  # inf - inf; caught below
+                np.subtract(chunk, part, out=part)
+            lo_sums += np.bincount(key, part, _BUCKETS)
+            count += chunk.size
+    _flush_buckets(parts, hi_sums, lo_sums)
+    return _checked_fsum(parts)
+
+
+def _flush_buckets(parts: list, hi_sums: np.ndarray, lo_sums: np.ndarray) -> None:
+    """Move the nonzero bucket sums into ``parts`` and zero the buckets."""
+    for sums in (hi_sums, lo_sums):
+        parts.extend(sums[sums != 0].tolist())
+        sums.fill(0.0)
 
 
 def mask_blocks(m: int) -> Iterator[np.ndarray]:
@@ -364,8 +472,11 @@ def condition(model: FactorGraph, vid: VarId, state: int) -> tuple:
 def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Partition function by exhaustive enumeration.
 
-    Summation is compensated (math.fsum) in a fixed deterministic order.
-    Refuses models whose joint space exceeds ``cap``.
+    Up to 2^22 states the joint is built in slabs of 2^16 entries and
+    summed correctly rounded (equal to ``math.fsum``); larger spaces
+    condition on their leading variables.  Refuses models whose joint space
+    exceeds ``cap``, and raises NumericRangeError when a weight or the sum
+    overflows or is NaN.
     """
     size = model.joint_size
     if size > cap:
@@ -377,14 +488,14 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
 
 def _partition_recursive(model: FactorGraph) -> float:
     if model.joint_size <= _DENSE_BLOCK:
-        w = dense_joint(model)
-        return math.fsum(w.ravel())
+        return fsum_blocks(_joint_slabs(model))
     vid = model.var_ids[0]
     parts = []
-    for s in range(model.card(vid)):
-        sub, scale = condition(model, vid, s)
-        parts.append(scale * _partition_recursive(sub))
-    return math.fsum(parts)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the checked sum
+        for s in range(model.card(vid)):
+            sub, scale = condition(model, vid, s)
+            parts.append(scale * _partition_recursive(sub))
+    return _checked_fsum(parts)
 
 
 @dataclass
@@ -426,14 +537,15 @@ def exact_marginals(
     """True node and factor marginals by enumeration.
 
     The output satisfies the local-consistency constraints by construction.
-    Raises UnnormalizableError when the partition function is zero.
+    Raises UnnormalizableError when the partition function is zero and
+    NumericRangeError when it overflows or is NaN.
     """
     if model.joint_size > cap:
         raise EnumerationCapError(
             f"joint space of {model.joint_size} states exceeds the marginals cap {cap}"
         )
     w = dense_joint(model)
-    z = math.fsum(w.ravel())
+    z = fsum_blocks((w,))
     if z <= 0.0:
         raise UnnormalizableError("partition function is zero; marginals undefined")
     axis = {v: k for k, v in enumerate(model.var_ids)}

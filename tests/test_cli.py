@@ -116,6 +116,23 @@ class TestCommands:
         res = runner.invoke(main, ["z", "--model", tree_file, "--cap", "4"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "tables",
+        [[[1e200] * 4, [1e200] * 4], [[1e308] * 4]],  # overflow in the products, in the sum
+    )
+    def test_z_overflow_exit_1(self, runner, tmp_path, tables):
+        doc = {
+            "variables": [{"id": "a", "cardinality": 2}, {"id": "b", "cardinality": 2}],
+            "factors": [
+                {"id": f"f{k}", "scope": ["a", "b"], "table": t} for k, t in enumerate(tables)
+            ],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["z", "--model", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "error: exact sum" in res.output and "Infinity" not in res.output
+
     def test_bp_matches_z_on_tree(self, runner, tree_file):
         res_z = runner.invoke(main, ["z", "--model", tree_file])
         res_bp = runner.invoke(main, ["bp", "--model", tree_file])

@@ -1,17 +1,27 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from zbounds.errors import EnumerationCapError, ModelError, UnnormalizableError
+from zbounds import models
+from zbounds.errors import (
+    EnumerationCapError,
+    ModelError,
+    NumericRangeError,
+    UnnormalizableError,
+)
 from zbounds.models import (
     FactorGraph,
     PotentialTable,
     condition,
+    dense_joint,
     evaluate,
     exact_marginals,
     exact_partition,
+    fsum_blocks,
 )
 
 
@@ -244,3 +254,196 @@ def test_potential_table_roundtrip():
     r = t.restrict(0, 1)
     assert r.cards == (3,)
     assert list(r.values) == [3.0, 4.0, 5.0]
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def split_stream(rng, x):
+    """``x`` as a stream of 1 to 8 blocks of random sizes."""
+    cuts = np.sort(rng.integers(0, x.size + 1, size=int(rng.integers(0, 8))))
+    return iter(np.split(x, cuts))
+
+
+class TestCorrectlyRoundedSum:
+    """``fsum_blocks`` must equal ``math.fsum`` over the same entries, bit
+    for bit, on the small path and through the exponent buckets."""
+
+    @pytest.mark.parametrize("size", [1, 40, 511, 512, 3000, 40000])
+    def test_random_arrays_equal_fsum(self, size):
+        rng = np.random.default_rng(size)
+        for trial in range(60):
+            scale = np.exp2(rng.integers(-1074, 1000, size).astype(float))
+            x = rng.standard_normal(size) * scale  # normals, subnormals, zeros
+            if trial % 3 == 0:
+                x = np.abs(x)
+            x[rng.random(size) < 0.05] = 0.0
+            x[rng.random(size) < 0.05] = -0.0
+            assert same_float(fsum_blocks(split_stream(rng, x)), math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1.0, 1e100, 1.0, -1e100],
+            [1.0, 2.0**-53],
+            [1.0 + 2.0**-52, 2.0**-53],
+            [1.0, 2.0**-53, 2.0**-106],
+            [5e-324, -5e-324, 0.0, -0.0],
+            [1e300, -1e300, 2.0**-1074],
+        ],
+    )
+    def test_cancellation_and_halfway_cases(self, entries):
+        rng = np.random.default_rng(len(entries))
+        for copies in (1, 300):  # small path, then the buckets
+            x = np.tile(entries, copies)
+            assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+            assert same_float(fsum_blocks(split_stream(rng, x)), math.fsum(x.tolist()))
+
+    def test_stream_of_many_blocks(self):
+        rng = np.random.default_rng(3)
+        blocks = [np.exp(rng.normal(0.0, 40.0, int(n))) for n in rng.integers(0, 700, 400)]
+        expected = math.fsum(np.concatenate(blocks).tolist())
+        assert same_float(fsum_blocks(iter(blocks)), expected)
+        assert fsum_blocks([]) == 0.0 and fsum_blocks([np.empty(0)]) == 0.0
+
+    def test_reused_buffer_after_small_first_block(self):
+        # a producer may overwrite one buffer per block, as _joint_slabs does
+        def stream():
+            buf = np.empty(5)
+            for k in range(4):
+                buf[:] = np.arange(5) * 10.0**k + 0.1
+                yield buf
+
+        expected = math.fsum(np.concatenate([np.arange(5) * 10.0**k + 0.1 for k in range(4)]))
+        assert fsum_blocks(stream()) == expected
+
+    def test_flush_path(self, monkeypatch):
+        # buckets flushed every 7 entries still sum to the same value
+        monkeypatch.setattr(models, "_BUCKET_EXACT", 7)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(5000) * np.exp2(rng.integers(-60, 60, 5000).astype(float))
+        x[::11] = 2.0**-53
+        assert same_float(fsum_blocks(split_stream(rng, x)), math.fsum(x.tolist()))
+
+
+def one_shot_dense_joint(model):
+    """The joint tensor built in one array, as before slabs."""
+    axis = {v: k for k, v in enumerate(model.var_ids)}
+    shape = tuple(model.card(v) for v in model.var_ids)
+    w = np.ones(shape)
+    n = len(shape)
+    for v, pot in model.node_potentials.items():
+        vec_shape = [1] * n
+        vec_shape[axis[v]] = model.card(v)
+        np.multiply(w, pot.reshape(vec_shape), out=w)
+    for fac in model.factors:
+        positions = [axis[v] for v in fac.scope]
+        arr = fac.table.as_ndarray().transpose(np.argsort(positions))
+        new_shape = [1] * n
+        for p in sorted(positions):
+            new_shape[p] = shape[p]
+        np.multiply(w, arr.reshape(new_shape), out=w)
+    return w
+
+
+def slab_models():
+    rng = np.random.default_rng(8)
+    cards = [3, 1, 2, 4, 2, 3]
+    variables = list(enumerate(cards))
+    factors = [
+        ("c", (), [2.5]),
+        ("a", (3, 0), rng.uniform(0.1, 2.0, 12)),
+        ("b", (5, 2, 1), rng.uniform(0.1, 2.0, 6)),
+        ("z", (4, 3), [0.0, 1.5, 0.0, 2.0, 1.0, 0.0, 3.0, 0.5]),
+        ("d", (1,), [0.7]),
+    ]
+    reverse_pots = {v: rng.uniform(0.1, 2.0, c) for v, c in reversed(variables)}
+    return {
+        "reverse potentials, constant, card 1, zeros": FactorGraph(
+            variables, factors, reverse_pots
+        ),
+        "no variables": FactorGraph([], [("c", (), [3.0]), ("k", (), [0.25])]),
+        "no factors": FactorGraph([("x", 5)], [], {"x": [1.0, 0.0, 2.0, 0.5, 3.0]}),
+        "all card 1": FactorGraph([(0, 1), (1, 1)], [("f", (1, 0), [4.0])], {0: [0.5]}),
+    }
+
+
+class TestJointSlabs:
+    """``dense_joint`` and the dense sum read the joint in slabs; each
+    entry must be the product formed by the one-shot tensor."""
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 16])
+    @pytest.mark.parametrize("name", list(slab_models()))
+    def test_equals_one_shot_joint(self, monkeypatch, bits, name):
+        # slabs of 2^bits entries slice several leading axes
+        monkeypatch.setattr(models, "_MASK_BLOCK_BITS", bits)
+        model = slab_models()[name]
+        expected = one_shot_dense_joint(model)
+        w = dense_joint(model)
+        assert w.shape == expected.shape and np.array_equal(w, expected)
+        assert exact_partition(model) == math.fsum(expected.ravel().tolist())
+
+    def test_memory_bounded_by_slab(self):
+        # 2^22 states: the one-shot joint alone would take 32 MiB
+        rng = np.random.default_rng(9)
+        n = 22
+        factors = [(f"e{i}", (i, i + 1), rng.uniform(0.5, 1.5, 4)) for i in range(n - 1)]
+        pots = {i: rng.uniform(0.5, 1.5, 2) for i in range(n)}
+        model = FactorGraph([(i, 2) for i in range(n)], factors, pots)
+        tracemalloc.start()
+        try:
+            z = exact_partition(model)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+        assert z == math.fsum(one_shot_dense_joint(model).ravel().tolist())
+
+
+class TestNonFiniteRefused:
+    """A weight or a sum beyond the float range raises NumericRangeError,
+    never returns inf or NaN, and warns nothing."""
+
+    def _models(self):
+        two = [(0, 2), (1, 2)]
+        return [
+            FactorGraph(two, [("f", (0, 1), [1e200] * 4), ("g", (0, 1), [1e200] * 4)]),
+            FactorGraph(two, [("f", (0, 1), [1e308] * 4)]),
+            FactorGraph(  # inf * 0 is NaN
+                two,
+                [
+                    ("f", (0, 1), [1e200] * 4),
+                    ("g", (0, 1), [1e200] * 4),
+                    ("h", (0, 1), [0.0, 1.0, 1.0, 1.0]),
+                ],
+            ),
+        ]
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_exact_partition_and_marginals(self):
+        for model in self._models():
+            with pytest.raises(NumericRangeError):
+                exact_partition(model)
+            with pytest.raises(NumericRangeError):
+                exact_marginals(model)
+
+    def test_conditioned_path(self, monkeypatch):
+        # each conditioned part is finite; their scaled sum is not
+        monkeypatch.setattr(models, "_DENSE_BLOCK", 2)
+        model = FactorGraph(
+            [(0, 2), (1, 2)], [("f", (1,), [1e200, 1e200])], {0: [1e200, 1e200]}
+        )
+        with pytest.raises(NumericRangeError):
+            exact_partition(model)
+
+    @pytest.mark.parametrize("copies", [1, 600])
+    def test_sum_of_finite_entries(self, copies):
+        for entries in ([1e308, 1e308], [1.0, math.inf], [1.0, math.nan], [math.inf, -math.inf]):
+            with pytest.raises(NumericRangeError):
+                fsum_blocks([np.tile(entries, copies)])
