@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, NumericRangeError
 from .models import FactorGraph, PseudoMarginals
 
 _NEG_INF = float("-inf")
@@ -141,6 +141,32 @@ class BPState:
     converged: bool
 
 
+class _Group(NamedTuple):
+    """The factors of one table shape: their indices in model order, their
+    tables stacked as (factors, *shape), the stack's ``_log_support`` pair,
+    and per scope position the (factors,) variable indices and message
+    slots."""
+
+    factors: list
+    tables: np.ndarray
+    support: np.ndarray
+    log_table: np.ndarray
+    scopes: np.ndarray
+    slots: np.ndarray
+
+
+class _Card(NamedTuple):
+    """The variables of one cardinality: their indices, node potentials
+    stacked as (variables, card), and a (variables, max degree) incidence
+    array of message slots whose padding points at the slot after the
+    last, which BP keeps at ones; ``valid`` marks the real entries."""
+
+    members: list
+    phis: np.ndarray
+    incidence: np.ndarray
+    valid: np.ndarray
+
+
 class _Graph:
     """One model's constants for the Bethe layer, compiled once per call.
 
@@ -154,6 +180,13 @@ class _Graph:
     ``factor_logs`` the table's ``_log_support`` pair.  ``potential_order``
     lists the variables with a node potential in the order
     ``models.evaluate`` multiplies them.
+
+    The engines run on stacked arrays.  ``groups`` holds one ``_Group`` per
+    table shape, in order of first appearance.  Every (factor, scope
+    position) pair owns a BP message slot among the pairs of its variable's
+    cardinality: ``slots`` holds each factor's slots by position, and
+    ``by_card`` one ``_Card`` per cardinality.  Slots are numbered variable
+    by variable, each variable's in its incidence order.
     """
 
     def __init__(self, model: FactorGraph) -> None:
@@ -173,7 +206,7 @@ class _Graph:
         self.incident = [[] for _ in self.var_ids]
         for fi, fac in enumerate(model.factors):
             table = fac.table.as_ndarray()
-            if table.sum() == 0:
+            if not table.any():
                 raise ModelError(f"factor {fac.id!r} has an all-zero table")
             scope = tuple(vpos[v] for v in fac.scope)
             self.factors.append((fac.id, scope, table))
@@ -181,6 +214,29 @@ class _Graph:
             for pos, vi in enumerate(scope):
                 self.incident[vi].append((fi, pos))
         self.mean_field = [self._mean_field_terms(vi) for vi in range(len(self.var_ids))]
+        self.slots = [[0] * len(scope) for _fid, scope, _table in self.factors]
+        self.by_card = {}
+        for card in dict.fromkeys(self.cards):
+            members = [vi for vi, c in enumerate(self.cards) if c == card]
+            degree = max(len(self.incident[vi]) for vi in members)
+            count = sum(len(self.incident[vi]) for vi in members)
+            incidence = np.full((len(members), degree), count)
+            slot = 0
+            for row, vi in enumerate(members):
+                for d, (fi, pos) in enumerate(self.incident[vi]):
+                    incidence[row, d] = self.slots[fi][pos] = slot
+                    slot += 1
+            phis = np.array([self.phis[vi] for vi in members])
+            self.by_card[card] = _Card(members, phis, incidence, incidence < count)
+        shapes = {}
+        for fi, (_fid, _scope, table) in enumerate(self.factors):
+            shapes.setdefault(table.shape, []).append(fi)
+        self.groups = []
+        for members in shapes.values():
+            tables = np.array([self.factors[fi][2] for fi in members])
+            scopes = np.array([self.factors[fi][1] for fi in members], dtype=int).T
+            slots = np.array([self.slots[fi] for fi in members], dtype=int).T
+            self.groups.append(_Group(members, tables, *_log_support(tables), scopes, slots))
 
     def _mean_field_terms(self, vi: int) -> tuple:
         """Variable vi's log node potential (-inf at zeros) and, per incident
@@ -208,90 +264,97 @@ class _Graph:
 
 
 def _normalize_rows(msg: np.ndarray) -> np.ndarray:
-    s = msg.sum(axis=1, keepdims=True)
+    """msg normalized along its last axis; a vector summing to 0 becomes
+    uniform."""
+    s = msg.sum(axis=-1, keepdims=True)
     bad = s <= 0
     if bad.any():
         msg = np.where(bad, 1.0, msg)
-        s = np.where(bad, msg.shape[1], s)
+        s = np.where(bad, msg.shape[-1], s)
     return msg / s
 
 
-def _init_messages(g: _Graph, restarts: int, seed: int | None) -> list:
-    """Per-factor lists of (restarts, card) message arrays.
+def _init_messages(g: _Graph, restarts: int, seed: int | None) -> dict:
+    """Variable-to-factor messages: per cardinality, a (restarts, slots,
+    card) array.
 
     Restart 0 is the uniform initialization; the rest are random positive,
-    deterministic given the seed.
+    deterministic given the seed, drawn factor by factor in model order.
     """
     rng = np.random.default_rng(seed if seed is not None else 0)
-    v2f = []
-    for _fid, scope, _table in g.factors:
-        msgs = []
-        for vi in scope:
+    v2f = {c: np.empty((restarts, card.valid.sum(), c)) for c, card in g.by_card.items()}
+    for (_fid, scope, _table), slots in zip(g.factors, g.slots):
+        for vi, slot in zip(scope, slots):
             c = g.cards[vi]
             m = rng.uniform(0.05, 1.0, size=(restarts, c))
             m[0, :] = 1.0
-            msgs.append(_normalize_rows(m))
-        v2f.append(msgs)
+            v2f[c][:, slot] = _normalize_rows(m)
     return v2f
 
 
-def _factor_to_var_sweep(g: _Graph, v2f: list) -> list:
-    out = []
-    for fi, (_fid, scope, table) in enumerate(g.factors):
-        k = len(scope)
-        restarts = v2f[fi][0].shape[0] if k else 1
-        msgs = []
-        for pos in range(k):
-            t = np.broadcast_to(table[None, ...], (restarts,) + table.shape).copy()
-            for l in range(k):
-                if l == pos:
-                    continue
-                shape = [restarts] + [1] * k
-                shape[1 + l] = g.cards[scope[l]]
-                t = t * v2f[fi][l].reshape(shape)
-            axes = tuple(1 + l for l in range(k) if l != pos)
-            m = t.sum(axis=axes) if axes else t
-            msgs.append(_normalize_rows(m))
-        out.append(msgs)
-    return out
+def _factor_to_var(g: _Graph, v2f: dict, restarts: int) -> dict:
+    """Factor-to-variable messages from v2f: per cardinality, a (restarts,
+    slots + 1, card) array whose last slot is the ones that pad
+    ``_Card.incidence``.  One product and sum per table shape and scope
+    position."""
+    f2v = {c: np.ones((restarts, v.shape[1] + 1, c)) for c, v in v2f.items()}
+    for grp in g.groups:
+        shape = grp.tables.shape[1:]
+        incoming = [v2f[c][:, slots] for c, slots in zip(shape, grp.slots)]
+        for pos, (c, slots) in enumerate(zip(shape, grp.slots)):
+            if len(shape) == 1:
+                m = np.broadcast_to(grp.tables, (restarts,) + grp.tables.shape)
+            else:
+                # axes: 0 factor, 1 restart, 2 + l table axis l
+                operands = [grp.tables, [0, *range(2, 2 + len(shape))]]
+                for l, msg in enumerate(incoming):
+                    if l != pos:
+                        operands += [msg, [1, 0, 2 + l]]
+                m = np.einsum(*operands, [1, 0, 2 + pos])
+            f2v[c][:, slots] = _normalize_rows(m)
+    return f2v
 
 
-def _var_to_factor_sweep(g: _Graph, f2v: list) -> list:
-    out = [[None] * len(scope) for _fid, scope, _t in g.factors]
-    for vi in range(len(g.var_ids)):
-        inc = g.incident[vi]
-        for fi, pos in inc:
-            m = np.broadcast_to(
-                g.phis[vi][None, :], f2v[fi][pos].shape
-            ).copy()
-            for fj, pos2 in inc:
-                if fj == fi and pos2 == pos:
-                    continue
-                m = m * f2v[fj][pos2]
-            out[fi][pos] = _normalize_rows(m)
-    return out
+def _var_to_factor(g: _Graph, f2v: dict) -> dict:
+    """Variable-to-factor messages: each slot's node potential times the
+    variable's other incoming messages, the leave-one-out products taken by
+    exclusive prefix and suffix products over the incidence."""
+    v2f = {}
+    for c, card in g.by_card.items():
+        inc = f2v[c][:, card.incidence]  # (restarts, variables, max degree, c)
+        ones = np.ones(inc.shape[:2] + (1, c))
+        before = np.cumprod(np.concatenate([ones, inc[:, :, :-1]], axis=2), axis=2)
+        after = np.cumprod(np.concatenate([ones, inc[:, :, :0:-1]], axis=2), axis=2)
+        m = card.phis[:, None] * before * after[:, :, ::-1]
+        v2f[c] = _normalize_rows(m[:, card.valid])
+    return v2f
 
 
-def _node_beliefs(g: _Graph, f2v: list, restart: int) -> list:
-    node = []
-    for vi in range(len(g.var_ids)):
-        b = g.phis[vi].copy()
-        for fi, pos in g.incident[vi]:
-            b = b * f2v[fi][pos][restart]
-        s = b.sum()
-        node.append(b / s if s > 0 else np.full(b.size, 1.0 / b.size))
+def _node_beliefs(g: _Graph, f2v: dict) -> list:
+    """Per variable, the (restarts, card) normalized product of its node
+    potential and incoming messages, multiplied in incidence order."""
+    node = [None] * len(g.var_ids)
+    for c, card in g.by_card.items():
+        inc = f2v[c][:, card.incidence]
+        b = np.broadcast_to(card.phis, inc.shape[:2] + (c,))
+        for d in range(inc.shape[2]):
+            b = b * inc[:, :, d]
+        b = _normalize_rows(b)
+        for row, vi in enumerate(card.members):
+            node[vi] = b[:, row]
     return node
 
 
-def _beliefs(g: _Graph, v2f: list, f2v: list, restart: int) -> PseudoMarginals:
-    node = dict(zip(g.var_ids, _node_beliefs(g, f2v, restart)))
+def _beliefs(g: _Graph, v2f: dict, f2v: dict) -> PseudoMarginals:
+    """Restart 0's node and factor beliefs."""
+    node = dict(zip(g.var_ids, (b[0] for b in _node_beliefs(g, f2v))))
     factor = {}
-    for fi, (fid, scope, table) in enumerate(g.factors):
+    for (fid, scope, table), slots in zip(g.factors, g.slots):
         t = table.copy()
-        for pos, vi in enumerate(scope):
+        for pos, (vi, slot) in enumerate(zip(scope, slots)):
             shape = [1] * len(scope)
             shape[pos] = g.cards[vi]
-            t = t * v2f[fi][pos][restart].reshape(shape)
+            t = t * v2f[g.cards[vi]][0, slot].reshape(shape)
         s = t.sum()
         factor[fid] = t / s if s > 0 else np.full(t.shape, 1.0 / t.size)
     return PseudoMarginals(node=node, factor=factor)
@@ -299,35 +362,26 @@ def _beliefs(g: _Graph, v2f: list, f2v: list, restart: int) -> PseudoMarginals:
 
 def _bp_engine(
     g: _Graph,
-    v2f: list,
+    v2f: dict,
     max_iters: int,
     tol: float,
     damping: float,
 ) -> tuple:
     """Damped synchronous sweeps until every restart's residual is < tol."""
-    # a constant factor (empty scope) has no messages
-    restarts = next((msgs[0].shape[0] for msgs in v2f if msgs), 1)
-    f2v = _factor_to_var_sweep(g, v2f)
+    # a model without variables has no messages
+    restarts = next(iter(v2f.values())).shape[0] if v2f else 1
+    f2v = _factor_to_var(g, v2f, restarts)
     residual = np.full(restarts, np.inf)
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new_v2f = _var_to_factor_sweep(g, f2v)
-        new_f2v = _factor_to_var_sweep(g, new_v2f)
-        res = np.zeros(restarts)
-        for fi in range(len(g.factors)):
-            for pos in range(len(g.factors[fi][1])):
-                d1 = np.abs(new_v2f[fi][pos] - v2f[fi][pos]).max(axis=1)
-                d2 = np.abs(new_f2v[fi][pos] - f2v[fi][pos]).max(axis=1)
-                res = np.maximum(res, np.maximum(d1, d2))
-        residual = res
-        for fi in range(len(g.factors)):
-            for pos in range(len(g.factors[fi][1])):
-                v2f[fi][pos] = (
-                    damping * v2f[fi][pos] + (1.0 - damping) * new_v2f[fi][pos]
-                )
-                f2v[fi][pos] = (
-                    damping * f2v[fi][pos] + (1.0 - damping) * new_f2v[fi][pos]
-                )
+        new_v2f = _var_to_factor(g, f2v)
+        new_f2v = _factor_to_var(g, new_v2f, restarts)
+        residual = np.zeros(restarts)
+        for c in v2f:
+            for old, new in ((v2f[c], new_v2f[c]), (f2v[c], new_f2v[c])):
+                residual = np.maximum(residual, np.abs(new - old).max(axis=(1, 2), initial=0.0))
+            v2f[c] = damping * v2f[c] + (1.0 - damping) * new_v2f[c]
+            f2v[c] = damping * f2v[c] + (1.0 - damping) * new_f2v[c]
         if np.all(residual < tol):
             break
     return v2f, f2v, iterations, residual
@@ -351,9 +405,9 @@ def run_bp(
     if init is None:
         v2f = _init_messages(g, 1, None)
     else:
-        v2f = [[m[1:2] for m in msgs] for msgs in _init_messages(g, 2, init)]
+        v2f = {c: m[1:2] for c, m in _init_messages(g, 2, init).items()}
     v2f, f2v, iterations, residual = _bp_engine(g, v2f, max_iters, tol, damping)
-    tau = _beliefs(g, v2f, f2v, 0)
+    tau = _beliefs(g, v2f, f2v)
     state = BPState(
         damping=damping,
         iterations=iterations,
@@ -371,24 +425,26 @@ def run_bp(
 
 # an infeasible row never converges, and its scalings may overflow
 @np.errstate(over="ignore", divide="ignore")
-def _ipf(kernel: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
+def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
          tol: float = 1e-13) -> tuple:
-    """Iterative proportional fitting of ``kernel`` onto rows of margins.
+    """Iterative proportional fitting of each of a stack of kernels onto its
+    row of margins.
 
-    ``margins`` holds one (rows, card) array per kernel axis, and each row
-    is fitted on its own.  A row stops once a sweep leaves its residual
-    below ``tol``, so it makes the same sweeps as when fitted alone.  Each
-    row converges to the maximizer of <tau, log kernel> + H(tau) subject to
-    its margin constraints whenever they are feasible for the kernel's
-    support.  Returns (tables of shape (rows,) + kernel.shape, residuals,
-    log-scalings): a residual that stays large means the row's margins are
-    infeasible for the support, and the log-scalings hold one (rows, card)
-    array per axis, the log of the product of every scaling applied along
-    it (-inf where a state's scaling reached 0).  They are the Lagrange
-    multipliers of the margin constraints, up to a constant per axis.
+    ``kernels`` has shape (rows, *shape) and ``margins`` holds one (rows,
+    card) array per table axis; each row is fitted on its own.  A row stops
+    once a sweep leaves its residual below ``tol``, so it makes the same
+    sweeps as when fitted alone.  Each row converges to the maximizer of
+    <tau, log kernel> + H(tau) subject to its margin constraints whenever
+    they are feasible for the kernel's support.  Returns (tables of the
+    kernels' shape, residuals, log-scalings): a residual that stays large
+    means the row's margins are infeasible for the support, and the
+    log-scalings hold one (rows, card) array per axis, the log of the
+    product of every scaling applied along it (-inf where a state's scaling
+    reached 0).  They are the Lagrange multipliers of the margin
+    constraints, up to a constant per axis.
     """
-    t = np.asarray(kernel, dtype=float)
-    t = np.repeat((t / t.sum())[None], len(margins[0]), axis=0)
+    t = np.asarray(kernels, dtype=float)
+    t = t / t.sum(axis=tuple(range(1, t.ndim)), keepdims=True)
     residual = np.zeros(len(t))
     scale = [np.ones(target.shape) for target in margins]
     # the rows still sweeping: their indices, tables, margins and scalings
@@ -422,22 +478,11 @@ def _ipf(kernel: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
     return t, residual, [np.log(s) for s in scale]
 
 
-def _envelope(g: _Graph, nu: list) -> tuple:
-    """Best Bethe value over factor beliefs consistent with node beliefs nu,
-    for a batch of rows.
-
-    ``nu`` holds one (rows, card) array per variable; a model without
-    variables has one row, its empty profile.  The inner problems
-    decouple per factor and are solved by IPF, one pass over the rows, so
-    the returned beliefs always satisfy the consistency constraints (up to
-    IPF tolerance).  Returns (values, factor beliefs by id per row, and per
-    variable the (rows, card) sum of its factors' IPF log-scalings).  A row
-    whose margins are infeasible for a table's support, or whose mass sits
-    on a zero, scores -inf with ``{}``; its log-scalings are meaningless.
-    Each row's terms are added in the same order as for that row alone, so
-    its value and beliefs do not depend on the other rows.
-    """
-    rows = len(nu[0]) if nu else 1
+def _node_terms(g: _Graph, nu: list, rows: int) -> tuple:
+    """Per row of node beliefs nu (one (rows, card) array per variable):
+    the sum over variables of <nu_i, log phi_i> + H(nu_i), added variable
+    by variable, whether mass sits on a zero of a node potential, and each
+    variable's (rows,) entropies."""
     entropy = [_entropy(ni) for ni in nu]
     value = np.zeros(rows)
     dead = np.zeros(rows, dtype=bool)
@@ -447,17 +492,50 @@ def _envelope(g: _Graph, nu: list) -> tuple:
             dead |= blocked
             value += e
         value += entropy[u]
+    return value, dead, entropy
+
+
+def _envelope(g: _Graph, nu: list) -> tuple:
+    """Best Bethe value over factor beliefs consistent with node beliefs nu,
+    for a batch of rows.
+
+    ``nu`` holds one (rows, card) array per variable; a model without
+    variables has one row, its empty profile.  The inner problems
+    decouple per factor and are solved by IPF, one call per table shape
+    over the rows of all its factors, so the returned beliefs always
+    satisfy the consistency constraints (up to IPF tolerance).  Returns
+    (values, factor beliefs by id per row, and per variable the (rows,
+    card) sum of its factors' IPF log-scalings).  A row whose margins are
+    infeasible for a table's support, or whose mass sits on a zero, scores
+    -inf with ``{}``; its log-scalings are meaningless.  Each row's terms
+    are added factor by factor in model order, as for that row alone, so
+    its value and beliefs do not depend on the other rows.
+    """
+    rows = len(nu[0]) if nu else 1
+    value, dead, entropy = _node_terms(g, nu, rows)
     lam = [np.zeros(ni.shape) for ni in nu]
     factor_beliefs = [{} for _ in range(rows)]
-    for fi, (fid, scope, table) in enumerate(g.factors):
-        # a row that is already -inf skips its later factors
-        live = np.flatnonzero(~dead)
-        if not live.size:
-            break
-        if scope:
-            t, residual, log_scale = _ipf(table, [nu[u][live] for u in scope])
-        else:  # a constant factor: belief 1, so the row gains its log value
-            t, residual, log_scale = np.ones(live.size), np.zeros(live.size), []
+    # rows the node terms have killed are not fitted
+    live = np.flatnonzero(~dead)
+    if not live.size:
+        return np.full(rows, _NEG_INF), factor_beliefs, lam
+    fits = [None] * len(g.factors)
+    for grp in g.groups:
+        # one row per (factor, live row), factor-major
+        size = (len(grp.factors), live.size)
+        if len(grp.scopes):
+            kernels = np.repeat(grp.tables, live.size, axis=0)
+            margins = [np.concatenate([nu[u][live] for u in col]) for col in grp.scopes]
+            t, residual, log_scale = _ipf(kernels, margins)
+        else:  # constant factors: belief 1, so each row gains its log value
+            t, residual, log_scale = np.ones(size).ravel(), np.zeros(size).ravel(), []
+        t = t.reshape(size + t.shape[1:])
+        residual = residual.reshape(size)
+        log_scale = [ls.reshape(size + ls.shape[1:]) for ls in log_scale]
+        for j, fi in enumerate(grp.factors):
+            fits[fi] = t[j], residual[j], [ls[j] for ls in log_scale]
+    for fi, (fid, scope, _table) in enumerate(g.factors):
+        t, residual, log_scale = fits[fi]
         e, blocked = _energy(t, *g.factor_logs[fi])
         # residual above 1e-8: margins infeasible for the table's support;
         # no consistent factor belief exists, so the row is invalid
@@ -549,18 +627,16 @@ def _polish_nu(g: _Graph, nu: list, steps: int) -> tuple:
     return best_nu, best_factors, best_val
 
 
-def product_beliefs(model: FactorGraph, nu: Mapping) -> PseudoMarginals:
-    """Fully factorized beliefs: factor beliefs are outer products of nu."""
-    node = {v: np.asarray(nu[v], dtype=float) for v in model.var_ids}
-    factor = {}
-    for fac in model.factors:
-        t = np.ones(())
-        for pos, v in enumerate(fac.scope):
-            shape = [1] * len(fac.scope)
-            shape[pos] = model.card(v)
-            t = t * node[v].reshape(shape)
-        factor[fac.id] = t
-    return PseudoMarginals(node=node, factor=factor)
+def partition_from_log(log_z: float, what: str) -> float:
+    """exp(log_z), 0 for -inf; NumericRangeError when it overflows."""
+    if log_z == _NEG_INF:
+        return 0.0
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise NumericRangeError(
+            f"{what} is out of float range (log Z = {float(log_z)!r})"
+        ) from None
 
 
 DEFAULT_MAX_VARS = 20
@@ -595,16 +671,18 @@ def maximize_bethe(
     candidate through the envelope, and polishes the best few by feasible
     ascent.  The returned value is exp of the best objective seen; it is a
     lower bound on the true Bethe optimum (the remaining gap is not
-    quantified).
+    quantified).  Raises NumericRangeError when that value, or the Z_MF
+    computed on the way (Z_MF <= Z_B), is beyond the float range.
     """
     _check_budget(model, max_vars, max_factors)
     g = _Graph(model)
-    candidates = []
+    # blocks of candidate rows, one (rows, card) array per variable each
+    blocks = []
 
     if g.factors:
         v2f = _init_messages(g, max(1, restarts), seed)
         v2f, f2v, _iters, _residual = _bp_engine(g, v2f, bp_iters, bp_tol, damping)
-        candidates.extend(_node_beliefs(g, f2v, r) for r in range(max(1, restarts)))
+        blocks.append(_node_beliefs(g, f2v))
 
     mf_nu, _mf_value = mean_field(
         model,
@@ -613,11 +691,11 @@ def maximize_bethe(
         max_vars=max_vars,
         max_factors=max_factors,
     )
-    candidates.append([mf_nu[v] for v in g.var_ids])
-    candidates.append([np.full(card, 1.0 / card) for card in g.cards])
-    candidates.append(g.start)  # field-proportional
+    blocks.append([mf_nu[v][None] for v in g.var_ids])
+    blocks.append([np.full((1, card), 1.0 / card) for card in g.cards])
+    blocks.append([s[None] for s in g.start])  # field-proportional
 
-    nu = _clean_nu(g, [np.array([c[vi] for c in candidates]) for vi in range(len(g.cards))])
+    nu = _clean_nu(g, [np.concatenate([b[vi] for b in blocks]) for vi in range(len(g.cards))])
     values, factors, _lam = _envelope(g, nu)
     # a stable sort: ties keep candidate order; a model without variables
     # has one row
@@ -632,7 +710,7 @@ def maximize_bethe(
                 best_val, best_nu, best_factors = r_val, r_nu, r_factors
 
     tau = PseudoMarginals(node=dict(zip(g.var_ids, best_nu)), factor=dict(best_factors))
-    return tau, math.exp(best_val) if best_val != _NEG_INF else 0.0
+    return tau, partition_from_log(best_val, "Bethe partition function")
 
 
 def mean_field(
@@ -649,7 +727,8 @@ def mean_field(
     Maximizes the Bethe objective restricted to fully factorized beliefs
     (where the factor-correlation term vanishes), so the result never
     exceeds the Bethe optimum and always lower-bounds the true partition
-    function.  Returns (node marginals, Z_MF).
+    function.  Returns (node marginals, Z_MF); raises NumericRangeError when
+    Z_MF is beyond the float range.
 
     All restarts advance together, one row each in ``(restarts, card)``
     belief arrays; a restart whose sweep changes no belief by ``tol`` or
@@ -680,18 +759,36 @@ def mean_field(
         if active.size == 0:
             break
 
-    best_val = _NEG_INF
-    best_nu = None
-    for r in range(len(inits)):
-        nu_map = {g.var_ids[vi]: nu[vi][r] for vi in range(n)}
-        val = bethe_objective(model, product_beliefs(model, nu_map), validate=False)
-        if val > best_val:
-            best_val = val
-            best_nu = nu_map
-    if best_nu is None:
-        best_nu = dict(zip(g.var_ids, g.start))
-    z = math.exp(best_val) if best_val != _NEG_INF else 0.0
-    return best_nu, z
+    values = _mean_field_values(g, nu, len(inits))
+    best = int(np.argmax(values))  # the first of equal maxima
+    if values[best] == _NEG_INF:
+        return dict(zip(g.var_ids, g.start)), 0.0
+    best_nu = {v: b[best] for v, b in zip(g.var_ids, nu)}
+    return best_nu, partition_from_log(values[best], "mean-field partition function")
+
+
+def _mean_field_values(g: _Graph, nu: list, rows: int) -> np.ndarray:
+    """The Bethe objective at the product beliefs of each row of nu, in
+    closed form.
+
+    At product beliefs every factor's entropy cancels against its
+    variables' correction terms, so a row scores its node terms plus, per
+    factor, the expectation of log psi under the product of its scope's
+    beliefs; -inf where mass sits on a zero of a potential.
+    """
+    value, dead, _ = _node_terms(g, nu, rows)
+    for grp in g.groups:
+        shape = grp.tables.shape
+        w = np.ones((rows,) + (1,) * len(shape))
+        for l, col in enumerate(grp.scopes):
+            axes = [rows, shape[0]] + [1] * (len(shape) - 1)
+            axes[2 + l] = shape[1 + l]
+            w = w * np.stack([nu[u] for u in col], axis=1).reshape(axes)
+        e, blocked = _energy(w, grp.support, grp.log_table)
+        value += e
+        dead |= blocked
+    value[dead] = _NEG_INF
+    return value
 
 
 def _mean_field_sweep(nu: list, plan: list, restarts: int) -> np.ndarray:
@@ -719,6 +816,8 @@ def _mean_field_sweep(nu: list, plan: list, restarts: int) -> np.ndarray:
     return delta
 
 
+# a weight that overflows to inf still marks a positive assignment
+@np.errstate(over="ignore")
 def _positive_assignment_init(g: _Graph, rng, tries: int = 200):
     """One-hot beliefs at a sampled positive-weight assignment, if found.
 

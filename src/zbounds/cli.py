@@ -20,7 +20,7 @@ from . import covers as covers_mod
 from . import matroid as matroid_mod
 from . import potts as potts_mod
 from . import verify as verify_mod
-from .bethe import maximize_bethe, mean_field, run_bp
+from .bethe import maximize_bethe, mean_field, partition_from_log, run_bp
 from .errors import (
     EnumerationCapError,
     ModelError,
@@ -132,7 +132,7 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
         )
         out = {
             "log_z_bethe_at_fixed_point": value,
-            "z_bethe_at_fixed_point": math.exp(value) if value != float("-inf") else 0.0,
+            "z_bethe_at_fixed_point": partition_from_log(value, "Bethe value at the fixed point"),
             "converged": state.converged,
             "iterations": state.iterations,
             "residual": state.residual,

@@ -1,14 +1,16 @@
 """Write tests/data/pinned_bethe.json from the current Bethe layer.
 
 Run from the repository root with ``python3 tests/data/record_pinned_bethe.py``.
-It records the three sections that ``tests/test_bethe.py`` pins with ==, at
+It records the four sections that ``tests/test_bethe.py`` pins with ==, at
 the settings documented above ``PINNED_BETHE`` there:
 
 - ``maximize_bethe``: each pinned model at restarts 8 and seed 1, and at
   restarts 16 and seed 4, with refine_steps=10 and refine_top=2;
 - ``run_bp``: each pinned model with init None and init 5;
 - ``maximize_bethe_long``: the four counterexample conventions at
-  restarts=64, seed=0, refine_steps=120 and refine_top=3.
+  restarts=64, seed=0, refine_steps=120 and refine_top=3;
+- ``mean_field``: each pinned model except the counterexample at restarts 8
+  and seed 1, and at restarts 16 and seed 4.
 
 Re-record only after a change that is meant to move the pins, and list every
 pin that moved in the change's notes.
@@ -23,9 +25,9 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
-from test_bethe import _pinned_bethe_models  # noqa: E402
+from test_bethe import _pinned_bethe_models, _pinned_models  # noqa: E402
 
-from zbounds.bethe import maximize_bethe, run_bp  # noqa: E402
+from zbounds.bethe import maximize_bethe, mean_field, run_bp  # noqa: E402
 from zbounds.potts import build_counterexample  # noqa: E402
 
 CONVENTIONS = ["unordered/direct", "unordered/exp", "ordered/direct", "ordered/exp"]
@@ -61,7 +63,15 @@ def record() -> dict:
         model = build_counterexample(*key.split("/"))
         tau, zb = maximize_bethe(model, restarts=64, seed=0, refine_steps=120, refine_top=3)
         long[key] = {"z_bethe": zb, **_tables(tau, model)}
-    return {"maximize_bethe": short, "run_bp": bp, "maximize_bethe_long": long}
+    mf = {}
+    for name, model in _pinned_models().items():
+        for restarts, seed in ((8, 1), (16, 4)):
+            nu, zmf = mean_field(model, restarts=restarts, seed=seed)
+            mf[f"{name}/{restarts}/{seed}"] = {
+                "z_mean_field": zmf,
+                "node": [nu[v].tolist() for v in model.var_ids],
+            }
+    return {"maximize_bethe": short, "run_bp": bp, "maximize_bethe_long": long, "mean_field": mf}
 
 
 def dump(pins: dict) -> str:

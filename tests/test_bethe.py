@@ -11,10 +11,9 @@ from zbounds.bethe import (
     bethe_objective,
     maximize_bethe,
     mean_field,
-    product_beliefs,
     run_bp,
 )
-from zbounds.errors import ModelError
+from zbounds.errors import ModelError, NumericRangeError
 from zbounds.homs import HomModel, hom_to_factor_graph
 from zbounds.lattice import model_is_log_supermodular
 from zbounds.matroid import GFMatrix, gf, incidence_factor_graph
@@ -27,6 +26,20 @@ from zbounds.models import (
 )
 from zbounds.potts import PottsModel, build_counterexample, potts_to_factor_graph
 from zbounds.verify import random_lsm_pairwise_model, random_tree_model
+
+
+def product_beliefs(model: FactorGraph, nu) -> PseudoMarginals:
+    """Fully factorized beliefs: factor beliefs are outer products of nu."""
+    node = {v: np.asarray(nu[v], dtype=float) for v in model.var_ids}
+    factor = {}
+    for fac in model.factors:
+        t = np.ones(())
+        for pos, v in enumerate(fac.scope):
+            shape = [1] * len(fac.scope)
+            shape[pos] = model.card(v)
+            t = t * node[v].reshape(shape)
+        factor[fac.id] = t
+    return PseudoMarginals(node=node, factor=factor)
 
 
 class TestObjective:
@@ -371,153 +384,36 @@ def _pinned_models():
     }
 
 
-# (model, restarts, seed) -> (Z_MF, node beliefs), recorded with every
-# restart run on its own.  Running the restarts batched must not change a
-# restart's arithmetic, so these hold exactly, not to a tolerance.
-PINNED_MEAN_FIELD = {
-    ("potts_uniform_field", 8, 1): (
-        299.6098331183591,
-        {
-            0: [0.6177694110687101, 0.11509572200221957, 0.26713486692907024],
-            1: [0.6350338135016415, 0.10746708444327956, 0.2574991020550791],
-            2: [0.6611636025867735, 0.0933253705123607, 0.24551102690086588],
-            3: [0.48748315180183793, 0.17453415211244838, 0.3379826960857137],
-        },
-    ),
-    ("potts_uniform_field", 16, 4): (
-        299.6098331183591,
-        {
-            0: [0.6177694110691027, 0.11509572200215809, 0.2671348669287392],
-            1: [0.6350338135019891, 0.10746708444322539, 0.2574991020547856],
-            2: [0.6611636025870601, 0.09332537051231778, 0.24551102690062218],
-            3: [0.4874831518018841, 0.17453415211244191, 0.33798269608567405],
-        },
-    ),
-    ("matroid_incidence", 8, 1): (
-        4068.487306373758,
-        {
-            "r0": [0.9988055743377986, 0.0005972128311007938, 0.0005972128311007938],
-            "r1": [0.9961723832492442, 0.0019138083753778977, 0.0019138083753778977],
-            "r2": [0.9937945840056805, 0.0031027079971596917, 0.0031027079971596917],
-        },
-    ),
-    ("matroid_incidence", 16, 4): (
-        4068.487306373758,
-        {
-            "r0": [0.9988055743377986, 0.0005972128311007981, 0.0005972128311007981],
-            "r1": [0.9961723832492442, 0.0019138083753778977, 0.0019138083753778977],
-            "r2": [0.9937945840056805, 0.0031027079971596917, 0.0031027079971596917],
-        },
-    ),
-    ("hom_hard_zeros", 8, 1): (
-        7.999999999999995,
-        {
-            0: [0.5000000000000878, 0.0, 0.49999999999991224],
-            1: [0.5000000000000546, 0.0, 0.49999999999994543],
-            2: [0.500000000000034, 0.0, 0.4999999999999661],
-            3: [0.5000000000000211, 0.0, 0.49999999999997885],
-        },
-    ),
-    ("hom_hard_zeros", 16, 4): (
-        7.999999999999995,
-        {
-            0: [0.5000000000000878, 0.0, 0.49999999999991224],
-            1: [0.5000000000000546, 0.0, 0.49999999999994543],
-            2: [0.500000000000034, 0.0, 0.4999999999999661],
-            3: [0.5000000000000211, 0.0, 0.49999999999997885],
-        },
-    ),
-    ("zero_node_potential", 8, 1): (
-        20.381975892316067,
-        {
-            "x": [0.0, 0.20616214438049876, 0.7938378556195013],
-            "y": [0.8947003194984802, 0.1052996805015198],
-            "z": [0.6953099571823497, 0.0, 0.3046900428176503],
-        },
-    ),
-    ("zero_node_potential", 16, 4): (
-        20.381975892316074,
-        {
-            "x": [0.0, 0.20616214438049946, 0.7938378556195005],
-            "y": [0.8947003194984834, 0.10529968050151667],
-            "z": [0.6953099571823488, 0.0, 0.30469004281765116],
-        },
-    ),
-    ("no_factors", 8, 1): (
-        15.999999999999998,
-        {
-            "a": [0.25, 0.75],
-            "b": [0.5, 0.25, 0.25],
-        },
-    ),
-    ("no_factors", 16, 4): (
-        15.999999999999998,
-        {
-            "a": [0.25, 0.75],
-            "b": [0.5, 0.25, 0.25],
-        },
-    ),
-    ("cardinality_one", 8, 1): (
-        9.664799613506236,
-        {
-            "u": [1.0],
-            "v": [0.2822240069618038, 0.7177759930381963],
-            "w": [0.36155507025011285, 0.26711895694301624, 0.3713259728068708],
-        },
-    ),
-    ("cardinality_one", 16, 4): (
-        9.664799613506236,
-        {
-            "u": [1.0],
-            "v": [0.2822240069618038, 0.7177759930381963],
-            "w": [0.36155507025011285, 0.26711895694301624, 0.3713259728068708],
-        },
-    ),
-    ("all_blocked_triangle", 8, 1): (
-        0.0,
-        {
-            0: [0.5, 0.5],
-            1: [0.5, 0.5],
-            2: [0.5, 0.5],
-        },
-    ),
-    ("all_blocked_triangle", 16, 4): (
-        0.0,
-        {
-            0: [0.5, 0.5],
-            1: [0.5, 0.5],
-            2: [0.5, 0.5],
-        },
-    ),
-}
-
-
-class TestMeanFieldPinned:
-    @pytest.mark.parametrize("name,restarts,seed", sorted(PINNED_MEAN_FIELD))
-    def test_value_and_beliefs_unchanged(self, name, restarts, seed):
-        model = _pinned_models()[name]
-        nu, zmf = mean_field(model, restarts=restarts, seed=seed)
-        expected_z, expected_nu = PINNED_MEAN_FIELD[(name, restarts, seed)]
-        assert zmf == expected_z
-        assert list(nu) == list(model.var_ids)
-        for v in model.var_ids:
-            assert nu[v].tolist() == expected_nu[v]
-
-
 def _pinned_bethe_models():
     models = _pinned_models()
     models["counterexample"] = build_counterexample()
     return models
 
 
-# maximize_bethe at refine_steps=10, refine_top=2 ("model/restarts/seed") and
-# run_bp with init None or 5 ("model/init"), recorded before the Bethe layer
-# kept its per-model constants in one plan; maximize_bethe on the four
+# maximize_bethe at refine_steps=10, refine_top=2 ("model/restarts/seed"),
+# run_bp with init None or 5 ("model/init"), maximize_bethe on the four
 # counterexample conventions ("pair_mode/field_mode") at restarts=64, seed=0,
-# refine_steps=120, refine_top=3, recorded before the envelope was batched.
-# Refactors of that layer must not change the arithmetic, so these hold
-# exactly, not to a tolerance.
+# refine_steps=120, refine_top=3, and mean_field at its default settings
+# ("model/restarts/seed"), all written by tests/data/record_pinned_bethe.py.
+# A refactor of the Bethe layer must not change the arithmetic, so these
+# hold exactly, not to a tolerance; a change that moves them re-records
+# them and lists every pin that moved.
 PINNED_BETHE = json.loads((Path(__file__).parent / "data" / "pinned_bethe.json").read_text())
+
+
+class TestMeanFieldPinned:
+    # PINNED_BETHE["mean_field"]: "model/restarts/seed" -> Z_MF and node beliefs
+    @pytest.mark.parametrize("name,restarts,seed", sorted(
+        (name, int(restarts), int(seed))
+        for name, restarts, seed in (key.split("/") for key in PINNED_BETHE["mean_field"])
+    ))
+    def test_value_and_beliefs_unchanged(self, name, restarts, seed):
+        model = _pinned_models()[name]
+        nu, zmf = mean_field(model, restarts=restarts, seed=seed)
+        expected = PINNED_BETHE["mean_field"][f"{name}/{restarts}/{seed}"]
+        assert zmf == expected["z_mean_field"]
+        assert list(nu) == list(model.var_ids)
+        assert [nu[v].tolist() for v in model.var_ids] == expected["node"]
 
 
 class TestMaximizeBethePinned:
@@ -708,7 +604,8 @@ class TestBatchedEnvelope:
             nu = self._rows(g, rng, 9)
             for _fid, scope, table in g.factors:
                 margins = [nu[u] for u in scope]
-                t, residual, log_scale = bethe._ipf(table, margins)
+                kernels = np.broadcast_to(table, (len(margins[0]),) + table.shape)
+                t, residual, log_scale = bethe._ipf(kernels, margins)
                 for r in range(len(t)):
                     want, want_res, n, want_scale = _ref_ipf(table, [m[r] for m in margins])
                     sweeps.add(n)
@@ -871,3 +768,274 @@ class TestLayerProbe:
         assert len(rows) <= 1 + 2 * (1 + 5)
         assert len(rows) >= 1 + 2 * (1 + 1)  # both polishes took a step
         assert sorted(rows[1:]).count(1) == 2  # one start row per polish
+
+
+# BP as it was before the factors were stacked: per-factor lists of
+# (restarts, card) messages, one sweep loop per factor and position, and
+# leave-one-out products by an O(d^2) loop.  The stacked engine must match
+# it message for message.
+
+
+def _ref_factor_to_var_sweep(g, v2f, restarts):
+    out = []
+    for fi, (_fid, scope, table) in enumerate(g.factors):
+        k = len(scope)
+        msgs = []
+        for pos in range(k):
+            t = np.broadcast_to(table[None, ...], (restarts,) + table.shape).copy()
+            for l in range(k):
+                if l != pos:
+                    shape = [restarts] + [1] * k
+                    shape[1 + l] = g.cards[scope[l]]
+                    t = t * v2f[fi][l].reshape(shape)
+            axes = tuple(1 + l for l in range(k) if l != pos)
+            msgs.append(bethe._normalize_rows(t.sum(axis=axes) if axes else t))
+        out.append(msgs)
+    return out
+
+
+def _ref_var_to_factor_sweep(g, f2v):
+    out = [[None] * len(scope) for _fid, scope, _t in g.factors]
+    for vi in range(len(g.var_ids)):
+        inc = g.incident[vi]
+        for fi, pos in inc:
+            m = np.broadcast_to(g.phis[vi][None, :], f2v[fi][pos].shape).copy()
+            for fj, pos2 in inc:
+                if (fj, pos2) != (fi, pos):
+                    m = m * f2v[fj][pos2]
+            out[fi][pos] = bethe._normalize_rows(m)
+    return out
+
+
+def _ref_bp_engine(g, v2f, restarts, max_iters=2_000, tol=1e-10, damping=0.5):
+    f2v = _ref_factor_to_var_sweep(g, v2f, restarts)
+    residual = np.full(restarts, np.inf)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        new_v2f = _ref_var_to_factor_sweep(g, f2v)
+        new_f2v = _ref_factor_to_var_sweep(g, new_v2f, restarts)
+        residual = np.zeros(restarts)
+        for fi, (_fid, scope, _t) in enumerate(g.factors):
+            for pos in range(len(scope)):
+                d1 = np.abs(new_v2f[fi][pos] - v2f[fi][pos]).max(axis=1)
+                d2 = np.abs(new_f2v[fi][pos] - f2v[fi][pos]).max(axis=1)
+                residual = np.maximum(residual, np.maximum(d1, d2))
+                v2f[fi][pos] = damping * v2f[fi][pos] + (1.0 - damping) * new_v2f[fi][pos]
+                f2v[fi][pos] = damping * f2v[fi][pos] + (1.0 - damping) * new_f2v[fi][pos]
+        if np.all(residual < tol):
+            break
+    return v2f, f2v, iterations, residual
+
+
+def _per_factor(g, msgs):
+    """Stacked messages (per cardinality) as per-factor lists of (restarts,
+    card) arrays."""
+    return [
+        [msgs[g.cards[vi]][:, slot].copy() for vi, slot in zip(scope, slots)]
+        for (_fid, scope, _t), slots in zip(g.factors, g.slots)
+    ]
+
+
+def _engine_models():
+    """The pinned models, the counterexample, and the shapes a stacked engine
+    can get wrong: mixed arities and cardinalities, a constant factor, an
+    isolated variable, a variable of degree 5 and messages that sum to 0."""
+    rng = np.random.default_rng(12)
+    models = _pinned_bethe_models()
+    cards = {"a": 2, "b": 3, "c": 2, "d": 4}
+    scopes = [("a",), ("a", "b"), ("b", "d"), ("a", "c", "d"), ("b", "c", "a"), ("d",), ("c", "d")]
+    models["mixed_arity"] = FactorGraph(
+        list(cards.items()),
+        [
+            (f"f{k}", s, rng.uniform(0.2, 2.0, int(np.prod([cards[v] for v in s]))))
+            for k, s in enumerate(scopes)
+        ],
+        {"b": [0.5, 1.0, 2.0]},
+    )
+    models["constant_factor"] = FactorGraph(
+        [("x", 2), ("y", 2)],
+        [("c", (), [2.0]), ("f", ("x", "y"), [1.0, 3.0, 0.5, 2.0]), ("k", (), [0.5])],
+    )
+    models["isolated_variable"] = FactorGraph(
+        [("x", 3), ("lone", 2), ("y", 3)],
+        [("f", ("x", "y"), rng.uniform(0.5, 2.0, 9))],
+        {"lone": [1.0, 4.0]},
+    )
+    models["degree_five"] = FactorGraph(
+        [(v, 3) for v in range(6)] + [(6, 2)],
+        [(f"e{k}", (0, k), rng.uniform(0.3, 3.0, 9)) for k in range(1, 6)]
+        + [("t", (1, 2, 6), rng.uniform(0.3, 3.0, 18)), ("u", (3, 4), rng.uniform(0.3, 3.0, 9))],
+    )
+    # g pins a to 0, where f is all zero: the message f sends to b sums to 0
+    models["zero_sum_message"] = FactorGraph(
+        [("a", 2), ("b", 2), ("c", 2)],
+        [("g", ("a",), [1.0, 0.0]), ("f", ("a", "b"), [0.0, 0.0, 0.0, 1.0]),
+         ("h", ("b", "c"), [1.0, 2.0, 3.0, 1.0])],
+    )
+    return models
+
+
+class TestStackedBP:
+    @pytest.mark.parametrize("name", sorted(_engine_models()))
+    def test_matches_per_factor_sweeps(self, name):
+        g = bethe._Graph(_engine_models()[name])
+        degrees = [len(inc) for inc in g.incident]
+        for restarts, seed in ((1, None), (24, 3)):
+            init = bethe._init_messages(g, restarts, seed)
+            want_v2f, want_f2v, want_iters, want_res = _ref_bp_engine(
+                g, _per_factor(g, init), restarts
+            )
+            v2f, f2v, iters, residual = bethe._bp_engine(g, init, 2_000, 1e-10, 0.5)
+            assert iters == want_iters
+            assert np.abs(residual - want_res).max() <= 1e-14
+            for got, want in ((v2f, want_v2f), (f2v, want_f2v)):
+                for got_msgs, want_msgs in zip(_per_factor(g, got), want):
+                    for a, b in zip(got_msgs, want_msgs):
+                        assert np.abs(a - b).max() <= 1e-14
+            # node beliefs multiply the incoming messages in incidence order
+            for vi, b in enumerate(bethe._node_beliefs(g, f2v)):
+                want = np.broadcast_to(g.phis[vi], (restarts, g.cards[vi]))
+                for fi, pos in g.incident[vi]:
+                    want = want * want_f2v[fi][pos]
+                assert np.abs(b - bethe._normalize_rows(want)).max() <= 1e-14
+        assert name != "degree_five" or max(degrees) == 5
+
+    def test_only_constant_factors(self):
+        model = FactorGraph([("x", 2)], [("c", (), [2.0]), ("k", (), [3.0])])
+        state, tau, value = run_bp(model)
+        assert (state.iterations, state.residual, state.converged) == (1, 0.0, True)
+        assert value == pytest.approx(math.log(12.0), abs=1e-15)
+        assert tau.node["x"].tolist() == [0.5, 0.5]
+
+    def test_zero_sum_message_is_uniform(self):
+        g = bethe._Graph(_engine_models()["zero_sum_message"])
+        v2f = bethe._init_messages(g, 1, None)
+        # a tells f it is 0, where f is all zero: f's message to b sums to 0
+        v2f[2][0, g.slots[1][0]] = [1.0, 0.0]
+        f2v = bethe._factor_to_var(g, v2f, 1)
+        assert f2v[2][0, g.slots[1][1]].tolist() == [0.5, 0.5]
+
+
+class TestClosedFormMeanField:
+    @staticmethod
+    def _rows(g, rng):
+        """Random interior rows, rows with zeros, one-hot rows and the
+        field-proportional start."""
+        rows = [g.start]
+        for k in range(12):
+            row = []
+            for c in g.cards:
+                p = rng.dirichlet(np.full(c, 0.5 if k % 2 else 3.0))
+                if k % 3 == 0:
+                    p[rng.integers(c)] = 0.0
+                elif k % 4 == 1:
+                    p = np.eye(c)[rng.integers(c)]
+                row.append(p / p.sum() if p.sum() > 0 else np.full(c, 1.0 / c))
+            rows.append(row)
+        return [np.array([row[vi] for row in rows]) for vi in range(len(g.cards))], len(rows)
+
+    def test_matches_objective_at_product_beliefs(self):
+        rng = np.random.default_rng(13)
+        models = _engine_models()
+        models["no_variables"] = FactorGraph([], [("c", (), [2.5])])
+        finite = blocked = 0
+        for name, model in models.items():
+            g = bethe._Graph(model)
+            nu, rows = self._rows(g, rng)
+            got = bethe._mean_field_values(g, nu, rows)
+            for r in range(rows):
+                node = {v: nu[vi][r] for vi, v in enumerate(g.var_ids)}
+                want = bethe_objective(model, product_beliefs(model, node), validate=False)
+                if want == float("-inf"):
+                    blocked += 1
+                    assert got[r] == want, (name, r)
+                else:
+                    finite += 1
+                    assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-12), (name, r)
+        assert finite > 100 and blocked > 20
+
+
+class TestGroupedIPF:
+    def test_rows_match_their_own_factor(self):
+        # the stack _envelope builds: per table shape, every factor's rows
+        rng = np.random.default_rng(14)
+        groups = set()
+        for name, model in _engine_models().items():
+            g = bethe._Graph(model)
+            nu = TestBatchedEnvelope._rows(g, rng, 7)
+            for grp in g.groups:
+                if not len(grp.scopes):
+                    continue
+                groups.add(len(grp.factors))
+                kernels = np.repeat(grp.tables, 7, axis=0)
+                margins = [np.concatenate([nu[u] for u in col]) for col in grp.scopes]
+                t, residual, log_scale = bethe._ipf(kernels, margins)
+                for j, fi in enumerate(grp.factors):
+                    _fid, scope, table = g.factors[fi]
+                    for r in range(7):
+                        k = j * 7 + r
+                        want, want_res, _n, want_scale = _ref_ipf(table, [nu[u][r] for u in scope])
+                        assert t[k].tobytes() == want.tobytes(), name
+                        assert residual[k] == want_res, name
+                        assert [ls[k].tobytes() for ls in log_scale] == [
+                            ls.tobytes() for ls in want_scale
+                        ], name
+        assert max(groups) >= 5  # some groups stack many factors
+
+
+def _potts_cycle(rng):
+    """A ferromagnetic Potts cycle with a uniform field, and its loop matrix
+    prod_k diag(e^h) exp(J_k I) (Weiss 2000)."""
+    n, q = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+    coupling = rng.uniform(0.1, 1.5, n)
+    field = rng.normal(0.0, 0.7, q)
+    edges = [(k, (k + 1) % n) if k + 1 < n else (0, n - 1) for k in range(n)]
+    loop = np.eye(q)
+    for j in coupling:
+        loop = loop @ np.diag(np.exp(field)) @ np.exp(j * np.eye(q))
+    return potts_to_factor_graph(PottsModel(n, edges, q, coupling, field=field)), loop
+
+
+class TestSingleCycle:
+    def test_bethe_is_top_eigenvalue_of_loop_matrix(self):
+        rng = np.random.default_rng(15)
+        for k in range(30):
+            model, loop = _potts_cycle(rng)
+            assert exact_partition(model) == pytest.approx(np.trace(loop), rel=1e-12)
+            _tau, zb = maximize_bethe(model, restarts=24, seed=k)
+            top = np.max(np.linalg.eigvals(loop).real)
+            assert zb == pytest.approx(top, rel=1e-12), k
+
+
+class TestOverflowRefused:
+    """A Bethe or mean-field Z beyond the float range raises
+    NumericRangeError naming its log instead of an OverflowError."""
+
+    @staticmethod
+    def _chain(log_weight):
+        # two equality tables: Z = Z_B = 2 e^(2 w), Z_MF = e^(2 w)
+        e = math.exp(log_weight)
+        return FactorGraph(
+            [("a", 2), ("b", 2), ("c", 2)],
+            [("f", ("a", "b"), [e, 0.0, 0.0, e]), ("g", ("b", "c"), [e, 0.0, 0.0, e])],
+        )
+
+    def test_mean_field(self):
+        model = FactorGraph(
+            [("a", 2), ("b", 2)], [("f0", ("a", "b"), [1e200] * 4), ("f1", ("a", "b"), [1e200] * 4)]
+        )
+        with pytest.raises(NumericRangeError, match=r"log Z = 922\.42"):
+            mean_field(model, restarts=4)
+        with pytest.raises(NumericRangeError, match=r"mean-field .*log Z = 922\.42"):
+            maximize_bethe(model, restarts=4)
+
+    def test_maximize_bethe(self):
+        model = self._chain(354.8)
+        _nu, zmf = mean_field(model, restarts=4)
+        assert math.log(zmf) == pytest.approx(709.6, rel=1e-12)
+        with pytest.raises(NumericRangeError, match=r"Bethe .*log Z = 710\.29"):
+            maximize_bethe(model, restarts=4)
+
+    def test_in_range_unchanged(self):
+        _tau, zb = maximize_bethe(self._chain(1.0), restarts=4)
+        assert zb == pytest.approx(2.0 * math.exp(2.0), rel=1e-12)

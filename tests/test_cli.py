@@ -133,6 +133,21 @@ class TestCommands:
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
         assert "error: exact sum" in res.output and "Infinity" not in res.output
 
+    @pytest.mark.parametrize("command", ["z-bethe", "z-meanfield", "bp"])
+    def test_bethe_overflow_exit_1(self, runner, tmp_path, command):
+        # log Z = log 4 + 400 log 10 = 922.42: Z_MF, Z_B and the fixed point's
+        # value all overflow a float; z-bethe meets Z_MF <= Z_B first
+        what = "Bethe value at the fixed point" if command == "bp" else "mean-field partition function"
+        doc = {
+            "variables": [{"id": "a", "cardinality": 2}, {"id": "b", "cardinality": 2}],
+            "factors": [{"id": f"f{k}", "scope": ["a", "b"], "table": [1e200] * 4} for k in range(2)],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command, "--model", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert f"error: {what} is out of float range (log Z = 922.42" in res.output
+
     def test_bp_matches_z_on_tree(self, runner, tree_file):
         res_z = runner.invoke(main, ["z", "--model", tree_file])
         res_bp = runner.invoke(main, ["bp", "--model", tree_file])
