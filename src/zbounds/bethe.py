@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -167,6 +168,25 @@ class _Card(NamedTuple):
     valid: np.ndarray
 
 
+class _MeanFieldStep(NamedTuple):
+    """One variable's coordinate-ascent update, over the flat belief array
+    of ``_Graph.columns``.
+
+    Each incident factor contributes one row per joint state of its other
+    scope variables; ``gather`` holds, per row, the columns of those states
+    in scope order, as (max arity - 1, rows) padded with the ones column,
+    so the product down axis 0 is the row's weight under product beliefs.
+    ``log_table`` is the (card, rows) log table (0 off the support) with the
+    variable's own axis first, and ``off_support`` the (rows, card) zeros of
+    the tables, or None when every incident table is positive."""
+
+    columns: slice
+    node_score: np.ndarray
+    gather: np.ndarray
+    log_table: np.ndarray
+    off_support: np.ndarray | None
+
+
 class _Graph:
     """One model's constants for the Bethe layer, compiled once per call.
 
@@ -175,7 +195,9 @@ class _Graph:
     has none); ``node_logs``, its ``_log_support`` pair, or None where the
     model has no potential; ``start``, the potential normalized (uniform
     when it sums to 0); ``incident``, its (factor index, scope position)
-    pairs; and ``mean_field``, the terms of its coordinate-ascent update.
+    pairs; ``columns``, its slice of mean field's flat belief array, whose
+    last column (after every variable's) holds ones; and ``mean_field``, its
+    ``_MeanFieldStep`` (compiled on first use).
     Per factor: ``factors`` holds (id, scope positions, table) and
     ``factor_logs`` the table's ``_log_support`` pair.  ``potential_order``
     lists the variables with a node potential in the order
@@ -213,7 +235,8 @@ class _Graph:
             self.factor_logs.append(_log_support(table))
             for pos, vi in enumerate(scope):
                 self.incident[vi].append((fi, pos))
-        self.mean_field = [self._mean_field_terms(vi) for vi in range(len(self.var_ids))]
+        ends = np.cumsum(self.cards, dtype=int)
+        self.columns = [slice(end - card, end) for end, card in zip(ends, self.cards)]
         self.slots = [[0] * len(scope) for _fid, scope, _table in self.factors]
         self.by_card = {}
         for card in dict.fromkeys(self.cards):
@@ -238,29 +261,57 @@ class _Graph:
             slots = np.array([self.slots[fi] for fi in members], dtype=int).T
             self.groups.append(_Group(members, tables, *_log_support(tables), scopes, slots))
 
-    def _mean_field_terms(self, vi: int) -> tuple:
-        """Variable vi's log node potential (-inf at zeros) and, per incident
-        factor, the other scope variables with the shape their (restarts,
-        card) beliefs broadcast to, the axes summed out, the table's support
-        and its complement, and the log table."""
-        node = self.node_logs[vi]
-        if node is None:
-            node_score = np.zeros(self.cards[vi])
-        else:
-            node_score = np.where(node[0], node[1], _NEG_INF)
-        terms = []
-        for fi, pos in self.incident[vi]:
-            scope = self.factors[fi][1]
-            support, log_table = self.factor_logs[fi]
-            others = []
-            for l, vj in enumerate(scope):
-                if l != pos:
-                    shape = [-1] + [1] * len(scope)
-                    shape[1 + l] = self.cards[vj]
-                    others.append((vj, tuple(shape)))
-            axes = tuple(1 + l for l in range(len(scope)) if l != pos)
-            terms.append((others, axes, support, ~support, log_table))
-        return node_score, terms
+    @cached_property
+    def mean_field(self) -> list:
+        """One ``_MeanFieldStep`` per variable, its rows in incidence order;
+        each (table shape, scope position) is laid out once for all its
+        factors.  Built on first use: BP and the envelope never read it."""
+        ones = sum(self.cards)
+        starts = np.array([cols.start for cols in self.columns], dtype=int)
+        pieces = {}  # (factor, position) -> gather columns, log rows, zero rows
+        for grp in self.groups:
+            shape = grp.tables.shape[1:]
+            for pos, card in enumerate(shape):
+                rest = [l for l in range(len(shape)) if l != pos]
+                dims = [shape[l] for l in rest]
+                states = np.indices(dims).reshape(len(dims), math.prod(dims))
+                cols = starts[grp.scopes[rest]][:, :, None] + states[:, None, :]
+                logs = np.moveaxis(grp.log_table, 1 + pos, -1).reshape(len(grp.factors), -1, card)
+                offs = np.moveaxis(~grp.support, 1 + pos, -1).reshape(logs.shape)
+                for j, fi in enumerate(grp.factors):
+                    pieces[fi, pos] = cols[:, j], logs[j], offs[j]
+        plan = []
+        for vi, card in enumerate(self.cards):
+            parts = [pieces[fi, pos] for fi, pos in self.incident[vi]]
+            depth = max([len(cols) for cols, _l, _o in parts] + [1])
+            gather = np.full((depth, sum(len(logs) for _c, logs, _o in parts)), ones)
+            end = 0
+            for cols, logs, _offs in parts:
+                gather[: len(cols), end : end + len(logs)] = cols
+                end += len(logs)
+            log_table = np.concatenate([np.zeros((0, card))] + [logs for _c, logs, _o in parts])
+            off = np.concatenate([np.zeros((0, card), dtype=bool)] + [o for _c, _l, o in parts])
+            node = self.node_logs[vi]
+            plan.append(_MeanFieldStep(
+                self.columns[vi],
+                np.zeros(card) if node is None else np.where(node[0], node[1], _NEG_INF),
+                gather,
+                np.ascontiguousarray(log_table.T),
+                off if off.any() else None,
+            ))
+        return plan
+
+
+@np.errstate(over="ignore")
+def _check_sums(g: _Graph) -> None:
+    """NumericRangeError naming the first node potential or factor table
+    whose entries sum beyond the float range: BP messages and IPF tables
+    are normalized by such sums, which would silently turn them to 0."""
+    named = [(f"node potential of {v!r}", phi) for v, phi in zip(g.var_ids, g.phis)]
+    named += [(f"factor {fid!r}", table) for fid, _scope, table in g.factors]
+    for what, table in named:
+        if not np.isfinite(table.sum()):
+            raise NumericRangeError(f"the entries of {what} sum beyond the float range")
 
 
 def _normalize_rows(msg: np.ndarray) -> np.ndarray:
@@ -399,9 +450,11 @@ def run_bp(
     ``init`` is an integer seed for a random positive initialization, or
     None for uniform messages.  Returns (BPState, beliefs, Bethe objective
     at the beliefs).  Non-convergence is reported through the state's
-    ``converged`` flag; the last iterate is returned either way.
+    ``converged`` flag; the last iterate is returned either way.  Raises
+    NumericRangeError when a potential's entries sum beyond the float range.
     """
     g = _Graph(model)
+    _check_sums(g)
     if init is None:
         v2f = _init_messages(g, 1, None)
     else:
@@ -671,11 +724,13 @@ def maximize_bethe(
     candidate through the envelope, and polishes the best few by feasible
     ascent.  The returned value is exp of the best objective seen; it is a
     lower bound on the true Bethe optimum (the remaining gap is not
-    quantified).  Raises NumericRangeError when that value, or the Z_MF
-    computed on the way (Z_MF <= Z_B), is beyond the float range.
+    quantified).  Raises NumericRangeError when that value, the Z_MF
+    computed on the way (Z_MF <= Z_B), or the sum of a potential's entries
+    is beyond the float range.
     """
     _check_budget(model, max_vars, max_factors)
     g = _Graph(model)
+    _check_sums(g)
     # blocks of candidate rows, one (rows, card) array per variable each
     blocks = []
 
@@ -730,14 +785,15 @@ def mean_field(
     function.  Returns (node marginals, Z_MF); raises NumericRangeError when
     Z_MF is beyond the float range.
 
-    All restarts advance together, one row each in ``(restarts, card)``
-    belief arrays; a restart whose sweep changes no belief by ``tol`` or
-    more stops moving while the others go on.
+    All restarts advance together, one row each in a ``(restarts, sum of
+    cardinalities + 1)`` array that holds every variable's beliefs side by
+    side (``_Graph.columns``) and ends in a column of ones; a restart whose
+    sweep changes no belief by ``tol`` or more stops moving while the others
+    go on.  A restart's result does not depend on the other restarts.
     """
     _check_budget(model, max_vars, max_factors)
     g = _Graph(model)
     rng = np.random.default_rng(seed)
-    n = len(g.var_ids)
 
     inits = [g.start]
     for _r in range(max(1, restarts) - 1):
@@ -747,23 +803,22 @@ def mean_field(
     support_init = _positive_assignment_init(g, rng)
     if support_init is not None:
         inits.append(support_init)
-    nu = [np.array([init[vi] for init in inits]) for vi in range(n)]
+    nu = np.array([np.concatenate([*init, [1.0]]) for init in inits])
 
     active = np.arange(len(inits))
     for _sweep in range(max_sweeps):
-        rows = [b[active] for b in nu]
-        delta = _mean_field_sweep(rows, g.mean_field, active.size)
-        for b, r in zip(nu, rows):
-            b[active] = r
+        rows = nu[active]
+        delta = _mean_field_sweep(rows, g.mean_field)
+        nu[active] = rows
         active = active[delta >= tol]
         if active.size == 0:
             break
 
-    values = _mean_field_values(g, nu, len(inits))
+    values = _mean_field_values(g, [nu[:, cols] for cols in g.columns], len(inits))
     best = int(np.argmax(values))  # the first of equal maxima
     if values[best] == _NEG_INF:
         return dict(zip(g.var_ids, g.start)), 0.0
-    best_nu = {v: b[best] for v, b in zip(g.var_ids, nu)}
+    best_nu = {v: nu[best, cols] for v, cols in zip(g.var_ids, g.columns)}
     return best_nu, partition_from_log(values[best], "mean-field partition function")
 
 
@@ -791,29 +846,32 @@ def _mean_field_values(g: _Graph, nu: list, rows: int) -> np.ndarray:
     return value
 
 
-def _mean_field_sweep(nu: list, plan: list, restarts: int) -> np.ndarray:
+def _mean_field_sweep(nu: np.ndarray, plan: list) -> np.ndarray:
     """One coordinate-ascent pass over the variables, in place.
 
-    ``nu`` holds one (restarts, card) belief array per variable and ``plan``
-    is ``_Graph.mean_field``; returns each restart's largest belief change.
+    ``nu`` is the flat (restarts, sum of cardinalities + 1) belief array
+    and ``plan`` is ``_Graph.mean_field``; returns each restart's largest
+    belief change.
+    Each restart's score terms are summed along the last axis of a
+    C-ordered array, so its step does not depend on the other restarts.
     """
-    delta = np.zeros(restarts)
-    for vi, (node_score, terms) in enumerate(plan):
-        score = np.broadcast_to(node_score, nu[vi].shape)
-        for others, axes, support, off_support, log_table in terms:
-            w = 1.0
-            for vj, shape in others:
-                w = w * nu[vj].reshape(shape)
-            contrib = np.where(support & (w > 0), w * log_table, 0.0)
-            blocked = (off_support & (w > _ZERO_TOL)).any(axis=axes)
-            score = np.where(blocked, _NEG_INF, score + contrib.sum(axis=axes))
+    before = nu.copy()
+    for cols, node_score, gather, log_table, off_support in plan:
+        # C-ordered (restarts, max arity - 1, rows); fancy indexing would
+        # put the restarts innermost
+        beliefs = np.take(nu, gather, axis=1)
+        w = beliefs[:, 0]
+        for l in range(1, len(gather)):
+            w = w * beliefs[:, l]
+        score = node_score + (w[:, None, :] * log_table).sum(axis=2)
+        if off_support is not None:
+            score[(w > _ZERO_TOL) @ off_support] = _NEG_INF
         top = score.max(axis=1, keepdims=True)
         movable = top > _NEG_INF  # a row scored -inf everywhere keeps its belief
         e = np.exp(score - np.where(movable, top, 0.0))
-        new = np.where(movable, e / np.where(movable, e.sum(axis=1, keepdims=True), 1.0), nu[vi])
-        delta = np.maximum(delta, np.abs(new - nu[vi]).max(axis=1))
-        nu[vi] = new
-    return delta
+        new = e / np.where(movable, e.sum(axis=1, keepdims=True), 1.0)
+        nu[:, cols] = np.where(movable, new, nu[:, cols])
+    return np.abs(nu - before).max(axis=1)
 
 
 # a weight that overflows to inf still marks a positive assignment

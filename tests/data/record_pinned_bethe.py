@@ -13,12 +13,14 @@ the settings documented above ``PINNED_BETHE`` there:
   and seed 1, and at restarts 16 and seed 4.
 
 Re-record only after a change that is meant to move the pins, and list every
-pin that moved in the change's notes.
+pin that moved in the change's notes: the script prints each pin whose entry
+it changes, with its key and |Δ log Z|.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,5 +85,35 @@ def dump(pins: dict) -> str:
     return "{\n" + ",\n".join(sections) + "\n}\n"
 
 
+def _log_z(section: str, entry: dict) -> float:
+    if section == "run_bp":
+        return entry["value"]
+    z = entry["z_mean_field" if section == "mean_field" else "z_bethe"]
+    return math.log(z) if z > 0 else -math.inf
+
+
+def moved(old: dict, new: dict) -> list:
+    """(section, key, |Δ log Z|) of every pin whose entry differs between
+    two recordings; a pin only one of them holds counts as moved by inf."""
+    out = []
+    for section in dict.fromkeys([*new, *old]):
+        before, after = old.get(section, {}), new.get(section, {})
+        for key in dict.fromkeys([*after, *before]):
+            if before.get(key) == after.get(key):
+                continue
+            if key in before and key in after:
+                a, b = _log_z(section, before[key]), _log_z(section, after[key])
+                delta = 0.0 if a == b else abs(b - a)
+            else:
+                delta = math.inf
+            out.append((section, key, delta))
+    return out
+
+
 if __name__ == "__main__":
-    (Path(__file__).parent / "pinned_bethe.json").write_text(dump(record()))
+    path = Path(__file__).parent / "pinned_bethe.json"
+    old = json.loads(path.read_text()) if path.exists() else {}
+    new = json.loads(dump(record()))
+    for section, key, delta in moved(old, new):
+        print(f"{section} {key}: |Δ log Z| = {delta:.2g}")
+    path.write_text(dump(new))

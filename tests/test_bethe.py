@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,8 +310,11 @@ class TestMeanField:
         assert val == pytest.approx(math.log(zmf), abs=1e-9)
 
     def test_deterministic(self):
-        m = random_tree_model(np.random.default_rng(10))
-        assert mean_field(m, restarts=6, seed=3)[1] == mean_field(m, restarts=6, seed=3)[1]
+        for m in (random_tree_model(np.random.default_rng(10)), _pinned_models()["hom_hard_zeros"]):
+            nu, zmf = mean_field(m, restarts=6, seed=3)
+            nu2, zmf2 = mean_field(m, restarts=6, seed=3)
+            assert zmf == zmf2
+            assert [nu[v].tobytes() for v in m.var_ids] == [nu2[v].tobytes() for v in m.var_ids]
 
     def test_support_init_matches_evaluate_loop(self):
         # the support init scores all its draws in one table lookup; it must
@@ -955,6 +959,118 @@ class TestClosedFormMeanField:
         assert finite > 100 and blocked > 20
 
 
+# Mean field's coordinate ascent as it was before the flat belief array: one
+# (restarts, card) array per variable and, per variable, a loop over its
+# incident factors.  The planned sweep must match it to rounding, with the
+# same blocked entries and the same rows left in place.
+
+
+def _ref_mean_field_terms(g, vi):
+    node = g.node_logs[vi]
+    if node is None:
+        node_score = np.zeros(g.cards[vi])
+    else:
+        node_score = np.where(node[0], node[1], -np.inf)
+    terms = []
+    for fi, pos in g.incident[vi]:
+        scope = g.factors[fi][1]
+        support, log_table = g.factor_logs[fi]
+        others = []
+        for l, vj in enumerate(scope):
+            if l != pos:
+                shape = [-1] + [1] * len(scope)
+                shape[1 + l] = g.cards[vj]
+                others.append((vj, tuple(shape)))
+        axes = tuple(1 + l for l in range(len(scope)) if l != pos)
+        terms.append((others, axes, support, ~support, log_table))
+    return node_score, terms
+
+
+def _ref_mean_field_sweep(g, nu, rows):
+    """One pass over the variables, in place on the list nu; returns each
+    row's largest change and, per variable, its -inf score entries and the
+    rows scored -inf everywhere."""
+    delta = np.zeros(rows)
+    blocked_entries, stuck_rows = [], []
+    for vi in range(len(g.cards)):
+        node_score, terms = _ref_mean_field_terms(g, vi)
+        score = np.broadcast_to(node_score, nu[vi].shape)
+        for others, axes, support, off_support, log_table in terms:
+            w = 1.0
+            for vj, shape in others:
+                w = w * nu[vj].reshape(shape)
+            contrib = np.where(support & (w > 0), w * log_table, 0.0)
+            blocked = (off_support & (w > 1e-12)).any(axis=axes)
+            score = np.where(blocked, -np.inf, score + contrib.sum(axis=axes))
+        top = score.max(axis=1, keepdims=True)
+        movable = top > -np.inf
+        e = np.exp(score - np.where(movable, top, 0.0))
+        new = np.where(movable, e / np.where(movable, e.sum(axis=1, keepdims=True), 1.0), nu[vi])
+        delta = np.maximum(delta, np.abs(new - nu[vi]).max(axis=1))
+        blocked_entries.append(score == -np.inf)
+        stuck_rows.append(~movable[:, 0])
+        nu[vi] = new
+    return delta, blocked_entries, stuck_rows
+
+
+def _flat(nu, rows):
+    """Per-variable (rows, card) beliefs as mean field's flat array."""
+    return np.concatenate([*nu, np.ones((rows, 1))], axis=1)
+
+
+def _mean_field_models():
+    models = _engine_models()
+    models["no_variables"] = FactorGraph([], [("c", (), [2.5])])
+    return models
+
+
+class TestMeanFieldPlan:
+    def test_one_sweep_matches_per_term_loop(self):
+        rng = np.random.default_rng(16)
+        blocked_seen = stuck_seen = 0
+        for name, model in _mean_field_models().items():
+            g = bethe._Graph(model)
+            nu, rows = TestClosedFormMeanField._rows(g, rng)
+            flat = _flat(nu, rows)
+            want = [b.copy() for b in nu]
+            want_delta, blocked, stuck = _ref_mean_field_sweep(g, want, rows)
+            delta = bethe._mean_field_sweep(flat, g.mean_field)
+            assert np.abs(delta - want_delta).max(initial=0.0) <= 1e-14, name
+            assert flat[:, -1].tolist() == [1.0] * rows, name
+            for vi, cols in enumerate(g.columns):
+                got = flat[:, cols]
+                assert np.abs(got - want[vi]).max(initial=0.0) <= 1e-14, (name, vi)
+                assert (got[blocked[vi] & ~stuck[vi][:, None]] == 0.0).all(), (name, vi)
+                assert got[stuck[vi]].tobytes() == nu[vi][stuck[vi]].tobytes(), (name, vi)
+                blocked_seen += blocked[vi].sum()
+                stuck_seen += stuck[vi].sum()
+        assert blocked_seen > 50 and stuck_seen > 5
+
+    def test_restart_alone_matches_its_stacked_row(self):
+        # each row's weights are summed on their own, so a restart's sweep
+        # is bit-identical whether it runs alone or in a stack
+        rng = np.random.default_rng(17)
+        for name, model in _mean_field_models().items():
+            g = bethe._Graph(model)
+            nu, rows = TestClosedFormMeanField._rows(g, rng)
+            stacked = _flat(nu, rows)
+            alone = [stacked[r : r + 1].copy() for r in range(rows)]
+            for _sweep in range(20):
+                delta = bethe._mean_field_sweep(stacked, g.mean_field)
+                for r, row in enumerate(alone):
+                    assert bethe._mean_field_sweep(row, g.mean_field)[0] == delta[r], (name, r)
+            for r, row in enumerate(alone):
+                assert row.tobytes() == stacked[r : r + 1].tobytes(), (name, r)
+
+    def test_plan_layout(self):
+        g = bethe._Graph(_engine_models()["mixed_arity"])
+        for vi, step in enumerate(g.mean_field):
+            arity = max(len(g.factors[fi][1]) for fi, _pos in g.incident[vi])
+            assert step.gather.shape[0] == arity - 1
+            assert step.log_table.shape == (g.cards[vi], step.gather.shape[1])
+            assert step.off_support is None  # every table of mixed_arity is positive
+
+
 class TestGroupedIPF:
     def test_rows_match_their_own_factor(self):
         # the stack _envelope builds: per table shape, every factor's rows
@@ -1035,6 +1151,34 @@ class TestOverflowRefused:
         assert math.log(zmf) == pytest.approx(709.6, rel=1e-12)
         with pytest.raises(NumericRangeError, match=r"Bethe .*log Z = 710\.29"):
             maximize_bethe(model, restarts=4)
+
+    def test_table_sum_beyond_range(self):
+        # Z is in range, but f's entries sum to inf: BP and IPF normalize by
+        # that sum, which turned messages and tables to 0 without a word
+        model = FactorGraph(
+            [("a", 2), ("b", 2), ("c", 2)],
+            [("f", ("a", "b"), [1.7e308, 1.7e308, 1e308, 1.6e308]),
+             ("g", ("b", "c"), [1e-10, 3e-10, 2e-10, 1e-10])],
+        )
+        assert math.log(exact_partition(model)) == pytest.approx(689.2005, abs=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: maximize_bethe(model, restarts=4), lambda: run_bp(model)):
+                with pytest.raises(NumericRangeError, match="factor 'f' sum beyond"):
+                    run()
+            # mean field never sums a table
+            _nu, zmf = mean_field(model, restarts=4)
+        assert 0.0 < zmf <= exact_partition(model)
+
+    def test_node_potential_sum_beyond_range(self):
+        model = FactorGraph(
+            [("a", 2), ("b", 2)],
+            [("f", ("a", "b"), [1e-10, 2e-10, 3e-10, 1e-10])],
+            {"a": [1.7e308, 1e308]},
+        )
+        for run in (lambda: maximize_bethe(model, restarts=4), lambda: run_bp(model)):
+            with pytest.raises(NumericRangeError, match="node potential of 'a' sum beyond"):
+                run()
 
     def test_in_range_unchanged(self):
         _tau, zb = maximize_bethe(self._chain(1.0), restarts=4)

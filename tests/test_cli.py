@@ -148,6 +148,24 @@ class TestCommands:
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
         assert f"error: {what} is out of float range (log Z = 922.42" in res.output
 
+    @pytest.mark.parametrize("command", ["z-bethe", "bp"])
+    def test_table_sum_overflow_exit_1(self, runner, tmp_path, command):
+        # f's entries sum beyond the float range although log Z = 689.2
+        doc = {
+            "variables": [{"id": v, "cardinality": 2} for v in "abc"],
+            "factors": [
+                {"id": "f", "scope": ["a", "b"], "table": [1.7e308, 1.7e308, 1e308, 1.6e308]},
+                {"id": "g", "scope": ["b", "c"], "table": [1e-10, 3e-10, 2e-10, 1e-10]},
+            ],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command, "--model", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.splitlines() == [
+            "error: the entries of factor 'f' sum beyond the float range"
+        ]
+
     def test_bp_matches_z_on_tree(self, runner, tree_file):
         res_z = runner.invoke(main, ["z", "--model", tree_file])
         res_bp = runner.invoke(main, ["bp", "--model", tree_file])
