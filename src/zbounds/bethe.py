@@ -219,10 +219,16 @@ class _Graph:
         for v, card in zip(self.var_ids, self.cards):
             pot = model.node_potential(v)
             phi = np.ones(card) if pot is None else np.asarray(pot, dtype=float)
-            s = phi.sum()
+            with np.errstate(over="ignore"):
+                s = phi.sum()
+            if s == np.inf:  # the entries sum beyond the float range
+                scaled = phi / phi.max()
+                start = scaled / scaled.sum()
+            else:
+                start = phi / s if s > 0 else np.full(card, 1.0 / card)
             self.phis.append(phi)
             self.node_logs.append(None if pot is None else _log_support(phi))
-            self.start.append(phi / s if s > 0 else np.full(card, 1.0 / card))
+            self.start.append(start)
         self.potential_order = [vpos[v] for v in model.node_potentials]
         self.factors, self.factor_logs = [], []
         self.incident = [[] for _ in self.var_ids]

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import models
 from .covers import CoverSpec, lifted_id
 from .errors import EnumerationCapError, ModelError
 from .lattice import sorted_stack
@@ -217,6 +218,45 @@ def rank(matrix: GFMatrix, mask: int | None = None) -> int:
     return r
 
 
+def ranks(matrix: GFMatrix, masks) -> np.ndarray:
+    """Rank over GF(q) of the columns selected by each mask, as an int64
+    array; equal to ``rank(matrix, mask)`` for every mask.
+
+    One Gaussian elimination runs over a (masks, rows, columns) array whose
+    unselected columns are zero, one column step at a time, for all masks
+    at once.  A step subtracts a multiple of the mask's pivot row from
+    every row, the pivot row itself included, in the later columns, so a
+    used row is zero there and never pivots again.  The masks are taken
+    2^_MASK_BLOCK_BITS at a time, so the working array does not grow with
+    their number.  For a single mask the scalar ``rank`` is cheaper.
+    """
+    f = matrix.field
+    masks = np.asarray(masks, dtype=np.int64)
+    rows, cols = matrix.entries.shape
+    out = np.zeros(masks.size, dtype=np.int64)
+    if rows == 0:
+        return out
+    entries = matrix.entries.astype(f.add_table.dtype)
+    step = 1 << models._MASK_BLOCK_BITS
+    for start in range(0, masks.size, step):
+        block = masks[start : start + step]
+        which = np.arange(block.size)
+        selected = ((block[:, None] >> np.arange(cols)) & 1).astype(bool)
+        sub = np.where(selected[:, None, :], entries, 0).astype(entries.dtype)
+        found = out[start : start + step]
+        for c in np.flatnonzero(selected.any(axis=0)):  # columns no mask selects stay 0
+            col = sub[:, :, c]
+            pivot = (col != 0).argmax(axis=1)  # the first nonzero row, else row 0
+            value = col[which, pivot]
+            found += value != 0
+            # every row plus -(its entry / the pivot's) times the pivot row;
+            # the multiple is 0 in every row where the column is all zero
+            factor = f.neg_table[f.mul_table[col, f.inv_table[value][:, None]]]
+            scaled = f.mul_table[factor[:, :, None], sub[which, pivot, c + 1 :][:, None, :]]
+            sub[:, :, c + 1 :] = f.add_table[sub[:, :, c + 1 :], scaled]
+    return out
+
+
 def _codewords(matrix: GFMatrix, cap: int) -> np.ndarray:
     """All products sigma @ S over the field, one row per sigma.
 
@@ -280,8 +320,7 @@ def matroid_rc_partition(
         start = 0
         for products in subset_products(p, first):
             size = products.shape[1]
-            ranks = [rank(matrix, mask) for mask in range(start, start + size)]
-            yield products[ranks, np.arange(size)]
+            yield products[ranks(matrix, np.arange(start, start + size)), np.arange(size)]
             start += size
 
     return fsum_blocks(blocks())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -272,41 +273,63 @@ def _joint_slabs(model: FactorGraph) -> Iterator[np.ndarray]:
 
     A slab spans the trailing axes, at most 2^_MASK_BLOCK_BITS entries
     unless the last axis alone is longer.  Each entry is the product of the
-    node potentials in dict order, then the factors in model order, so it
-    equals the one-shot tensor bit for bit.  Every slab is written into the
-    same buffer, which the next slab overwrites.
+    node potentials and factors in one canonical order: by the lowest axis
+    a term touches, highest first, a term without axes first of all, ties
+    in their model order (node potentials in dict order, then factors).
+    The terms that touch only the slab's axes then form a prefix, which is
+    multiplied once into a base that every slab starts from; each slab
+    multiplies only the remaining terms.  Every entry is the same product
+    whatever the slab size, so the tensor and its sum do not depend on it.
+    Every slab is written into the same buffer, which the next slab
+    overwrites; a joint that fits in one slab is the base itself.
     """
     axis = {v: k for k, v in enumerate(model.var_ids)}
     shape = tuple(model.card(v) for v in model.var_ids)
     n = len(shape)
-    terms = []
+    terms = []  # (lowest axis touched, broadcastable array)
     for v, pot in model.node_potentials.items():
         vec_shape = [1] * n
         vec_shape[axis[v]] = model.card(v)
-        terms.append(pot.reshape(vec_shape))
+        terms.append((axis[v], pot.reshape(vec_shape)))
     for fac in model.factors:
         positions = [axis[v] for v in fac.scope]
         arr = fac.table.as_ndarray().transpose(np.argsort(positions))
         new_shape = [1] * n
         for p in positions:
             new_shape[p] = shape[p]
-        terms.append(arr.reshape(new_shape))
+        terms.append((min(positions, default=n), arr.reshape(new_shape)))
+    terms.sort(key=operator.itemgetter(0), reverse=True)  # stable: ties keep model order
     lead = max(n - 1, 0)
     while lead > 0 and math.prod(shape[lead - 1 :]) <= 1 << _MASK_BLOCK_BITS:
         lead -= 1
-    slab = np.empty(shape[lead:])
+    # overflow and inf * 0 surface in the checked sum, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.ones(shape[lead:])
+        for low, t in terms:
+            if low >= lead:
+                np.multiply(base, t[(0,) * lead], out=base)
+    if lead == 0:
+        yield base
+        return
+    rest = [t for low, t in terms if low < lead]
+    slab = np.empty_like(base)
     for states in itertools.product(*map(range, shape[:lead])):
-        slab.fill(1.0)
-        # overflow and inf * 0 surface in the checked sum, not as warnings
+        out = base
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in terms:
+            for t in rest:
                 index = tuple(s if t.shape[a] > 1 else 0 for a, s in enumerate(states))
-                np.multiply(slab, t[index], out=slab)
-        yield slab
+                np.multiply(out, t[index], out=slab)
+                out = slab
+        yield out
 
 
 def dense_joint(model: FactorGraph, limit: int = _DENSE_BLOCK) -> np.ndarray:
-    """The full joint weight tensor, one axis per variable in model order."""
+    """The full joint weight tensor, one axis per variable in model order.
+
+    Each entry multiplies the terms in ``_joint_slabs``' canonical order
+    (by the lowest axis a term touches, highest first), so the tensor is
+    the same bit for bit whatever the slab size.
+    """
     if model.joint_size > limit:
         raise EnumerationCapError(
             f"joint space of {model.joint_size} states exceeds the dense limit {limit}"
@@ -474,9 +497,11 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
 
     Up to 2^22 states the joint is built in slabs of 2^16 entries and
     summed correctly rounded (equal to ``math.fsum``); larger spaces
-    condition on their leading variables.  Refuses models whose joint space
-    exceeds ``cap``, and raises NumericRangeError when a weight or the sum
-    overflows or is NaN.
+    condition on their leading variables.  Each weight multiplies its terms
+    in one canonical order (by the lowest axis a term touches, highest
+    first, see ``_joint_slabs``), so Z does not depend on the slab size.
+    Refuses models whose joint space exceeds ``cap``, and raises
+    NumericRangeError when a weight or the sum overflows or is NaN.
     """
     size = model.joint_size
     if size > cap:

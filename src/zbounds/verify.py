@@ -460,7 +460,7 @@ def verify_structure_suites(seed: int = 0) -> VerifyReport:
                 rows = int(rng.integers(2, 5))
                 cols = int(rng.integers(3, 7))
                 mat = GFMatrix(gf(q), rng.integers(0, q, size=(rows, cols)))
-                r_cache = [matroid.rank(mat, mask) for mask in range(1 << cols)]
+                r_cache = matroid.ranks(mat, np.arange(1 << cols)).tolist()
                 for a in range(1 << cols):
                     for b in range(1 << cols):
                         slack = r_cache[a] + r_cache[b] - r_cache[a & b] - r_cache[a | b]

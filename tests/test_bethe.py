@@ -1176,9 +1176,14 @@ class TestOverflowRefused:
             [("f", ("a", "b"), [1e-10, 2e-10, 3e-10, 1e-10])],
             {"a": [1.7e308, 1e308]},
         )
-        for run in (lambda: maximize_bethe(model, restarts=4), lambda: run_bp(model)):
-            with pytest.raises(NumericRangeError, match="node potential of 'a' sum beyond"):
-                run()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: maximize_bethe(model, restarts=4), lambda: run_bp(model)):
+                with pytest.raises(NumericRangeError, match="node potential of 'a' sum beyond"):
+                    run()
+            # restart 0 starts from the potential normalized, not from zeros
+            _nu, zmf = mean_field(model, restarts=4)
+        assert 0.0 < zmf <= exact_partition(model)
 
     def test_in_range_unchanged(self):
         _tau, zb = maximize_bethe(self._chain(1.0), restarts=4)

@@ -222,6 +222,18 @@ class TestCommands:
         zrc = last_record(rr.output)["results"]["z_rc"]
         assert zrc == pytest.approx(zp, rel=1e-9)
 
+    def test_matroid_large_prime_field(self, runner, tmp_path):
+        # over GF(41) the rows 1 1 and 40 40 = -(1 1) span one dimension, so
+        # every nonempty column set has rank 1 and z_rc = 1 + (e^2 - 1) / 41
+        code = tmp_path / "gf41.txt"
+        code.write_text("41 2 2\n1 1\n40 40\n")
+        res = runner.invoke(main, ["matroid", "--code", str(code)])
+        assert res.exit_code == 0, res.output
+        rec = last_record(res.output)["results"]
+        assert rec["rank"] == 1
+        assert rec["z_rc"] == pytest.approx(1 + np.expm1(2.0) / 41, rel=1e-12)
+        assert rec["z_potts"] == pytest.approx(rec["z_rc"], rel=1e-9)
+
     def test_wef(self, runner, tmp_path):
         code = tmp_path / "rep3.txt"
         code.write_text("2 1 3\n1 1 1\n")

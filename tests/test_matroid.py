@@ -19,8 +19,10 @@ from zbounds.matroid import (
     matroid_rc_partition,
     parse_generator_matrix,
     rank,
+    ranks,
     weight_enumerator,
 )
+from zbounds import models
 from zbounds.models import exact_partition
 from zbounds.potts import count_components
 
@@ -121,6 +123,54 @@ class TestRank:
         masks = np.arange(1 << 8)
         for a in range(1 << 8):
             assert np.all(r[a] + r >= r[a & masks] + r[a | masks])
+
+
+class TestBatchedRanks:
+    """``ranks`` eliminates a block of masks at once; each of its ranks must
+    equal the scalar ``rank`` and the independence oracle."""
+
+    @staticmethod
+    def _cases(q, rng):
+        zero_columns = rng.integers(0, q, size=(3, 4))
+        zero_columns[:, [0, 2]] = 0
+        row = rng.integers(1, q, size=4)
+        return {
+            "random": rng.integers(0, q, size=(3, 4)),
+            "wide": rng.integers(0, q, size=(2, 5)),
+            "no rows": np.zeros((0, 3), dtype=np.int64),
+            "no columns": np.zeros((2, 0), dtype=np.int64),
+            "zero columns": zero_columns,
+            "full rank": np.hstack([np.eye(3, dtype=np.int64), rng.integers(0, q, size=(3, 1))]),
+            "negated row": np.vstack([row, gf(q).neg_table[row]]),
+        }
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 41, 257])
+    def test_equals_scalar_and_oracle(self, q):
+        rng = np.random.default_rng(q)
+        for name, entries in self._cases(q, rng).items():
+            m = GFMatrix(gf(q), entries)
+            masks = np.arange(1 << m.n_cols)
+            got = ranks(m, masks)
+            assert got.dtype == np.int64 and got.shape == masks.shape, name
+            assert got.tolist() == [rank(m, int(mask)) for mask in masks], name
+            if q <= 9:  # the oracle tries all q^k combinations
+                oracle = [independent_subset_rank(m, int(mask)) for mask in masks]
+                assert got.tolist() == oracle, name
+        cases = self._cases(q, rng)
+        assert ranks(GFMatrix(gf(q), cases["full rank"]), [7, 15]).tolist() == [3, 3]
+        # rows x and -x with x nowhere 0: rank 1 on every nonempty column set
+        negated = GFMatrix(gf(q), cases["negated row"])
+        assert ranks(negated, np.arange(16)).tolist() == [0] + [1] * 15
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 41, 257])
+    def test_blocks_in_any_order_equal_scalar(self, monkeypatch, q):
+        # blocks of 2^3 masks; the masks shuffled, so no block starts at 0
+        monkeypatch.setattr(models, "_MASK_BLOCK_BITS", 3)
+        rng = np.random.default_rng(20 + q)
+        m = GFMatrix(gf(q), rng.integers(0, q, size=(4, 7)))
+        masks = rng.permutation(1 << 7)
+        assert ranks(m, masks).tolist() == [rank(m, int(mask)) for mask in masks]
+        assert ranks(m, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 class TestMatroidPartitions:

@@ -328,22 +328,28 @@ class TestCorrectlyRoundedSum:
 
 
 def one_shot_dense_joint(model):
-    """The joint tensor built in one array, as before slabs."""
+    """The joint tensor built in one array, its terms multiplied in the
+    canonical order: by the lowest axis a term touches, highest first, a
+    term without axes first of all, ties in model order (node potentials,
+    then factors)."""
     axis = {v: k for k, v in enumerate(model.var_ids)}
     shape = tuple(model.card(v) for v in model.var_ids)
-    w = np.ones(shape)
     n = len(shape)
+    terms = []
     for v, pot in model.node_potentials.items():
         vec_shape = [1] * n
         vec_shape[axis[v]] = model.card(v)
-        np.multiply(w, pot.reshape(vec_shape), out=w)
+        terms.append((axis[v], pot.reshape(vec_shape)))
     for fac in model.factors:
         positions = [axis[v] for v in fac.scope]
         arr = fac.table.as_ndarray().transpose(np.argsort(positions))
         new_shape = [1] * n
         for p in sorted(positions):
             new_shape[p] = shape[p]
-        np.multiply(w, arr.reshape(new_shape), out=w)
+        terms.append((min(positions, default=n), arr.reshape(new_shape)))
+    w = np.ones(shape)
+    for _low, t in sorted(terms, key=lambda term: -term[0]):
+        np.multiply(w, t, out=w)
     return w
 
 

@@ -146,6 +146,9 @@ MATRIX_CASES = {
     "gf3": (3, [[1, 2, 0, 1, 1], [0, 1, 1, 2, 0], [2, 0, 1, 1, 1]]),
     "gf4": (4, [[1, 2, 3, 0, 1], [3, 1, 0, 2, 2]]),
     "gf9": (9, [[1, 5, 8, 0], [7, 2, 3, 4]]),
+    "gf41": (41, [[1, 1], [40, 40]]),
+    "gf41-one-row": (41, [[1, 40, 7]]),
+    "gf257": (257, [[1, 256, 3], [256, 1, 254]]),
 }
 
 
@@ -229,15 +232,27 @@ class TestBlocks:
         # at blocks of 2^4 masks, 2^8 and 2^14 subsets peak alike
         monkeypatch.setattr(models, "_MASK_BLOCK_BITS", 4)
         rng = np.random.default_rng(18)
-        peaks = []
-        for m in (8, 14):
+
+        def potts(m):
             model = PottsModel(8, random_edges(rng, 8, m), 3, rng.uniform(0.1, 1.0, m))
-            tracemalloc.start()
-            try:
-                rc_partition(model)
-                _size, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
-        # 2^14 weights alone would take 128 KiB as float64
-        assert peaks[1] < peaks[0] + 16 * 1024
+            return lambda: rc_partition(model)
+
+        def matroid(m):
+            matrix = GFMatrix(gf(3), rng.integers(0, 3, size=(6, m)))
+            p = rng.uniform(0.1, 1.0, m)
+            return lambda: matroid_rc_partition(matrix, p)
+
+        for family in (potts, matroid):
+            peaks = []
+            for m in (8, 14):
+                call = family(m)
+                tracemalloc.start()
+                try:
+                    call()
+                    _size, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks.append(peak)
+            # 2^14 weights alone would take 128 KiB as float64, and the
+            # (masks, rows, columns) elimination array over them 2.6 MiB
+            assert peaks[1] < peaks[0] + 16 * 1024, family.__name__
