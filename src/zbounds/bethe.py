@@ -58,7 +58,9 @@ def bethe_objective(
 
     Returns -inf when beliefs put mass on a zero of a potential.  With
     ``validate`` the beliefs are first checked against the local
-    consistency constraints up to ``polytope_tol``.
+    consistency constraints up to ``polytope_tol``.  The one evaluator is
+    ``_objective_rows``, over a stack of belief rows; this is its one-row
+    case.
     """
     if validate:
         violation = tau.polytope_violation(model)
@@ -67,42 +69,81 @@ def bethe_objective(
                 f"beliefs violate local consistency by {violation:.3g} "
                 f"(tolerance {polytope_tol:.3g})"
             )
-    total = 0.0
-    for v in model.var_ids:
-        ti = np.asarray(tau.node[v], dtype=float)
+    node = [np.asarray(tau.node[v], dtype=float)[None] for v in model.var_ids]
+    factor = [np.asarray(tau.factor[fac.id], dtype=float)[None] for fac in model.factors]
+    return float(_objective_rows(model, node, factor)[0])
+
+
+def _objective_rows(model: FactorGraph, node: list, factor: list) -> np.ndarray:
+    """The Bethe objective at each row of a stack of beliefs.
+
+    ``node`` holds one (rows, card) array per variable of ``model.var_ids``
+    and ``factor`` one (rows, *shape) array per factor in model order; a
+    model with neither has one row.  Each row's terms are added in one
+    order: per variable its energy, then its entropy; per factor its
+    energy, its entropy, then one cross term per scope position.  So a
+    row's value does not depend on the other rows.  A row that puts mass on
+    a zero of a potential, or a factor marginal with mass where its node
+    belief is 0, scores -inf.
+    """
+    rows = len((node + factor)[0]) if node or factor else 1
+    value = np.zeros(rows)
+    dead = np.zeros(rows, dtype=bool)
+    for v, ti in zip(model.var_ids, node):
         pot = model.node_potential(v)
         if pot is not None:
-            e, blocked = _energy(ti[None], *_log_support(pot))
-            if blocked[0]:
-                return _NEG_INF
-            total += float(e[0])
-        total += float(_entropy(ti[None])[0])
-    for fac in model.factors:
-        ta = np.asarray(tau.factor[fac.id], dtype=float)
-        e, blocked = _energy(ta[None], *_log_support(fac.table.as_ndarray()))
-        if blocked[0]:
-            return _NEG_INF
-        total += float(e[0])
-        total += float(_entropy(ta[None])[0])
+            e, blocked = _energy(ti, *_log_support(pot))
+            dead |= blocked
+            value += e
+        value += _entropy(ti)
+    vpos = {v: k for k, v in enumerate(model.var_ids)}
+    for fac, ta in zip(model.factors, factor):
+        e, blocked = _energy(ta, *_log_support(fac.table.as_ndarray()))
+        dead |= blocked
+        value += e
+        value += _entropy(ta)
         for pos, v in enumerate(fac.scope):
-            axes = tuple(a for a in range(ta.ndim) if a != pos)
-            marg = ta.sum(axis=axes)
-            ti = np.asarray(tau.node[v], dtype=float)
-            if np.any((marg > _ZERO_TOL) & (ti <= 0)):
-                return _NEG_INF
+            marg = ta.sum(axis=tuple(1 + a for a in range(ta.ndim - 1) if a != pos))
+            ti = node[vpos[v]]
+            dead |= ((marg > _ZERO_TOL) & (ti <= 0)).any(axis=1)
             mask = (marg > 0) & (ti > 0)
-            total += float(
-                np.sum(np.where(mask, marg * np.log(np.where(ti > 0, ti, 1.0)), 0.0))
+            value += np.where(mask, marg * np.log(np.where(ti > 0, ti, 1.0)), 0.0).sum(axis=1)
+    value[dead] = _NEG_INF
+    return value
+
+
+def _check_interior(model: FactorGraph, tau: PseudoMarginals) -> None:
+    """ModelError naming the first non-positive entry among the node beliefs
+    and potentials (variable by variable), then the factor beliefs and
+    tables (factor by factor)."""
+    named = []
+    for v in model.var_ids:
+        named.append((f"node belief of {v!r}", tau.node[v]))
+        named.append((f"node potential of {v!r}", model.node_potential(v)))
+    for fac in model.factors:
+        named.append((f"factor belief of {fac.id!r}", tau.factor[fac.id]))
+        named.append((f"table of factor {fac.id!r}", fac.table.as_ndarray()))
+    for what, entries in named:
+        if entries is None:
+            continue
+        entries = np.asarray(entries, dtype=float)
+        bad = np.argwhere(~(entries > 0))
+        if len(bad):
+            at = tuple(int(k) for k in bad[0])
+            raise ModelError(
+                f"the Bethe gradient needs positive beliefs and potentials: "
+                f"{what} is {float(entries[at])!r} at {at}"
             )
-    return total
 
 
 def bethe_gradient(model: FactorGraph, tau: PseudoMarginals) -> PseudoMarginals:
     """Partial derivatives of the Bethe objective w.r.t. every belief entry.
 
-    Valid at interior points (all beliefs and potentials positive); returned
-    in a PseudoMarginals-shaped container.
+    Defined at interior points only: raises ModelError naming the first
+    belief or potential entry that is not positive.  Returned in a
+    PseudoMarginals-shaped container.
     """
+    _check_interior(model, tau)
     node_grads = {}
     incident_marg = {v: np.zeros(model.card(v)) for v in model.var_ids}
     factor_grads = {}

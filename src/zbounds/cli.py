@@ -433,7 +433,7 @@ def cmd_check_lsm(table_path, model_path, csv):
 
 @main.command("verify")
 @click.argument("theorem", type=click.Choice(list(verify_mod.SUITES)))
-@click.option("--trials", default=None, type=click.IntRange(min=0),
+@click.option("--trials", default=None, type=click.IntRange(min=1),
               help="Trial count where applicable.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--csv", is_flag=True)

@@ -118,6 +118,232 @@ class TestGradient:
                     fd = (perturbed("f", fac.id, idx, h) - perturbed("f", fac.id, idx, -h)) / (2 * h)
                     assert fd == pytest.approx(grad.factor[fac.id][idx], rel=1e-5, abs=1e-5)
 
+    @staticmethod
+    def _interior():
+        m = FactorGraph(
+            [("a", 2), ("b", 2)], [("f", ("a", "b"), [1.0, 2.0, 3.0, 4.0])], {"a": [1.0, 2.0]}
+        )
+        return m, exact_marginals(m)
+
+    def test_zero_node_belief_rejected(self):
+        m, tau = self._interior()
+        tau.node["a"] = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=r"node belief of 'a' is 0\.0 at \(1,\)"):
+                bethe_gradient(m, tau)
+
+    def test_zero_factor_belief_rejected(self):
+        m, tau = self._interior()
+        tau.factor["f"] = np.array([[0.5, 0.0], [0.25, 0.25]])
+        with pytest.raises(ModelError, match=r"factor belief of 'f' is 0\.0 at \(0, 1\)"):
+            bethe_gradient(m, tau)
+
+    def test_zero_table_entry_rejected(self):
+        m = FactorGraph([("a", 2), ("b", 2)], [("f", ("a", "b"), [1.0, 2.0, 0.0, 4.0])])
+        tau = PseudoMarginals(
+            node={"a": np.array([0.5, 0.5]), "b": np.array([0.5, 0.5])},
+            factor={"f": np.full((2, 2), 0.25)},
+        )
+        with pytest.raises(ModelError, match=r"table of factor 'f' is 0\.0 at \(1, 0\)"):
+            bethe_gradient(m, tau)
+
+    def test_zero_node_potential_rejected(self):
+        m = FactorGraph([("a", 2)], [], {"a": [0.0, 1.0]})
+        tau = PseudoMarginals(node={"a": np.array([0.5, 0.5])}, factor={})
+        with pytest.raises(ModelError, match=r"node potential of 'a' is 0\.0 at \(0,\)"):
+            bethe_gradient(m, tau)
+
+
+# The objective and the gradient check as they were before the objective was
+# batched: one scalar walk over the terms, returning early at the first
+# blocked one, and two such walks per coordinate.  The batched objective and
+# verify_gradient must reproduce them exactly.
+
+
+def _ref_objective(model, tau):
+    total = 0.0
+    for v in model.var_ids:
+        ti = np.asarray(tau.node[v], dtype=float)
+        pot = model.node_potential(v)
+        if pot is not None:
+            e, blocked = bethe._energy(ti[None], *bethe._log_support(pot))
+            if blocked[0]:
+                return float("-inf")
+            total += float(e[0])
+        total += float(bethe._entropy(ti[None])[0])
+    for fac in model.factors:
+        ta = np.asarray(tau.factor[fac.id], dtype=float)
+        e, blocked = bethe._energy(ta[None], *bethe._log_support(fac.table.as_ndarray()))
+        if blocked[0]:
+            return float("-inf")
+        total += float(e[0])
+        total += float(bethe._entropy(ta[None])[0])
+        for pos, v in enumerate(fac.scope):
+            axes = tuple(a for a in range(ta.ndim) if a != pos)
+            marg = ta.sum(axis=axes)
+            ti = np.asarray(tau.node[v], dtype=float)
+            if np.any((marg > 1e-12) & (ti <= 0)):
+                return float("-inf")
+            mask = (marg > 0) & (ti > 0)
+            total += float(
+                np.sum(np.where(mask, marg * np.log(np.where(ti > 0, ti, 1.0)), 0.0))
+            )
+    return total
+
+
+def _ref_fd_error(model, tau, coord, analytic, h):
+    kind, key, idx = coord
+
+    def shifted(delta):
+        node = {k: a.copy() for k, a in tau.node.items()}
+        factor = {k: a.copy() for k, a in tau.factor.items()}
+        if kind == "node":
+            node[key][idx] += delta
+        else:
+            factor[key][idx] += delta
+        return _ref_objective(model, PseudoMarginals(node, factor))
+
+    fd = (shifted(h) - shifted(-h)) / (2 * h)
+    return abs(fd - analytic) / max(1.0, abs(analytic))
+
+
+def _ref_verify_gradient(points, seed):
+    rng = np.random.default_rng(seed)
+    h = 1e-6
+
+    def cases():
+        for _ in range(points):
+            model = random_tree_model(rng, max_vertices=4)
+            ref = FactorGraph(
+                [(v, model.card(v)) for v in model.var_ids],
+                [
+                    (fac.id, fac.scope, np.exp(rng.uniform(-1, 1, fac.table.values.size)))
+                    for fac in model.factors
+                ],
+            )
+            yield model, exact_marginals(ref)
+
+    def one(case):
+        model, tau = case
+        grad = bethe_gradient(model, tau)
+        worst_here = 0.0
+        for v in model.var_ids:
+            for s in range(model.card(v)):
+                worst_here = max(
+                    worst_here, _ref_fd_error(model, tau, ("node", v, s), grad.node[v][s], h)
+                )
+        for fac in model.factors:
+            for idx in np.ndindex(tau.factor[fac.id].shape):
+                worst_here = max(
+                    worst_here,
+                    _ref_fd_error(model, tau, ("factor", fac.id, idx), grad.factor[fac.id][idx], h),
+                )
+        return worst_here <= verify.REL_TOL_GRADIENT, verify.REL_TOL_GRADIENT - worst_here
+
+    name = "Bethe objective gradient vs finite differences"
+    return verify.run_trials(name, cases(), one, verify.REL_TOL_GRADIENT)
+
+
+def _belief_stack(model, rows):
+    """(node stacks, factor stacks) of a list of PseudoMarginals rows."""
+    node = [np.array([r.node[v] for r in rows], dtype=float) for v in model.var_ids]
+    factor = [np.array([r.factor[f.id] for r in rows], dtype=float) for f in model.factors]
+    return node, factor
+
+
+class TestBatchedObjective:
+    """``_objective_rows`` scores a stack of belief rows; each row must come
+    out bit for bit as that row alone, as ``bethe_objective`` and as the
+    scalar reference above."""
+
+    @staticmethod
+    def _model():
+        # a zero in a node potential and in a pairwise table, a positive
+        # 3-ary table, a unary table, a constant factor and a variable
+        # without a node potential
+        return FactorGraph(
+            [("a", 2), ("b", 3), ("c", 2)],
+            [
+                ("f", ("a", "b"), [0.7, 1.3, 2.0, 0.9, 1.6, 0.0]),
+                ("h", ("a", "b", "c"), np.exp(np.linspace(-1.0, 1.0, 12))),
+                ("k", (), [2.0]),
+                ("u", ("c",), [1.2, 0.4]),
+            ],
+            {"a": [0.0, 2.0], "b": [1.0, 0.5, 3.0]},
+        )
+
+    @staticmethod
+    def _rows(model, rng):
+        base = exact_marginals(model)
+        rows = [base]
+        for _ in range(5):  # jitter off the polytope, zeros kept
+            rows.append(PseudoMarginals(
+                {v: a * rng.uniform(0.8, 1.2, a.shape) for v, a in base.node.items()},
+                {k: a * rng.uniform(0.8, 1.2, a.shape) for k, a in base.factor.items()},
+            ))
+
+        def edited(which, key, value):
+            node = {v: a.copy() for v, a in base.node.items()}
+            factor = {k: a.copy() for k, a in base.factor.items()}
+            (node if which == "node" else factor)[key] = np.array(value, dtype=float)
+            return PseudoMarginals(node, factor)
+
+        # mass on the zero of a's node potential
+        rows.append(edited("node", "a", [0.5, 0.5]))
+        # mass on the zero of f's table
+        f = base.factor["f"].copy()
+        f[1, 2] = 0.1
+        rows.append(edited("factor", "f", f))
+        # f's marginal on b has mass where b's node belief is 0
+        rows.append(edited("node", "b", [0.0, 0.4, 0.6]))
+        return rows
+
+    def test_rows_match_one_at_a_time(self):
+        model = self._model()
+        rows = self._rows(model, np.random.default_rng(2))
+        values = bethe._objective_rows(model, *_belief_stack(model, rows))
+        assert values.shape == (len(rows),)
+        assert np.isfinite(values[:6]).all()
+        assert values[6:].tolist() == [float("-inf")] * 3
+        for r, tau in enumerate(rows):
+            alone = bethe._objective_rows(model, *_belief_stack(model, [tau]))
+            want = _ref_objective(model, tau)
+            assert float(values[r]).hex() == float(alone[0]).hex() == want.hex(), r
+            assert bethe_objective(model, tau, validate=False).hex() == want.hex(), r
+
+    def test_constant_factor_only(self):
+        model = FactorGraph([], [("k", (), [2.5])])
+        rows = [PseudoMarginals({}, {"k": np.array(w)}) for w in (1.0, 0.5, 0.0)]
+        values = bethe._objective_rows(model, *_belief_stack(model, rows))
+        assert [float(x).hex() for x in values] == [_ref_objective(model, t).hex() for t in rows]
+        assert values[0] == math.log(2.5)
+
+    def test_model_without_variables(self):
+        model = FactorGraph([])
+        assert bethe._objective_rows(model, [], []).tolist() == [0.0]
+        assert bethe_objective(model, PseudoMarginals({}, {})) == 0.0
+
+    def test_gradient_check_matches_coordinate_loop(self):
+        for seed in (31, 0, 1, 2, 3, 4):
+            got = verify.verify_gradient(points=20, seed=seed)
+            assert repr(got) == repr(_ref_verify_gradient(20, seed)), seed
+
+    def test_one_call_per_gradient_point(self, monkeypatch):
+        # the gradient check scores all of a point's central differences in
+        # one call of 2 rows per belief entry
+        rows = []
+        original = bethe._objective_rows
+
+        def counted(model, node, factor):
+            rows.append(len((node + factor)[0]))
+            return original(model, node, factor)
+
+        monkeypatch.setattr(verify, "_objective_rows", counted)
+        verify.verify_gradient(points=3, seed=4)
+        assert len(rows) == 3
+        assert all(r % 2 == 0 and r >= 2 * (2 * 2 + 4) for r in rows)  # >= 2 binary variables
+
 
 class TestRunBP:
     def test_single_variable_immediate(self):

@@ -325,6 +325,13 @@ class TestCommands:
         res = runner.invoke(main, ["verify", "appendix-a", "--trials", "-3"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("tag", ["gradient", "5.2-ordering", "structure"])
+    def test_verify_zero_trials_exit_2(self, runner, tag):
+        # a suite that ran nothing must not pass
+        res = runner.invoke(main, ["verify", tag, "--trials", "0"])
+        assert res.exit_code == 2
+        assert "PASS" not in res.output
+
     def test_cover_sample_missing_model_exit_2(self, runner, tmp_path):
         missing = str(tmp_path / "missing.json")
         res = runner.invoke(main, ["cover", "sample", "--model", missing, "--m", "2"])
