@@ -485,6 +485,13 @@ def _bp_engine(
     return v2f, f2v, iterations, residual
 
 
+def _check_damping(damping: float) -> None:
+    """ModelError unless 0 <= damping < 1: BP keeps that share of the old
+    message, so 1 never moves and more than 1 diverges."""
+    if not 0.0 <= damping < 1.0:
+        raise ModelError(f"damping must lie in [0, 1), got {damping!r}")
+
+
 def run_bp(
     model: FactorGraph,
     init: int | None = None,
@@ -498,8 +505,10 @@ def run_bp(
     None for uniform messages.  Returns (BPState, beliefs, Bethe objective
     at the beliefs).  Non-convergence is reported through the state's
     ``converged`` flag; the last iterate is returned either way.  Raises
-    NumericRangeError when a potential's entries sum beyond the float range.
+    ModelError for a damping outside [0, 1), and NumericRangeError when a
+    potential's entries sum beyond the float range.
     """
+    _check_damping(damping)
     g = _Graph(model)
     _check_sums(g)
     if init is None:
@@ -688,43 +697,60 @@ def _logit_gradient(g: _Graph, nu: list, lam: list) -> list:
 
 
 def _polish_nu(g: _Graph, nu: list, steps: int) -> tuple:
-    """Ascent on node beliefs through the envelope, in logit coordinates.
+    """Ascent on each of a stack of node-belief rows through the envelope,
+    in logit coordinates, all rows in lockstep.
 
-    One envelope call scores the start point; each of the ``steps`` then
-    makes one batched call over the backtracking rates, rate, rate / 2,
-    ... >= 1e-4, and takes the first that improves, growing the next
-    step's rate by 1.5 (at most 10).  The gradient comes from the IPF
-    log-scalings of the current point.  Every iterate is feasible because
-    factor beliefs are re-derived by IPF; a zero belief stays zero.
+    ``nu`` holds one (rows, card) array per variable; a model without
+    variables has one row, which has nothing to move.  One envelope call
+    scores every start row.  Each of the ``steps`` then makes one batched
+    call over the backtracking rates of every row still improving: a row's
+    own rate, rate / 2, ... >= 1e-4.  Each row takes its first rate that
+    improves and grows its next rate by 1.5 (at most 10); a row that no
+    rate improves, or whose start scores -inf, stops.  The gradient comes
+    from the IPF log-scalings of the row's current point.  The envelope is
+    row-independent, so each row ends exactly as when polished alone.
+    Every iterate is feasible because factor beliefs are re-derived by IPF;
+    a zero belief stays zero.  Returns (per variable the (rows, card) best
+    beliefs, per row its factor beliefs, the (rows,) best values).
     """
-    nu = _clean_nu(g, [np.asarray(ni)[None] for ni in nu])
-    values, factors, lam = _envelope(g, nu)
-    best_nu = [ni[0] for ni in nu]
-    best_val, best_factors, best_lam = values[0], factors[0], [li[0] for li in lam]
-    rate = 0.5
+    nu = _clean_nu(g, nu)
+    best_val, best_factors, lam = _envelope(g, nu)
+    best_lam = [[li[r] for li in lam] for r in range(len(best_val))]
+    rate = [0.5] * len(best_val)
+    live = [r for r, value in enumerate(best_val) if value > _NEG_INF] if nu else []
     for _ in range(steps):
-        if best_val == _NEG_INF:  # an infeasible start has no gradient
+        if not live:
             break
-        rates = []
-        while rate >= 1e-4:
-            rates.append(rate)
-            rate *= 0.5
-        stepped = []
-        for ni, d in zip(best_nu, _logit_gradient(g, best_nu, best_lam)):
-            with np.errstate(divide="ignore"):
-                moved = np.log(ni) + np.array(rates)[:, None] * d
-            # a zero belief (logit -inf) stays zero
-            np.clip(moved, -40.0, 40.0, out=moved, where=np.isfinite(moved))
-            stepped.append(_softmax(moved))
+        rates, logits = [], [[] for _ in nu]
+        for r in live:
+            mine = []
+            while rate[r] >= 1e-4:
+                mine.append(rate[r])
+                rate[r] *= 0.5
+            rates.append(mine)
+            grad = _logit_gradient(g, [ni[r] for ni in nu], best_lam[r])
+            for vi, (ni, d) in enumerate(zip(nu, grad)):
+                with np.errstate(divide="ignore"):
+                    moved = np.log(ni[r]) + np.array(mine)[:, None] * d
+                # a zero belief (logit -inf) stays zero
+                np.clip(moved, -40.0, 40.0, out=moved, where=np.isfinite(moved))
+                logits[vi].append(moved)
+        stepped = [_softmax(np.concatenate(theta)) for theta in logits]
         values, factors, lam = _envelope(g, stepped)
-        better = np.flatnonzero(values > best_val)
-        if not better.size:
-            break
-        k = better[0]
-        best_nu = [rows[k] for rows in stepped]
-        best_val, best_factors, best_lam = values[k], factors[k], [li[k] for li in lam]
-        rate = min(rates[k] * 1.5, 10.0)
-    return best_nu, best_factors, best_val
+        going, start = [], 0
+        for r, row_rates in zip(live, rates):
+            better = np.flatnonzero(values[start : start + len(row_rates)] > best_val[r])
+            if better.size:
+                k = start + better[0]
+                for ni, rows in zip(nu, stepped):
+                    ni[r] = rows[k]
+                best_val[r], best_factors[r] = values[k], factors[k]
+                best_lam[r] = [li[k] for li in lam]
+                rate[r] = min(row_rates[better[0]] * 1.5, 10.0)
+                going.append(r)
+            start += len(row_rates)
+        live = going
+    return nu, best_factors, best_val
 
 
 def partition_from_log(log_z: float, what: str) -> float:
@@ -768,14 +794,17 @@ def maximize_bethe(
     Runs ``restarts`` damped BP chains from random positive messages
     (restart 0 is uniform), adds the mean-field solution and flat beliefs
     as candidates, re-derives consistent factor beliefs for every
-    candidate through the envelope, and polishes the best few by feasible
-    ascent.  The returned value is exp of the best objective seen; it is a
-    lower bound on the true Bethe optimum (the remaining gap is not
-    quantified).  Raises NumericRangeError when that value, the Z_MF
-    computed on the way (Z_MF <= Z_B), or the sum of a potential's entries
-    is beyond the float range.
+    candidate through the envelope in one batched call, and polishes the
+    ``refine_top`` best together by feasible ascent, one ``_polish_nu``
+    call for all of them.  The returned value is exp of the best objective
+    seen; it is a lower bound on the true Bethe optimum (the remaining gap
+    is not quantified).  Raises ModelError for a damping outside [0, 1),
+    and NumericRangeError when that value, the Z_MF computed on the way
+    (Z_MF <= Z_B), or the sum of a potential's entries is beyond the float
+    range.
     """
     _check_budget(model, max_vars, max_factors)
+    _check_damping(damping)
     g = _Graph(model)
     _check_sums(g)
     # blocks of candidate rows, one (rows, card) array per variable each
@@ -805,11 +834,13 @@ def maximize_bethe(
 
     best = scored[0]
     best_val, best_nu, best_factors = values[best], [b[best] for b in nu], factors[best]
-    for r in scored[: max(1, refine_top)]:
-        if refine_steps > 0:
-            r_nu, r_factors, r_val = _polish_nu(g, [b[r] for b in nu], steps=refine_steps)
+    if refine_steps > 0:
+        top = scored[: max(1, refine_top)]
+        p_nu, p_factors, p_values = _polish_nu(g, [b[top] for b in nu], steps=refine_steps)
+        # in scored order, a later candidate replaces the best only when higher
+        for j, r_val in enumerate(p_values):
             if r_val > best_val:
-                best_val, best_nu, best_factors = r_val, r_nu, r_factors
+                best_val, best_nu, best_factors = r_val, [b[j] for b in p_nu], p_factors[j]
 
     tau = PseudoMarginals(node=dict(zip(g.var_ids, best_nu)), factor=dict(best_factors))
     return tau, partition_from_log(best_val, "Bethe partition function")

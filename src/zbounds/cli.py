@@ -43,6 +43,8 @@ from .models import exact_partition, float_array
 
 EXIT_REFUSAL = 1
 EXIT_INPUT = 2
+# BP keeps this share of the old message: 1 never moves, above 1 diverges
+_DAMPING = click.FloatRange(0.0, 1.0, max_open=True)
 
 
 def _emit(record: ResultRecord, csv: bool) -> None:
@@ -115,7 +117,7 @@ def cmd_z(model_path, cap, csv):
 
 @main.command("bp")
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--damping", default=0.5, show_default=True)
+@click.option("--damping", default=0.5, show_default=True, type=_DAMPING)
 @click.option("--tol", default=1e-10, show_default=True)
 @click.option("--max-iters", default=10_000, show_default=True)
 @click.option("--seed", default=None, type=int, help="Random positive message init.")
@@ -147,10 +149,10 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
 
 @main.command("z-bethe")
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--restarts", default=64, show_default=True)
+@click.option("--restarts", default=64, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--damping", default=0.5, show_default=True)
-@click.option("--refine-steps", default=60, show_default=True)
+@click.option("--damping", default=0.5, show_default=True, type=_DAMPING)
+@click.option("--refine-steps", default=60, show_default=True, type=click.IntRange(min=0))
 @click.option("--csv", is_flag=True)
 def cmd_z_bethe(model_path, restarts, seed, damping, refine_steps, csv):
     """Best-found Bethe partition function (multistart BP plus refinement)."""
@@ -169,7 +171,7 @@ def cmd_z_bethe(model_path, restarts, seed, damping, refine_steps, csv):
 
 @main.command("z-meanfield")
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--restarts", default=16, show_default=True)
+@click.option("--restarts", default=16, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--csv", is_flag=True)
 def cmd_z_meanfield(model_path, restarts, seed, csv):

@@ -44,7 +44,9 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return self.passes == self.trials
+        """Every trial passed, and there was at least one: a report that
+        ran nothing has shown nothing."""
+        return self.trials > 0 and self.passes == self.trials
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -398,6 +398,24 @@ class TestRunBP:
         assert best > log_z
 
 
+class TestDampingRefused:
+    # BP keeps the damping's share of the old message: 1 never moves a
+    # message and more than 1 diverges
+    @pytest.mark.parametrize("damping", [1.0, 1.5, -0.5, float("nan")])
+    def test_run_bp(self, damping):
+        with pytest.raises(ModelError, match=f"damping must lie in \\[0, 1\\), got {damping!r}"):
+            run_bp(_pinned_models()["potts_uniform_field"], damping=damping)
+
+    @pytest.mark.parametrize("damping", [1.0, 1.5, -0.5, float("nan")])
+    def test_maximize_bethe(self, damping):
+        with pytest.raises(ModelError, match=f"damping must lie in \\[0, 1\\), got {damping!r}"):
+            maximize_bethe(_pinned_models()["potts_uniform_field"], restarts=2, damping=damping)
+
+    def test_undamped_accepted(self):
+        state, _tau, _value = run_bp(_pinned_models()["potts_uniform_field"], damping=0.0)
+        assert state.damping == 0.0
+
+
 class TestConstantFactors:
     """A factor with an empty scope multiplies Z by its one entry."""
 
@@ -795,6 +813,20 @@ def _ref_polish(g, nu, steps):
     return best_nu, best_factors, best_val
 
 
+def _ref_polish_top(g, nu, values, factors, steps, top):
+    """maximize_bethe's polish as it was: its ``top`` best candidates
+    polished one at a time in scored order, each replacing the best only
+    when strictly higher.  Returns (value, node beliefs, factor beliefs)."""
+    scored = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    best = scored[0]
+    best_val, best_nu, best_factors = values[best], [b[best] for b in nu], factors[best]
+    for r in scored[: max(1, top)]:
+        r_nu, r_factors, r_val = _ref_polish(g, [b[r] for b in nu], steps)
+        if r_val > best_val:
+            best_val, best_nu, best_factors = r_val, r_nu, r_factors
+    return best_val, best_nu, best_factors
+
+
 def _same_factors(got: dict, want: dict) -> bool:
     return list(got) == list(want) and all(
         got[k].shape == want[k].shape and got[k].tobytes() == want[k].tobytes() for k in want
@@ -880,20 +912,58 @@ class TestBatchedEnvelope:
 
     @pytest.mark.parametrize(
         "name", ["potts_uniform_field", "hom_hard_zeros", "matroid_incidence",
-                 "zero_node_potential", "cardinality_one", "no_factors"]
+                 "zero_node_potential", "cardinality_one", "no_factors", "equality_pair"]
     )
     def test_polish_matches_step_by_step(self, name):
         # from the flat start, potts_uniform_field and hom_hard_zeros grow
         # the rate to its cap of 10 and then backtrack from it; matroid
-        # backtracks all the way below 1e-4 without improving
-        g = bethe._Graph(_pinned_models()[name])
+        # backtracks all the way below 1e-4 without improving.  The rows
+        # are polished in lockstep, each stopping after its own number of
+        # steps, and each must end exactly as when polished alone.
+        g = bethe._Graph(self._models()[name])
         skew = [np.linspace(1.0, 5.0, c) / np.linspace(1.0, 5.0, c).sum() for c in g.cards]
-        for start in ([np.full(c, 1.0 / c) for c in g.cards], skew):
-            got_nu, got_factors, got_val = bethe._polish_nu(g, start, steps=15)
+        # variable k one-hot at state k mod card: mass on a zero of a node
+        # potential, or margins the equality table cannot fit
+        one_hot = [np.eye(c)[k % c] for k, c in enumerate(g.cards)]
+        starts = [[np.full(c, 1.0 / c) for c in g.cards], skew, one_hot]
+        rng = np.random.default_rng(3)
+        starts += [[bethe._softmax(3.0 * rng.normal(size=c)) for c in g.cards] for _ in range(2)]
+        stack = [np.array([start[vi] for start in starts]) for vi in range(len(g.cards))]
+        got_nu, got_factors, got_val = bethe._polish_nu(g, stack, steps=15)
+        assert len(got_val) == len(got_factors) == len(starts)
+        for r, start in enumerate(starts):
             want_nu, want_factors, want_val = _ref_polish(g, start, steps=15)
-            assert got_val == want_val
-            assert [a.tobytes() for a in got_nu] == [a.tobytes() for a in want_nu]
-            assert _same_factors(got_factors, want_factors)
+            assert got_val[r] == want_val, r
+            assert [ni[r].tobytes() for ni in got_nu] == [a.tobytes() for a in want_nu], r
+            assert _same_factors(got_factors[r], want_factors), r
+        blocked = name in ("hom_hard_zeros", "zero_node_potential", "equality_pair")
+        assert (got_val[2] == float("-inf")) == blocked
+
+    @pytest.mark.parametrize("refine_top", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "name", ["counterexample", "potts_uniform_field", "hom_hard_zeros",
+                 "zero_node_potential", "no_variables"]
+    )
+    def test_maximize_bethe_matches_sequential_polish(self, monkeypatch, name, refine_top):
+        # the candidates and their scores come from maximize_bethe's first
+        # envelope call; the reference then polishes them one at a time
+        model = self._models()[name]
+        calls = []
+        original = bethe._envelope
+
+        def recorded(g, nu):
+            out = original(g, nu)
+            calls.append((nu, out))
+            return out
+
+        monkeypatch.setattr(bethe, "_envelope", recorded)
+        tau, zb = maximize_bethe(model, restarts=6, seed=1, refine_steps=12, refine_top=refine_top)
+        nu, (values, factors, _lam) = calls[0]
+        g = bethe._Graph(model)
+        want_val, want_nu, want_factors = _ref_polish_top(g, nu, values, factors, 12, refine_top)
+        assert zb == bethe.partition_from_log(want_val, "Z_B")
+        assert [tau.node[v].tobytes() for v in model.var_ids] == [a.tobytes() for a in want_nu]
+        assert _same_factors(tau.factor, want_factors)
 
 
 def _gradient_models():
@@ -990,14 +1060,13 @@ class TestLayerProbe:
 
         monkeypatch.setattr(bethe, "_envelope", counted)
         model = _pinned_models()["potts_uniform_field"]
-        bethe.maximize_bethe(model, restarts=8, refine_steps=5, refine_top=2)
+        bethe.maximize_bethe(model, restarts=8, refine_steps=5, refine_top=3)
         # one call scores the 8 BP restarts, mean field, flat and
-        # field-proportional candidates; each polish then makes one call for
-        # its start point and one per step for its backtracking rates
-        assert rows[0] == 8 + 3
-        assert len(rows) <= 1 + 2 * (1 + 5)
-        assert len(rows) >= 1 + 2 * (1 + 1)  # both polishes took a step
-        assert sorted(rows[1:]).count(1) == 2  # one start row per polish
+        # field-proportional candidates; one call scores the start rows of
+        # all 3 polished candidates, and each step then makes one call over
+        # the backtracking rates of every candidate still improving
+        assert rows[:2] == [8 + 3, 3]
+        assert 2 + 1 <= len(rows) <= 2 + 5  # the candidates took a step
 
 
 # BP as it was before the factors were stacked: per-factor lists of

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from zbounds import verify
 from zbounds.cli import main
 from zbounds.io import (
     canonical_digest,
@@ -331,6 +332,37 @@ class TestCommands:
         res = runner.invoke(main, ["verify", tag, "--trials", "0"])
         assert res.exit_code == 2
         assert "PASS" not in res.output
+
+    def test_zero_trial_report_fails(self):
+        rep = verify.dispatch("5.2-ordering", 0, 0)[0]
+        assert rep.trials == 0 and not rep.ok
+        assert rep.summary().startswith("FAIL ")
+        assert not verify.verify_gradient(points=0).ok
+
+    @pytest.mark.parametrize("command", ["bp", "z-bethe"])
+    @pytest.mark.parametrize("damping", ["1.0", "1.5", "-0.5"])
+    def test_damping_outside_unit_interval_exit_2(self, runner, tree_file, command, damping):
+        # 1 never moves a message and more than 1 diverges
+        res = runner.invoke(main, [command, "--model", tree_file, "--damping", damping])
+        assert res.exit_code == 2
+        assert "--damping" in res.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [["z-bethe", "--restarts", "-3"], ["z-bethe", "--restarts", "0"],
+         ["z-bethe", "--refine-steps", "-3"], ["z-meanfield", "--restarts", "-3"],
+         ["z-meanfield", "--restarts", "0"]],
+        ids=" ".join,
+    )
+    def test_negative_counts_exit_2(self, runner, tree_file, args):
+        res = runner.invoke(main, args + ["--model", tree_file])
+        assert res.exit_code == 2
+        assert "{" not in res.output  # no record, so no echoed settings
+
+    def test_zero_refine_steps_accepted(self, runner, tree_file):
+        res = runner.invoke(main, ["z-bethe", "--model", tree_file, "--refine-steps", "0"])
+        assert res.exit_code == 0, res.output
+        assert last_record(res.output)["settings"]["refine_steps"] == 0
 
     def test_cover_sample_missing_model_exit_2(self, runner, tmp_path):
         missing = str(tmp_path / "missing.json")
