@@ -307,7 +307,7 @@ def cmd_rc(graph_path, csv):
     default=potts_mod.COUNTEREXAMPLE_DEFAULT_FIELD_MODE,
     show_default=True,
 )
-@click.option("--restarts", default=64, show_default=True)
+@click.option("--restarts", default=64, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--emit-model", is_flag=True, help="Print the model JSON instead.")
 @click.option("--csv", is_flag=True)
@@ -338,7 +338,7 @@ def cmd_counterexample(pair_mode, field_mode, restarts, seed, emit_model, csv):
 @main.command("wef")
 @click.option("--code", "code_path", required=True, type=click.Path())
 @click.option("--lam", "--lambda", "lam", required=True, type=float)
-@click.option("--restarts", default=32, show_default=True)
+@click.option("--restarts", default=32, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--csv", is_flag=True)
 def cmd_wef(code_path, lam, restarts, seed, csv):

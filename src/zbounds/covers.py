@@ -5,14 +5,19 @@ variable) incidence: copy m of factor alpha is wired, in the position of
 base variable i, to copy pi[alpha,i](m) of i.  This permutation-voltage
 encoding generates exactly the M-covers of each connected component and
 makes uniform sampling a matter of drawing independent permutations.
+
+Lifts number copies variable-major (copy l of base node i is i*M + l),
+through ``CoverSpec.lifted_index`` and ``layered_masks`` only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +36,8 @@ class CoverSpec:
 
     ``perms`` maps (factor id, variable id) to a length-M tuple that is a
     bijection on {0..M-1}; every incidence of the base model must appear.
+    It is validated once and read once into ``lifted_index``, so it must
+    not change after the spec is built.
     """
 
     base: FactorGraph
@@ -54,6 +61,58 @@ class CoverSpec:
         for key, perm in self.perms.items():
             if sorted(perm) != list(range(self.m)):
                 raise ModelError(f"permutation for incidence {key} is not a bijection")
+
+    @functools.cached_property
+    def scopes(self) -> tuple:
+        """Each base factor's scope as positions in ``base.var_ids``."""
+        pos = {v: i for i, v in enumerate(self.base.var_ids)}
+        return tuple(tuple(pos[v] for v in fac.scope) for fac in self.base.factors)
+
+    @functools.cached_property
+    def lifted_index(self) -> tuple:
+        """An (incidences, M) tuple of tuples: row k for the k-th base
+        incidence (alpha, i) in factor then scope order, entry m the lifted
+        variable i*M + pi[alpha,i](m) that copy m of alpha meets."""
+        return tuple(
+            tuple(i * self.m + layer for layer in self.perms[(fac.id, v)])
+            for fac, scope in zip(self.base.factors, self.scopes)
+            for v, i in zip(fac.scope, scope)
+        )
+
+    def require_base(self, n_vars: int, scopes: Sequence, what: str) -> None:
+        """Refuse a base other than ``n_vars`` variables with these factor
+        scopes (as positions): a lift reads ``lifted_index`` by position."""
+        want = (n_vars, tuple(map(tuple, scopes)))
+        if (self.base.num_vars, self.scopes) != want:
+            raise ModelError(
+                f"cover spec base (variables, scopes) {(self.base.num_vars, self.scopes)} "
+                f"does not match {what} {want}"
+            )
+
+
+def layered_masks(layers: Sequence[int], m: int, n: int) -> tuple:
+    """Map M layer bitmasks over n base items to (lifted mask, stack masks).
+
+    ``layers[l]`` selects copy l of each item (bits of n and above are
+    ignored).  The lifted mask has bit i*M + l set iff bit i of
+    ``layers[l]`` is.  Stack mask k has bit i set iff at least k+1 layers
+    have it: the sorted stack of the layer indicators.
+    """
+    if len(layers) != m:
+        raise ModelError(f"need {m} layers, got {len(layers)}")
+    layers = [int(x) & ((1 << n) - 1) for x in layers]
+    lifted = 0
+    for layer, x in enumerate(layers):
+        for i in range(n):
+            if (x >> i) & 1:
+                lifted |= 1 << (i * m + layer)
+    # insert each layer into the stack, carrying shared bits one level down
+    stacks = []
+    for x in layers:
+        for k, s in enumerate(stacks):
+            stacks[k], x = s | x, s & x
+        stacks.append(x)
+    return lifted, stacks
 
 
 @dataclass
@@ -89,14 +148,15 @@ def build_cover(spec: CoverSpec) -> LiftedModel:
             layer_map[lv] = m
             if v in base_pots:
                 pots[lv] = base_pots[v]
+    names = [lv for lv, _card in variables]
+    rows = iter(spec.lifted_index)
     factors = []
     factor_copy_map = {}
     for fac in base.factors:
+        fac_rows = [next(rows) for _ in fac.scope]
         for m in range(m_total):
             lf = lifted_id(fac.id, m)
-            scope = tuple(
-                lifted_id(v, spec.perms[(fac.id, v)][m]) for v in fac.scope
-            )
+            scope = tuple(names[row[m]] for row in fac_rows)
             factors.append(Factor(lf, scope, fac.table))
             factor_copy_map[lf] = fac.id
     cover = FactorGraph(variables, factors, pots)
@@ -152,24 +212,13 @@ def validate_cover(
     # Local bijectivity at variables: each base incidence (alpha, i) must be
     # hit exactly once around every copy of i.
     for v in candidate.var_ids:
-        seen = {}
-        for fid, _pos in candidate.incidences(v):
-            key = factor_map[fid]
-            seen[key] = seen.get(key, 0) + 1
-        want = {}
-        for fid, _pos in base.incidences(var_map[v]):
-            want[fid] = want.get(fid, 0) + 1
+        seen = Counter(factor_map[fid] for fid, _pos in candidate.incidences(v))
+        want = Counter(fid for fid, _pos in base.incidences(var_map[v]))
         if seen != want:
             return False, f"variable {v!r} breaks local bijectivity"
-    counts_v = {}
-    for v in candidate.var_ids:
-        counts_v[var_map[v]] = counts_v.get(var_map[v], 0) + 1
-    counts_f = {}
-    for fac in candidate.factors:
-        counts_f[factor_map[fac.id]] = counts_f.get(factor_map[fac.id], 0) + 1
-    fibers = set(counts_v.get(v, 0) for v in base.var_ids) | set(
-        counts_f.get(fac.id, 0) for fac in base.factors
-    )
+    counts_v = Counter(var_map[v] for v in candidate.var_ids)
+    counts_f = Counter(factor_map[fac.id] for fac in candidate.factors)
+    fibers = {counts_v[v] for v in base.var_ids} | {counts_f[fac.id] for fac in base.factors}
     if len(fibers) != 1 or 0 in fibers:
         return False, "base nodes have unequal numbers of copies"
     return True, None
@@ -198,12 +247,8 @@ def iter_cover_specs(base: FactorGraph, m: int) -> Iterator[CoverSpec]:
     enumeration small.
     """
     incidences = [(fac.id, v) for fac in base.factors for v in fac.scope]
-    first_of = {}
-    for fac in base.factors:
-        if fac.scope:
-            first_of[fac.id] = (fac.id, fac.scope[0])
+    free = [(fac.id, v) for fac in base.factors for v in fac.scope[1:]]
     all_perms = list(itertools.permutations(range(m)))
-    free = [inc for inc in incidences if first_of.get(inc[0]) != inc]
     for combo in itertools.product(all_perms, repeat=len(free)):
         perms = {inc: tuple(range(m)) for inc in incidences}
         for inc, perm in zip(free, combo):

@@ -18,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import models
-from .covers import CoverSpec, lifted_id
+from .covers import CoverSpec, layered_masks
 from .errors import EnumerationCapError, ModelError
-from .lattice import sorted_stack
 from .models import (
     DEFAULT_ENUMERATION_CAP,
     Factor,
@@ -364,26 +363,20 @@ def incidence_factor_graph(matrix: GFMatrix, couplings) -> FactorGraph:
 def lift_matrix(matrix: GFMatrix, spec: CoverSpec) -> GFMatrix:
     """Lift S along a cover of its incidence hypergraph.
 
-    The spec must be built on incidence_factor_graph(S, ...) (variables
-    ``r{i}``, factors ``c{alpha}``).  Row copy (i, l) meets column copy
-    (alpha, m) with entry S_{i,alpha} iff l = perm[alpha,i](m).
+    The spec must be built on incidence_factor_graph(S, ...): one variable
+    per row and one factor per column over the rows where it is nonzero,
+    in order; any other base is refused with a ModelError.  Row copy
+    (i, l) meets column copy (alpha, m) with entry S_{i,alpha} iff
+    l = perm[alpha,i](m).
     """
     m_total = spec.m
-    rows = matrix.n_rows
-    cols = matrix.n_cols
-    lifted = np.zeros((rows * m_total, cols * m_total), dtype=np.int64)
-    row_index = {
-        lifted_id(f"r{i}", layer): i * m_total + layer
-        for i in range(rows)
-        for layer in range(m_total)
-    }
-    for c in range(cols):
-        support = [i for i in range(rows) if matrix.entries[i, c]]
-        for m in range(m_total):
-            col = c * m_total + m
-            for i in support:
-                perm = spec.perms[(f"c{c}", f"r{i}")]
-                lifted[row_index[lifted_id(f"r{i}", perm[m])], col] = matrix.entries[i, c]
+    supports = [[i for i, x in enumerate(col) if x] for col in matrix.entries.T.tolist()]
+    spec.require_base(matrix.n_rows, supports, "the matrix's column supports")
+    lifted = np.zeros((matrix.n_rows * m_total, matrix.n_cols * m_total), dtype=np.int64)
+    # the incidences in spec order: columns in order, each over its rows
+    incidences = [(i, c) for c, support in enumerate(supports) for i in support]
+    for (i, c), copies in zip(incidences, spec.lifted_index):
+        lifted[copies, range(c * m_total, (c + 1) * m_total)] = matrix.entries[i, c]
     return GFMatrix(matrix.field, lifted)
 
 
@@ -409,24 +402,9 @@ def check_rank_cover_inequality(
     ``layers[m]`` is a bitmask over base columns selecting copy m of each
     column; the right side sorts the layer indicators coordinatewise.
     """
-    m_total = spec.m
-    if len(layers) != m_total:
-        raise ModelError(f"need {m_total} layers, got {len(layers)}")
-    lifted = lift_matrix(matrix, spec)
-    cover_mask = 0
-    for c in range(matrix.n_cols):
-        for m in range(m_total):
-            if (layers[m] >> c) & 1:
-                cover_mask |= 1 << (c * m_total + m)
-    lhs = rank(lifted, cover_mask)
-    indicators = [
-        np.array([(layers[m] >> c) & 1 for c in range(matrix.n_cols)], dtype=np.uint8)
-        for m in range(m_total)
-    ]
-    rhs = sum(
-        rank(matrix, int(sum(int(b) << c for c, b in enumerate(s))))
-        for s in sorted_stack(indicators)
-    )
+    cover_mask, stack_masks = layered_masks(layers, spec.m, matrix.n_cols)
+    lhs = rank(lift_matrix(matrix, spec), cover_mask)
+    rhs = sum(rank(matrix, sm) for sm in stack_masks)
     return RankCoverReport(lhs_rank=lhs, rhs_rank=rhs)
 
 

@@ -18,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .covers import CoverSpec, lifted_id
+from .covers import CoverSpec, layered_masks
 from .errors import ModelError
-from .lattice import sorted_stack
 from .models import (
     DEFAULT_ENUMERATION_CAP,
     Factor,
@@ -243,32 +242,19 @@ def cover_potts_model(base: PottsModel, spec: CoverSpec) -> tuple:
 
     Returns (cover PottsModel, lifted edge list as (edge index, layer) in
     enumeration order).  The spec must be built on potts_to_factor_graph
-    of the base (factor ids ``e{k}`` matching base edge order).
+    of the base: one variable per vertex and one factor per edge, in
+    order; any other base is refused with a ModelError.
     """
     m_total = spec.m
-    vid = {}
-    for v in range(base.n_vertices):
-        for layer in range(m_total):
-            vid[lifted_id(v, layer)] = len(vid)
-    lifted_edges = []
-    lifted_J = []
-    labels = []
-    for e, (i, j) in enumerate(base.edges):
-        key_i = (f"e{e}", i)
-        key_j = (f"e{e}", j)
-        if key_i not in spec.perms or key_j not in spec.perms:
-            raise ModelError(f"cover spec is missing incidences of edge e{e}")
-        for layer in range(m_total):
-            u = vid[lifted_id(i, spec.perms[key_i][layer])]
-            w = vid[lifted_id(j, spec.perms[key_j][layer])]
-            lifted_edges.append((u, w))
-            lifted_J.append(base.coupling[e])
-            labels.append((e, layer))
+    spec.require_base(base.n_vertices, base.edges, "the Potts model's edges")
+    index = spec.lifted_index
+    lifted_edges = [edge for ends in zip(index[0::2], index[1::2]) for edge in zip(*ends)]
+    labels = [(e, layer) for e in range(len(base.edges)) for layer in range(m_total)]
     cover = PottsModel(
         base.n_vertices * m_total,
         lifted_edges,
         base.q,
-        np.array(lifted_J),
+        np.repeat(base.coupling, m_total),
         base.field,
     )
     return cover, labels
@@ -300,22 +286,9 @@ def check_cover_component_inequality(
     of each edge.  With a field the random-cluster weight inequality
     f_rc+(H) <= prod_m f_rc+(G at the m-th sorted stack) is checked too.
     """
-    m_total = spec.m
-    if len(layers) != m_total:
-        raise ModelError(f"need {m_total} layers, got {len(layers)}")
-    n_e = len(base.edges)
-    cover, labels = cover_potts_model(base, spec)
-    cover_mask = 0
-    for pos, (e, layer) in enumerate(labels):
-        if (layers[layer] >> e) & 1:
-            cover_mask |= 1 << pos
+    cover_mask, stack_masks = layered_masks(layers, spec.m, len(base.edges))
+    cover, _labels = cover_potts_model(base, spec)
     lhs = count_components(cover.n_vertices, cover.edges, cover_mask)
-    indicators = [
-        np.array([(layers[m] >> e) & 1 for e in range(n_e)], dtype=np.uint8)
-        for m in range(m_total)
-    ]
-    stacks = sorted_stack(indicators)
-    stack_masks = [int(sum(int(b) << e for e, b in enumerate(s))) for s in stacks]
     rhs = sum(count_components(base.n_vertices, base.edges, sm) for sm in stack_masks)
     report = CoverComponentReport(
         lhs_components=lhs, rhs_components=rhs, component_ok=lhs <= rhs

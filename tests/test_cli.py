@@ -359,6 +359,19 @@ class TestCommands:
         assert res.exit_code == 2
         assert "{" not in res.output  # no record, so no echoed settings
 
+    @pytest.mark.parametrize("restarts", ["-3", "0"])
+    @pytest.mark.parametrize("command", [["counterexample"], ["wef", "--lam", "0.5"]])
+    def test_nonpositive_restarts_exit_2(self, runner, tmp_path, command, restarts):
+        code = tmp_path / "rep3.txt"
+        code.write_text("2 1 3\n1 1 1\n")
+        args = command + ["--restarts", restarts]
+        if command[0] == "wef":
+            args += ["--code", str(code)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "--restarts" in res.output
+        assert "{" not in res.output  # no record, so no echoed settings
+
     def test_zero_refine_steps_accepted(self, runner, tree_file):
         res = runner.invoke(main, ["z-bethe", "--model", tree_file, "--refine-steps", "0"])
         assert res.exit_code == 0, res.output

@@ -1,19 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from zbounds.covers import (
     CoverSpec,
+    LiftedModel,
     bethe_estimate_via_covers,
     build_cover,
     cover_average_exhaustive,
     iter_cover_specs,
+    layered_masks,
+    lifted_id,
     sample_cover,
     validate_cover,
 )
 from zbounds.errors import ModelError
-from zbounds.lattice import model_is_log_supermodular
-from zbounds.models import FactorGraph, exact_partition
-from zbounds.potts import count_components
+from zbounds.lattice import model_is_log_supermodular, sorted_stack
+from zbounds.matroid import GFMatrix, gf, incidence_factor_graph, lift_matrix
+from zbounds.models import Factor, FactorGraph, exact_partition
+from zbounds.potts import PottsModel, count_components, cover_potts_model, potts_to_factor_graph
 
 
 def single_edge_model():
@@ -211,3 +217,159 @@ class TestCoverEstimate:
         _tau, zb = maximize_bethe(base, restarts=8, seed=0)
         est = cover_average_exhaustive(base, 2)
         assert est.estimate == pytest.approx(zb, rel=0.05)
+
+
+# The dict-based lifts the integer index map replaced, kept as references:
+# each looks up spec.perms by (factor id, variable id) and numbers lifted
+# nodes through lifted_id strings.
+
+
+def _ref_build_cover(spec):
+    base, m_total = spec.base, spec.m
+    variables, var_copy_map, layer_map, pots = [], {}, {}, {}
+    for v in base.var_ids:
+        for m in range(m_total):
+            lv = lifted_id(v, m)
+            variables.append((lv, base.card(v)))
+            var_copy_map[lv] = v
+            layer_map[lv] = m
+            if v in base.node_potentials:
+                pots[lv] = base.node_potentials[v]
+    factors, factor_copy_map = [], {}
+    for fac in base.factors:
+        for m in range(m_total):
+            lf = lifted_id(fac.id, m)
+            scope = tuple(lifted_id(v, spec.perms[(fac.id, v)][m]) for v in fac.scope)
+            factors.append(Factor(lf, scope, fac.table))
+            factor_copy_map[lf] = fac.id
+    return LiftedModel(FactorGraph(variables, factors, pots), var_copy_map, factor_copy_map, layer_map)
+
+
+def _ref_cover_potts_model(base, spec):
+    m_total = spec.m
+    vid = {}
+    for v in range(base.n_vertices):
+        for layer in range(m_total):
+            vid[lifted_id(v, layer)] = len(vid)
+    lifted_edges, lifted_J, labels = [], [], []
+    for e, (i, j) in enumerate(base.edges):
+        for layer in range(m_total):
+            u = vid[lifted_id(i, spec.perms[(f"e{e}", i)][layer])]
+            w = vid[lifted_id(j, spec.perms[(f"e{e}", j)][layer])]
+            lifted_edges.append((u, w))
+            lifted_J.append(base.coupling[e])
+            labels.append((e, layer))
+    return lifted_edges, lifted_J, labels
+
+
+def _ref_lift_matrix(matrix, spec):
+    m_total = spec.m
+    rows, cols = matrix.n_rows, matrix.n_cols
+    lifted = np.zeros((rows * m_total, cols * m_total), dtype=np.int64)
+    row_index = {
+        lifted_id(f"r{i}", layer): i * m_total + layer
+        for i in range(rows)
+        for layer in range(m_total)
+    }
+    for c in range(cols):
+        support = [i for i in range(rows) if matrix.entries[i, c]]
+        for m in range(m_total):
+            for i in support:
+                perm = spec.perms[(f"c{c}", f"r{i}")]
+                lifted[row_index[lifted_id(f"r{i}", perm[m])], c * m_total + m] = matrix.entries[i, c]
+    return lifted
+
+
+def _ref_masks(layers, m_total, n):
+    cover_mask = 0
+    for c in range(n):
+        for m in range(m_total):
+            if (layers[m] >> c) & 1:
+                cover_mask |= 1 << (c * m_total + m)
+    indicators = [
+        np.array([(layers[m] >> c) & 1 for c in range(n)], dtype=np.uint8)
+        for m in range(m_total)
+    ]
+    stacks = [int(sum(int(b) << c for c, b in enumerate(s))) for s in sorted_stack(indicators)]
+    return cover_mask, stacks
+
+
+def _random_potts(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    edges = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+    field = rng.uniform(-1, 1, 2) if seed % 2 else None
+    return PottsModel(n, edges, 2, rng.uniform(0.1, 2.0, len(edges)), field=field)
+
+
+def _random_matrix(seed):
+    rng = np.random.default_rng(seed)
+    q = (2, 3)[seed % 2]
+    entries = rng.integers(0, q, size=(3, 4))
+    entries[:, seed % 4] = 0  # an all-zero column: a factor with an empty scope
+    return GFMatrix(gf(q), entries)
+
+
+class TestLiftMatchesReference:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_build_cover(self, m):
+        for seed in range(10):
+            base = FactorGraph(
+                [("a", 2), ("b", 3), (7, 2)],
+                [("c", (), [2.0]), ("f", (7, "a"), np.arange(1.0, 5.0)),
+                 ("g", ("b", 7, "a"), np.ones(12))],
+                {"b": [1.0, 2.0, 3.0]},
+            )
+            spec = sample_cover(base, m, seed)
+            got, want = build_cover(spec), _ref_build_cover(spec)
+            assert got.cover.var_ids == want.cover.var_ids
+            assert [(f.id, f.scope, f.table) for f in got.cover.factors] == [
+                (f.id, f.scope, f.table) for f in want.cover.factors
+            ]
+            assert got.cover.node_potentials.keys() == want.cover.node_potentials.keys()
+            assert (got.var_copy_map, got.factor_copy_map, got.layer_map) == (
+                want.var_copy_map, want.factor_copy_map, want.layer_map
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cover_potts_model(self, m):
+        for seed in range(20):
+            base = _random_potts(seed)
+            spec = sample_cover(potts_to_factor_graph(base), m, seed)
+            cover, labels = cover_potts_model(base, spec)
+            edges, couplings, ref_labels = _ref_cover_potts_model(base, spec)
+            assert cover.edges == tuple(edges)
+            assert cover.coupling.tolist() == couplings
+            assert labels == ref_labels
+            assert cover.n_vertices == base.n_vertices * m and cover.q == base.q
+            assert cover.field is base.field
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lift_matrix(self, m):
+        for seed in range(20):
+            matrix = _random_matrix(seed)
+            spec = sample_cover(incidence_factor_graph(matrix, np.zeros(4)), m, seed)
+            lifted = lift_matrix(matrix, spec)
+            assert lifted.field is matrix.field
+            assert lifted.entries.dtype == np.int64
+            assert lifted.entries.tolist() == _ref_lift_matrix(matrix, spec).tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_layered_masks(self, m):
+        n = 3
+        for layers in itertools.product(range(1 << n), repeat=m):
+            assert layered_masks(list(layers), m, n) == _ref_masks(layers, m, n)
+        # bits at and above n, and negative masks, are read as the reference reads them
+        rng = np.random.default_rng(m)
+        for _ in range(50):
+            layers = [int(x) for x in rng.integers(-64, 64, size=m)]
+            assert layered_masks(layers, m, 4) == _ref_masks(layers, m, 4)
+
+    def test_lifted_index_is_cached_and_outside_equality(self):
+        spec = sample_cover(double_edge_model(), 3, seed=4)
+        index = spec.lifted_index
+        assert index is spec.lifted_index
+        # incidences (e0,a), (e0,b), (e1,a), (e1,b); a is variable 0, b is 1
+        assert [sorted(row) for row in index] == [[0, 1, 2], [3, 4, 5]] * 2
+        assert spec == CoverSpec(spec.base, 3, dict(spec.perms))

@@ -320,6 +320,28 @@ class TestRankCoverInequality:
                     rep = check_rank_cover_inequality(m, spec, [a1, a2])
                     assert rep.ok
 
+    def test_spec_on_other_matrix_refused(self):
+        # a spec built on another matrix's incidence graph used to fail
+        # with a bare KeyError; now the mismatch is named
+        m = GFMatrix(gf(3), [[1, 0, 2], [0, 1, 1]])
+        other = GFMatrix(gf(3), [[1, 1, 2], [0, 1, 1]])
+        spec = sample_cover(incidence_factor_graph(other, np.zeros(3)), 2, seed=0)
+        with pytest.raises(ModelError, match="does not match the matrix's column supports"):
+            lift_matrix(m, spec)
+        with pytest.raises(ModelError, match="does not match"):
+            check_rank_cover_inequality(m, spec, [0, 0])
+        # a base with more rows than the matrix is refused too
+        taller = GFMatrix(gf(3), [[1, 0, 2], [0, 1, 1], [0, 0, 0]])
+        with pytest.raises(ModelError, match="does not match"):
+            lift_matrix(taller, sample_cover(incidence_factor_graph(m, np.zeros(3)), 2, 0))
+
+    @pytest.mark.parametrize("layers", [[], [1], [1, 2, 3]])
+    def test_wrong_layer_count_refused(self, layers):
+        m = self._matrix(2, 0)
+        spec = sample_cover(incidence_factor_graph(m, np.zeros(3)), 2, seed=1)
+        with pytest.raises(ModelError, match=f"need 2 layers, got {len(layers)}"):
+            check_rank_cover_inequality(m, spec, layers)
+
     def test_lifted_matrix_shape(self):
         m = self._matrix(2, 9)
         fg = incidence_factor_graph(m, np.zeros(3))

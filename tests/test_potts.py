@@ -241,6 +241,27 @@ class TestCoverComponentInequality:
             rep = check_cover_component_inequality(base, spec, layers)
             assert rep.ok
 
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)], [(1, 0), (1, 2), (0, 2)]],
+        ids=["subgraph", "reordered", "reversed"],
+    )
+    def test_spec_on_other_graph_refused(self, edges):
+        # the lift reads incidences by position, so a spec built on any
+        # other pairwise graph must be refused, not lifted
+        spec = sample_cover(potts_to_factor_graph(PottsModel(3, TRIANGLE, 2, [1.0] * 3)), 2, 0)
+        base = PottsModel(3, edges, 2, [1.0] * len(edges))
+        with pytest.raises(ModelError, match="does not match the Potts model's edges"):
+            cover_potts_model(base, spec)
+        with pytest.raises(ModelError, match="does not match"):
+            check_cover_component_inequality(base, spec, [0, 0])
+
+    @pytest.mark.parametrize("layers", [[], [1], [1, 2, 3]])
+    def test_wrong_layer_count_refused(self, layers):
+        base = PottsModel(3, TRIANGLE, 2, [1.0] * 3)
+        spec = sample_cover(potts_to_factor_graph(base), 2, seed=0)
+        with pytest.raises(ModelError, match=f"need 2 layers, got {len(layers)}"):
+            check_cover_component_inequality(base, spec, layers)
+
     def test_cover_model_partition_consistency(self):
         # Z of the lifted Potts model equals Z of the lifted factor graph.
         base = PottsModel(3, TRIANGLE, 3, [0.4, 0.9, 0.2], field=[0.3, -0.1, 0.0])
