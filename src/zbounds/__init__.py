@@ -65,7 +65,6 @@ from .models import (
     FactorGraph,
     PotentialTable,
     PseudoMarginals,
-    condition,
     evaluate,
     exact_marginals,
     exact_partition,

@@ -26,6 +26,8 @@ from .models import FactorGraph, PseudoMarginals
 
 _NEG_INF = float("-inf")
 _ZERO_TOL = 1e-12
+# bethe_objective: the largest local-consistency violation it accepts
+_POLYTOPE_TOL = 1e-6
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -52,22 +54,21 @@ def bethe_objective(
     model: FactorGraph,
     tau: PseudoMarginals,
     validate: bool = True,
-    polytope_tol: float = 1e-6,
 ) -> float:
     """Evaluate the Bethe objective at the given beliefs, in log domain.
 
     Returns -inf when beliefs put mass on a zero of a potential.  With
     ``validate`` the beliefs are first checked against the local
-    consistency constraints up to ``polytope_tol``.  The one evaluator is
+    consistency constraints up to _POLYTOPE_TOL.  The one evaluator is
     ``_objective_rows``, over a stack of belief rows; this is its one-row
     case.
     """
     if validate:
         violation = tau.polytope_violation(model)
-        if violation > polytope_tol:
+        if violation > _POLYTOPE_TOL:
             raise ModelError(
                 f"beliefs violate local consistency by {violation:.3g} "
-                f"(tolerance {polytope_tol:.3g})"
+                f"(tolerance {_POLYTOPE_TOL:.3g})"
             )
     node = [np.asarray(tau.node[v], dtype=float)[None] for v in model.var_ids]
     factor = [np.asarray(tau.factor[fac.id], dtype=float)[None] for fac in model.factors]
@@ -765,15 +766,22 @@ def partition_from_log(log_z: float, what: str) -> float:
         ) from None
 
 
+# the largest models maximize_bethe and mean_field accept
 DEFAULT_MAX_VARS = 20
 DEFAULT_MAX_FACTORS = 40
+# maximize_bethe's BP chains stop once every residual is below this
+_BP_TOL = 1e-10
+# mean_field's coordinate ascent: at most this many sweeps, and a restart
+# stops once a sweep changes none of its beliefs by _MF_TOL or more
+_MF_SWEEPS = 300
+_MF_TOL = 1e-12
 
 
-def _check_budget(model: FactorGraph, max_vars: int, max_factors: int) -> None:
-    if model.num_vars > max_vars or len(model.factors) > max_factors:
+def _check_budget(model: FactorGraph) -> None:
+    if model.num_vars > DEFAULT_MAX_VARS or len(model.factors) > DEFAULT_MAX_FACTORS:
         raise ModelError(
             f"model with {model.num_vars} variables / {len(model.factors)} factors "
-            f"exceeds the optimizer budget ({max_vars} / {max_factors})"
+            f"exceeds the optimizer budget ({DEFAULT_MAX_VARS} / {DEFAULT_MAX_FACTORS})"
         )
 
 
@@ -782,12 +790,9 @@ def maximize_bethe(
     restarts: int = 64,
     seed: int = 0,
     bp_iters: int = 2_000,
-    bp_tol: float = 1e-10,
     damping: float = 0.5,
     refine_steps: int = 60,
     refine_top: int = 2,
-    max_vars: int = DEFAULT_MAX_VARS,
-    max_factors: int = DEFAULT_MAX_FACTORS,
 ) -> tuple:
     """Best-found Bethe partition function and its beliefs.
 
@@ -798,12 +803,13 @@ def maximize_bethe(
     ``refine_top`` best together by feasible ascent, one ``_polish_nu``
     call for all of them.  The returned value is exp of the best objective
     seen; it is a lower bound on the true Bethe optimum (the remaining gap
-    is not quantified).  Raises ModelError for a damping outside [0, 1),
-    and NumericRangeError when that value, the Z_MF computed on the way
-    (Z_MF <= Z_B), or the sum of a potential's entries is beyond the float
-    range.
+    is not quantified).  Raises ModelError for a damping outside [0, 1)
+    or a model above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS
+    factors, and NumericRangeError when that value, the Z_MF computed on
+    the way (Z_MF <= Z_B), or the sum of a potential's entries is beyond
+    the float range.
     """
-    _check_budget(model, max_vars, max_factors)
+    _check_budget(model)
     _check_damping(damping)
     g = _Graph(model)
     _check_sums(g)
@@ -812,16 +818,10 @@ def maximize_bethe(
 
     if g.factors:
         v2f = _init_messages(g, max(1, restarts), seed)
-        v2f, f2v, _iters, _residual = _bp_engine(g, v2f, bp_iters, bp_tol, damping)
+        v2f, f2v, _iters, _residual = _bp_engine(g, v2f, bp_iters, _BP_TOL, damping)
         blocks.append(_node_beliefs(g, f2v))
 
-    mf_nu, _mf_value = mean_field(
-        model,
-        restarts=min(16, max(4, restarts)),
-        seed=seed,
-        max_vars=max_vars,
-        max_factors=max_factors,
-    )
+    mf_nu, _mf_value = mean_field(model, restarts=min(16, max(4, restarts)), seed=seed)
     blocks.append([mf_nu[v][None] for v in g.var_ids])
     blocks.append([np.full((1, card), 1.0 / card) for card in g.cards])
     blocks.append([s[None] for s in g.start])  # field-proportional
@@ -850,10 +850,6 @@ def mean_field(
     model: FactorGraph,
     restarts: int = 16,
     seed: int = 0,
-    max_sweeps: int = 300,
-    tol: float = 1e-12,
-    max_vars: int = DEFAULT_MAX_VARS,
-    max_factors: int = DEFAULT_MAX_FACTORS,
 ) -> tuple:
     """Naive mean field by coordinate ascent over product beliefs.
 
@@ -866,10 +862,12 @@ def mean_field(
     All restarts advance together, one row each in a ``(restarts, sum of
     cardinalities + 1)`` array that holds every variable's beliefs side by
     side (``_Graph.columns``) and ends in a column of ones; a restart whose
-    sweep changes no belief by ``tol`` or more stops moving while the others
-    go on.  A restart's result does not depend on the other restarts.
+    sweep changes no belief by _MF_TOL or more stops moving while the others
+    go on, for at most _MF_SWEEPS sweeps.  A restart's result does not
+    depend on the other restarts.  Raises ModelError above DEFAULT_MAX_VARS
+    variables or DEFAULT_MAX_FACTORS factors.
     """
-    _check_budget(model, max_vars, max_factors)
+    _check_budget(model)
     g = _Graph(model)
     rng = np.random.default_rng(seed)
 
@@ -884,11 +882,11 @@ def mean_field(
     nu = np.array([np.concatenate([*init, [1.0]]) for init in inits])
 
     active = np.arange(len(inits))
-    for _sweep in range(max_sweeps):
+    for _sweep in range(_MF_SWEEPS):
         rows = nu[active]
         delta = _mean_field_sweep(rows, g.mean_field)
         nu[active] = rows
-        active = active[delta >= tol]
+        active = active[delta >= _MF_TOL]
         if active.size == 0:
             break
 

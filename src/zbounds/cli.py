@@ -45,6 +45,8 @@ EXIT_REFUSAL = 1
 EXIT_INPUT = 2
 # BP keeps this share of the old message: 1 never moves, above 1 diverges
 _DAMPING = click.FloatRange(0.0, 1.0, max_open=True)
+# numpy seeds its generators from nonnegative integers only
+_SEED = click.IntRange(min=0)
 
 
 def _emit(record: ResultRecord, csv: bool) -> None:
@@ -119,8 +121,8 @@ def cmd_z(model_path, cap, csv):
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--damping", default=0.5, show_default=True, type=_DAMPING)
 @click.option("--tol", default=1e-10, show_default=True)
-@click.option("--max-iters", default=10_000, show_default=True)
-@click.option("--seed", default=None, type=int, help="Random positive message init.")
+@click.option("--max-iters", default=10_000, show_default=True, type=click.IntRange(min=1))
+@click.option("--seed", default=None, type=_SEED, help="Random positive message init.")
 @click.option("--csv", is_flag=True)
 @click.option("--beliefs", is_flag=True, help="Include the belief vectors in the JSON.")
 def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
@@ -150,7 +152,7 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
 @main.command("z-bethe")
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--restarts", default=64, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--damping", default=0.5, show_default=True, type=_DAMPING)
 @click.option("--refine-steps", default=60, show_default=True, type=click.IntRange(min=0))
 @click.option("--csv", is_flag=True)
@@ -172,7 +174,7 @@ def cmd_z_bethe(model_path, restarts, seed, damping, refine_steps, csv):
 @main.command("z-meanfield")
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--restarts", default=16, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--csv", is_flag=True)
 def cmd_z_meanfield(model_path, restarts, seed, csv):
     """Naive mean-field lower bound by coordinate ascent."""
@@ -193,7 +195,7 @@ def cmd_cover() -> None:
 @cmd_cover.command("sample")
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--m", "--M", "m", required=True, type=int)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 def cmd_cover_sample(model_path, m, seed):
     """Emit a uniformly sampled CoverSpec as JSON."""
     spec = covers_mod.sample_cover(model_from_json(_load_json(model_path)), m, seed)
@@ -234,7 +236,7 @@ def cmd_cover_build(spec_path, with_z, csv):
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--m", "--M", "m", required=True, type=int)
 @click.option("--samples", default=50, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--csv", is_flag=True)
 def cmd_cover_estimate(model_path, m, samples, seed, csv):
     """M-th root of the average lifted partition function over sampled
@@ -308,7 +310,7 @@ def cmd_rc(graph_path, csv):
     show_default=True,
 )
 @click.option("--restarts", default=64, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--emit-model", is_flag=True, help="Print the model JSON instead.")
 @click.option("--csv", is_flag=True)
 def cmd_counterexample(pair_mode, field_mode, restarts, seed, emit_model, csv):
@@ -339,7 +341,7 @@ def cmd_counterexample(pair_mode, field_mode, restarts, seed, emit_model, csv):
 @click.option("--code", "code_path", required=True, type=click.Path())
 @click.option("--lam", "--lambda", "lam", required=True, type=float)
 @click.option("--restarts", default=32, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--csv", is_flag=True)
 def cmd_wef(code_path, lam, restarts, seed, csv):
     """Weight enumerator of a linear code (generator matrix text file)."""
@@ -437,7 +439,7 @@ def cmd_check_lsm(table_path, model_path, csv):
 @click.argument("theorem", type=click.Choice(list(verify_mod.SUITES)))
 @click.option("--trials", default=None, type=click.IntRange(min=1),
               help="Trial count where applicable.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--csv", is_flag=True)
 def cmd_verify(theorem, trials, seed, csv):
     """Run a verification suite; exit 0 iff every trial passes."""

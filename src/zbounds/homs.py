@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ModelError
-from .lattice import LsmReport, is_log_supermodular
+from .lattice import DEFAULT_PAIRWISE_CAP, LsmReport, is_log_supermodular
 from .models import (
     DEFAULT_ENUMERATION_CAP,
     Factor,
@@ -135,11 +135,12 @@ def edge_partition(model: HomModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float
     return fsum_blocks(_edge_weight_blocks(model))
 
 
-def edge_weight_table(model: HomModel, cap_edges: int = 16) -> np.ndarray:
-    """Flat table of edge_weight over all masks, for lattice checks."""
+def edge_weight_table(model: HomModel) -> np.ndarray:
+    """Flat table of edge_weight over all masks, for lattice checks; refuses
+    more than DEFAULT_PAIRWISE_CAP edges."""
     m = len(model.edges)
-    if m > cap_edges:
-        raise EnumerationCapError(f"{m} edges exceed the table cap {cap_edges}")
+    if m > DEFAULT_PAIRWISE_CAP:
+        raise EnumerationCapError(f"{m} edges exceed the table cap {DEFAULT_PAIRWISE_CAP}")
     return np.concatenate(list(_edge_weight_blocks(model)))
 
 
@@ -182,17 +183,14 @@ class Rank2LsmReport:
         return self.table_check.ok and self.scalar_failures == 0
 
 
-def check_rank2_lsm(
-    model: HomModel, samples: int = 200, seed: int = 0, cap_edges: int = 16
-) -> Rank2LsmReport:
+def check_rank2_lsm(model: HomModel, samples: int = 200, seed: int = 0) -> Rank2LsmReport:
     """Verify log-supermodularity of the edge-subset weight.
 
     Runs the exhaustive pairwise table check, plus the scalar exchange
     inequality on sampled (A1, A2, vertex, state-pair) tuples, stated in
     the zero-safe form multiplied through by b^deg on both sides.
     """
-    table = edge_weight_table(model, cap_edges=cap_edges)
-    rep = is_log_supermodular(table, cap=cap_edges)
+    rep = is_log_supermodular(edge_weight_table(model))
     rng = np.random.default_rng(seed)
     m = len(model.edges)
     n = model.n_states

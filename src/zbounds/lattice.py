@@ -19,6 +19,8 @@ from .errors import EnumerationCapError, ModelError
 from .models import Factor, FactorGraph, PotentialTable
 
 DEFAULT_PAIRWISE_CAP = 16
+# check_correlation_inequality: the most M*n bits of g it checks
+_CORRELATION_CAP_BITS = 20
 
 
 def index_of_bits(bits: Sequence[int]) -> int:
@@ -157,13 +159,12 @@ class CorrelationReport:
         return self.lsm.ok and self.pointwise_ok and self.sum_ok
 
 
-def check_correlation_inequality(
-    g, fs: Sequence, rel_tol: float = 1e-9, cap_bits: int = 20
-) -> CorrelationReport:
+def check_correlation_inequality(g, fs: Sequence, rel_tol: float = 1e-9) -> CorrelationReport:
     """Check the sorted-stack correlation inequality for g against f_1..f_M.
 
     ``g`` is a table over {0,1}^(M*n) whose coordinates are the blocks
-    x^1, ..., x^M in order; each f_m is a table over {0,1}^n.
+    x^1, ..., x^M in order; each f_m is a table over {0,1}^n.  Refuses
+    M*n above _CORRELATION_CAP_BITS.
     """
     g = np.asarray(g, dtype=float).ravel()
     fs = [np.asarray(f, dtype=float).ravel() for f in fs]
@@ -179,10 +180,10 @@ def check_correlation_inequality(
         raise ModelError(
             f"g has {g.size} entries, expected 2^{total_bits} for M={m_total}, n={n}"
         )
-    if total_bits > cap_bits:
-        raise EnumerationCapError(f"M*n={total_bits} exceeds cap {cap_bits}")
+    if total_bits > _CORRELATION_CAP_BITS:
+        raise EnumerationCapError(f"M*n={total_bits} exceeds cap {_CORRELATION_CAP_BITS}")
 
-    lsm = is_log_supermodular(g, cap=cap_bits)
+    lsm = is_log_supermodular(g, cap=_CORRELATION_CAP_BITS)
 
     joint = np.arange(g.size, dtype=np.int64)
     mask = (1 << n) - 1

@@ -31,8 +31,8 @@ VarId = Union[int, str]
 
 DEFAULT_ENUMERATION_CAP = 1 << 26
 
-# Joint tensors above this size are never materialized; enumeration falls
-# back to conditioning on leading variables.
+# Joint tensors above this size are never materialized (dense_joint and
+# exact_marginals); exact_partition sums larger spaces slab by slab.
 _DENSE_BLOCK = 1 << 22
 
 # Subset sums walk their 2^m masks in blocks of this many consecutive masks,
@@ -96,13 +96,6 @@ class PotentialTable:
     def as_ndarray(self) -> np.ndarray:
         """The table reshaped to one axis per scope variable."""
         return self.values.reshape(self.cards)
-
-    def restrict(self, position: int, state: int) -> "PotentialTable":
-        """Fix the scope variable at ``position`` to ``state``."""
-        arr = self.as_ndarray()
-        sliced = np.take(arr, state, axis=position)
-        rest = self.cards[:position] + self.cards[position + 1 :]
-        return PotentialTable(rest, np.ascontiguousarray(sliced).ravel())
 
     def __eq__(self, other) -> bool:
         return (
@@ -323,16 +316,17 @@ def _joint_slabs(model: FactorGraph) -> Iterator[np.ndarray]:
         yield out
 
 
-def dense_joint(model: FactorGraph, limit: int = _DENSE_BLOCK) -> np.ndarray:
+def dense_joint(model: FactorGraph) -> np.ndarray:
     """The full joint weight tensor, one axis per variable in model order.
 
     Each entry multiplies the terms in ``_joint_slabs``' canonical order
     (by the lowest axis a term touches, highest first), so the tensor is
-    the same bit for bit whatever the slab size.
+    the same bit for bit whatever the slab size.  Refuses joints above
+    _DENSE_BLOCK states.
     """
-    if model.joint_size > limit:
+    if model.joint_size > _DENSE_BLOCK:
         raise EnumerationCapError(
-            f"joint space of {model.joint_size} states exceeds the dense limit {limit}"
+            f"joint space of {model.joint_size} states exceeds the dense limit {_DENSE_BLOCK}"
         )
     w = np.empty(model.joint_size)
     start = 0
@@ -459,47 +453,14 @@ def subset_products(weights: np.ndarray, first=1.0) -> Iterator[np.ndarray]:
         yield out
 
 
-def condition(model: FactorGraph, vid: VarId, state: int) -> tuple:
-    """Clamp one variable, returning ``(reduced model, scale)``.
-
-    The scale collects the clamped node potential and any factor that lost
-    its whole scope, so that Z(model) = sum_s scale_s * Z(reduced_s).
-    """
-    if vid not in model.var_ids:
-        raise ModelError(f"unknown variable {vid!r}")
-    if not 0 <= state < model.card(vid):
-        raise ModelError(f"state {state} out of range for variable {vid!r}")
-    scale = 1.0
-    pots = {}
-    for v, pot in model.node_potentials.items():
-        if v == vid:
-            scale *= pot[state]
-        else:
-            pots[v] = pot
-    factors = []
-    for fac in model.factors:
-        if vid in fac.scope:
-            pos = fac.scope.index(vid)
-            table = fac.table.restrict(pos, state)
-            scope = fac.scope[:pos] + fac.scope[pos + 1 :]
-            if not scope:
-                scale *= table.values[0]
-            else:
-                factors.append(Factor(fac.id, scope, table))
-        else:
-            factors.append(fac)
-    variables = [(v, model.card(v)) for v in model.var_ids if v != vid]
-    return FactorGraph(variables, factors, pots), scale
-
-
 def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Partition function by exhaustive enumeration.
 
-    Up to 2^22 states the joint is built in slabs of 2^16 entries and
-    summed correctly rounded (equal to ``math.fsum``); larger spaces
-    condition on their leading variables.  Each weight multiplies its terms
+    The joint is walked in slabs of about 2^16 entries (``_joint_slabs``)
+    and summed correctly rounded, equal to ``math.fsum`` over the whole
+    tensor, at every size up to ``cap``.  Each weight multiplies its terms
     in one canonical order (by the lowest axis a term touches, highest
-    first, see ``_joint_slabs``), so Z does not depend on the slab size.
+    first), so Z does not depend on the slab size.
     Refuses models whose joint space exceeds ``cap``, and raises
     NumericRangeError when a weight or the sum overflows or is NaN.
     """
@@ -508,19 +469,7 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
         raise EnumerationCapError(
             f"joint space of {size} states exceeds the enumeration cap {cap}"
         )
-    return _partition_recursive(model)
-
-
-def _partition_recursive(model: FactorGraph) -> float:
-    if model.joint_size <= _DENSE_BLOCK:
-        return fsum_blocks(_joint_slabs(model))
-    vid = model.var_ids[0]
-    parts = []
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by the checked sum
-        for s in range(model.card(vid)):
-            sub, scale = condition(model, vid, s)
-            parts.append(scale * _partition_recursive(sub))
-    return _checked_fsum(parts)
+    return fsum_blocks(_joint_slabs(model))
 
 
 @dataclass
@@ -556,19 +505,14 @@ class PseudoMarginals:
         return worst
 
 
-def exact_marginals(
-    model: FactorGraph, cap: int = _DENSE_BLOCK
-) -> PseudoMarginals:
-    """True node and factor marginals by enumeration.
+def exact_marginals(model: FactorGraph) -> PseudoMarginals:
+    """True node and factor marginals by enumeration of ``dense_joint``.
 
     The output satisfies the local-consistency constraints by construction.
-    Raises UnnormalizableError when the partition function is zero and
+    Raises EnumerationCapError above ``dense_joint``'s limit,
+    UnnormalizableError when the partition function is zero and
     NumericRangeError when it overflows or is NaN.
     """
-    if model.joint_size > cap:
-        raise EnumerationCapError(
-            f"joint space of {model.joint_size} states exceeds the marginals cap {cap}"
-        )
     w = dense_joint(model)
     z = fsum_blocks((w,))
     if z <= 0.0:

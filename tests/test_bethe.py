@@ -43,6 +43,15 @@ def product_beliefs(model: FactorGraph, nu) -> PseudoMarginals:
     return PseudoMarginals(node=node, factor=factor)
 
 
+def over_budget_models(extra=1):
+    """A model ``extra`` variables over the optimizer budget, and one
+    ``extra`` factors over it."""
+    many_vars = FactorGraph([(i, 2) for i in range(bethe.DEFAULT_MAX_VARS + extra)])
+    factors = [(f"f{k}", (0, 1), np.ones(4)) for k in range(bethe.DEFAULT_MAX_FACTORS + extra)]
+    many_factors = FactorGraph([(0, 2), (1, 2)], factors)
+    return many_vars, many_factors
+
+
 class TestObjective:
     def test_single_variable_no_factors(self):
         m = FactorGraph([("x", 2)], [], {"x": [1.0, 2.0]})
@@ -492,9 +501,9 @@ class TestMaximizeBethe:
         assert zb <= exact_partition(m) * (1 + 1e-12)
 
     def test_budget_enforced(self):
-        m = FactorGraph([(i, 2) for i in range(25)])
-        with pytest.raises(ModelError):
-            maximize_bethe(m, max_vars=20)
+        for m in over_budget_models():
+            with pytest.raises(ModelError, match="optimizer budget"):
+                maximize_bethe(m)
 
     def test_zero_support_tables_stay_sound(self):
         # equality-constraint triangle (identity edge tables): every
@@ -512,6 +521,13 @@ class TestMaximizeBethe:
 
 
 class TestMeanField:
+    def test_budgets_enforced(self):
+        for m in over_budget_models():
+            with pytest.raises(ModelError, match="optimizer budget"):
+                mean_field(m, restarts=2)
+        for m in over_budget_models(extra=0):
+            mean_field(m, restarts=2)
+
     def test_independent_model_exact(self):
         m = FactorGraph([("x", 2), ("y", 3)], [], {"x": [1.0, 2.0], "y": [1.0, 1.0, 2.0]})
         _nu, zmf = mean_field(m, restarts=4, seed=0)

@@ -372,6 +372,45 @@ class TestCommands:
         assert "--restarts" in res.output
         assert "{" not in res.output  # no record, so no echoed settings
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bp", "--model", "TREE"],
+            ["z-bethe", "--model", "TREE"],
+            ["z-meanfield", "--model", "TREE"],
+            ["cover", "sample", "--model", "TREE", "--m", "2"],
+            ["cover", "estimate", "--model", "TREE", "--m", "2"],
+            ["counterexample"],
+            ["wef", "--code", "CODE", "--lam", "0.5"],
+            ["verify", "3.5", "--trials", "2"],
+        ],
+    )
+    def test_negative_seed_exit_2(self, runner, tmp_path, tree_file, command):
+        code = tmp_path / "rep3.txt"
+        code.write_text("2 1 3\n1 1 1\n")
+        paths = {"TREE": tree_file, "CODE": str(code)}
+        res = runner.invoke(main, [paths.get(a, a) for a in command] + ["--seed", "-1"])
+        assert res.exit_code == 2, res.output
+        assert "--seed" in res.output
+        assert '"settings"' not in res.output  # no record
+
+    def test_bp_max_iters_below_one_exit_2(self, runner, tree_file):
+        res = runner.invoke(main, ["bp", "--model", tree_file, "--max-iters", "0"])
+        assert res.exit_code == 2
+        assert "--max-iters" in res.output
+        assert "{" not in res.output
+
+    def test_bp_one_sweep_is_valid_json(self, runner, tree_file):
+        res = runner.invoke(main, ["bp", "--model", tree_file, "--max-iters", "1"])
+        assert res.exit_code == 0, res.output
+        line = next(ln for ln in res.output.splitlines() if ln.startswith("{"))
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        record = json.loads(line, parse_constant=refuse)
+        assert record["results"]["iterations"] == 1
+
     def test_zero_refine_steps_accepted(self, runner, tree_file):
         res = runner.invoke(main, ["z-bethe", "--model", tree_file, "--refine-steps", "0"])
         assert res.exit_code == 0, res.output

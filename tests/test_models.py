@@ -16,13 +16,13 @@ from zbounds.errors import (
 from zbounds.models import (
     FactorGraph,
     PotentialTable,
-    condition,
     dense_joint,
     evaluate,
     exact_marginals,
     exact_partition,
     fsum_blocks,
 )
+from zbounds.potts import PottsModel, potts_to_factor_graph
 
 
 def brute_force_partition(model):
@@ -234,26 +234,18 @@ class TestExactMarginals:
         with pytest.raises(UnnormalizableError):
             exact_marginals(m)
 
-
-class TestCondition:
-    def test_condition_sums_to_z(self):
-        rng = np.random.default_rng(9)
-        m = random_model(rng)
-        z = exact_partition(m)
-        v = m.var_ids[1]
-        total = 0.0
-        for s in range(m.card(v)):
-            sub, scale = condition(m, v, s)
-            total += scale * exact_partition(sub)
-        assert total == pytest.approx(z, rel=1e-12)
+    def test_refused_above_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(models, "_DENSE_BLOCK", 5)
+        m = FactorGraph([("x", 2), ("y", 3)])
+        for fn in (dense_joint, exact_marginals):
+            with pytest.raises(EnumerationCapError, match="dense limit 5"):
+                fn(m)
+        assert exact_partition(m) == 6.0
 
 
 def test_potential_table_roundtrip():
     t = PotentialTable((2, 3), np.arange(6, dtype=float))
     assert t.as_ndarray()[1, 2] == 5.0
-    r = t.restrict(0, 1)
-    assert r.cards == (3,)
-    assert list(r.values) == [3.0, 4.0, 5.0]
 
 
 def same_float(a, b):
@@ -406,6 +398,23 @@ class TestJointSlabs:
         assert peak < 2 * 1024 * 1024
         assert z == math.fsum(one_shot_dense_joint(model).ravel().tolist())
 
+    @pytest.mark.parametrize("seed", [6, 11])
+    def test_correctly_rounded_above_dense_block(self, seed):
+        # 3^14 states, above the 2^22 of dense_joint: Z is still the one
+        # correctly rounded sum of the canonical joint.  Rounding the sum
+        # of each part conditioned on variable 0, then the sum of the
+        # parts, was an ulp off on both models.
+        rng = np.random.default_rng(seed)
+        pairs = list(itertools.combinations(range(14), 2))
+        pick = rng.choice(len(pairs), size=14, replace=False)
+        edges = [pairs[int(i)] for i in sorted(pick)]
+        potts = PottsModel(
+            14, edges, 3, rng.uniform(0.05, 1.0, 14), field=rng.uniform(-1.0, 1.0, 3)
+        )
+        model = potts_to_factor_graph(potts)
+        assert model.joint_size > models._DENSE_BLOCK
+        assert exact_partition(model) == fsum_blocks([one_shot_dense_joint(model)])
+
 
 class TestNonFiniteRefused:
     """A weight or a sum beyond the float range raises NumericRangeError,
@@ -439,12 +448,12 @@ class TestNonFiniteRefused:
             with pytest.raises(NumericRangeError):
                 exact_marginals(model)
 
-    def test_conditioned_path(self, monkeypatch):
-        # each conditioned part is finite; their scaled sum is not
-        monkeypatch.setattr(models, "_DENSE_BLOCK", 2)
-        model = FactorGraph(
-            [(0, 2), (1, 2)], [("f", (1,), [1e200, 1e200])], {0: [1e200, 1e200]}
-        )
+    def test_overflow_across_slabs(self, monkeypatch):
+        # slabs as small as the last axis: every weight is finite, their
+        # sum is not
+        monkeypatch.setattr(models, "_MASK_BLOCK_BITS", 0)
+        model = FactorGraph([(0, 2), (1, 2), (2, 2)], [("f", (0, 1), [1e308] * 4)])
+        assert len(list(models._joint_slabs(model))) == 4
         with pytest.raises(NumericRangeError):
             exact_partition(model)
 
