@@ -506,10 +506,13 @@ def run_bp(
     None for uniform messages.  Returns (BPState, beliefs, Bethe objective
     at the beliefs).  Non-convergence is reported through the state's
     ``converged`` flag; the last iterate is returned either way.  Raises
-    ModelError for a damping outside [0, 1), and NumericRangeError when a
-    potential's entries sum beyond the float range.
+    ModelError for a damping outside [0, 1) or a tolerance that is not
+    positive (no residual is below 0, and none compares below NaN), and
+    NumericRangeError when a potential's entries sum beyond the float range.
     """
     _check_damping(damping)
+    if not tol > 0.0:
+        raise ModelError(f"tolerance must be positive, got {tol!r}")
     g = _Graph(model)
     _check_sums(g)
     if init is None:

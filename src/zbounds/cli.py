@@ -45,6 +45,9 @@ EXIT_REFUSAL = 1
 EXIT_INPUT = 2
 # BP keeps this share of the old message: 1 never moves, above 1 diverges
 _DAMPING = click.FloatRange(0.0, 1.0, max_open=True)
+# no residual is below 0, so BP could never meet a tolerance of 0 or less;
+# NaN passes this range, and run_bp refuses it
+_TOL = click.FloatRange(min=0.0, min_open=True)
 # numpy seeds its generators from nonnegative integers only
 _SEED = click.IntRange(min=0)
 
@@ -104,7 +107,13 @@ def main() -> None:
 
 @main.command("z")
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--cap", default=1 << 26, show_default=True, help="Joint-state enumeration cap.")
+@click.option(
+    "--cap",
+    default=1 << 26,
+    show_default=True,
+    type=click.IntRange(min=1),
+    help="Joint-state enumeration cap.",
+)
 @click.option("--csv/--no-csv", default=True, show_default=True)
 def cmd_z(model_path, cap, csv):
     """Exact partition function of a factor-graph JSON file."""
@@ -120,7 +129,7 @@ def cmd_z(model_path, cap, csv):
 @main.command("bp")
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--damping", default=0.5, show_default=True, type=_DAMPING)
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, type=_TOL)
 @click.option("--max-iters", default=10_000, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=_SEED, help="Random positive message init.")
 @click.option("--csv", is_flag=True)

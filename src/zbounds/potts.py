@@ -130,6 +130,20 @@ def count_components(n_vertices: int, edges: Sequence, mask: int) -> int:
     return uf.count
 
 
+def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
+    """Connected components of (V, A) for each edge subset in ``masks``, as
+    an int64 array; equal to ``count_components(n_vertices, edges, mask)``
+    for every mask.
+
+    All masks are labelled at once by the min-label propagation
+    ``rc_partition`` uses; a component is a vertex that is its own label.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = ((masks >> np.arange(len(edges))[:, None]) & 1).astype(bool)
+    labels = _component_labels(n_vertices, edges, bits)
+    return (labels == np.arange(n_vertices)[:, None]).sum(axis=0, dtype=np.int64)
+
+
 def potts_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Sum the spin model over all q^n spin vectors (integer q only)."""
     if float(model.q) != int(model.q):

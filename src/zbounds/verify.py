@@ -7,6 +7,7 @@ are derived as seed + trial index, so each trial can be rerun on its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .errors import ModelError
 from .homs import HomModel, edge_partition, edge_weight_table, hom_partition, hom_to_factor_graph
 from .matroid import GFMatrix, gf
 from .models import FactorGraph, exact_marginals, exact_partition
-from .potts import PottsModel, build_counterexample, count_components, potts_to_factor_graph
+from .potts import PottsModel, build_counterexample, potts_to_factor_graph
 
 REL_TOL_IDENTITY = 1e-9
 REL_TOL_COVER = 1e-9
@@ -202,23 +203,45 @@ def _triangle_potts(q=2.0, j=1.0, h=None) -> PottsModel:
     return PottsModel(3, [(0, 1), (1, 2), (0, 2)], q, np.full(3, float(j)), field=h)
 
 
+@functools.cache
+def _triangle_graph() -> FactorGraph:
+    """The triangle's pairwise factor graph, built on first use.  Covers
+    read only its factor ids and scopes, which every triangle shares, so
+    one graph serves the specs of all of them."""
+    return potts_to_factor_graph(_triangle_potts())
+
+
+def _layer_pair_masks(n: int) -> tuple:
+    """For every pair of layer masks (a1, a2) over n base items, a1-major,
+    the lifted 2-cover mask and the two stack masks: a (4^n,) array and a
+    (4^n, 2) array, both from ``covers.layered_masks``."""
+    pairs = itertools.product(range(1 << n), repeat=2)
+    lifted, stacks = zip(*(covers.layered_masks(pair, 2, n) for pair in pairs))
+    return np.array(lifted, dtype=np.int64), np.array(stacks, dtype=np.intp)
+
+
 def verify_component_inequality(seed: int = 0) -> VerifyReport:
     """Exhaustively check k_H <= sum_m k_G(stacks) on all pinned 2-covers
-    of the triangle and all 2^6 layered edge subsets."""
+    of the triangle and all 2^6 layered edge subsets.
+
+    Per cover, one ``component_counts`` call counts every lifted subset;
+    the stacks are read from a table of the triangle's 8 subsets.
+    """
     base = _triangle_potts()
-    cases = (
-        (spec, [a1, a2])
-        for spec in covers.iter_cover_specs(potts_to_factor_graph(base), 2)
-        for a1 in range(8)
-        for a2 in range(8)
-    )
+    lifted, stacks = _layer_pair_masks(3)
+    k_g = potts.component_counts(base.n_vertices, base.edges, np.arange(8))
+    rhs = k_g[stacks].sum(axis=1).tolist()
 
-    def one(case) -> tuple:
-        rep = potts.check_cover_component_inequality(base, *case)
-        return rep.component_ok, rep.rhs_components - rep.lhs_components
+    def results():
+        for spec in covers.iter_cover_specs(_triangle_graph(), 2):
+            cover, _labels = potts.cover_potts_model(base, spec)
+            lhs = potts.component_counts(cover.n_vertices, cover.edges, lifted)
+            for left, right in zip(lhs.tolist(), rhs):
+                yield left <= right, right - left
 
+    # each case is already a (pass, slack) result
     name = "component-count cover inequality (exhaustive, triangle 2-covers)"
-    return run_trials(name, cases, one, 0)
+    return run_trials(name, results(), lambda result: result, 0)
 
 
 def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyReport:
@@ -230,8 +253,7 @@ def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyR
         base = _triangle_potts(
             q=q, j=float(rng.uniform(0.05, 2.0)), h=rng.uniform(-1.0, 1.0, q)
         )
-        fg = potts_to_factor_graph(base)
-        spec = covers.sample_cover(fg, 2, seed=seed + 104729 + i)
+        spec = covers.sample_cover(_triangle_graph(), 2, seed=seed + 104729 + i)
         layers = [int(rng.integers(0, 8)), int(rng.integers(0, 8))]
         rep = potts.check_cover_component_inequality(base, spec, layers)
         slack = (rep.rhs_weight - rep.lhs_weight) / max(rep.rhs_weight, 1e-300)
@@ -242,28 +264,31 @@ def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyR
 
 
 def verify_rank_inequality(seed: int = 0) -> VerifyReport:
-    """Exhaustive rank cover inequality on seeded 2x3 GF(2)/GF(3) matrices."""
-    rng = np.random.default_rng(seed)
+    """Exhaustive rank cover inequality on seeded 2x3 GF(2)/GF(3) matrices.
 
-    def cases():
+    Per cover, one ``ranks`` call ranks every lifted subset; the stacks
+    are read from a table of the matrix's 8 column subsets.
+    """
+    rng = np.random.default_rng(seed)
+    lifted, stacks = _layer_pair_masks(3)
+
+    def results():
         for q in (2, 3):
             entries = rng.integers(0, q, size=(2, 3))
             for c in range(3):
                 if not entries[:, c].any():
                     entries[int(rng.integers(0, 2)), c] = int(rng.integers(1, q))
             mat = GFMatrix(gf(q), entries)
+            rhs = matroid.ranks(mat, np.arange(8))[stacks].sum(axis=1).tolist()
             fg = matroid.incidence_factor_graph(mat, np.zeros(3))
             for spec in covers.iter_cover_specs(fg, 2):
-                for a1 in range(8):
-                    for a2 in range(8):
-                        yield mat, spec, [a1, a2]
+                lhs = matroid.ranks(matroid.lift_matrix(mat, spec), lifted)
+                for left, right in zip(lhs.tolist(), rhs):
+                    yield left >= right, left - right
 
-    def one(case) -> tuple:
-        rep = matroid.check_rank_cover_inequality(*case)
-        return rep.ok, rep.slack
-
+    # each case is already a (pass, slack) result
     name = "matroid rank cover inequality (exhaustive, 2x3 matrices)"
-    return run_trials(name, cases(), one, 0)
+    return run_trials(name, results(), lambda result: result, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +461,18 @@ def verify_structure_suites(seed: int = 0) -> VerifyReport:
     edge-weight log-supermodularity on small instances."""
 
     def results():
-        # k_G supermodular: every labeled graph on <= 4 vertices, all subset pairs.
+        # k_G supermodular: every labeled graph on <= 4 vertices, all subset
+        # pairs.  A subset of graph `picked`'s edges is a submask of `picked`
+        # over all vertex pairs, in the same order, so one table per vertex
+        # count serves every graph.
         for n in range(1, 5):
             pairs = list(itertools.combinations(range(n), 2))
+            k = potts.component_counts(n, pairs, np.arange(1 << len(pairs))).tolist()
             for picked in range(1 << len(pairs)):
-                edges = [pairs[t] for t in range(len(pairs)) if (picked >> t) & 1]
-                m = len(edges)
-                k_cache = [count_components(n, edges, mask) for mask in range(1 << m)]
-                for a in range(1 << m):
-                    for b in range(1 << m):
-                        slack = k_cache[a & b] + k_cache[a | b] - k_cache[a] - k_cache[b]
+                subsets = [a for a in range(picked + 1) if a & picked == a]
+                for a in subsets:
+                    for b in subsets:
+                        slack = k[a & b] + k[a | b] - k[a] - k[b]
                         yield slack >= 0, slack
 
         # r_S submodular: seeded matrices with <= 6 columns over GF(2)/GF(3)/GF(4).

@@ -425,6 +425,14 @@ class TestDampingRefused:
         assert state.damping == 0.0
 
 
+class TestTolRefused:
+    # no residual is below 0 or compares below NaN, so BP could never converge
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_run_bp(self, tol):
+        with pytest.raises(ModelError, match=f"tolerance must be positive, got {tol!r}"):
+            run_bp(_pinned_models()["potts_uniform_field"], tol=tol)
+
+
 class TestConstantFactors:
     """A factor with an empty scope multiplies Z by its one entry."""
 

@@ -351,12 +351,21 @@ class TestCommands:
         "args",
         [["z-bethe", "--restarts", "-3"], ["z-bethe", "--restarts", "0"],
          ["z-bethe", "--refine-steps", "-3"], ["z-meanfield", "--restarts", "-3"],
-         ["z-meanfield", "--restarts", "0"]],
+         ["z-meanfield", "--restarts", "0"], ["z", "--cap", "0"], ["z", "--cap", "-5"]],
         ids=" ".join,
     )
     def test_negative_counts_exit_2(self, runner, tree_file, args):
         res = runner.invoke(main, args + ["--model", tree_file])
         assert res.exit_code == 2
+        assert "{" not in res.output  # no record, so no echoed settings
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bp_nonpositive_tol_exit_2(self, runner, tree_file, tol):
+        # no residual is below 0 or NaN: BP would run every sweep and
+        # report "converged": false beside a residual of 0.0
+        res = runner.invoke(main, ["bp", "--model", tree_file, "--tol", tol])
+        assert res.exit_code == 2
+        assert "tol" in res.output
         assert "{" not in res.output  # no record, so no echoed settings
 
     @pytest.mark.parametrize("restarts", ["-3", "0"])

@@ -19,7 +19,13 @@ from zbounds import models
 from zbounds.errors import EnumerationCapError
 from zbounds.homs import HomModel, edge_partition, edge_weight, edge_weight_table
 from zbounds.matroid import GFMatrix, _codewords, gf, matroid_rc_partition, rank
-from zbounds.potts import PottsModel, rc_partition, rc_weight
+from zbounds.potts import (
+    PottsModel,
+    component_counts,
+    count_components,
+    rc_partition,
+    rc_weight,
+)
 
 
 @pytest.fixture(params=[models._MASK_BLOCK_BITS, 2], ids=["default-block", "block-4"])
@@ -115,6 +121,31 @@ HOM_CASES = {
     "zero-in-b": HomModel(4, [(0, 1), (1, 2), (2, 3), (1, 3)], [0.7, 0.5], [0.9, 1.3], [0.8, 0.0]),
     "one-state": HomModel(3, [(0, 1), (1, 2), (0, 2)], [1.5], [0.6], [0.4]),
 }
+
+
+class TestComponentCounts:
+    @pytest.mark.parametrize("name", sorted(POTTS_CASES))
+    def test_edge_cases_equal_count_components(self, name):
+        model = POTTS_CASES[name]
+        n, edges = model.n_vertices, model.edges
+        masks = np.arange(1 << len(edges))
+        want = [count_components(n, edges, int(mask)) for mask in masks]
+        got = component_counts(n, edges, masks)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_random_masks_equal_count_components(self):
+        # masks in any order, repeated, and with bits above the last edge
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            n = int(rng.integers(1, 9))
+            edges = random_edges(rng, n, int(rng.integers(0, 12)))
+            masks = rng.integers(0, 1 << (len(edges) + 2), size=40)
+            want = [count_components(n, edges, int(mask)) for mask in masks]
+            assert component_counts(n, edges, masks).tolist() == want
+
+    def test_empty_mask_array(self):
+        got = component_counts(3, [(0, 1), (1, 2)], np.array([], dtype=np.int64))
+        assert got.shape == (0,) and got.dtype == np.int64
 
 
 class TestEdgeSums:
