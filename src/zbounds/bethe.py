@@ -202,12 +202,18 @@ class _Card(NamedTuple):
     """The variables of one cardinality: their indices, node potentials
     stacked as (variables, card), and a (variables, max degree) incidence
     array of message slots whose padding points at the slot after the
-    last, which BP keeps at ones; ``valid`` marks the real entries."""
+    last, which BP keeps at ones.  ``prefix`` and ``suffix`` are the
+    gathers of the leave-one-out products: per incidence entry d, the ones
+    slot then entries 0..d-1, and the ones slot then the entries from the
+    last down to 1.  ``flat`` indexes the real entries of the flattened
+    incidence, in slot order."""
 
     members: list
     phis: np.ndarray
     incidence: np.ndarray
-    valid: np.ndarray
+    prefix: np.ndarray
+    suffix: np.ndarray
+    flat: np.ndarray
 
 
 class _MeanFieldStep(NamedTuple):
@@ -298,7 +304,11 @@ class _Graph:
                     incidence[row, d] = self.slots[fi][pos] = slot
                     slot += 1
             phis = np.array([self.phis[vi] for vi in members])
-            self.by_card[card] = _Card(members, phis, incidence, incidence < count)
+            prefix, suffix = np.full((2,) + incidence.shape, count)
+            prefix[:, 1:] = incidence[:, :-1]
+            suffix[:, 1:] = incidence[:, :0:-1]
+            flat = np.flatnonzero(incidence < count)
+            self.by_card[card] = _Card(members, phis, incidence, prefix, suffix, flat)
         shapes = {}
         for fi, (_fid, _scope, table) in enumerate(self.factors):
             shapes.setdefault(table.shape, []).append(fi)
@@ -362,10 +372,36 @@ def _check_sums(g: _Graph) -> None:
             raise NumericRangeError(f"the entries of {what} sum beyond the float range")
 
 
+# A last axis at most this long is summed, or maximized, slice by slice in
+# index order: numpy adds fewer than 8 entries in that order too, so the
+# bits are the same, without the dispatch cost of a reduction.
+_SHORT_AXIS = 4
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """a summed along its last axis, which is kept with length 1."""
+    if not 1 <= a.shape[-1] <= _SHORT_AXIS:
+        return a.sum(axis=-1, keepdims=True)
+    s = a[..., :1]
+    for k in range(1, a.shape[-1]):
+        s = s + a[..., k : k + 1]
+    return s
+
+
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """The maximum along a's last axis, which is kept with length 1."""
+    if not 1 <= a.shape[-1] <= _SHORT_AXIS:
+        return a.max(axis=-1, keepdims=True)
+    m = a[..., :1]
+    for k in range(1, a.shape[-1]):
+        m = np.maximum(m, a[..., k : k + 1])
+    return m
+
+
 def _normalize_rows(msg: np.ndarray) -> np.ndarray:
     """msg normalized along its last axis; a vector summing to 0 becomes
     uniform."""
-    s = msg.sum(axis=-1, keepdims=True)
+    s = _sum_last(msg)
     bad = s <= 0
     if bad.any():
         msg = np.where(bad, 1.0, msg)
@@ -381,7 +417,7 @@ def _init_messages(g: _Graph, restarts: int, seed: int | None) -> dict:
     deterministic given the seed, drawn factor by factor in model order.
     """
     rng = np.random.default_rng(seed if seed is not None else 0)
-    v2f = {c: np.empty((restarts, card.valid.sum(), c)) for c, card in g.by_card.items()}
+    v2f = {c: np.empty((restarts, len(card.flat), c)) for c, card in g.by_card.items()}
     for (_fid, scope, _table), slots in zip(g.factors, g.slots):
         for vi, slot in zip(scope, slots):
             c = g.cards[vi]
@@ -420,12 +456,11 @@ def _var_to_factor(g: _Graph, f2v: dict) -> dict:
     exclusive prefix and suffix products over the incidence."""
     v2f = {}
     for c, card in g.by_card.items():
-        inc = f2v[c][:, card.incidence]  # (restarts, variables, max degree, c)
-        ones = np.ones(inc.shape[:2] + (1, c))
-        before = np.cumprod(np.concatenate([ones, inc[:, :, :-1]], axis=2), axis=2)
-        after = np.cumprod(np.concatenate([ones, inc[:, :, :0:-1]], axis=2), axis=2)
+        # C-ordered (restarts, variables, max degree, c)
+        before = f2v[c].take(card.prefix, axis=1).cumprod(axis=2)
+        after = f2v[c].take(card.suffix, axis=1).cumprod(axis=2)
         m = card.phis[:, None] * before * after[:, :, ::-1]
-        v2f[c] = _normalize_rows(m[:, card.valid])
+        v2f[c] = _normalize_rows(m.reshape(len(m), -1, c).take(card.flat, axis=1))
     return v2f
 
 
@@ -466,7 +501,11 @@ def _bp_engine(
     tol: float,
     damping: float,
 ) -> tuple:
-    """Damped synchronous sweeps until every restart's residual is < tol."""
+    """Damped synchronous sweeps until every restart's residual is < tol.
+
+    The messages of v2f, and the engine's own factor-to-variable messages,
+    are damped in place: damping * old + (1 - damping) * new.
+    """
     # a model without variables has no messages
     restarts = next(iter(v2f.values())).shape[0] if v2f else 1
     f2v = _factor_to_var(g, v2f, restarts)
@@ -479,8 +518,9 @@ def _bp_engine(
         for c in v2f:
             for old, new in ((v2f[c], new_v2f[c]), (f2v[c], new_f2v[c])):
                 residual = np.maximum(residual, np.abs(new - old).max(axis=(1, 2), initial=0.0))
-            v2f[c] = damping * v2f[c] + (1.0 - damping) * new_v2f[c]
-            f2v[c] = damping * f2v[c] + (1.0 - damping) * new_f2v[c]
+                old *= damping
+                new *= 1.0 - damping
+                old += new
         if np.all(residual < tol):
             break
     return v2f, f2v, iterations, residual
@@ -568,7 +608,10 @@ def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
             axes = tuple(1 + a for a in range(t.ndim - 1) if a != axis)
             cur = cur_t.sum(axis=axes)
             worst = np.maximum(worst, np.abs(cur - target).max(axis=1))
-            ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
+            if cur.min() > 0:
+                ratio = target / cur
+            else:  # a state without mass gets scaling 0
+                ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
             shape = [len(active)] + [1] * (t.ndim - 1)
             shape[1 + axis] = target.shape[1]
             cur_t = cur_t * ratio.reshape(shape)
@@ -700,14 +743,17 @@ def _logit_gradient(g: _Graph, nu: list, lam: list) -> list:
     return out
 
 
-def _polish_nu(g: _Graph, nu: list, steps: int) -> tuple:
+def _polish_nu(g: _Graph, nu: list, steps: int, scored: tuple | None = None) -> tuple:
     """Ascent on each of a stack of node-belief rows through the envelope,
     in logit coordinates, all rows in lockstep.
 
     ``nu`` holds one (rows, card) array per variable; a model without
-    variables has one row, which has nothing to move.  One envelope call
-    scores every start row.  Each of the ``steps`` then makes one batched
-    call over the backtracking rates of every row still improving: a row's
+    variables has one row, which has nothing to move.  The rows start from
+    their ``_clean_nu``.  ``scored``, when given, is the ``_envelope`` of nu
+    as passed in: a row the clean leaves bitwise unchanged keeps that
+    score, and one envelope call scores the others; without it one call
+    scores every row.  Each of the ``steps`` then makes one batched call
+    over the backtracking rates of every row still improving: a row's
     own rate, rate / 2, ... >= 1e-4.  Each row takes its first rate that
     improves and grows its next rate by 1.5 (at most 10); a row that no
     rate improves, or whose start scores -inf, stops.  The gradient comes
@@ -717,9 +763,22 @@ def _polish_nu(g: _Graph, nu: list, steps: int) -> tuple:
     a zero belief stays zero.  Returns (per variable the (rows, card) best
     beliefs, per row its factor beliefs, the (rows,) best values).
     """
-    nu = _clean_nu(g, nu)
-    best_val, best_factors, lam = _envelope(g, nu)
+    clean = _clean_nu(g, nu)
+    redo = []
+    if scored is None:
+        scored = _envelope(g, clean)
+    elif nu:
+        bits = [np.concatenate(b, axis=1).view(np.uint64) for b in (clean, nu)]
+        redo = np.flatnonzero((bits[0] != bits[1]).any(axis=1))
+    values, factors, lam = scored
+    best_val, best_factors = values.copy(), list(factors)
     best_lam = [[li[r] for li in lam] for r in range(len(best_val))]
+    if len(redo):
+        values, factors, lam = _envelope(g, [ni[redo] for ni in clean])
+        for j, r in enumerate(redo):
+            best_val[r], best_factors[r] = values[j], factors[j]
+            best_lam[r] = [li[j] for li in lam]
+    nu = clean
     rate = [0.5] * len(best_val)
     live = [r for r, value in enumerate(best_val) if value > _NEG_INF] if nu else []
     for _ in range(steps):
@@ -804,13 +863,14 @@ def maximize_bethe(
     as candidates, re-derives consistent factor beliefs for every
     candidate through the envelope in one batched call, and polishes the
     ``refine_top`` best together by feasible ascent, one ``_polish_nu``
-    call for all of them.  The returned value is exp of the best objective
-    seen; it is a lower bound on the true Bethe optimum (the remaining gap
-    is not quantified).  Raises ModelError for a damping outside [0, 1)
-    or a model above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS
-    factors, and NumericRangeError when that value, the Z_MF computed on
-    the way (Z_MF <= Z_B), or the sum of a potential's entries is beyond
-    the float range.
+    call for all of them, which starts from their scores in that call.
+    The returned value is exp of the best objective seen; it is a lower
+    bound on the true Bethe optimum (the remaining gap is not quantified).
+    Raises ModelError for a damping outside [0, 1) or a model above
+    DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS factors, and
+    NumericRangeError when that value, the Z_MF computed on the way
+    (Z_MF <= Z_B), or the sum of a potential's entries is beyond the float
+    range.
     """
     _check_budget(model)
     _check_damping(damping)
@@ -830,7 +890,7 @@ def maximize_bethe(
     blocks.append([s[None] for s in g.start])  # field-proportional
 
     nu = _clean_nu(g, [np.concatenate([b[vi] for b in blocks]) for vi in range(len(g.cards))])
-    values, factors, _lam = _envelope(g, nu)
+    values, factors, lam = _envelope(g, nu)
     # a stable sort: ties keep candidate order; a model without variables
     # has one row
     scored = sorted(range(len(values)), key=values.__getitem__, reverse=True)
@@ -839,7 +899,8 @@ def maximize_bethe(
     best_val, best_nu, best_factors = values[best], [b[best] for b in nu], factors[best]
     if refine_steps > 0:
         top = scored[: max(1, refine_top)]
-        p_nu, p_factors, p_values = _polish_nu(g, [b[top] for b in nu], steps=refine_steps)
+        top_scores = values[top], [factors[r] for r in top], [li[top] for li in lam]
+        p_nu, p_factors, p_values = _polish_nu(g, [b[top] for b in nu], refine_steps, top_scores)
         # in scored order, a later candidate replaces the best only when higher
         for j, r_val in enumerate(p_values):
             if r_val > best_val:
@@ -873,18 +934,25 @@ def mean_field(
     _check_budget(model)
     g = _Graph(model)
     rng = np.random.default_rng(seed)
+    restarts = max(1, restarts)
 
-    inits = [g.start]
-    for _r in range(max(1, restarts) - 1):
-        inits.append(
-            [(lambda p: p / p.sum())(rng.uniform(0.05, 1.0, size=card)) for card in g.cards]
-        )
+    # restart 0 starts at the normalized node potentials; the others at
+    # uniform(0.05, 1) draws, restart by restart and variable by variable
+    # (one draw of the whole block takes them in that order), each
+    # variable's normalized; a last row at a positive assignment, if found
+    nu = np.ones((restarts + 1, sum(g.cards) + 1))
+    draws = rng.uniform(0.05, 1.0, size=(restarts - 1, sum(g.cards)))
+    for cols, start in zip(g.columns, g.start):
+        nu[0, cols] = start
+        nu[1:restarts, cols] = draws[:, cols] / draws[:, cols].sum(axis=1, keepdims=True)
     support_init = _positive_assignment_init(g, rng)
-    if support_init is not None:
-        inits.append(support_init)
-    nu = np.array([np.concatenate([*init, [1.0]]) for init in inits])
+    if support_init is None:
+        nu = nu[:restarts]
+    else:
+        for cols, p in zip(g.columns, support_init):
+            nu[restarts, cols] = p
 
-    active = np.arange(len(inits))
+    active = np.arange(len(nu))
     for _sweep in range(_MF_SWEEPS):
         rows = nu[active]
         delta = _mean_field_sweep(rows, g.mean_field)
@@ -893,7 +961,7 @@ def mean_field(
         if active.size == 0:
             break
 
-    values = _mean_field_values(g, [nu[:, cols] for cols in g.columns], len(inits))
+    values = _mean_field_values(g, [nu[:, cols] for cols in g.columns], len(nu))
     best = int(np.argmax(values))  # the first of equal maxima
     if values[best] == _NEG_INF:
         return dict(zip(g.var_ids, g.start)), 0.0
@@ -938,17 +1006,21 @@ def _mean_field_sweep(nu: np.ndarray, plan: list) -> np.ndarray:
     for cols, node_score, gather, log_table, off_support in plan:
         # C-ordered (restarts, max arity - 1, rows); fancy indexing would
         # put the restarts innermost
-        beliefs = np.take(nu, gather, axis=1)
+        beliefs = nu.take(gather, axis=1)
         w = beliefs[:, 0]
         for l in range(1, len(gather)):
             w = w * beliefs[:, l]
         score = node_score + (w[:, None, :] * log_table).sum(axis=2)
         if off_support is not None:
             score[(w > _ZERO_TOL) @ off_support] = _NEG_INF
-        top = score.max(axis=1, keepdims=True)
+        top = _max_last(score)
+        if top.min() > _NEG_INF:  # every row moves: no masks needed
+            e = np.exp(score - top)
+            nu[:, cols] = e / _sum_last(e)
+            continue
         movable = top > _NEG_INF  # a row scored -inf everywhere keeps its belief
         e = np.exp(score - np.where(movable, top, 0.0))
-        new = e / np.where(movable, e.sum(axis=1, keepdims=True), 1.0)
+        new = e / np.where(movable, _sum_last(e), 1.0)
         nu[:, cols] = np.where(movable, new, nu[:, cols])
     return np.abs(nu - before).max(axis=1)
 

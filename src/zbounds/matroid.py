@@ -439,12 +439,16 @@ def weight_enumerator(
     Returns the exact enumeration, the equivalent scaled matroid-Potts
     value q^k lam^n Z_Potts(S; q, log(1/lam)), and Bethe / mean-field
     lower bounds computed on the factor-graph form.  For lam > 1 the
-    bounds are suppressed (the inequality only holds on (0, 1]).
+    bounds are suppressed (the inequality only holds on (0, 1]).  Raises
+    ModelError unless lam is finite and positive with log(1/lam) finite
+    (below about 5.6e-309, 1/lam overflows).
     """
     from .bethe import maximize_bethe, mean_field
 
-    if lam <= 0:
-        raise ModelError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0 and math.isfinite(math.log(1.0 / lam))):
+        raise ModelError(
+            f"lambda must be positive and finite, with log(1/lambda) finite; got {lam!r}"
+        )
     q = matrix.field.q
     k, n = matrix.n_rows, matrix.n_cols
     words = _codewords(matrix, cap)

@@ -157,21 +157,26 @@ def rc_weight(model: PottsModel, mask: int) -> float:
     Without a field: q^k(A) * prod p_e.  With a field h: every component C
     contributes sum_w exp(h_w * |V(C)|) in place of one factor of q.
     """
-    p = model.edge_probabilities
-    w = 1.0
-    for idx in range(len(model.edges)):
-        if (mask >> idx) & 1:
-            w *= p[idx]
-    if model.field is None:
-        return w * model.q ** count_components(model.n_vertices, model.edges, mask)
+    return _components_and_weight(model, mask, model.edge_probabilities)[1]
+
+
+def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray) -> tuple:
+    """(components, ``rc_weight``) of one edge subset from one union-find
+    pass; ``p`` is the model's ``edge_probabilities``.  The edge factors are
+    multiplied in edge order, then a field's component factors in order of
+    their union-find root."""
     uf = UnionFind(model.n_vertices)
+    w = 1.0
     for idx, (i, j) in enumerate(model.edges):
         if (mask >> idx) & 1:
+            w *= p[idx]
             uf.union(i, j)
+    if model.field is None:
+        return uf.count, w * model.q**uf.count
     for v in range(model.n_vertices):
         if uf.find(v) == v:
             w *= math.fsum(math.exp(h * uf.size[v]) for h in model.field)
-    return w
+    return uf.count, w
 
 
 def rc_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -302,20 +307,29 @@ def check_cover_component_inequality(
     """
     cover_mask, stack_masks = layered_masks(layers, spec.m, len(base.edges))
     cover, _labels = cover_potts_model(base, spec)
-    lhs = count_components(cover.n_vertices, cover.edges, cover_mask)
-    rhs = sum(count_components(base.n_vertices, base.edges, sm) for sm in stack_masks)
-    report = CoverComponentReport(
-        lhs_components=lhs, rhs_components=rhs, component_ok=lhs <= rhs
+    if base.field is None:
+        lhs = count_components(cover.n_vertices, cover.edges, cover_mask)
+        rhs = sum(count_components(base.n_vertices, base.edges, sm) for sm in stack_masks)
+        return CoverComponentReport(
+            lhs_components=lhs, rhs_components=rhs, component_ok=lhs <= rhs
+        )
+    # one labelling per mask gives both its component count and its weight;
+    # the cover's edges are the base edges' copies, so p repeats
+    p = base.edge_probabilities
+    lhs, lw = _components_and_weight(cover, cover_mask, np.repeat(p, spec.m))
+    rhs, rw = 0, 1.0
+    for sm in stack_masks:
+        k, w = _components_and_weight(base, sm, p)
+        rhs += k
+        rw *= w
+    return CoverComponentReport(
+        lhs_components=lhs,
+        rhs_components=rhs,
+        component_ok=lhs <= rhs,
+        lhs_weight=lw,
+        rhs_weight=rw,
+        weight_ok=lw <= rw * (1 + 1e-9) + 1e-300,
     )
-    if base.field is not None:
-        lw = rc_weight(cover, cover_mask)
-        rw = 1.0
-        for sm in stack_masks:
-            rw *= rc_weight(base, sm)
-        report.lhs_weight = lw
-        report.rhs_weight = rw
-        report.weight_ok = lw <= rw * (1 + 1e-9) + 1e-300
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -990,6 +990,80 @@ class TestBatchedEnvelope:
         assert _same_factors(tau.factor, want_factors)
 
 
+class TestPolishStart:
+    """``maximize_bethe`` hands the polish its candidates' scores; the polish
+    re-scores only the rows its clean changes bitwise.  Both branches must
+    end as the one-row-at-a-time reference."""
+
+    @staticmethod
+    def _run(monkeypatch, model, restarts, seed, top):
+        calls = []
+        original = bethe._envelope
+
+        def recorded(g, nu):
+            out = original(g, nu)
+            calls.append((nu, out))
+            return out
+
+        monkeypatch.setattr(bethe, "_envelope", recorded)
+        tau, zb = maximize_bethe(
+            model, restarts=restarts, seed=seed, refine_steps=12, refine_top=top
+        )
+        nu, (values, factors, _lam) = calls[0]
+        g = bethe._Graph(model)
+        want_val, want_nu, want_factors = _ref_polish_top(g, nu, values, factors, 12, top)
+        assert zb == bethe.partition_from_log(want_val, "Z_B")
+        assert [tau.node[v].tobytes() for v in model.var_ids] == [a.tobytes() for a in want_nu]
+        assert _same_factors(tau.factor, want_factors)
+        # the rows the polish scored before its first step, if any
+        return [len(nu[0]) for nu, _out in calls[1:] if len(nu[0]) <= top]
+
+    @pytest.mark.parametrize(
+        "name,restarts,seed", [("potts_uniform_field", 8, 0), ("matroid_incidence", 8, 0),
+                               ("counterexample", 6, 1), ("hom_hard_zeros", 16, 4)]
+    )
+    def test_reused_scores(self, monkeypatch, name, restarts, seed):
+        model = TestBatchedEnvelope._models()[name]
+        assert self._run(monkeypatch, model, restarts, seed, 3) == []
+
+    @pytest.mark.parametrize(
+        "name,restarts,seed", [("potts_uniform_field", 6, 1), ("potts_uniform_field", 16, 4),
+                               ("matroid_incidence", 6, 1), ("counterexample", 16, 4)]
+    )
+    def test_rescored_rows(self, monkeypatch, name, restarts, seed):
+        model = TestBatchedEnvelope._models()[name]
+        assert len(self._run(monkeypatch, model, restarts, seed, 3)) == 1
+
+    def test_mixed_stack_matches_step_by_step(self):
+        # rows the clean floors (a zero on the support) next to rows it
+        # leaves alone, with the scores of the rows as passed in
+        seen = set()
+        for name in ("potts_uniform_field", "zero_node_potential", "cardinality_one"):
+            g = bethe._Graph(TestBatchedEnvelope._models()[name])
+            rng = np.random.default_rng(5)
+            rows = []
+            for k in range(5):
+                row = [bethe._softmax(2.0 * rng.normal(size=c)) for c in g.cards]
+                if k % 2:
+                    row[0] = np.eye(g.cards[0])[-1]  # floored by the clean
+                rows.append(row)
+            stack = [np.array([row[vi] for row in rows]) for vi in range(len(g.cards))]
+            stack = [np.where(np.arange(len(rows))[:, None] % 2, ni, c)
+                     for ni, c in zip(stack, bethe._clean_nu(g, stack))]
+            again = bethe._clean_nu(g, stack)
+            moved = [any(a[r].tobytes() != b[r].tobytes() for a, b in zip(again, stack))
+                     for r in range(len(rows))]
+            seen.update(moved)
+            scored = bethe._envelope(g, stack)
+            got_nu, got_factors, got_val = bethe._polish_nu(g, stack, 10, scored)
+            for r, row in enumerate(rows):
+                want_nu, want_factors, want_val = _ref_polish(g, [ni[r] for ni in stack], 10)
+                assert got_val[r] == want_val, (name, r)
+                assert [ni[r].tobytes() for ni in got_nu] == [a.tobytes() for a in want_nu]
+                assert _same_factors(got_factors[r], want_factors), (name, r)
+        assert seen == {True, False}  # both kinds of row were polished
+
+
 def _gradient_models():
     """Potts models with a field, rank-2 homomorphisms, trees and the four
     counterexample conventions: 21 models, every table positive."""
@@ -1086,11 +1160,28 @@ class TestLayerProbe:
         model = _pinned_models()["potts_uniform_field"]
         bethe.maximize_bethe(model, restarts=8, refine_steps=5, refine_top=3)
         # one call scores the 8 BP restarts, mean field, flat and
-        # field-proportional candidates; one call scores the start rows of
-        # all 3 polished candidates, and each step then makes one call over
-        # the backtracking rates of every candidate still improving
-        assert rows[:2] == [8 + 3, 3]
-        assert 2 + 1 <= len(rows) <= 2 + 5  # the candidates took a step
+        # field-proportional candidates; the polish starts from those
+        # scores, as re-cleaning leaves all 3 top rows unchanged here, and
+        # each step then makes one call over the backtracking rates of every
+        # candidate still improving: 13 rates, 0.5 down to 0.5 / 2^12
+        assert rows[:2] == [8 + 3, 3 * 13]
+        assert 1 + 1 <= len(rows) <= 1 + 5
+
+    @pytest.mark.parametrize("restarts,seed,redone", [(6, 1, 3), (16, 4, 1)])
+    def test_envelope_calls_when_the_clean_moves_rows(self, monkeypatch, restarts, seed, redone):
+        # here re-cleaning changes some of the 3 top rows in their last
+        # bits; one call scores those rows again before the first step
+        rows = []
+        original = bethe._envelope
+
+        def counted(g, nu):
+            rows.append(len(nu[0]))
+            return original(g, nu)
+
+        monkeypatch.setattr(bethe, "_envelope", counted)
+        model = _pinned_models()["potts_uniform_field"]
+        bethe.maximize_bethe(model, restarts=restarts, seed=seed, refine_steps=5, refine_top=3)
+        assert rows[:3] == [restarts + 3, redone, 3 * 13]
 
 
 # BP as it was before the factors were stacked: per-factor lists of
@@ -1237,6 +1328,118 @@ class TestStackedBP:
         v2f[2][0, g.slots[1][0]] = [1.0, 0.0]
         f2v = bethe._factor_to_var(g, v2f, 1)
         assert f2v[2][0, g.slots[1][1]].tolist() == [0.5, 0.5]
+
+
+# The stacked BP sweep as it was before its gathers were compiled:
+# _normalize_rows by a reduction, the leave-one-out products over a
+# concatenated ones slot and a boolean mask, and damping into new arrays.
+# The engine must match it bit for bit.
+
+
+def _ref_normalize_rows(msg):
+    s = msg.sum(axis=-1, keepdims=True)
+    bad = s <= 0
+    if bad.any():
+        msg = np.where(bad, 1.0, msg)
+        s = np.where(bad, msg.shape[-1], s)
+    return msg / s
+
+
+def _ref_var_to_factor(g, f2v):
+    v2f = {}
+    for c, card in g.by_card.items():
+        inc = f2v[c][:, card.incidence]
+        ones = np.ones(inc.shape[:2] + (1, c))
+        before = np.cumprod(np.concatenate([ones, inc[:, :, :-1]], axis=2), axis=2)
+        after = np.cumprod(np.concatenate([ones, inc[:, :, :0:-1]], axis=2), axis=2)
+        m = card.phis[:, None] * before * after[:, :, ::-1]
+        v2f[c] = _ref_normalize_rows(m[:, card.incidence < len(card.flat)])
+    return v2f
+
+
+def _ref_stacked_bp_engine(g, v2f, max_iters, tol, damping):
+    restarts = next(iter(v2f.values())).shape[0] if v2f else 1
+    f2v = bethe._factor_to_var(g, v2f, restarts)
+    residual = np.full(restarts, np.inf)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        new_v2f = _ref_var_to_factor(g, f2v)
+        new_f2v = bethe._factor_to_var(g, new_v2f, restarts)
+        residual = np.zeros(restarts)
+        for c in v2f:
+            for old, new in ((v2f[c], new_v2f[c]), (f2v[c], new_f2v[c])):
+                residual = np.maximum(residual, np.abs(new - old).max(axis=(1, 2), initial=0.0))
+            v2f[c] = damping * v2f[c] + (1.0 - damping) * new_v2f[c]
+            f2v[c] = damping * f2v[c] + (1.0 - damping) * new_f2v[c]
+        if np.all(residual < tol):
+            break
+    return v2f, f2v, iterations, residual
+
+
+class TestShortAxis:
+    @staticmethod
+    def _stacks(rng, n):
+        """Rows of length n: mixed magnitudes, subnormals and zero rows, as
+        one row, many rows, a 3-D stack and non-contiguous views."""
+        base = np.exp(rng.normal(0.0, 40.0, size=(30, n)))
+        base[::3] *= 1e-310  # subnormal entries
+        base[1::7] = 0.0  # rows summing to 0
+        base[2::5, 0] = 0.0
+        wide = np.repeat(base, 2, axis=1)
+        return [
+            base[:1], base, base.reshape(5, 6, n), base[::2], base[:, ::-1], wide[:, ::2],
+            np.asfortranarray(base), base.reshape(5, 6, n).transpose(1, 0, 2),
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_normalize_rows_matches_reduction(self, n):
+        rng = np.random.default_rng(20 + n)
+        for msg in self._stacks(rng, n):
+            want = _ref_normalize_rows(msg)
+            got = bethe._normalize_rows(msg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sums_and_maxima_match_reductions(self, n):
+        rng = np.random.default_rng(30 + n)
+        for a in self._stacks(rng, n):
+            a = np.log(a, out=np.full(a.shape, -np.inf), where=a > 0)  # -inf entries too
+            for x in (a, np.exp(a)):
+                assert bethe._sum_last(x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
+                assert bethe._max_last(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+
+
+class TestCompiledSweep:
+    @pytest.mark.parametrize("name", sorted(_engine_models()))
+    def test_var_to_factor_matches_concatenated_form(self, name):
+        g = bethe._Graph(_engine_models()[name])
+        rng = np.random.default_rng(18)
+        for restarts in (1, 24):
+            f2v = {}
+            for c, card in g.by_card.items():
+                m = rng.uniform(0.0, 2.0, size=(restarts, len(card.flat) + 1, c))
+                m[:, ::4] = 0.0  # zero messages, and rows that sum to 0
+                m[:, -1] = 1.0  # the ones slot
+                f2v[c] = m
+            want = _ref_var_to_factor(g, f2v)
+            got = bethe._var_to_factor(g, f2v)
+            assert list(got) == list(want)
+            for c in want:
+                assert got[c].shape == want[c].shape and got[c].tobytes() == want[c].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_engine_models()))
+    def test_engine_matches_unfused_damping(self, name):
+        g = bethe._Graph(_engine_models()[name])
+        for restarts, seed, damping in ((1, None, 0.5), (24, 3, 0.5), (7, 4, 0.0), (5, 6, 0.9)):
+            init = bethe._init_messages(g, restarts, seed)
+            want = _ref_stacked_bp_engine(g, {c: m.copy() for c, m in init.items()}, 300, 1e-10,
+                                          damping)
+            got = bethe._bp_engine(g, init, 300, 1e-10, damping)
+            assert got[2] == want[2] and got[3].tobytes() == want[3].tobytes()
+            for got_msgs, want_msgs in zip(got[:2], want[:2]):
+                assert [m.tobytes() for m in got_msgs.values()] == [
+                    m.tobytes() for m in want_msgs.values()
+                ]
 
 
 class TestClosedFormMeanField:
@@ -1388,6 +1591,113 @@ class TestMeanFieldPlan:
             assert step.gather.shape[0] == arity - 1
             assert step.log_table.shape == (g.cards[vi], step.gather.shape[1])
             assert step.off_support is None  # every table of mixed_arity is positive
+
+
+# The mean-field update and IPF as they were, with their masks taken on
+# every call; the mask-free paths must match them bit for bit.
+
+
+def _ref_masked_mean_field_sweep(nu, plan):
+    """The sweep in place, and whether any variable's update left a row
+    scored -inf everywhere."""
+    before = nu.copy()
+    stuck = False
+    for cols, node_score, gather, log_table, off_support in plan:
+        beliefs = np.take(nu, gather, axis=1)
+        w = beliefs[:, 0]
+        for l in range(1, len(gather)):
+            w = w * beliefs[:, l]
+        score = node_score + (w[:, None, :] * log_table).sum(axis=2)
+        if off_support is not None:
+            score[(w > 1e-12) @ off_support] = -np.inf
+        top = score.max(axis=1, keepdims=True)
+        movable = top > -np.inf
+        stuck |= not movable.all()
+        e = np.exp(score - np.where(movable, top, 0.0))
+        new = e / np.where(movable, e.sum(axis=1, keepdims=True), 1.0)
+        nu[:, cols] = np.where(movable, new, nu[:, cols])
+    return np.abs(nu - before).max(axis=1), stuck
+
+
+def _ref_masked_ipf(kernels, margins, iters=300, tol=1e-13):
+    """(tables, residuals, log-scalings, whether a margin ever held a zero)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        t = np.asarray(kernels, dtype=float)
+        t = t / t.sum(axis=tuple(range(1, t.ndim)), keepdims=True)
+        residual = np.zeros(len(t))
+        scale = [np.ones(target.shape) for target in margins]
+        active, cur_t, targets, cur_scale = np.arange(len(t)), t, list(margins), list(scale)
+        zero = False
+        for _ in range(iters):
+            worst = np.zeros(len(active))
+            for axis, target in enumerate(targets):
+                axes = tuple(1 + a for a in range(t.ndim - 1) if a != axis)
+                cur = cur_t.sum(axis=axes)
+                worst = np.maximum(worst, np.abs(cur - target).max(axis=1))
+                zero |= not (cur > 0).all()
+                ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
+                shape = [len(active)] + [1] * (t.ndim - 1)
+                shape[1 + axis] = target.shape[1]
+                cur_t = cur_t * ratio.reshape(shape)
+                cur_scale[axis] = cur_scale[axis] * ratio
+            residual[active] = worst
+            done = worst < tol
+            if done.any():
+                t[active[done]] = cur_t[done]
+                for s, cs in zip(scale, cur_scale):
+                    s[active[done]] = cs[done]
+                going = ~done
+                active, cur_t = active[going], cur_t[going]
+                targets = [target[going] for target in targets]
+                cur_scale = [cs[going] for cs in cur_scale]
+                if not active.size:
+                    break
+        t[active] = cur_t
+        for s, cs in zip(scale, cur_scale):
+            s[active] = cs
+        return t, residual, [np.log(s) for s in scale], zero
+
+
+class TestMaskFreeUpdates:
+    def test_mean_field_sweep_matches_masked_form(self):
+        rng = np.random.default_rng(19)
+        seen = set()
+        for name, model in _mean_field_models().items():
+            g = bethe._Graph(model)
+            nu, rows = TestClosedFormMeanField._rows(g, rng)
+            # the whole stack, with zero and one-hot rows, the first row alone
+            # and the stack reversed
+            for stack in (_flat(nu, rows), _flat([ni[:1] for ni in nu], 1),
+                          _flat(nu, rows)[::-1].copy()):
+                want = stack.copy()
+                for _sweep in range(8):
+                    want_delta, stuck = _ref_masked_mean_field_sweep(want, g.mean_field)
+                    delta = bethe._mean_field_sweep(stack, g.mean_field)
+                    assert delta.tobytes() == want_delta.tobytes(), name
+                    assert stack.tobytes() == want.tobytes(), name
+                    seen.add(stuck)
+        assert seen == {True, False}  # both the masked and the mask-free path ran
+
+    def test_ipf_matches_masked_form(self):
+        rng = np.random.default_rng(21)
+        seen = set()
+        models = _engine_models()
+        models["equality_pair"] = TestBatchedEnvelope._models()["equality_pair"]
+        for name, model in models.items():
+            g = bethe._Graph(model)
+            nu = TestBatchedEnvelope._rows(g, rng, 7)
+            for grp in g.groups:
+                if not len(grp.scopes):
+                    continue
+                kernels = np.repeat(grp.tables, 7, axis=0)
+                margins = [np.concatenate([nu[u] for u in col]) for col in grp.scopes]
+                t, residual, log_scale = bethe._ipf(kernels, margins)
+                want, want_res, want_scale, zero = _ref_masked_ipf(kernels, margins)
+                seen.add(zero)
+                assert t.tobytes() == want.tobytes(), name
+                assert residual.tobytes() == want_res.tobytes(), name
+                assert [ls.tobytes() for ls in log_scale] == [ls.tobytes() for ls in want_scale]
+        assert seen == {True, False}  # both the masked and the direct division ran
 
 
 class TestGroupedIPF:

@@ -247,6 +247,16 @@ class TestCommands:
         assert rec["identity_value"] == pytest.approx(1.125, rel=1e-9)
         assert rec["bethe_bound"] <= rec["exact"] * (1 + 1e-6)
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "1e-320", "0", "-1"])
+    def test_wef_lambda_outside_range_exit_2(self, runner, tmp_path, lam):
+        code = tmp_path / "rep3.txt"
+        code.write_text("2 1 3\n1 1 1\n")
+        res = runner.invoke(main, ["wef", "--code", str(code), "--lam", lam])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "lambda" in res.output
+        assert "{" not in res.output  # no record
+        assert "Traceback" not in res.output and "Warning" not in res.output
+
     def test_hom(self, runner, tmp_path):
         doc = {
             "n_vertices": 2,

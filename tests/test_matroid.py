@@ -393,6 +393,13 @@ class TestWeightEnumerator:
         assert res.exact == pytest.approx(1 + 1.5**3, rel=1e-12)
         assert res.bethe_bound is None and res.mean_field_bound is None
 
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("inf"), float("nan"), 1e-320])
+    def test_lambda_outside_range_refused(self, lam):
+        # 1e-320 is positive, but 1/lam overflows, so J = log(1/lam) is inf
+        m = parse_generator_matrix("2 1 3\n1 1 1\n")
+        with pytest.raises(ModelError, match="lambda"):
+            weight_enumerator(m, lam, restarts=4)
+
     def test_rank_deficient_generator(self):
         m = parse_generator_matrix("2 2 3\n1 1 1\n1 1 1\n")
         res = weight_enumerator(m, 0.5, restarts=4)

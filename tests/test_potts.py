@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from zbounds.covers import iter_cover_specs, sample_cover
+from zbounds.covers import iter_cover_specs, layered_masks, sample_cover
 from zbounds.errors import EnumerationCapError, ModelError
 from zbounds.lattice import is_log_supermodular
 from zbounds.models import exact_partition
 from zbounds.potts import (
     PottsModel,
+    UnionFind,
     build_counterexample,
     check_cover_component_inequality,
     count_components,
@@ -240,6 +241,50 @@ class TestCoverComponentInequality:
             layers = [int(rng.integers(0, 8)), int(rng.integers(0, 8))]
             rep = check_cover_component_inequality(base, spec, layers)
             assert rep.ok
+
+    def test_one_labelling_matches_two(self):
+        # the check used to count components with one union-find and weigh
+        # with another inside rc_weight; one pass per mask must give the
+        # same counts and the same weights bit for bit
+        def ref_weight(model, mask):
+            p = np.expm1(model.coupling)
+            w = 1.0
+            for idx in range(len(model.edges)):
+                if (mask >> idx) & 1:
+                    w *= p[idx]
+            if model.field is None:
+                return w * model.q ** count_components(model.n_vertices, model.edges, mask)
+            uf = UnionFind(model.n_vertices)
+            for idx, (i, j) in enumerate(model.edges):
+                if (mask >> idx) & 1:
+                    uf.union(i, j)
+            for v in range(model.n_vertices):
+                if uf.find(v) == v:
+                    w *= math.fsum(math.exp(h * uf.size[v]) for h in model.field)
+            return w
+
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            q = int(rng.integers(2, 4))
+            field = rng.uniform(-1, 1, q) if i % 3 else None
+            base = PottsModel(3, TRIANGLE, q, rng.uniform(0.05, 2.0, 3), field=field)
+            spec = sample_cover(potts_to_factor_graph(base), 2, seed=2000 + i)
+            cover, _labels = cover_potts_model(base, spec)
+            for mask in range(1 << 6):
+                assert rc_weight(cover, mask) == ref_weight(cover, mask)
+            layers = [int(rng.integers(0, 8)), int(rng.integers(0, 8))]
+            rep = check_cover_component_inequality(base, spec, layers)
+            lifted, stacks = layered_masks(layers, 2, 3)
+            assert rep.lhs_components == count_components(6, cover.edges, lifted)
+            assert rep.rhs_components == sum(count_components(3, TRIANGLE, m) for m in stacks)
+            if field is None:
+                assert rep.lhs_weight is rep.rhs_weight is rep.weight_ok is None
+            else:
+                assert rep.lhs_weight == ref_weight(cover, lifted)
+                rhs = 1.0
+                for m in stacks:
+                    rhs *= ref_weight(base, m)
+                assert rep.rhs_weight == rhs
 
     @pytest.mark.parametrize(
         "edges", [[(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)], [(1, 0), (1, 2), (0, 2)]],
