@@ -373,8 +373,10 @@ def _check_sums(g: _Graph) -> None:
 
 
 # A last axis at most this long is summed, or maximized, slice by slice in
-# index order: numpy adds fewer than 8 entries in that order too, so the
-# bits are the same, without the dispatch cost of a reduction.
+# index order, without the dispatch cost of a reduction.  On numpy 2.4.6,
+# .sum adds so few entries in the same order, so the bits match; that is
+# an implementation detail, checked on 2.4.6 only and guarded by the
+# tests' TestShortAxis.
 _SHORT_AXIS = 4
 
 
@@ -608,7 +610,7 @@ def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
             axes = tuple(1 + a for a in range(t.ndim - 1) if a != axis)
             cur = cur_t.sum(axis=axes)
             worst = np.maximum(worst, np.abs(cur - target).max(axis=1))
-            if cur.min() > 0:
+            if cur.min() > 0:  # cheaper than dividing under a mask
                 ratio = target / cur
             else:  # a state without mass gets scaling 0
                 ratio = np.where(cur > 0, target / np.where(cur > 0, cur, 1.0), 0.0)
@@ -743,19 +745,18 @@ def _logit_gradient(g: _Graph, nu: list, lam: list) -> list:
     return out
 
 
-def _polish_nu(g: _Graph, nu: list, steps: int, scored: tuple | None = None) -> tuple:
+def _polish_nu(g: _Graph, nu: list, steps: int, scored: tuple) -> tuple:
     """Ascent on each of a stack of node-belief rows through the envelope,
     in logit coordinates, all rows in lockstep.
 
     ``nu`` holds one (rows, card) array per variable; a model without
     variables has one row, which has nothing to move.  The rows start from
-    their ``_clean_nu``.  ``scored``, when given, is the ``_envelope`` of nu
-    as passed in: a row the clean leaves bitwise unchanged keeps that
-    score, and one envelope call scores the others; without it one call
-    scores every row.  Each of the ``steps`` then makes one batched call
-    over the backtracking rates of every row still improving: a row's
-    own rate, rate / 2, ... >= 1e-4.  Each row takes its first rate that
-    improves and grows its next rate by 1.5 (at most 10); a row that no
+    their ``_clean_nu``.  ``scored`` is the ``_envelope`` of nu as passed
+    in: a row the clean leaves bitwise unchanged keeps that score, and one
+    envelope call scores the others.  Each of the ``steps`` then makes one
+    batched call over the backtracking rates of every row still improving:
+    a row's own rate, rate / 2, ... >= 1e-4.  Each row takes its first rate
+    that improves and grows its next rate by 1.5 (at most 10); a row that no
     rate improves, or whose start scores -inf, stops.  The gradient comes
     from the IPF log-scalings of the row's current point.  The envelope is
     row-independent, so each row ends exactly as when polished alone.
@@ -765,9 +766,7 @@ def _polish_nu(g: _Graph, nu: list, steps: int, scored: tuple | None = None) -> 
     """
     clean = _clean_nu(g, nu)
     redo = []
-    if scored is None:
-        scored = _envelope(g, clean)
-    elif nu:
+    if nu:
         bits = [np.concatenate(b, axis=1).view(np.uint64) for b in (clean, nu)]
         redo = np.flatnonzero((bits[0] != bits[1]).any(axis=1))
     values, factors, lam = scored

@@ -160,17 +160,20 @@ def rc_weight(model: PottsModel, mask: int) -> float:
     return _components_and_weight(model, mask, model.edge_probabilities)[1]
 
 
-def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray) -> tuple:
+def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray | None) -> tuple:
     """(components, ``rc_weight``) of one edge subset from one union-find
-    pass; ``p`` is the model's ``edge_probabilities``.  The edge factors are
-    multiplied in edge order, then a field's component factors in order of
-    their union-find root."""
+    pass; ``p`` is the model's ``edge_probabilities``, or None for the count
+    alone (weight None).  The edge factors are multiplied in edge order,
+    then a field's component factors in order of their union-find root."""
     uf = UnionFind(model.n_vertices)
     w = 1.0
     for idx, (i, j) in enumerate(model.edges):
         if (mask >> idx) & 1:
-            w *= p[idx]
             uf.union(i, j)
+            if p is not None:
+                w *= p[idx]
+    if p is None:
+        return uf.count, None
     if model.field is None:
         return uf.count, w * model.q**uf.count
     for v in range(model.n_vertices):
@@ -307,29 +310,22 @@ def check_cover_component_inequality(
     """
     cover_mask, stack_masks = layered_masks(layers, spec.m, len(base.edges))
     cover, _labels = cover_potts_model(base, spec)
-    if base.field is None:
-        lhs = count_components(cover.n_vertices, cover.edges, cover_mask)
-        rhs = sum(count_components(base.n_vertices, base.edges, sm) for sm in stack_masks)
-        return CoverComponentReport(
-            lhs_components=lhs, rhs_components=rhs, component_ok=lhs <= rhs
-        )
-    # one labelling per mask gives both its component count and its weight;
-    # the cover's edges are the base edges' copies, so p repeats
-    p = base.edge_probabilities
-    lhs, lw = _components_and_weight(cover, cover_mask, np.repeat(p, spec.m))
-    rhs, rw = 0, 1.0
-    for sm in stack_masks:
-        k, w = _components_and_weight(base, sm, p)
-        rhs += k
-        rw *= w
-    return CoverComponentReport(
-        lhs_components=lhs,
-        rhs_components=rhs,
-        component_ok=lhs <= rhs,
-        lhs_weight=lw,
-        rhs_weight=rw,
-        weight_ok=lw <= rw * (1 + 1e-9) + 1e-300,
+    # one labelling per mask gives its component count and, with a field,
+    # its weight; the count alone needs no edge probabilities
+    weigh = base.field is not None
+    lhs, lw = _components_and_weight(cover, cover_mask, cover.edge_probabilities if weigh else None)
+    p = base.edge_probabilities if weigh else None
+    stacks = [_components_and_weight(base, sm, p) for sm in stack_masks]
+    rhs = sum(k for k, _w in stacks)
+    report = CoverComponentReport(
+        lhs_components=lhs, rhs_components=rhs, component_ok=lhs <= rhs
     )
+    if weigh:
+        rw = math.prod((w for _k, w in stacks), start=1.0)
+        report.lhs_weight = lw
+        report.rhs_weight = rw
+        report.weight_ok = lw <= rw * (1 + 1e-9) + 1e-300
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -953,7 +953,7 @@ class TestBatchedEnvelope:
         rng = np.random.default_rng(3)
         starts += [[bethe._softmax(3.0 * rng.normal(size=c)) for c in g.cards] for _ in range(2)]
         stack = [np.array([start[vi] for start in starts]) for vi in range(len(g.cards))]
-        got_nu, got_factors, got_val = bethe._polish_nu(g, stack, steps=15)
+        got_nu, got_factors, got_val = bethe._polish_nu(g, stack, 15, bethe._envelope(g, stack))
         assert len(got_val) == len(got_factors) == len(starts)
         for r, start in enumerate(starts):
             want_nu, want_factors, want_val = _ref_polish(g, start, steps=15)

@@ -286,6 +286,18 @@ class TestCoverComponentInequality:
                     rhs *= ref_weight(base, m)
                 assert rep.rhs_weight == rhs
 
+    def test_antiferromagnetic_counts_without_weights(self):
+        # the count needs no edge probabilities, so a negative coupling is
+        # fine without a field; with one, the weights would be negative
+        base = PottsModel(3, TRIANGLE, 2, [-0.5, 0.3, -1.0])
+        spec = sample_cover(potts_to_factor_graph(base), 2, seed=4)
+        for a1 in range(8):
+            rep = check_cover_component_inequality(base, spec, [a1, 7 - a1])
+            assert rep.component_ok and rep.lhs_weight is None
+        base = PottsModel(3, TRIANGLE, 2, [-0.5, 0.3, -1.0], field=[0.1, 0.0])
+        with pytest.raises(ModelError, match="antiferromagnetic"):
+            check_cover_component_inequality(base, spec, [1, 2])
+
     @pytest.mark.parametrize(
         "edges", [[(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)], [(1, 0), (1, 2), (0, 2)]],
         ids=["subgraph", "reordered", "reversed"],
