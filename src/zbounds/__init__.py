@@ -41,7 +41,6 @@ from .lattice import (
     check_correlation_inequality,
     is_log_submodular,
     is_log_supermodular,
-    meet_join,
     model_is_log_supermodular,
     sorted_stack,
     switch_bipartite,

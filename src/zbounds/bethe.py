@@ -28,6 +28,14 @@ _NEG_INF = float("-inf")
 _ZERO_TOL = 1e-12
 # bethe_objective: the largest local-consistency violation it accepts
 _POLYTOPE_TOL = 1e-6
+# _ipf: at most this many sweeps, and a row stops once its residual is below _IPF_TOL
+_IPF_SWEEPS = 300
+_IPF_TOL = 1e-13
+# _envelope: an IPF residual above this means margins infeasible for the support
+_INFEASIBLE_TOL = 1e-8
+# _clean_nu's floor on a node potential's support; _positive_assignment_init's draws
+_BELIEF_FLOOR = 1e-12
+_ASSIGNMENT_TRIES = 200
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -580,14 +588,13 @@ def run_bp(
 
 # an infeasible row never converges, and its scalings may overflow
 @np.errstate(over="ignore", divide="ignore")
-def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
-         tol: float = 1e-13) -> tuple:
+def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray]) -> tuple:
     """Iterative proportional fitting of each of a stack of kernels onto its
     row of margins.
 
     ``kernels`` has shape (rows, *shape) and ``margins`` holds one (rows,
     card) array per table axis; each row is fitted on its own.  A row stops
-    once a sweep leaves its residual below ``tol``, so it makes the same
+    once a sweep leaves its residual below ``_IPF_TOL``, so it makes the same
     sweeps as when fitted alone.  Each row converges to the maximizer of
     <tau, log kernel> + H(tau) subject to its margin constraints whenever
     they are feasible for the kernel's support.  Returns (tables of the
@@ -604,7 +611,7 @@ def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
     scale = [np.ones(target.shape) for target in margins]
     # the rows still sweeping: their indices, tables, margins and scalings
     active, cur_t, targets, cur_scale = np.arange(len(t)), t, list(margins), list(scale)
-    for _ in range(iters):
+    for _ in range(_IPF_SWEEPS):
         worst = np.zeros(len(active))
         for axis, target in enumerate(targets):
             axes = tuple(1 + a for a in range(t.ndim - 1) if a != axis)
@@ -619,7 +626,7 @@ def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray], iters: int = 300,
             cur_t = cur_t * ratio.reshape(shape)
             cur_scale[axis] = cur_scale[axis] * ratio
         residual[active] = worst
-        done = worst < tol
+        done = worst < _IPF_TOL
         if done.any():
             t[active[done]] = cur_t[done]
             for s, cs in zip(scale, cur_scale):
@@ -695,9 +702,9 @@ def _envelope(g: _Graph, nu: list) -> tuple:
     for fi, (fid, scope, _table) in enumerate(g.factors):
         t, residual, log_scale = fits[fi]
         e, blocked = _energy(t, *g.factor_logs[fi])
-        # residual above 1e-8: margins infeasible for the table's support;
-        # no consistent factor belief exists, so the row is invalid
-        dead[live] |= (residual > 1e-8) | blocked
+        # margins infeasible for the table's support: no consistent factor
+        # belief exists, so the row is invalid
+        dead[live] |= (residual > _INFEASIBLE_TOL) | blocked
         value[live] += e + _entropy(t)
         for u, ls in zip(scope, log_scale):
             value[live] -= entropy[u][live]
@@ -708,14 +715,14 @@ def _envelope(g: _Graph, nu: list) -> tuple:
     return value, [{} if d else f for d, f in zip(dead, factor_beliefs)], lam
 
 
-def _clean_nu(g: _Graph, nu: list, floor: float = 1e-12) -> list:
+def _clean_nu(g: _Graph, nu: list) -> list:
     """Node beliefs floored on each node potential's support and
     renormalized along their last axis; entries off the support are kept,
     so a zero there stays a zero."""
     out = []
     for ni, node in zip(nu, g.node_logs):
         ni = np.asarray(ni, dtype=float)
-        ni = np.where(True if node is None else node[0], np.maximum(ni, floor), ni)
+        ni = np.where(True if node is None else node[0], np.maximum(ni, _BELIEF_FLOOR), ni)
         out.append(ni / ni.sum(axis=-1, keepdims=True))
     return out
 
@@ -1026,16 +1033,16 @@ def _mean_field_sweep(nu: np.ndarray, plan: list) -> np.ndarray:
 
 # a weight that overflows to inf still marks a positive assignment
 @np.errstate(over="ignore")
-def _positive_assignment_init(g: _Graph, rng, tries: int = 200):
+def _positive_assignment_init(g: _Graph, rng):
     """One-hot beliefs at a sampled positive-weight assignment, if found.
 
     Gives coordinate ascent a feasible starting point on models whose
     tables contain hard zeros, where interior initializations are blocked
-    in every direction.  The first heaviest of ``tries`` uniform draws wins;
+    in every direction.  The first heaviest of ``_ASSIGNMENT_TRIES`` uniform draws wins;
     each weight is multiplied up in ``models.evaluate``'s order.
     """
-    draws = rng.integers(0, g.cards, size=(tries, len(g.cards)))
-    w = np.ones(tries)
+    draws = rng.integers(0, g.cards, size=(_ASSIGNMENT_TRIES, len(g.cards)))
+    w = np.ones(_ASSIGNMENT_TRIES)
     for vi in g.potential_order:
         w = w * g.phis[vi][draws[:, vi]]
     for _fid, scope, table in g.factors:

@@ -22,6 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError
+from .lattice import sorted_stack
 from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, exact_partition
 
 
@@ -96,23 +97,15 @@ def layered_masks(layers: Sequence[int], m: int, n: int) -> tuple:
     ``layers[l]`` selects copy l of each item (bits of n and above are
     ignored).  The lifted mask has bit i*M + l set iff bit i of
     ``layers[l]`` is.  Stack mask k has bit i set iff at least k+1 layers
-    have it: the sorted stack of the layer indicators.
+    have it: ``lattice.sorted_stack`` of the layers.
     """
     if len(layers) != m:
         raise ModelError(f"need {m} layers, got {len(layers)}")
     layers = [int(x) & ((1 << n) - 1) for x in layers]
-    lifted = 0
-    for layer, x in enumerate(layers):
-        for i in range(n):
-            if (x >> i) & 1:
-                lifted |= 1 << (i * m + layer)
-    # insert each layer into the stack, carrying shared bits one level down
-    stacks = []
-    for x in layers:
-        for k, s in enumerate(stacks):
-            stacks[k], x = s | x, s & x
-        stacks.append(x)
-    return lifted, stacks
+    lifted = sum(
+        1 << (i * m + layer) for layer, x in enumerate(layers) for i in range(n) if (x >> i) & 1
+    )
+    return lifted, sorted_stack(layers)
 
 
 @dataclass

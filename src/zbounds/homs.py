@@ -114,15 +114,23 @@ def s_count(model: HomModel, i: int, mask: int) -> int:
 
 def edge_weight(model: HomModel, mask: int) -> float:
     """The per-vertex product for one edge subset (0^0 = 1)."""
-    total = 1.0
-    for i in range(model.n_vertices):
-        s = s_count(model, i, mask)
-        d = model.degree(i)
-        total *= math.fsum(
-            model.w[t] * model.a[t] ** s * model.b[t] ** (d - s)
-            for t in range(model.n_states)
-        )
-    return total
+    tables = _vertex_tables(model)
+    return float(math.prod(table[s_count(model, i, mask)] for i, table in enumerate(tables)))
+
+
+def _vertex_tables(model: HomModel) -> list:
+    """Per vertex i, its factor fsum_t w_t a_t^s b_t^(deg(i) - s) of
+    f_edge for s = 0..deg(i), as an array."""
+    return [
+        np.array([
+            math.fsum(
+                model.w[t] * model.a[t] ** s * model.b[t] ** (d - s)
+                for t in range(model.n_states)
+            )
+            for s in range(d + 1)
+        ])
+        for d in map(model.degree, range(model.n_vertices))
+    ]
 
 
 def edge_partition(model: HomModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -148,19 +156,10 @@ def _edge_weight_blocks(model: HomModel):
     """edge_weight of every mask, in the blocks of ``mask_blocks``.
 
     Vertex i's factor depends on the mask only through s_i, so it is read
-    from a table over s = 0..deg(i) built as edge_weight builds it; the
-    factors are multiplied over i = 0..n-1 in edge_weight's order.
+    from the table ``edge_weight`` reads; the factors are multiplied over
+    i = 0..n-1 in edge_weight's order.
     """
-    tables = []
-    for i in range(model.n_vertices):
-        d = model.degree(i)
-        tables.append(np.array([
-            math.fsum(
-                model.w[t] * model.a[t] ** s * model.b[t] ** (d - s)
-                for t in range(model.n_states)
-            )
-            for s in range(d + 1)
-        ]))
+    tables = _vertex_tables(model)
     for bits in mask_blocks(len(model.edges)):
         s = np.zeros((model.n_vertices, bits.shape[1]), dtype=np.int64)
         for (u, v), chosen in zip(model.edges, bits):

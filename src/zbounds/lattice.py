@@ -3,8 +3,9 @@
 Functions over {0,1}^n are stored as flat tables of length 2^n.  The table
 index enumerates assignments in the same row-major order as PotentialTable:
 coordinate 0 is the slowest (most significant bit), coordinate n-1 the
-fastest.  Meet and join act per coordinate, so on indices they are plain
-bitwise AND / OR whatever the coordinate-to-bit mapping.
+fastest.  Subsets are these bitmasks: meet and join act per coordinate, so
+on indices they are plain bitwise AND / OR whatever the coordinate-to-bit
+mapping.
 """
 
 from __future__ import annotations
@@ -23,38 +24,22 @@ DEFAULT_PAIRWISE_CAP = 16
 _CORRELATION_CAP_BITS = 20
 
 
-def index_of_bits(bits: Sequence[int]) -> int:
-    """Table index of a 0/1 vector (coordinate 0 most significant)."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
+def sorted_stack(masks: Sequence) -> list:
+    """Sort a family of bitmasks coordinatewise from greatest to least.
 
-
-def meet_join(x, y) -> tuple:
-    """Coordinatewise (min, max) of two 0/1 vectors."""
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    if x.shape != y.shape:
-        raise ModelError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return np.minimum(x, y), np.maximum(x, y)
-
-
-def sorted_stack(xs: Sequence) -> list:
-    """Sort a family of 0/1 vectors coordinatewise from greatest to least.
-
-    The m-th output vector has coordinate i set iff at least m+1 of the
-    inputs have coordinate i set, so outputs decrease coordinatewise in m
-    and every per-coordinate multiset of values is preserved.
+    The masks are Python ints, or integer arrays taken elementwise.  Output
+    k has bit i set iff at least k+1 of the inputs have it, so the outputs
+    decrease in k and every bit keeps its count.  Each mask is inserted
+    into the stack so far, carrying the bits it shares one level down.
     """
-    if len(xs) == 0:
-        raise ModelError("sorted_stack needs at least one vector")
-    arr = np.asarray(xs, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ModelError("all vectors must share one dimension")
-    counts = arr.sum(axis=0)
-    m_total = arr.shape[0]
-    return [(counts >= m).astype(np.uint8) for m in range(1, m_total + 1)]
+    if len(masks) == 0:
+        raise ModelError("sorted_stack needs at least one mask")
+    stacks = []
+    for x in masks:
+        for k, s in enumerate(stacks):
+            stacks[k], x = s | x, s & x
+        stacks.append(x)
+    return stacks
 
 
 @dataclass
@@ -188,21 +173,9 @@ def check_correlation_inequality(g, fs: Sequence, rel_tol: float = 1e-9) -> Corr
     joint = np.arange(g.size, dtype=np.int64)
     mask = (1 << n) - 1
     blocks = [(joint >> ((m_total - 1 - m) * n)) & mask for m in range(m_total)]
-    # Per-coordinate counts over the M blocks, then threshold to get stacks.
     rhs = np.ones(g.size)
-    if n > 0:
-        counts = np.zeros((n, g.size), dtype=np.int64)
-        for block in blocks:
-            for i in range(n):
-                counts[i] += (block >> (n - 1 - i)) & 1
-        for m in range(1, m_total + 1):
-            idx = np.zeros(g.size, dtype=np.int64)
-            for i in range(n):
-                idx |= (counts[i] >= m).astype(np.int64) << (n - 1 - i)
-            rhs = rhs * fs[m - 1][idx]
-    else:
-        for f in fs:
-            rhs = rhs * f[0]
+    for f, stack in zip(fs, sorted_stack(blocks)):
+        rhs = rhs * f[stack]
 
     bad_zero = (rhs == 0) & (g > 0)
     with np.errstate(divide="ignore", invalid="ignore"):

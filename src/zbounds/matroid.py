@@ -182,78 +182,64 @@ class GFMatrix:
     def n_cols(self) -> int:
         return self.entries.shape[1]
 
-    def columns_of(self, mask: int) -> np.ndarray:
-        cols = [c for c in range(self.n_cols) if (mask >> c) & 1]
-        return self.entries[:, cols]
-
 
 def rank(matrix: GFMatrix, mask: int | None = None) -> int:
-    """Rank over GF(q) of the columns selected by ``mask`` (all if None)."""
-    f = matrix.field
-    if mask is None:
-        mask = (1 << matrix.n_cols) - 1
-    sub = matrix.columns_of(mask).copy()
-    rows, cols = sub.shape
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if sub[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        sub[[r, pivot]] = sub[[pivot, r]]
-        inv = f.inv(int(sub[r, c]))
-        sub[r] = f.mul_table[np.full(cols, inv), sub[r]]
-        for i in range(rows):
-            if i != r and sub[i, c]:
-                coef = int(sub[i, c])
-                scaled = f.mul_table[np.full(cols, coef), sub[r]]
-                sub[i] = f.add_table[sub[i], f.neg_table[scaled]]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over GF(q) of the columns selected by ``mask`` (all if None):
+    the one-mask case of ``ranks``, for a Python int mask of any width."""
+    full = (1 << matrix.n_cols) - 1
+    return int(_eliminate(matrix, _selection(matrix, [full if mask is None else mask]))[0])
+
+
+def _selection(matrix: GFMatrix, masks) -> np.ndarray:
+    """The columns each Python int mask selects, as a (masks, columns) bool array."""
+    return np.array([[(m >> c) & 1 for c in range(matrix.n_cols)] for m in masks], dtype=bool)
 
 
 def ranks(matrix: GFMatrix, masks) -> np.ndarray:
     """Rank over GF(q) of the columns selected by each mask, as an int64
     array; equal to ``rank(matrix, mask)`` for every mask.
 
-    One Gaussian elimination runs over a (masks, rows, columns) array whose
-    unselected columns are zero, one column step at a time, for all masks
-    at once.  A step subtracts a multiple of the mask's pivot row from
-    every row, the pivot row itself included, in the later columns, so a
-    used row is zero there and never pivots again.  The masks are taken
-    2^_MASK_BLOCK_BITS at a time, so the working array does not grow with
-    their number.  For a single mask the scalar ``rank`` is cheaper.
+    The masks are eliminated 2^_MASK_BLOCK_BITS at a time, so the working
+    array does not grow with their number.
     """
-    f = matrix.field
     masks = np.asarray(masks, dtype=np.int64)
-    rows, cols = matrix.entries.shape
+    columns = np.arange(matrix.n_cols)
     out = np.zeros(masks.size, dtype=np.int64)
-    if rows == 0:
-        return out
-    entries = matrix.entries.astype(f.add_table.dtype)
     step = 1 << models._MASK_BLOCK_BITS
     for start in range(0, masks.size, step):
         block = masks[start : start + step]
-        which = np.arange(block.size)
-        selected = ((block[:, None] >> np.arange(cols)) & 1).astype(bool)
-        sub = np.where(selected[:, None, :], entries, 0).astype(entries.dtype)
-        found = out[start : start + step]
-        for c in np.flatnonzero(selected.any(axis=0)):  # columns no mask selects stay 0
-            col = sub[:, :, c]
-            pivot = (col != 0).argmax(axis=1)  # the first nonzero row, else row 0
-            value = col[which, pivot]
-            found += value != 0
-            # every row plus -(its entry / the pivot's) times the pivot row;
-            # the multiple is 0 in every row where the column is all zero
-            factor = f.neg_table[f.mul_table[col, f.inv_table[value][:, None]]]
-            scaled = f.mul_table[factor[:, :, None], sub[which, pivot, c + 1 :][:, None, :]]
-            sub[:, :, c + 1 :] = f.add_table[sub[:, :, c + 1 :], scaled]
+        out[start : start + step] = _eliminate(matrix, ((block[:, None] >> columns) & 1) == 1)
     return out
+
+
+def _eliminate(matrix: GFMatrix, selected: np.ndarray) -> np.ndarray:
+    """Rank over GF(q) of the columns selected by each row of ``selected``,
+    a (sets, columns) bool array, as an int64 array.
+
+    One Gaussian elimination runs over a (sets, rows, columns) array whose
+    unselected columns are zero, one column step at a time, for all sets at
+    once.  A step subtracts a multiple of the set's pivot row from every
+    row, the pivot row itself included, in the later columns, so a used row
+    is zero there and never pivots again.
+    """
+    f = matrix.field
+    found = np.zeros(len(selected), dtype=np.int64)
+    if matrix.n_rows == 0:
+        return found
+    entries = matrix.entries.astype(f.add_table.dtype)
+    which = np.arange(len(selected))
+    sub = np.where(selected[:, None, :], entries, 0).astype(entries.dtype)
+    for c in np.flatnonzero(selected.any(axis=0)):  # columns no set selects stay 0
+        col = sub[:, :, c]
+        pivot = (col != 0).argmax(axis=1)  # the first nonzero row, else row 0
+        value = col[which, pivot]
+        found += value != 0
+        # every row plus -(its entry / the pivot's) times the pivot row;
+        # the multiple is 0 in every row where the column is all zero
+        factor = f.neg_table[f.mul_table[col, f.inv_table[value][:, None]]]
+        scaled = f.mul_table[factor[:, :, None], sub[which, pivot, c + 1 :][:, None, :]]
+        sub[:, :, c + 1 :] = f.add_table[sub[:, :, c + 1 :], scaled]
+    return found
 
 
 def _codewords(matrix: GFMatrix, cap: int) -> np.ndarray:
@@ -404,7 +390,8 @@ def check_rank_cover_inequality(
     """
     cover_mask, stack_masks = layered_masks(layers, spec.m, matrix.n_cols)
     lhs = rank(lift_matrix(matrix, spec), cover_mask)
-    rhs = sum(rank(matrix, sm) for sm in stack_masks)
+    # one elimination ranks every stack mask, at the base's width
+    rhs = int(_eliminate(matrix, _selection(matrix, stack_masks)).sum())
     return RankCoverReport(lhs_rank=lhs, rhs_rank=rhs)
 
 

@@ -164,7 +164,8 @@ def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray | None) -
     """(components, ``rc_weight``) of one edge subset from one union-find
     pass; ``p`` is the model's ``edge_probabilities``, or None for the count
     alone (weight None).  The edge factors are multiplied in edge order,
-    then a field's component factors in order of their union-find root."""
+    then a field's component factors in order of their smallest vertex, as
+    ``rc_partition`` multiplies them."""
     uf = UnionFind(model.n_vertices)
     w = 1.0
     for idx, (i, j) in enumerate(model.edges):
@@ -176,9 +177,9 @@ def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray | None) -
         return uf.count, None
     if model.field is None:
         return uf.count, w * model.q**uf.count
-    for v in range(model.n_vertices):
-        if uf.find(v) == v:
-            w *= math.fsum(math.exp(h * uf.size[v]) for h in model.field)
+    # dict keys keep their first insertion, so the roots come by smallest vertex
+    for root in dict.fromkeys(map(uf.find, range(model.n_vertices))):
+        w *= math.fsum(math.exp(h * uf.size[root]) for h in model.field)
     return uf.count, w
 
 
@@ -187,10 +188,8 @@ def rc_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float
 
     The weights are built one block of masks at a time: the edge products
     by ``subset_products``, and every mask's components by min-label
-    propagation.  Without a field each weight equals ``rc_weight`` bit for
-    bit.  With a field the component factors are multiplied in order of
-    their smallest vertex, not of the union-find root, so a weight may
-    differ from ``rc_weight`` in its last bits.
+    propagation.  Each weight equals ``rc_weight`` bit for bit: both
+    multiply a field's component factors in order of their smallest vertex.
     """
     n, m = model.n_vertices, len(model.edges)
     check_subset_cap(m, cap, "edge")

@@ -8,57 +8,56 @@ from hypothesis import strategies as st
 from zbounds.errors import EnumerationCapError, ModelError
 from zbounds.lattice import (
     check_correlation_inequality,
-    index_of_bits,
     is_log_submodular,
     is_log_supermodular,
-    meet_join,
     model_is_log_supermodular,
     sorted_stack,
     switch_bipartite,
 )
 from zbounds.models import FactorGraph, dense_joint, exact_partition
 
-bit_vectors = st.lists(st.integers(0, 1), min_size=1, max_size=8)
+masks = st.integers(0, 255)
+
+
+def popcounts(xs):
+    return [bin(int(x)).count("1") for x in xs]
 
 
 class TestMeetJoin:
+    """Meet and join of two subsets are their two-mask sorted stack."""
+
     def test_basic(self):
-        m, j = meet_join([1, 0], [0, 1])
-        assert m.tolist() == [0, 0] and j.tolist() == [1, 1]
+        assert sorted_stack([0b10, 0b01]) == [0b11, 0b00]
 
     def test_idempotent(self):
-        x = np.array([1, 0, 1], dtype=np.uint8)
-        m, j = meet_join(x, x)
-        assert m.tolist() == x.tolist() and j.tolist() == x.tolist()
+        assert sorted_stack([0b101, 0b101]) == [0b101, 0b101]
 
     def test_three_coords(self):
-        m, j = meet_join([1, 1, 0], [1, 0, 1])
-        assert m.tolist() == [1, 0, 0] and j.tolist() == [1, 1, 1]
+        assert sorted_stack([0b110, 0b101]) == [0b111, 0b100]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ModelError):
-            meet_join([1, 0], [1, 0, 1])
+        # integer arrays are taken elementwise, so their shapes must agree
+        with pytest.raises(ValueError):
+            sorted_stack([np.array([1, 0]), np.array([1, 0, 1])])
 
-    @given(bit_vectors, bit_vectors)
+    @given(masks, masks)
     @settings(max_examples=50)
     def test_absorption_and_rank(self, x, y):
-        n = min(len(x), len(y))
-        x, y = np.array(x[:n], np.uint8), np.array(y[:n], np.uint8)
-        m, j = meet_join(x, y)
+        j, m = sorted_stack([x, y])
+        assert (j, m) == (x | y, x & y)
         # absorption: x ^ (x v y) = x and x v (x ^ y) = x
-        assert meet_join(x, j)[0].tolist() == x.tolist()
-        assert meet_join(x, m)[1].tolist() == x.tolist()
-        assert int(m.sum()) + int(j.sum()) == int(x.sum()) + int(y.sum())
+        assert sorted_stack([x, j])[1] == x
+        assert sorted_stack([x, m])[0] == x
+        assert sum(popcounts([m, j])) == sum(popcounts([x, y]))
 
 
 class TestSortedStack:
     def test_two_vectors(self):
-        out = sorted_stack([[1, 0], [0, 1]])
-        assert [o.tolist() for o in out] == [[1, 1], [0, 0]]
+        out = sorted_stack([np.array([0b10, 0b11]), np.array([0b01, 0b11])])
+        assert [o.tolist() for o in out] == [[0b11, 0b11], [0b00, 0b11]]
 
     def test_single_identity(self):
-        out = sorted_stack([[1, 0, 1]])
-        assert out[0].tolist() == [1, 0, 1]
+        assert sorted_stack([0b101]) == [0b101]
 
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
@@ -66,20 +65,23 @@ class TestSortedStack:
 
     def test_matches_per_coordinate_sort(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            xs = rng.integers(0, 2, size=(3, 4)).astype(np.uint8)
-            out = np.array(sorted_stack(list(xs)))
-            expected = np.sort(xs, axis=0)[::-1]
-            assert np.array_equal(out, expected)
+        weights = 1 << np.arange(3, -1, -1)  # coordinate 0 most significant
+        bits = rng.integers(0, 2, size=(20, 3, 4))
+        expected = np.sort(bits, axis=1)[:, ::-1] @ weights
+        for xs, want in zip(bits @ weights, expected):
+            assert sorted_stack(xs.tolist()) == want.tolist()
+        # the same stacks from arrays, elementwise over the 20 families
+        stacks = sorted_stack(list((bits @ weights).T))
+        assert np.array_equal(np.array(stacks).T, expected)
 
-    @given(st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3), min_size=1, max_size=5))
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=5))
     @settings(max_examples=50)
-    def test_monotone_and_sum_preserving(self, rows):
-        xs = [np.array(r, np.uint8) for r in rows]
+    def test_monotone_and_sum_preserving(self, xs):
         out = sorted_stack(xs)
         for a, b in zip(out, out[1:]):
-            assert np.all(a >= b)
-        assert np.array_equal(np.sum(out, axis=0), np.sum(xs, axis=0))
+            assert a & b == b
+        for bit in range(3):
+            assert sum((o >> bit) & 1 for o in out) == sum((x >> bit) & 1 for x in xs)
 
 
 class TestLogSupermodular:
@@ -91,7 +93,7 @@ class TestLogSupermodular:
         table = np.exp([0.0, 0.0, 0.0, -1.0])
         rep = is_log_supermodular(table)
         assert not rep.ok
-        assert sorted(rep.witness) == [index_of_bits([0, 1]), index_of_bits([1, 0])]
+        assert sorted(rep.witness) == [0b01, 0b10]
 
     def test_submodular_flip(self):
         assert is_log_submodular(np.exp([0.0, 0.0, 0.0, -1.0])).ok
@@ -162,6 +164,44 @@ class TestCorrelationInequality:
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
             check_correlation_inequality(np.ones(8), [np.ones(4), np.ones(4)])
+
+    @staticmethod
+    def _ref_rhs(fs, n):
+        """prod_m f_m at the sorted stacks of every joint state, from
+        per-coordinate counts over the M blocks thresholded at m."""
+        joint = np.arange(1 << (len(fs) * n))
+        blocks = [(joint >> ((len(fs) - 1 - m) * n)) & ((1 << n) - 1) for m in range(len(fs))]
+        counts = [sum((b >> (n - 1 - i)) & 1 for b in blocks) for i in range(n)]
+        rhs = np.ones(joint.size)
+        for m, f in enumerate(fs, start=1):
+            idx = np.zeros(joint.size, dtype=np.int64)
+            for i in range(n):
+                idx |= (counts[i] >= m).astype(np.int64) << (n - 1 - i)
+            rhs = rhs * f[idx]
+        return rhs
+
+    def test_matches_count_and_threshold_reference(self):
+        rng = np.random.default_rng(8)
+        for case in range(60):
+            m_total = int(rng.integers(1, 4))
+            n = int(rng.integers(0, 9 // m_total + 1))
+            fs = [
+                rng.uniform(0.0, 2.0, 1 << n) * (rng.random(1 << n) > 0.1) for _ in range(m_total)
+            ]
+            rhs = self._ref_rhs(fs, n)
+            # g at or just above the bound, so some cases fail pointwise
+            g = rhs * rng.choice([0.5, 1.0, 1.0 + 1e-6], size=rhs.size)
+            if case % 4 == 0:
+                g[int(rng.integers(0, g.size))] = 1.0  # may sit on a zero of rhs
+            rep = check_correlation_inequality(g, fs)
+            ratio = np.divide(g, rhs, out=np.zeros(g.size), where=rhs > 0)
+            bad_zero = (rhs == 0) & (g > 0)
+            assert rep.pointwise_worst == ratio.max(initial=0.0), case
+            assert rep.pointwise_ok == (not bad_zero.any() and ratio.max(initial=0.0) <= 1 + 1e-9)
+            if bad_zero.any():
+                assert rep.pointwise_witness == int(np.argmax(bad_zero)), case
+            elif not rep.pointwise_ok:
+                assert rep.pointwise_witness == int(np.argmax(ratio)), case
 
 
 class TestSwitchBipartite:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from zbounds.covers import iter_cover_specs, sample_cover
 from zbounds.errors import ModelError
 from zbounds.lattice import is_log_supermodular
-from zbounds import matroid
+from zbounds import matroid, verify
 from zbounds.matroid import (
     GFMatrix,
     check_rank_cover_inequality,
@@ -86,6 +87,29 @@ def _independent(matrix, cols, f):
     return True
 
 
+def _ref_rank(matrix, mask):
+    """Reference: Gaussian elimination over GF(q), one column at a time,
+    on the selected columns of one mask."""
+    f = matrix.field
+    sub = matrix.entries[:, [c for c in range(matrix.n_cols) if (mask >> c) & 1]].copy()
+    rows, cols = sub.shape
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if sub[i, c]), None)
+        if pivot is None:
+            continue
+        sub[[r, pivot]] = sub[[pivot, r]]
+        sub[r] = f.mul_table[f.inv(int(sub[r, c])), sub[r]]
+        for i in range(rows):
+            if i != r and sub[i, c]:
+                scaled = f.mul_table[int(sub[i, c]), sub[r]]
+                sub[i] = f.add_table[sub[i], f.neg_table[scaled]]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
 class TestRank:
     def test_identity(self):
         m = GFMatrix(gf(2), [[1, 0], [0, 1]])
@@ -98,6 +122,21 @@ class TestRank:
     def test_empty_subset(self):
         m = GFMatrix(gf(3), [[1, 2], [0, 1]])
         assert rank(m, 0) == 0
+
+    def test_wider_than_int64(self):
+        # a mask is a Python int, so 64 or more columns still work
+        m = GFMatrix(gf(2), np.ones((2, 70), dtype=np.int64))
+        assert rank(m) == 1
+        assert rank(m, 1 << 69) == 1
+        assert rank(m, 0) == 0
+
+    def test_reference_elimination(self):
+        rng = np.random.default_rng(5)
+        for q in (2, 3, 4, 5, 7):
+            m = GFMatrix(gf(q), rng.integers(0, q, size=(3, 6)))
+            assert [rank(m, mask) for mask in range(1 << 6)] == [
+                _ref_rank(m, mask) for mask in range(1 << 6)
+            ]
 
     def test_matches_independence_oracle(self):
         rng = np.random.default_rng(0)
@@ -127,7 +166,7 @@ class TestRank:
 
 class TestBatchedRanks:
     """``ranks`` eliminates a block of masks at once; each of its ranks must
-    equal the scalar ``rank`` and the independence oracle."""
+    equal the scalar reference ``_ref_rank`` and the independence oracle."""
 
     @staticmethod
     def _cases(q, rng):
@@ -152,7 +191,7 @@ class TestBatchedRanks:
             masks = np.arange(1 << m.n_cols)
             got = ranks(m, masks)
             assert got.dtype == np.int64 and got.shape == masks.shape, name
-            assert got.tolist() == [rank(m, int(mask)) for mask in masks], name
+            assert got.tolist() == [_ref_rank(m, int(mask)) for mask in masks], name
             if q <= 9:  # the oracle tries all q^k combinations
                 oracle = [independent_subset_rank(m, int(mask)) for mask in masks]
                 assert got.tolist() == oracle, name
@@ -169,7 +208,7 @@ class TestBatchedRanks:
         rng = np.random.default_rng(20 + q)
         m = GFMatrix(gf(q), rng.integers(0, q, size=(4, 7)))
         masks = rng.permutation(1 << 7)
-        assert ranks(m, masks).tolist() == [rank(m, int(mask)) for mask in masks]
+        assert ranks(m, masks).tolist() == [_ref_rank(m, int(mask)) for mask in masks]
         assert ranks(m, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
@@ -320,6 +359,29 @@ class TestRankCoverInequality:
                     rep = check_rank_cover_inequality(m, spec, [a1, a2])
                     assert rep.ok
 
+    def test_base_wider_than_int64(self):
+        # the stack masks are Python ints of the base's width
+        from zbounds.covers import CoverSpec
+
+        m = GFMatrix(gf(2), np.ones((2, 70), dtype=np.int64))
+        fg = incidence_factor_graph(m, np.zeros(70))
+        spec = CoverSpec(fg, 2, {(f.id, v): (0, 1) for f in fg.factors for v in f.scope})
+        rep = check_rank_cover_inequality(m, spec, [1 << 69 | 1, 1 << 69])
+        assert (rep.lhs_rank, rep.rhs_rank) == (2, 2)
+
+    def test_gf3_counterexample(self):
+        # over GF(3) the inequality fails: a*c1@0 + b*c1@1 + c*c2@0 + d*c2@1 = 0
+        # with a = c = 1, b = d = 2, so the lifted columns 1 and 2 of both
+        # copies have rank 3 against 2 + 2 on the stacks
+        from zbounds.covers import CoverSpec
+
+        m = GFMatrix(gf(3), [[2, 1, 2], [0, 1, 1]])
+        fg = incidence_factor_graph(m, np.zeros(3))
+        perms = {(f.id, v): (0, 1) for f in fg.factors for v in f.scope}
+        perms[("c2", "r1")] = (1, 0)
+        rep = check_rank_cover_inequality(m, CoverSpec(fg, 2, perms), [6, 6])
+        assert (rep.lhs_rank, rep.rhs_rank, rep.slack, rep.ok) == (3, 4, -1, False)
+
     def test_spec_on_other_matrix_refused(self):
         # a spec built on another matrix's incidence graph used to fail
         # with a bare KeyError; now the mismatch is named
@@ -356,6 +418,18 @@ class TestRankCoverInequality:
 
 
 class TestWeightEnumerator:
+    def test_suite_checks_mean_field_bound(self, monkeypatch):
+        # a mean-field "lower" bound 1% above the exact enumerator must fail
+        # the suite, whatever the Bethe bound says
+        def inflated(*args, **kwargs):
+            res = weight_enumerator(*args, **kwargs)
+            return dataclasses.replace(res, mean_field_bound=1.01 * res.exact)
+
+        monkeypatch.setattr(matroid, "weight_enumerator", inflated)
+        rep = verify.verify_weight_enumerator(seed=0)
+        assert rep.passes == 0 and rep.trials == 6
+        assert rep.worst_slack == pytest.approx(-0.01, rel=1e-9)
+
     def test_repetition_code(self):
         m = parse_generator_matrix("2 1 3\n1 1 1\n")
         for lam in (0.25, 0.7, 1.0):

@@ -258,9 +258,12 @@ class TestCoverComponentInequality:
             for idx, (i, j) in enumerate(model.edges):
                 if (mask >> idx) & 1:
                     uf.union(i, j)
+            # one factor per component, at its smallest vertex
+            firsts = {}
             for v in range(model.n_vertices):
-                if uf.find(v) == v:
-                    w *= math.fsum(math.exp(h * uf.size[v]) for h in model.field)
+                firsts.setdefault(uf.find(v), v)
+            for root in sorted(firsts, key=firsts.get):
+                w *= math.fsum(math.exp(h * uf.size[root]) for h in model.field)
             return w
 
         rng = np.random.default_rng(11)
