@@ -39,7 +39,6 @@ from .homs import (
 )
 from .lattice import (
     check_correlation_inequality,
-    is_log_submodular,
     is_log_supermodular,
     model_is_log_supermodular,
     sorted_stack,

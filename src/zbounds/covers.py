@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ModelError
 from .lattice import sorted_stack
-from .models import DEFAULT_ENUMERATION_CAP, Factor, FactorGraph, exact_partition
+from .models import Factor, FactorGraph, exact_partition
 
 
 def lifted_id(base_id, layer: int) -> str:
@@ -269,9 +269,9 @@ class CoverEstimate:
     )
 
 
-def _cover_average(m: int, specs, cap: int, exhaustive: bool) -> CoverEstimate:
+def _cover_average(m: int, specs, exhaustive: bool) -> CoverEstimate:
     """Mean and variance of the lifted Z over ``specs``, and its M-th root."""
-    zs = [exact_partition(build_cover(spec).cover, cap=cap) for spec in specs]
+    zs = [exact_partition(build_cover(spec).cover) for spec in specs]
     mean = math.fsum(zs) / len(zs)
     var = math.fsum((z - mean) ** 2 for z in zs) / len(zs)
     return CoverEstimate(
@@ -285,21 +285,15 @@ def _cover_average(m: int, specs, cap: int, exhaustive: bool) -> CoverEstimate:
 
 
 def bethe_estimate_via_covers(
-    base: FactorGraph,
-    m: int,
-    num_samples: int,
-    seed: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    base: FactorGraph, m: int, num_samples: int, seed: int
 ) -> CoverEstimate:
     """Estimate the M-th root of the average cover partition function."""
     if num_samples < 1:
         raise ModelError("need at least one sample")
     specs = (sample_cover(base, m, seed + k) for k in range(num_samples))
-    return _cover_average(m, specs, cap, exhaustive=False)
+    return _cover_average(m, specs, exhaustive=False)
 
 
-def cover_average_exhaustive(
-    base: FactorGraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> CoverEstimate:
+def cover_average_exhaustive(base: FactorGraph, m: int) -> CoverEstimate:
     """Exact average of Z over all pinned permutation covers (small bases)."""
-    return _cover_average(m, iter_cover_specs(base, m), cap, exhaustive=True)
+    return _cover_average(m, iter_cover_specs(base, m), exhaustive=True)

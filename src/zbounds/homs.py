@@ -20,9 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ModelError
-from .lattice import DEFAULT_PAIRWISE_CAP, LsmReport, is_log_supermodular
+from .lattice import DEFAULT_PAIRWISE_CAP, REL_TOL_LSM, LsmReport, is_log_supermodular
 from .models import (
-    DEFAULT_ENUMERATION_CAP,
     Factor,
     FactorGraph,
     PotentialTable,
@@ -33,6 +32,10 @@ from .models import (
     mask_blocks,
 )
 from .potts import _check_simple
+
+# check_rank2_lsm: the sampled exchange-inequality tuples and their seed
+_RANK2_SAMPLES = 200
+_RANK2_SEED = 0
 
 
 @dataclass
@@ -70,13 +73,7 @@ class HomModel:
         return sum(1 for u, v in self.edges if i in (u, v))
 
 
-def hom_partition_matrix(
-    n_vertices: int,
-    edges: Sequence,
-    w,
-    gamma,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
+def hom_partition_matrix(n_vertices: int, edges: Sequence, w, gamma) -> float:
     """Partition function for an arbitrary nonnegative target matrix.
 
     This general-Gamma entry point only enumerates; the variational bound
@@ -93,12 +90,12 @@ def hom_partition_matrix(
     if n == 0:
         # No colours: no colouring exists unless there is nothing to colour.
         return 0.0 if n_vertices else 1.0
-    return exact_partition(_gamma_factor_graph(n_vertices, edges, w, gamma), cap)
+    return exact_partition(_gamma_factor_graph(n_vertices, edges, w, gamma))
 
 
-def hom_partition(model: HomModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def hom_partition(model: HomModel) -> float:
     """Weighted homomorphism count Z_hom by enumeration over colorings."""
-    return hom_partition_matrix(model.n_vertices, model.edges, model.w, model.gamma, cap)
+    return hom_partition_matrix(model.n_vertices, model.edges, model.w, model.gamma)
 
 
 def s_count(model: HomModel, i: int, mask: int) -> int:
@@ -133,13 +130,13 @@ def _vertex_tables(model: HomModel) -> list:
     ]
 
 
-def edge_partition(model: HomModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def edge_partition(model: HomModel) -> float:
     """Sum of edge_weight over all 2^|E| subsets; equals hom_partition.
 
     The weights come from ``_edge_weight_blocks``, each equal to
     ``edge_weight`` bit for bit.
     """
-    check_subset_cap(len(model.edges), cap, "edge")
+    check_subset_cap(len(model.edges), "edge")
     return fsum_blocks(_edge_weight_blocks(model))
 
 
@@ -182,20 +179,20 @@ class Rank2LsmReport:
         return self.table_check.ok and self.scalar_failures == 0
 
 
-def check_rank2_lsm(model: HomModel, samples: int = 200, seed: int = 0) -> Rank2LsmReport:
+def check_rank2_lsm(model: HomModel) -> Rank2LsmReport:
     """Verify log-supermodularity of the edge-subset weight.
 
     Runs the exhaustive pairwise table check, plus the scalar exchange
-    inequality on sampled (A1, A2, vertex, state-pair) tuples, stated in
-    the zero-safe form multiplied through by b^deg on both sides.
+    inequality on _RANK2_SAMPLES (A1, A2, vertex, state-pair) tuples drawn
+    from seed _RANK2_SEED, stated in the zero-safe form multiplied through
+    by b^deg on both sides.
     """
     rep = is_log_supermodular(edge_weight_table(model))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RANK2_SEED)
     m = len(model.edges)
     n = model.n_states
     failures = 0
-    checked = 0
-    for _ in range(samples):
+    for _ in range(_RANK2_SAMPLES):
         a1 = int(rng.integers(0, 1 << m)) if m else 0
         a2 = int(rng.integers(0, 1 << m)) if m else 0
         i = int(rng.integers(0, model.n_vertices))
@@ -214,10 +211,11 @@ def check_rank2_lsm(model: HomModel, samples: int = 200, seed: int = 0) -> Rank2
 
         lhs = term(s1, s2) + term(s2, s1)
         rhs = term(sj, sm) + term(sm, sj)
-        checked += 1
-        if lhs > rhs * (1 + 1e-12) + 1e-300:
+        if lhs > rhs * (1 + REL_TOL_LSM) + 1e-300:
             failures += 1
-    return Rank2LsmReport(table_check=rep, scalar_checked=checked, scalar_failures=failures)
+    return Rank2LsmReport(
+        table_check=rep, scalar_checked=_RANK2_SAMPLES, scalar_failures=failures
+    )
 
 
 def _gamma_factor_graph(n_vertices: int, edges: Sequence, w, gamma) -> FactorGraph:

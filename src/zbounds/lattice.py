@@ -20,8 +20,12 @@ from .errors import EnumerationCapError, ModelError
 from .models import Factor, FactorGraph, PotentialTable
 
 DEFAULT_PAIRWISE_CAP = 16
-# check_correlation_inequality: the most M*n bits of g it checks
+# is_log_supermodular: the relative tolerance of f(x)f(y) <= f(x&y)f(x|y)
+REL_TOL_LSM = 1e-12
+# check_correlation_inequality: the most M*n bits of g it checks, and the
+# relative tolerance of its pointwise and summed inequalities
 _CORRELATION_CAP_BITS = 20
+_REL_TOL_CORRELATION = 1e-9
 
 
 def sorted_stack(masks: Sequence) -> list:
@@ -56,15 +60,24 @@ class LsmReport:
     witness: tuple | None = None
 
 
-def _pairwise_check(values: np.ndarray, flip: bool, rel_tol: float, cap: int) -> LsmReport:
+def is_log_supermodular(values, cap: int = DEFAULT_PAIRWISE_CAP) -> LsmReport:
+    """Exhaustively check f(x)f(y) <= f(x AND y)f(x OR y) over all pairs.
+
+    Comparison is multiplicative with relative tolerance REL_TOL_LSM; a
+    zero right-hand side against a positive left-hand side is a hard
+    violation.  Refuses tables of more than 2^cap entries, and entries
+    that are negative or not finite.
+    """
+    values = np.asarray(values, dtype=float).ravel()
     size = values.size
     n = size.bit_length() - 1
-    if size != 1 << n:
+    if size == 0 or size != 1 << n:
         raise ModelError(f"table length {size} is not a power of two")
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds the pairwise-check cap {cap}")
-    if np.any(values < 0):
-        raise ModelError("table entries must be >= 0")
+    # a NaN entry makes the minimum NaN, which fails the comparison
+    if not (values.min() >= 0 and values.max() < math.inf):
+        raise ModelError("table entries must be finite and >= 0")
     ys = np.arange(size)
     worst = 0.0
     witness = None
@@ -72,8 +85,6 @@ def _pairwise_check(values: np.ndarray, flip: bool, rel_tol: float, cap: int) ->
     for x in range(size):
         lhs = values[x] * values
         rhs = values[x & ys] * values[x | ys]
-        if flip:
-            lhs, rhs = rhs, lhs
         bad_zero = (rhs == 0) & (lhs > 0)
         if bad_zero.any():
             y = int(np.argmax(bad_zero))
@@ -83,33 +94,13 @@ def _pairwise_check(values: np.ndarray, flip: bool, rel_tol: float, cap: int) ->
         y = int(np.argmax(ratio))
         if ratio[y] > worst:
             worst = float(ratio[y])
-            if worst > 1.0 + rel_tol:
+            if worst > 1.0 + REL_TOL_LSM:
                 witness = (x, y)
                 hard = True
     return LsmReport(ok=not hard, worst_ratio=worst, witness=witness)
 
 
-def is_log_supermodular(
-    values, rel_tol: float = 1e-12, cap: int = DEFAULT_PAIRWISE_CAP
-) -> LsmReport:
-    """Exhaustively check f(x)f(y) <= f(x AND y)f(x OR y) over all pairs.
-
-    Comparison is multiplicative with relative tolerance ``rel_tol``; a zero
-    right-hand side against a positive left-hand side is a hard violation.
-    """
-    return _pairwise_check(np.asarray(values, dtype=float).ravel(), False, rel_tol, cap)
-
-
-def is_log_submodular(
-    values, rel_tol: float = 1e-12, cap: int = DEFAULT_PAIRWISE_CAP
-) -> LsmReport:
-    """Exhaustive check of the reversed inequality."""
-    return _pairwise_check(np.asarray(values, dtype=float).ravel(), True, rel_tol, cap)
-
-
-def model_is_log_supermodular(
-    model: FactorGraph, rel_tol: float = 1e-12, cap: int = DEFAULT_PAIRWISE_CAP
-) -> dict:
+def model_is_log_supermodular(model: FactorGraph) -> dict:
     """Factor-wise check: every factor table must be log-supermodular.
 
     Only defined for all-binary models.  Returns {factor id: LsmReport}.
@@ -117,10 +108,7 @@ def model_is_log_supermodular(
     for v in model.var_ids:
         if model.card(v) != 2:
             raise ModelError("factor-wise log-supermodularity needs binary variables")
-    return {
-        fac.id: is_log_supermodular(fac.table.values, rel_tol=rel_tol, cap=cap)
-        for fac in model.factors
-    }
+    return {fac.id: is_log_supermodular(fac.table.values) for fac in model.factors}
 
 
 @dataclass
@@ -144,12 +132,13 @@ class CorrelationReport:
         return self.lsm.ok and self.pointwise_ok and self.sum_ok
 
 
-def check_correlation_inequality(g, fs: Sequence, rel_tol: float = 1e-9) -> CorrelationReport:
+def check_correlation_inequality(g, fs: Sequence) -> CorrelationReport:
     """Check the sorted-stack correlation inequality for g against f_1..f_M.
 
     ``g`` is a table over {0,1}^(M*n) whose coordinates are the blocks
     x^1, ..., x^M in order; each f_m is a table over {0,1}^n.  Refuses
-    M*n above _CORRELATION_CAP_BITS.
+    M*n above _CORRELATION_CAP_BITS; the inequalities hold within the
+    relative tolerance _REL_TOL_CORRELATION.
     """
     g = np.asarray(g, dtype=float).ravel()
     fs = [np.asarray(f, dtype=float).ravel() for f in fs]
@@ -181,7 +170,7 @@ def check_correlation_inequality(g, fs: Sequence, rel_tol: float = 1e-9) -> Corr
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs > 0, g / np.where(rhs > 0, rhs, 1.0), 0.0)
     worst = float(ratio.max(initial=0.0))
-    pointwise_ok = not bad_zero.any() and worst <= 1.0 + rel_tol
+    pointwise_ok = not bad_zero.any() and worst <= 1.0 + _REL_TOL_CORRELATION
     witness = None
     if not pointwise_ok:
         witness = int(np.argmax(bad_zero)) if bad_zero.any() else int(np.argmax(ratio))
@@ -190,7 +179,7 @@ def check_correlation_inequality(g, fs: Sequence, rel_tol: float = 1e-9) -> Corr
     sum_rhs = 1.0
     for f in fs:
         sum_rhs *= math.fsum(f)
-    sum_ok = sum_lhs <= sum_rhs * (1.0 + rel_tol) + 1e-300
+    sum_ok = sum_lhs <= sum_rhs * (1.0 + _REL_TOL_CORRELATION) + 1e-300
     return CorrelationReport(
         lsm=lsm,
         pointwise_ok=pointwise_ok,

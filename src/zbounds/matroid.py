@@ -242,7 +242,7 @@ def _eliminate(matrix: GFMatrix, selected: np.ndarray) -> np.ndarray:
     return found
 
 
-def _codewords(matrix: GFMatrix, cap: int) -> np.ndarray:
+def _codewords(matrix: GFMatrix) -> np.ndarray:
     """All products sigma @ S over the field, one row per sigma.
 
     Row r belongs to the sigma whose base-q digits, most significant
@@ -253,9 +253,9 @@ def _codewords(matrix: GFMatrix, cap: int) -> np.ndarray:
     f = matrix.field
     q, n = f.q, matrix.n_cols
     total = q**matrix.n_rows
-    if total > cap:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{total} spin configurations exceed the enumeration cap {cap}"
+            f"{total} spin configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     words = np.zeros((1, n), dtype=f.add_table.dtype)
     for row in matrix.entries:
@@ -264,9 +264,7 @@ def _codewords(matrix: GFMatrix, cap: int) -> np.ndarray:
     return words
 
 
-def matroid_potts_partition(
-    matrix: GFMatrix, couplings, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def matroid_potts_partition(matrix: GFMatrix, couplings) -> float:
     """Normalized matroid Potts partition function.
 
     Z = q^(-k) sum_sigma prod_alpha exp(J_alpha * [sum_i S_{i,alpha} sigma_i = 0]).
@@ -274,7 +272,7 @@ def matroid_potts_partition(
     J = np.asarray(couplings, dtype=float)
     if J.shape != (matrix.n_cols,):
         raise ModelError("need one coupling per column")
-    words = _codewords(matrix, cap)
+    words = _codewords(matrix)
     blocks = (
         np.exp((words[start : start + _WORD_BLOCK] == 0) @ J)
         for start in range(0, len(words), _WORD_BLOCK)
@@ -283,9 +281,7 @@ def matroid_potts_partition(
     return fsum_blocks(blocks) / norm
 
 
-def matroid_rc_partition(
-    matrix: GFMatrix, weights, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def matroid_rc_partition(matrix: GFMatrix, weights) -> float:
     """Normalized matroid random-cluster partition function.
 
     Z = sum_{A subseteq columns} q^(-r_S(A)) prod_{alpha in A} p_alpha.
@@ -296,7 +292,7 @@ def matroid_rc_partition(
     if np.any(p < 0):
         raise ModelError("column weights must be >= 0")
     n = matrix.n_cols
-    check_subset_cap(n, cap, "column")
+    check_subset_cap(n, "column")
     q = float(matrix.field.q)
     # one product row per possible rank r, each started from q^(-r)
     first = [q ** (-r) for r in range(min(matrix.n_rows, n) + 1)]
@@ -417,7 +413,6 @@ class WeightEnumeratorResult:
 def weight_enumerator(
     matrix: GFMatrix,
     lam: float,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     restarts: int = 32,
     seed: int = 0,
 ) -> WeightEnumeratorResult:
@@ -438,12 +433,12 @@ def weight_enumerator(
         )
     q = matrix.field.q
     k, n = matrix.n_rows, matrix.n_cols
-    words = _codewords(matrix, cap)
+    words = _codewords(matrix)
     distinct = {tuple(row) for row in words}
     exact = math.fsum(lam ** sum(1 for x in row if x) for row in distinct)
 
     J = np.full(n, math.log(1.0 / lam))
-    z_potts = matroid_potts_partition(matrix, J, cap=cap)
+    z_potts = matroid_potts_partition(matrix, J)
     r_full = rank(matrix)
     # sum over sigma counts every codeword q^(k-r) times
     identity = (float(q) ** k) * (lam**n) * z_potts / (float(q) ** (k - r_full))

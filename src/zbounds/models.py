@@ -336,10 +336,13 @@ def dense_joint(model: FactorGraph) -> np.ndarray:
     return w.reshape([model.card(v) for v in model.var_ids])
 
 
-def check_subset_cap(m: int, cap: int, what: str) -> None:
-    """Refuse a sum over the 2^m subsets of m ``what`` above ``cap``."""
-    if 2**m > cap:
-        raise EnumerationCapError(f"2^{m} {what} subsets exceed the enumeration cap {cap}")
+def check_subset_cap(m: int, what: str) -> None:
+    """Refuse a sum over the 2^m subsets of m ``what`` above
+    DEFAULT_ENUMERATION_CAP."""
+    if 2**m > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"2^{m} {what} subsets exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+        )
 
 
 def _checked_fsum(values) -> float:

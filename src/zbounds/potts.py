@@ -21,7 +21,6 @@ import numpy as np
 from .covers import CoverSpec, layered_masks
 from .errors import ModelError
 from .models import (
-    DEFAULT_ENUMERATION_CAP,
     Factor,
     FactorGraph,
     PotentialTable,
@@ -83,7 +82,8 @@ class PottsModel:
 
     ``q`` may be any real >= 1 for the random-cluster side; the spin-space
     enumeration requires an integer.  The field, when present, is one
-    length-q vector shared by every vertex.
+    length-q vector shared by every vertex.  ``q``, the couplings and the
+    field must be finite.
     """
 
     n_vertices: int
@@ -97,8 +97,8 @@ class PottsModel:
             raise ModelError("negative vertex count")
         self.n_vertices = int(n_vertices)
         self.edges = _check_simple(self.n_vertices, edges)
-        if q < 1:
-            raise ModelError(f"q must be >= 1, got {q}")
+        if not (q >= 1 and math.isfinite(q)):
+            raise ModelError(f"q must be finite and >= 1, got {q}")
         self.q = float(q)
         self.coupling = np.asarray(coupling, dtype=float)
         if self.coupling.shape != (len(self.edges),):
@@ -107,6 +107,10 @@ class PottsModel:
             field = np.asarray(field, dtype=float)
             if float(q) != int(q) or field.shape != (int(q),):
                 raise ModelError("field must be a length-q vector with integer q")
+        # a Python pass over a few entries costs less than a numpy reduction
+        entries = self.coupling.tolist() + ([] if field is None else field.tolist())
+        if not all(map(math.isfinite, entries)):
+            raise ModelError("couplings and field entries must be finite")
         self.field = field
 
     @property
@@ -144,11 +148,11 @@ def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
     return (labels == np.arange(n_vertices)[:, None]).sum(axis=0, dtype=np.int64)
 
 
-def potts_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def potts_partition(model: PottsModel) -> float:
     """Sum the spin model over all q^n spin vectors (integer q only)."""
     if float(model.q) != int(model.q):
         raise ModelError("spin enumeration needs an integer q")
-    return exact_partition(potts_to_factor_graph(model), cap)
+    return exact_partition(potts_to_factor_graph(model))
 
 
 def rc_weight(model: PottsModel, mask: int) -> float:
@@ -183,7 +187,7 @@ def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray | None) -
     return uf.count, w
 
 
-def rc_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def rc_partition(model: PottsModel) -> float:
     """Sum rc_weight over all 2^|E| edge subsets.
 
     The weights are built one block of masks at a time: the edge products
@@ -192,7 +196,7 @@ def rc_partition(model: PottsModel, cap: int = DEFAULT_ENUMERATION_CAP) -> float
     multiply a field's component factors in order of their smallest vertex.
     """
     n, m = model.n_vertices, len(model.edges)
-    check_subset_cap(m, cap, "edge")
+    check_subset_cap(m, "edge")
     # q^k for k components, by the same power rc_weight takes; with a field,
     # the weight of one component by its number of vertices
     if model.field is None:

@@ -491,7 +491,7 @@ class TestMaximizeBethe:
     def test_lsm_models_bounded_by_z(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
-            m = random_lsm_pairwise_model(rng, max_vertices=4)
+            m = random_lsm_pairwise_model(rng)
             assert all(r.ok for r in model_is_log_supermodular(m).values())
             z = exact_partition(m)
             _tau, zb = maximize_bethe(m, restarts=16, seed=1)
@@ -1145,7 +1145,7 @@ class TestLayerProbe:
     def test_two_mean_field_calls_per_ordering_check(self, monkeypatch):
         calls = self._count_mean_field(monkeypatch)
         model = _pinned_models()["hom_hard_zeros"]
-        verify._check_ordering(model, exact_partition(model), seed=0, restarts=4)
+        verify._check_ordering(model, exact_partition(model), seed=0)
         assert len(calls) == 2
 
     def test_envelope_calls_per_maximize_bethe(self, monkeypatch):

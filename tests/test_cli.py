@@ -246,6 +246,8 @@ class TestCommands:
         assert rec["exact"] == pytest.approx(1.125, rel=1e-12)
         assert rec["identity_value"] == pytest.approx(1.125, rel=1e-9)
         assert rec["bethe_bound"] <= rec["exact"] * (1 + 1e-6)
+        # both bounds hold within the ordering tolerance, which the record states
+        assert last_record(res.output)["settings"]["tolerance"] == verify.REL_TOL_ORDERING
 
     @pytest.mark.parametrize("lam", ["inf", "nan", "1e-320", "0", "-1"])
     def test_wef_lambda_outside_range_exit_2(self, runner, tmp_path, lam):
@@ -282,6 +284,15 @@ class TestCommands:
         bad.write_text(json.dumps(list(np.exp([0.0, 0.0, 0.0, -1.0]))))
         res = runner.invoke(main, ["check-lsm", "--table", str(bad)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("text", ["[NaN, 1, 1, 1]", "[1, 2, 3, 1e400]"])
+    def test_check_lsm_non_finite_table_exit_2(self, runner, tmp_path, text):
+        table = tmp_path / "table.json"
+        table.write_text(text)
+        res = runner.invoke(main, ["check-lsm", "--table", str(table)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "finite" in res.output
+        assert "{" not in res.output  # no record
 
     def test_verify_appendix_a(self, runner):
         res = runner.invoke(
@@ -457,6 +468,20 @@ class TestCommands:
         res = runner.invoke(main, [command, "--graph", str(p)])
         assert res.exit_code == 2
         assert "error:" in res.output
+
+    @pytest.mark.parametrize("command", ["potts", "rc"])
+    @pytest.mark.parametrize(
+        "extra",
+        [{"J": [float("nan"), 1.0]}, {"q": float("nan")}, {"h": [0.0, float("inf")]}],
+        ids=["nan-coupling", "nan-q", "inf-field"],
+    )
+    def test_non_finite_potts_input_exit_2(self, runner, tmp_path, command, extra):
+        doc = {"n_vertices": 3, "edges": [[0, 1], [1, 2]], "q": 2, "J": [0.5, 1.0], **extra}
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command, "--graph", str(p)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "finite" in res.output
 
     @pytest.mark.parametrize(
         "command,flag,doc",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zbounds.errors import EnumerationCapError, ModelError
 from zbounds.lattice import (
     check_correlation_inequality,
-    is_log_submodular,
     is_log_supermodular,
     model_is_log_supermodular,
     sorted_stack,
@@ -96,8 +95,9 @@ class TestLogSupermodular:
         assert sorted(rep.witness) == [0b01, 0b10]
 
     def test_submodular_flip(self):
-        assert is_log_submodular(np.exp([0.0, 0.0, 0.0, -1.0])).ok
-        assert not is_log_submodular(np.exp([0.0, 0.0, 0.0, 1.0])).ok
+        # f is log-submodular iff the positive table 1 / f is log-supermodular
+        assert is_log_supermodular(1 / np.exp([0.0, 0.0, 0.0, -1.0])).ok
+        assert not is_log_supermodular(1 / np.exp([0.0, 0.0, 0.0, 1.0])).ok
 
     def test_zero_against_positive_is_hard_violation(self):
         # f(11)=f(00)=0 but f(01), f(10) > 0
@@ -107,6 +107,18 @@ class TestLogSupermodular:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             is_log_supermodular(np.ones(2**5), cap=4)
+
+    @pytest.mark.parametrize(
+        "table", [[math.nan, 1, 1, 1], [1, 2, 3, math.inf], [1, 1, -math.inf, 1], [1, -1, 1, 1]]
+    )
+    def test_negative_or_non_finite_entry_refused(self, table):
+        with pytest.raises(ModelError, match="finite and >= 0"):
+            is_log_supermodular(table)
+
+    @pytest.mark.parametrize("table", [[], [1.0, 1.0, 1.0]])
+    def test_length_not_power_of_two_refused(self, table):
+        with pytest.raises(ModelError, match="power of two"):
+            is_log_supermodular(table)
 
     def test_rc_weight_table_is_lsm(self):
         # q^{components} over edge subsets of a small graph
@@ -215,7 +227,7 @@ class TestSwitchBipartite:
     def test_single_edge_switch(self):
         m = self._single_edge()
         sw = switch_bipartite(m, {"a"}, {"b"})
-        assert is_log_submodular(m.factors[0].table.values).ok
+        assert is_log_supermodular(1 / m.factors[0].table.values).ok
         assert is_log_supermodular(sw.factors[0].table.values).ok
         assert exact_partition(sw) == pytest.approx(exact_partition(m), rel=1e-12)
 

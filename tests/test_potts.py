@@ -33,6 +33,21 @@ class TestGraphValidation:
         with pytest.raises(ModelError):
             PottsModel(2, [(0, 1), (1, 0)], 2, [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "q,coupling,field",
+        [
+            (math.nan, [1.0], None),
+            (math.inf, [1.0], None),
+            (2, [math.nan], None),
+            (2, [-math.inf], None),
+            (2, [1.0], [0.0, math.nan]),
+            (2, [1.0], [math.inf, 0.0]),
+        ],
+    )
+    def test_non_finite_value_rejected(self, q, coupling, field):
+        with pytest.raises(ModelError, match="finite"):
+            PottsModel(2, [(0, 1)], q, coupling, field=field)
+
     def test_ferromagnetic_flag(self):
         assert PottsModel(2, [(0, 1)], 2, [0.5]).ferromagnetic
         assert not PottsModel(2, [(0, 1)], 2, [-0.5]).ferromagnetic
@@ -84,9 +99,10 @@ class TestPottsPartition:
             potts_partition(m)
 
     def test_cap(self):
-        m = PottsModel(8, [(0, 1)], 4, [1.0])
+        # 4^14 = 2^28 spin vectors, refused by their count
+        m = PottsModel(14, [(0, 1)], 4, [1.0])
         with pytest.raises(EnumerationCapError):
-            potts_partition(m, cap=1000)
+            potts_partition(m)
 
     def test_no_vertices(self):
         assert potts_partition(PottsModel(0, [], 3, [])) == 1.0
