@@ -39,7 +39,7 @@ from .io import (
     model_to_json,
 )
 from .lattice import is_log_supermodular, model_is_log_supermodular
-from .models import exact_partition, float_array
+from .models import DEFAULT_ENUMERATION_CAP, exact_partition, float_array
 
 EXIT_REFUSAL = 1
 EXIT_INPUT = 2
@@ -109,7 +109,7 @@ def main() -> None:
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option(
     "--cap",
-    default=1 << 26,
+    default=DEFAULT_ENUMERATION_CAP,
     show_default=True,
     type=click.IntRange(min=1),
     help="Joint-state enumeration cap.",

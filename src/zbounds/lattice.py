@@ -60,6 +60,12 @@ class LsmReport:
     witness: tuple | None = None
 
 
+def _require_finite_nonnegative(values: np.ndarray) -> None:
+    # a NaN entry makes the minimum NaN, which fails the comparison
+    if not (values.min() >= 0 and values.max() < math.inf):
+        raise ModelError("table entries must be finite and >= 0")
+
+
 def is_log_supermodular(values, cap: int = DEFAULT_PAIRWISE_CAP) -> LsmReport:
     """Exhaustively check f(x)f(y) <= f(x AND y)f(x OR y) over all pairs.
 
@@ -75,9 +81,7 @@ def is_log_supermodular(values, cap: int = DEFAULT_PAIRWISE_CAP) -> LsmReport:
         raise ModelError(f"table length {size} is not a power of two")
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds the pairwise-check cap {cap}")
-    # a NaN entry makes the minimum NaN, which fails the comparison
-    if not (values.min() >= 0 and values.max() < math.inf):
-        raise ModelError("table entries must be finite and >= 0")
+    _require_finite_nonnegative(values)
     ys = np.arange(size)
     worst = 0.0
     witness = None
@@ -137,8 +141,9 @@ def check_correlation_inequality(g, fs: Sequence) -> CorrelationReport:
 
     ``g`` is a table over {0,1}^(M*n) whose coordinates are the blocks
     x^1, ..., x^M in order; each f_m is a table over {0,1}^n.  Refuses
-    M*n above _CORRELATION_CAP_BITS; the inequalities hold within the
-    relative tolerance _REL_TOL_CORRELATION.
+    M*n above _CORRELATION_CAP_BITS, and f_m entries that are negative or
+    not finite; the inequalities hold within the relative tolerance
+    _REL_TOL_CORRELATION.
     """
     g = np.asarray(g, dtype=float).ravel()
     fs = [np.asarray(f, dtype=float).ravel() for f in fs]
@@ -149,6 +154,7 @@ def check_correlation_inequality(g, fs: Sequence) -> CorrelationReport:
     for f in fs:
         if f.size != 1 << n:
             raise ModelError("all f_m must share one dimension")
+        _require_finite_nonnegative(f)
     total_bits = m_total * n
     if g.size != 1 << total_bits:
         raise ModelError(

@@ -1,11 +1,12 @@
 """GF(q) linear algebra, matroid Potts / random-cluster models, and
 weight enumerators of linear codes.
 
-Fields are supported for prime q by modular arithmetic and for the prime
-powers 4, 8, 9, 16, 25, 27 through fixed irreducible polynomials; elements
-are integers 0..q-1 encoding coefficient vectors in base p.  Full
-operation tables are built once per field, so all arithmetic is table
-lookups (and therefore trivially vectorizable).
+Fields are supported for prime q and for the prime powers 4, 8, 9, 16,
+25, 27 (through fixed irreducible polynomials), up to q = 4096; elements
+are integers 0..q-1 encoding coefficient vectors in base p.  One numpy
+construction builds the full operation tables of every field, once per
+field, and all arithmetic is lookups in them: ranks, codewords, and the
+factor tables of the incidence graph, which are read off the codewords.
 """
 
 from __future__ import annotations
@@ -33,25 +34,25 @@ from .models import (
 # matroid_potts_partition weighs its codewords in blocks of this many words.
 _WORD_BLOCK = 1 << 16
 
-# Irreducible polynomials over GF(p), coefficients low-to-high degree.
+# Irreducible monic polynomials over GF(p), coefficients low-to-high degree.
 _IRREDUCIBLE = {
-    4: (2, (1, 1, 1)),          # x^2 + x + 1
-    8: (2, (1, 1, 0, 1)),       # x^3 + x + 1
-    9: (3, (1, 0, 1)),          # x^2 + 1
-    16: (2, (1, 1, 0, 0, 1)),   # x^4 + x + 1
-    25: (5, (1, 1, 1)),         # x^2 + x + 1
-    27: (3, (1, 2, 0, 1)),      # x^3 + 2x + 1
+    4: (1, 1, 1),          # x^2 + x + 1
+    8: (1, 1, 0, 1),       # x^3 + x + 1
+    9: (1, 0, 1),          # x^2 + 1
+    16: (1, 1, 0, 0, 1),   # x^4 + x + 1
+    25: (1, 1, 1),         # x^2 + x + 1
+    27: (1, 2, 0, 1),      # x^3 + 2x + 1
 }
+
+# The largest field order GaloisField builds.  Its construction holds
+# (q, q, k) int32 arrays, and its tables are int16.
+_MAX_FIELD_ORDER = 1 << 12
 
 
 def _factor_prime_power(q: int) -> tuple:
     if q < 2:
         raise ModelError(f"field order must be >= 2, got {q}")
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
+    p = next(d for d in range(2, q + 1) if q % d == 0)
     k = 0
     m = q
     while m % p == 0:
@@ -62,96 +63,47 @@ def _factor_prime_power(q: int) -> tuple:
     return p, k
 
 
-def _digits(x: int, p: int, k: int) -> list:
-    out = []
-    for _ in range(k):
-        out.append(x % p)
-        x //= p
-    return out
-
-
-def _undigits(ds: Sequence[int], p: int) -> int:
-    x = 0
-    for d in reversed(ds):
-        x = x * p + d
-    return x
-
-
 class GaloisField:
-    """GF(q) with integer-encoded elements and full lookup tables."""
+    """GF(q) with integer-encoded elements and full lookup tables.
+
+    Element a stands for the polynomial whose coefficient of x^i is the
+    i-th base-p digit of a, taken modulo the irreducible polynomial; a
+    prime field is the degree-1 case, modulo x.
+    """
 
     def __init__(self, q: int) -> None:
+        if q > _MAX_FIELD_ORDER:
+            raise ModelError(f"field order {q} exceeds the largest supported, {_MAX_FIELD_ORDER}")
         p, k = _factor_prime_power(q)
-        if k > 1 and q not in _IRREDUCIBLE:
+        poly = np.asarray(_IRREDUCIBLE.get(q, (0, 1)))
+        if len(poly) != k + 1:
             raise ModelError(
                 f"GF({q}) is not supported (prime powers available: "
                 f"{sorted(_IRREDUCIBLE)})"
             )
         self.q = q
-        self.p = p
-        self.degree = k
-        add = np.zeros((q, q), dtype=np.int16)
-        mul = np.zeros((q, q), dtype=np.int16)
-        if k == 1:
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = (a + b) % p
-                    mul[a, b] = (a * b) % p
-        else:
-            _, poly = _IRREDUCIBLE[q]
-            for a in range(q):
-                da = _digits(a, p, k)
-                for b in range(q):
-                    db = _digits(b, p, k)
-                    add[a, b] = _undigits([(x + y) % p for x, y in zip(da, db)], p)
-                    mul[a, b] = _undigits(self._poly_mul(da, db, poly, p), p)
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = np.zeros(q, dtype=np.int16)
-        self.inv_table = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            self.neg_table[a] = int(np.where(add[a] == 0)[0][0])
-            if a:
-                self.inv_table[a] = int(np.where(mul[a] == 1)[0][0])
-
-    @staticmethod
-    def _poly_mul(da, db, poly, p):
-        k = len(poly) - 1
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if not x:
-                continue
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the irreducible polynomial (monic of degree k)
-        for deg in range(len(prod) - 1, k - 1, -1):
-            c = prod[deg]
-            if not c:
-                continue
-            prod[deg] = 0
-            for j in range(k):
-                prod[deg - k + j] = (prod[deg - k + j] - c * poly[j]) % p
-        return prod[:k]
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        return int(self.inv_table[a])
+        # int32 holds every digit product, since p^2 < 2^31 below the limit
+        place = p ** np.arange(k, dtype=np.int32)
+        digits = np.arange(q, dtype=np.int32)[:, None] // place % p
+        # x^j * b for every b and j < k: shift up one degree, then replace
+        # x^k by minus the polynomial's lower terms
+        powers = [digits]
+        for _ in range(k - 1):
+            b = powers[-1]
+            powers.append((np.pad(b[:, :-1], ((0, 0), (1, 0))) - b[:, -1:] * poly[:k]) % p)
+        # a * b = sum_j a_j (x^j b), digit by digit
+        product = np.einsum("aj,jbi->abi", digits, np.stack(powers))
+        self.add_table = ((digits[:, None] + digits[None]) % p @ place).astype(np.int16)
+        self.mul_table = (product % p @ place).astype(np.int16)
+        self.neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.int16)
+        # row 0 holds no 1, so the inverse of 0 reads as 0
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int16)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def gf(q: int) -> GaloisField:
     """Cached field factory."""
     return GaloisField(q)
@@ -318,26 +270,15 @@ def incidence_factor_graph(matrix: GFMatrix, couplings) -> FactorGraph:
     J = np.asarray(couplings, dtype=float)
     if J.shape != (matrix.n_cols,):
         raise ModelError("need one coupling per column")
-    f = matrix.field
-    q = f.q
+    q = matrix.field.q
     variables = [(f"r{i}", q) for i in range(matrix.n_rows)]
     factors = []
     for c in range(matrix.n_cols):
-        support = [i for i in range(matrix.n_rows) if matrix.entries[i, c]]
+        support = np.flatnonzero(matrix.entries[:, c])
+        # one word per assignment of the support, first row slowest
+        words = _codewords(GFMatrix(matrix.field, matrix.entries[support, c : c + 1]))[:, 0]
+        table = np.where(words == 0, math.exp(J[c]), 1.0)
         scope = tuple(f"r{i}" for i in support)
-        size = q ** len(support)
-        table = np.empty(size)
-        for flat in range(size):
-            rem = flat
-            states = []
-            for _ in support:
-                states.append(rem % q)
-                rem //= q
-            states.reverse()  # last scope variable fastest
-            acc = 0
-            for i, s in zip(support, states):
-                acc = f.add(acc, f.mul(int(matrix.entries[i, c]), s))
-            table[flat] = math.exp(J[c]) if acc == 0 else 1.0
         factors.append(Factor(f"c{c}", scope, PotentialTable((q,) * len(support), table)))
     return FactorGraph(variables, factors)
 

@@ -15,7 +15,7 @@ from zbounds.io import (
     model_to_json,
 )
 from zbounds.covers import sample_cover
-from zbounds.models import FactorGraph, exact_partition
+from zbounds.models import DEFAULT_ENUMERATION_CAP, FactorGraph, exact_partition
 
 
 @pytest.fixture
@@ -84,6 +84,7 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         rec = last_record(res.output)
         assert rec["results"]["z"] == 3.0
+        assert rec["settings"]["cap"] == DEFAULT_ENUMERATION_CAP
         # default CSV row present
         assert any(line.startswith("z,") for line in res.output.splitlines())
 
@@ -459,6 +460,13 @@ class TestCommands:
         res = runner.invoke(main, command + ["--code", str(code)])
         assert res.exit_code == 2
         assert "error:" in res.output
+
+    def test_field_order_above_limit_exit_2(self, runner, tmp_path):
+        code = tmp_path / "code.txt"
+        code.write_text("4099 1 1\n1\n")
+        res = runner.invoke(main, ["matroid", "--code", str(code)])
+        assert res.exit_code == 2
+        assert "error:" in res.output and "4096" in res.output
 
     @pytest.mark.parametrize("command", ["potts", "rc"])
     def test_non_numeric_coupling_exit_2(self, runner, tmp_path, command):

@@ -177,6 +177,12 @@ class TestCorrelationInequality:
         with pytest.raises(ModelError):
             check_correlation_inequality(np.ones(8), [np.ones(4), np.ones(4)])
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_f_refused(self, bad):
+        # a bad entry would otherwise drop out of the pointwise half
+        with pytest.raises(ModelError, match="finite and >= 0"):
+            check_correlation_inequality([1, 1, 1, 1], [[bad, 1], [1, 1]])
+
     @staticmethod
     def _ref_rhs(fs, n):
         """prod_m f_m at the sorted stacks of every joint state, from

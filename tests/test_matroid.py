@@ -28,25 +28,76 @@ from zbounds.models import exact_partition
 from zbounds.potts import count_components
 
 
+def _ref_field_tables(q):
+    """Reference: the add, mul, neg and inv tables of GF(q) built one entry
+    at a time, from base-p digit lists and a schoolbook polynomial product
+    reduced by the irreducible polynomial; prime q is modular arithmetic."""
+    p, k = matroid._factor_prime_power(q)
+
+    def digits(x):
+        return [x // p**i % p for i in range(k)]
+
+    def undigits(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    def poly_mul(da, db):
+        poly = matroid._IRREDUCIBLE[q]
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(da):
+            if not x:
+                continue
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        # reduce modulo the irreducible polynomial (monic of degree k)
+        for deg in range(len(prod) - 1, k - 1, -1):
+            c = prod[deg]
+            if not c:
+                continue
+            prod[deg] = 0
+            for j in range(k):
+                prod[deg - k + j] = (prod[deg - k + j] - c * poly[j]) % p
+        return prod[:k]
+
+    add = np.zeros((q, q), dtype=np.int16)
+    mul = np.zeros((q, q), dtype=np.int16)
+    for a in range(q):
+        for b in range(q):
+            if k == 1:
+                add[a, b], mul[a, b] = (a + b) % p, (a * b) % p
+            else:
+                da, db = digits(a), digits(b)
+                add[a, b] = undigits([(x + y) % p for x, y in zip(da, db)])
+                mul[a, b] = undigits(poly_mul(da, db))
+    neg = np.zeros(q, dtype=np.int16)
+    inv = np.zeros(q, dtype=np.int16)
+    for a in range(q):
+        neg[a] = int(np.where(add[a] == 0)[0][0])
+        if a:
+            inv[a] = int(np.where(mul[a] == 1)[0][0])
+    return add, mul, neg, inv
+
+
 class TestGaloisField:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 41, 257, 4, 8, 9, 16, 25, 27])
+    def test_tables_equal_reference(self, q):
+        f = gf(q)
+        tables = (f.add_table, f.mul_table, f.neg_table, f.inv_table)
+        for table, ref in zip(tables, _ref_field_tables(q)):
+            assert table.dtype == ref.dtype and np.array_equal(table, ref)
+
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9, 16, 25, 27])
     def test_field_axioms_exhaustive(self, q):
         f = gf(q)
-        elems = range(q)
-        for a in elems:
-            assert f.add(a, 0) == a
-            assert f.mul(a, 1) == a
-            assert f.add(a, f.neg_table[a]) == 0
-            if a:
-                assert f.mul(a, f.inv(a)) == 1
-        for a in elems:
-            for b in elems:
-                assert f.add(a, b) == f.add(b, a)
-                assert f.mul(a, b) == f.mul(b, a)
-                for c in elems:
-                    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        add, mul = f.add_table, f.mul_table
+        e = np.arange(q)
+        assert np.array_equal(add[e, 0], e) and np.array_equal(mul[e, 1], e)
+        assert not add[e, f.neg_table].any()
+        assert (mul[e[1:], f.inv_table[1:]] == 1).all()
+        assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
+        a, b, c = np.ix_(e, e, e)
+        assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
+        assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
+        assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
 
     def test_unsupported_order_rejected(self):
         with pytest.raises(ModelError):
@@ -54,9 +105,16 @@ class TestGaloisField:
         with pytest.raises(ModelError):
             gf(32)
 
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            gf(5).inv(0)
+    def test_order_above_limit_refused_before_any_work(self):
+        # 4099 is prime; building its tables would take 2 x 4099^2 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="exceeds the largest supported"):
+                gf(4099)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 def independent_subset_rank(matrix, mask):
@@ -81,7 +139,7 @@ def _independent(matrix, cols, f):
         combo = [0] * matrix.n_rows
         for c, lam in zip(cols, coeffs):
             for i in range(matrix.n_rows):
-                combo[i] = f.add(combo[i], f.mul(lam, int(matrix.entries[i, c])))
+                combo[i] = f.add_table[combo[i], f.mul_table[lam, matrix.entries[i, c]]]
         if all(x == 0 for x in combo):
             return False
     return True
@@ -99,7 +157,7 @@ def _ref_rank(matrix, mask):
         if pivot is None:
             continue
         sub[[r, pivot]] = sub[[pivot, r]]
-        sub[r] = f.mul_table[f.inv(int(sub[r, c])), sub[r]]
+        sub[r] = f.mul_table[f.inv_table[sub[r, c]], sub[r]]
         for i in range(rows):
             if i != r and sub[i, c]:
                 scaled = f.mul_table[int(sub[i, c]), sub[r]]
@@ -108,6 +166,28 @@ def _ref_rank(matrix, mask):
         if r == rows:
             break
     return r
+
+
+def _ref_incidence_table(matrix, J, c):
+    """Reference: column c's factor in the incidence graph, as (scope,
+    cards, table), filled one joint state of its support at a time."""
+    f = matrix.field
+    q = f.q
+    support = [i for i in range(matrix.n_rows) if matrix.entries[i, c]]
+    size = q ** len(support)
+    table = np.empty(size)
+    for flat in range(size):
+        rem = flat
+        states = []
+        for _ in support:
+            states.append(rem % q)
+            rem //= q
+        states.reverse()  # last scope variable fastest
+        acc = 0
+        for i, s in zip(support, states):
+            acc = f.add_table[acc, f.mul_table[matrix.entries[i, c], s]]
+        table[flat] = math.exp(J[c]) if acc == 0 else 1.0
+    return tuple(f"r{i}" for i in support), (q,) * len(support), table
 
 
 class TestRank:
@@ -271,6 +351,24 @@ class TestMatroidPartitions:
         assert z_unnorm / 3.0**3 == pytest.approx(
             matroid_potts_partition(m, J), rel=1e-12
         )
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_factor_tables_equal_reference(self, q):
+        rng = np.random.default_rng(q)
+        for k, n in [(0, 2), (2, 0), (1, 1), (3, 4), (4, 3), (3, 5)]:
+            for _ in range(4):
+                # about a third of the entries are zero, so some rows and
+                # columns are all zero
+                entries = rng.integers(0, q, size=(k, n)) * (rng.random((k, n)) < 0.7)
+                m = GFMatrix(gf(q), entries)
+                J = rng.uniform(-2.0, 2.0, n)
+                fg = incidence_factor_graph(m, J)
+                assert fg.var_ids == tuple(f"r{i}" for i in range(k))
+                assert [fac.id for fac in fg.factors] == [f"c{c}" for c in range(n)]
+                for c, fac in enumerate(fg.factors):
+                    scope, cards, table = _ref_incidence_table(m, J, c)
+                    assert fac.scope == scope and fac.table.cards == cards
+                    assert fac.table.values.tobytes() == table.tobytes()
 
     def test_graph_incidence_rank_equals_vertices_minus_components(self):
         # vertex-edge incidence matrix over GF(2): r(A) = |V| - k(A)
