@@ -33,7 +33,6 @@ from .homs import (
     edge_partition,
     edge_weight,
     hom_partition,
-    hom_partition_matrix,
     hom_to_factor_graph,
     s_count,
 )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -73,29 +72,12 @@ class HomModel:
         return sum(1 for u, v in self.edges if i in (u, v))
 
 
-def hom_partition_matrix(n_vertices: int, edges: Sequence, w, gamma) -> float:
-    """Partition function for an arbitrary nonnegative target matrix.
-
-    This general-Gamma entry point only enumerates; the variational bound
-    claims are reserved for rank-2 models built as HomModel.
-    """
-    edges = _check_simple(n_vertices, edges)
-    w = np.asarray(w, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    n = w.size
-    if gamma.shape != (n, n):
-        raise ModelError("gamma must be square and match w")
-    if np.any(gamma < 0) or np.any(w < 0):
-        raise ModelError("weights must be nonnegative")
-    if n == 0:
-        # No colours: no colouring exists unless there is nothing to colour.
-        return 0.0 if n_vertices else 1.0
-    return exact_partition(_gamma_factor_graph(n_vertices, edges, w, gamma))
-
-
 def hom_partition(model: HomModel) -> float:
     """Weighted homomorphism count Z_hom by enumeration over colorings."""
-    return hom_partition_matrix(model.n_vertices, model.edges, model.w, model.gamma)
+    if model.n_states == 0:
+        # No colours: no colouring exists unless there is nothing to colour.
+        return 0.0 if model.n_vertices else 1.0
+    return exact_partition(hom_to_factor_graph(model))
 
 
 def s_count(model: HomModel, i: int, mask: int) -> int:
@@ -218,18 +200,13 @@ def check_rank2_lsm(model: HomModel) -> Rank2LsmReport:
     )
 
 
-def _gamma_factor_graph(n_vertices: int, edges: Sequence, w, gamma) -> FactorGraph:
-    """Pairwise factor-graph form of a target matrix: node potentials w,
-    one table Gamma per edge."""
-    n = len(w)
-    variables = [(v, n) for v in range(n_vertices)]
-    factors = [
-        Factor(f"e{k}", (i, j), PotentialTable((n, n), np.ravel(gamma)))
-        for k, (i, j) in enumerate(edges)
-    ]
-    return FactorGraph(variables, factors, {v: w for v in range(n_vertices)})
-
-
 def hom_to_factor_graph(model: HomModel) -> FactorGraph:
     """Pairwise factor-graph form: node potentials w, edge tables Gamma."""
-    return _gamma_factor_graph(model.n_vertices, model.edges, model.w, model.gamma)
+    n = model.n_states
+    gamma = np.ravel(model.gamma)
+    variables = [(v, n) for v in range(model.n_vertices)]
+    factors = [
+        Factor(f"e{k}", (i, j), PotentialTable((n, n), gamma))
+        for k, (i, j) in enumerate(model.edges)
+    ]
+    return FactorGraph(variables, factors, {v: model.w for v in range(model.n_vertices)})

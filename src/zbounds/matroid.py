@@ -26,13 +26,12 @@ from .models import (
     Factor,
     FactorGraph,
     PotentialTable,
+    check_exp_range,
     check_subset_cap,
+    exact_partition,
     fsum_blocks,
     subset_products,
 )
-
-# matroid_potts_partition weighs its codewords in blocks of this many words.
-_WORD_BLOCK = 1 << 16
 
 # Irreducible monic polynomials over GF(p), coefficients low-to-high degree.
 _IRREDUCIBLE = {
@@ -219,18 +218,11 @@ def _codewords(matrix: GFMatrix) -> np.ndarray:
 def matroid_potts_partition(matrix: GFMatrix, couplings) -> float:
     """Normalized matroid Potts partition function.
 
-    Z = q^(-k) sum_sigma prod_alpha exp(J_alpha * [sum_i S_{i,alpha} sigma_i = 0]).
+    Z = q^(-k) sum_sigma prod_alpha exp(J_alpha * [sum_i S_{i,alpha} sigma_i = 0]),
+    enumerated by ``exact_partition`` on the incidence factor graph.
     """
-    J = np.asarray(couplings, dtype=float)
-    if J.shape != (matrix.n_cols,):
-        raise ModelError("need one coupling per column")
-    words = _codewords(matrix)
-    blocks = (
-        np.exp((words[start : start + _WORD_BLOCK] == 0) @ J)
-        for start in range(0, len(words), _WORD_BLOCK)
-    )
-    norm = float(matrix.field.q) ** matrix.n_rows
-    return fsum_blocks(blocks) / norm
+    fg = incidence_factor_graph(matrix, couplings)
+    return exact_partition(fg) / float(matrix.field.q) ** matrix.n_rows
 
 
 def matroid_rc_partition(matrix: GFMatrix, weights) -> float:
@@ -241,8 +233,8 @@ def matroid_rc_partition(matrix: GFMatrix, weights) -> float:
     p = np.asarray(weights, dtype=float)
     if p.shape != (matrix.n_cols,):
         raise ModelError("need one weight per column")
-    if np.any(p < 0):
-        raise ModelError("column weights must be >= 0")
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ModelError("column weights must be finite and >= 0")
     n = matrix.n_cols
     check_subset_cap(n, "column")
     q = float(matrix.field.q)
@@ -265,11 +257,16 @@ def incidence_factor_graph(matrix: GFMatrix, couplings) -> FactorGraph:
     Variables are the rows (cardinality q); each column alpha becomes a
     factor over the rows with a nonzero entry, with table
     exp(J_alpha * [sum_i S_{i,alpha} sigma_i = 0]).  The 1/q^k
-    normalization is NOT included.
+    normalization is NOT included.  A table has q^|support| entries.
+    Refuses a non-finite coupling with ModelError, and one whose weight
+    exp(J) overflows with NumericRangeError.
     """
     J = np.asarray(couplings, dtype=float)
     if J.shape != (matrix.n_cols,):
         raise ModelError("need one coupling per column")
+    if not np.all(np.isfinite(J)):
+        raise ModelError("couplings must be finite")
+    check_exp_range(J, "the coupling weight")
     q = matrix.field.q
     variables = [(f"r{i}", q) for i in range(matrix.n_rows)]
     factors = []
@@ -378,18 +375,15 @@ def weight_enumerator(
     distinct = {tuple(row) for row in words}
     exact = math.fsum(lam ** sum(1 for x in row if x) for row in distinct)
 
-    J = np.full(n, math.log(1.0 / lam))
-    z_potts = matroid_potts_partition(matrix, J)
-    r_full = rank(matrix)
-    # sum over sigma counts every codeword q^(k-r) times
-    identity = (float(q) ** k) * (lam**n) * z_potts / (float(q) ** (k - r_full))
+    fg = incidence_factor_graph(matrix, np.full(n, math.log(1.0 / lam)))
+    # the unnormalized sum over sigma counts every codeword q^(k-r) times
+    scale = lam**n / (float(q) ** (k - rank(matrix)))
+    identity = scale * exact_partition(fg)
 
     bethe_bound = mf_bound = None
     if lam <= 1.0:
-        fg = incidence_factor_graph(matrix, J)
         _tau, zb = maximize_bethe(fg, restarts=restarts, seed=seed)
         _nu, zmf = mean_field(fg, restarts=min(16, restarts), seed=seed)
-        scale = lam**n / (float(q) ** (k - r_full))
         bethe_bound = scale * zb
         mf_bound = scale * zmf
     return WeightEnumeratorResult(

@@ -60,6 +60,18 @@ def float_array(values, what: str) -> np.ndarray:
         raise ModelError(f"{what} must be numbers: {exc}") from exc
 
 
+def check_exp_range(exponents: np.ndarray, what: str) -> None:
+    """NumericRangeError, before any numpy warning, when e^x of the largest
+    of the finite ``exponents`` overflows the float range (as e^x - 1 then
+    does too)."""
+    top = max(exponents.tolist(), default=0.0)
+    # e^709 < 2^1023, so only a larger exponent can overflow
+    if top > 709.0:
+        with np.errstate(over="ignore"):
+            if np.isinf(np.exp(top)):
+                raise NumericRangeError(f"{what} exp({top!r}) is out of float range")
+
+
 def _as_table_array(values) -> np.ndarray:
     arr = float_array(values, "potential entries")
     if arr.ndim != 1:

@@ -19,11 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .covers import CoverSpec, layered_masks
-from .errors import ModelError
+from .errors import ModelError, NumericRangeError
 from .models import (
     Factor,
     FactorGraph,
     PotentialTable,
+    check_exp_range,
     check_subset_cap,
     exact_partition,
     fsum_blocks,
@@ -122,6 +123,7 @@ class PottsModel:
         """p_e = e^(J_e) - 1; requires J >= 0."""
         if np.any(self.coupling < 0):
             raise ModelError("antiferromagnetic edge: p = e^J - 1 would be negative")
+        check_exp_range(self.coupling, "the coupling weight")
         return np.expm1(self.coupling)
 
 
@@ -150,8 +152,6 @@ def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
 
 def potts_partition(model: PottsModel) -> float:
     """Sum the spin model over all q^n spin vectors (integer q only)."""
-    if float(model.q) != int(model.q):
-        raise ModelError("spin enumeration needs an integer q")
     return exact_partition(potts_to_factor_graph(model))
 
 
@@ -183,8 +183,19 @@ def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray | None) -
         return uf.count, w * model.q**uf.count
     # dict keys keep their first insertion, so the roots come by smallest vertex
     for root in dict.fromkeys(map(uf.find, range(model.n_vertices))):
-        w *= math.fsum(math.exp(h * uf.size[root]) for h in model.field)
+        w *= _component_weight(model.field, uf.size[root])
     return uf.count, w
+
+
+def _component_weight(field: np.ndarray, size: int) -> float:
+    """sum_w exp(h_w * size), the weight of one component of ``size``
+    vertices under the field; NumericRangeError when it overflows."""
+    try:
+        return math.fsum(math.exp(h * size) for h in field)
+    except OverflowError:
+        raise NumericRangeError(
+            f"the field weight of a {size}-vertex component is out of float range"
+        ) from None
 
 
 def rc_partition(model: PottsModel) -> float:
@@ -202,9 +213,7 @@ def rc_partition(model: PottsModel) -> float:
     if model.field is None:
         q_power = np.array([model.q**k for k in range(n + 1)])
     else:
-        size_weight = np.array(
-            [math.fsum(math.exp(h * size) for h in model.field) for size in range(n + 1)]
-        )
+        size_weight = np.array([_component_weight(model.field, size) for size in range(n + 1)])
 
     def blocks():
         for bits, w in zip(mask_blocks(m), subset_products(model.edge_probabilities)):
@@ -246,17 +255,22 @@ def _component_labels(n_vertices: int, edges: Sequence, bits: np.ndarray) -> np.
 
 
 def potts_to_factor_graph(model: PottsModel) -> FactorGraph:
-    """Pairwise factor-graph form: tables e^(J*delta), node potentials e^h."""
+    """Pairwise factor-graph form: tables e^(J*delta), node potentials e^h.
+
+    Refuses a weight e^J or e^h beyond the float range with
+    NumericRangeError."""
     if float(model.q) != int(model.q):
         raise ModelError("factor-graph form needs an integer q")
     q = int(model.q)
     variables = [(v, q) for v in range(model.n_vertices)]
+    check_exp_range(model.coupling, "the coupling weight")
     factors = []
     for e, (i, j) in enumerate(model.edges):
         table = np.exp(model.coupling[e] * np.eye(q)).ravel()
         factors.append(Factor(f"e{e}", (i, j), PotentialTable((q, q), table)))
     pots = None
     if model.field is not None:
+        check_exp_range(model.field, "the field weight")
         fw = np.exp(model.field)
         pots = {v: fw for v in range(model.n_vertices)}
     return FactorGraph(variables, factors, pots)

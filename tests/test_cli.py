@@ -491,6 +491,34 @@ class TestCommands:
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "finite" in res.output
 
+    @staticmethod
+    def _coupling_args(tmp_path, command, coupling):
+        """Arguments running ``command`` with every coupling set to ``coupling``."""
+        if command == "matroid":
+            code = tmp_path / "code.txt"
+            code.write_text("3 2 3\n1 0 2\n0 1 1\n")
+            return ["matroid", "--code", str(code), f"--coupling={coupling}"]
+        doc = {"n_vertices": 3, "edges": [[0, 1], [1, 2]], "q": 2, "J": [float(coupling)] * 2}
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        return [command, "--graph", str(p)]
+
+    @pytest.mark.parametrize("command", ["potts", "rc", "matroid"])
+    @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_exit_2(self, runner, tmp_path, command, coupling):
+        res = runner.invoke(main, self._coupling_args(tmp_path, command, coupling))
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert len(res.output.splitlines()) == 1
+        assert res.output.startswith("error:") and "finite" in res.output
+
+    @pytest.mark.parametrize("command", ["potts", "rc", "matroid"])
+    def test_overflowing_coupling_exit_1(self, runner, tmp_path, command):
+        # J = 800 is finite, but its weight e^J (or e^J - 1) is not; RuntimeWarning
+        # is an error under this suite's settings, so a warning would fail too
+        res = runner.invoke(main, self._coupling_args(tmp_path, command, "800"))
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        assert res.output == "error: the coupling weight exp(800.0) is out of float range\n"
+
     @pytest.mark.parametrize(
         "command,flag,doc",
         [

@@ -12,7 +12,6 @@ from zbounds.homs import (
     edge_weight,
     edge_weight_table,
     hom_partition,
-    hom_partition_matrix,
     hom_to_factor_graph,
     s_count,
 )
@@ -49,12 +48,6 @@ class TestHomPartition:
         assert np.allclose(m.gamma, np.eye(2))
         assert hom_partition(m) == pytest.approx(2.0)
 
-    def test_general_gamma_counts_homomorphisms(self):
-        # adjacency of an edge: homs C4 -> K2 is 2, K3 -> K2 is 0
-        k2 = [[0, 1], [1, 0]]
-        assert hom_partition_matrix(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1, 1], k2) == 2.0
-        assert hom_partition_matrix(3, TRIANGLE, [1, 1], k2) == 0.0
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ModelError):
             HomModel(2, [(0, 1)], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
@@ -62,26 +55,21 @@ class TestHomPartition:
     def test_zero_states(self):
         # no colours: no colouring of a nonempty graph
         assert hom_partition(HomModel(3, TRIANGLE, [], [], [])) == 0.0
-        assert hom_partition_matrix(2, [(0, 1)], [], np.zeros((0, 0))) == 0.0
+        assert hom_partition(HomModel(2, [(0, 1)], [], [], [])) == 0.0
 
     def test_no_vertices(self):
-        assert hom_partition_matrix(0, [], [1.0, 2.0], np.ones((2, 2))) == 1.0
-        assert hom_partition_matrix(0, [], [], np.zeros((0, 0))) == 1.0
+        assert hom_partition(HomModel(0, [], [1.0, 2.0], [1.0, 0.5], [0.5, 1.0])) == 1.0
+        assert hom_partition(HomModel(0, [], [], [], [])) == 1.0
 
     def test_single_state(self):
-        # one colour: Z = w^|V| * Gamma^|E|
-        assert hom_partition_matrix(3, TRIANGLE, [2.0], [[3.0]]) == pytest.approx(8.0 * 27.0)
+        # one colour: Z = w^|V| * Gamma^|E|, Gamma = a^2 + b^2 = 3
+        m = HomModel(3, TRIANGLE, [2.0], [1.0], [math.sqrt(2.0)])
+        assert hom_partition(m) == pytest.approx(8.0 * 27.0)
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             # 4^14 = 2^28 colourings, refused by their count
-            hom_partition_matrix(14, [(0, 1)], np.ones(4), np.ones((4, 4)))
-
-    def test_bad_gamma_rejected(self):
-        with pytest.raises(ModelError):
-            hom_partition_matrix(2, [(0, 1)], [1.0, 1.0], [[1.0, -1.0], [1.0, 1.0]])
-        with pytest.raises(ModelError):
-            hom_partition_matrix(2, [(0, 1)], [1.0, 1.0], np.ones((2, 3)))
+            hom_partition(HomModel(14, [(0, 1)], np.ones(4), np.ones(4), np.ones(4)))
 
 
 class TestSCount:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zbounds.covers import iter_cover_specs, sample_cover
-from zbounds.errors import ModelError
+from zbounds.errors import ModelError, NumericRangeError
 from zbounds.lattice import is_log_supermodular
 from zbounds import matroid, verify
 from zbounds.matroid import (
@@ -329,6 +329,24 @@ class TestMatroidPartitions:
         with pytest.raises(ModelError):
             matroid_rc_partition(m, [-0.5])
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        m = GFMatrix(gf(2), [[1, 1]])
+        with pytest.raises(ModelError, match="finite"):
+            matroid_rc_partition(m, [1.0, weight])
+
+    def test_overflowing_coupling_refused(self):
+        # exp(800) is beyond the float range: refused, not a bare OverflowError
+        m = GFMatrix(gf(2), [[1]])
+        with pytest.raises(NumericRangeError, match=r"coupling weight exp\(800\.0\)"):
+            incidence_factor_graph(m, [800.0])
+
+    @pytest.mark.parametrize("coupling", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, coupling):
+        m = GFMatrix(gf(2), [[1, 1]])
+        with pytest.raises(ModelError, match="finite"):
+            matroid_potts_partition(m, [1.0, coupling])
+
     def test_rc_table_log_supermodular(self):
         rng = np.random.default_rng(3)
         m = GFMatrix(gf(3), rng.integers(0, 3, size=(3, 5)))
@@ -383,8 +401,9 @@ class TestMatroidPartitions:
 
 
 class TestBlockedPottsSum:
-    """``matroid_potts_partition`` weighs its codewords one block at a time;
-    the sum must equal the one formed over the whole word array."""
+    """``matroid_potts_partition`` sums the incidence graph's joint slab by
+    slab through ``exact_partition``; the sum must match the one formed
+    over the whole codeword array."""
 
     @staticmethod
     def _reference(matrix, J):
@@ -393,18 +412,24 @@ class TestBlockedPottsSum:
 
     @pytest.mark.parametrize("q,k,n", [(3, 6, 8), (2, 17, 9), (3, 11, 7), (4, 9, 6)])
     def test_matches_full_product(self, q, k, n):
-        # 729 words fit one block; the others span two to four
+        # the joint takes one to eight slabs; each weight multiplies its
+        # factors in exact_partition's order, so Z can differ by an ulp
         rng = np.random.default_rng(q * 100 + k)
         matrix = GFMatrix(gf(q), rng.integers(0, q, size=(k, n)))
         J = rng.uniform(-1.0, 2.0, n)
-        assert matroid_potts_partition(matrix, J) == self._reference(matrix, J)
+        assert matroid_potts_partition(matrix, J) == pytest.approx(
+            self._reference(matrix, J), rel=1e-13
+        )
 
-    def test_memory_bounded_by_block(self, monkeypatch):
-        # at blocks of 2^10 words, the sum peaks no higher than building the
-        # words; the float (words, n) product alone would take 4.8 MiB
-        monkeypatch.setattr(matroid, "_WORD_BLOCK", 1 << 10)
+    def test_memory_bounded_by_block(self):
+        # columns with 1 to 3 nonzero entries keep every table at most 27
+        # entries, so the slab sum holds far less than the 3^12 codewords
         rng = np.random.default_rng(19)
-        matrix = GFMatrix(gf(3), rng.integers(0, 3, size=(10, 10)))
+        entries = np.zeros((12, 10), dtype=np.int64)
+        for c in range(10):
+            support = rng.choice(12, size=int(rng.integers(1, 4)), replace=False)
+            entries[support, c] = rng.integers(1, 3, size=support.size)
+        matrix = GFMatrix(gf(3), entries)
         peaks = []
         for call in (
             lambda: matroid._codewords(matrix),
@@ -417,7 +442,7 @@ class TestBlockedPottsSum:
             finally:
                 tracemalloc.stop()
             peaks.append(peak)
-        assert peaks[1] < peaks[0] + 256 * 1024
+        assert peaks[1] < peaks[0] / 4
 
 
 class TestRankCoverInequality:
@@ -479,6 +504,26 @@ class TestRankCoverInequality:
         perms[("c2", "r1")] = (1, 0)
         rep = check_rank_cover_inequality(m, CoverSpec(fg, 2, perms), [6, 6])
         assert (rep.lhs_rank, rep.rhs_rank, rep.slack, rep.ok) == (3, 4, -1, False)
+
+    @pytest.mark.parametrize(
+        "j,ratio", [(1.0, 1.0352), (2.0, 1.4288), (4.0, 2.6085), (8.0, 2.9920)]
+    )
+    def test_gf3_cover_exceeds_base_squared(self, j, ratio):
+        # the per-cover side of the rank failure above: on the same cover,
+        # Z(H) > Z(G)^2, so covers cannot prove Z_B <= Z over GF(3)
+        from zbounds.covers import CoverSpec, build_cover
+
+        m = GFMatrix(gf(3), [[2, 1, 2], [0, 1, 1]])
+        J = np.array([0.0, j, j])
+        fg = incidence_factor_graph(m, J)
+        perms = {(f.id, v): (0, 1) for f in fg.factors for v in f.scope}
+        perms[("c2", "r1")] = (1, 0)
+        spec = CoverSpec(fg, 2, perms)
+        z_base = exact_partition(fg)
+        by_cover = exact_partition(build_cover(spec).cover) / z_base**2
+        by_lift = matroid_potts_partition(lift_matrix(m, spec), np.repeat(J, 2)) * 3**4 / z_base**2
+        assert by_lift == pytest.approx(by_cover, rel=1e-12)
+        assert round(by_cover, 4) == ratio
 
     def test_spec_on_other_matrix_refused(self):
         # a spec built on another matrix's incidence graph used to fail

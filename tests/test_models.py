@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zbounds import models
+from zbounds import homs, matroid, models, potts
 from zbounds.errors import (
     EnumerationCapError,
     ModelError,
@@ -462,3 +462,41 @@ class TestNonFiniteRefused:
         for entries in ([1e308, 1e308], [1.0, math.inf], [1.0, math.nan], [math.inf, -math.inf]):
             with pytest.raises(NumericRangeError):
                 fsum_blocks([np.tile(entries, copies)])
+
+
+class TestOneEngine:
+    """Every family spin sum builds its factor graph and enumerates it with
+    one ``exact_partition`` call; a second engine would skip the counter."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"exact_partition": 0, "incidence_factor_graph": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (models, potts, homs, matroid):
+            counted(module, "exact_partition")
+        counted(matroid, "incidence_factor_graph")
+        return counts
+
+    def test_each_family_sum_enumerates_once(self, calls):
+        potts.potts_partition(PottsModel(3, [(0, 1), (1, 2)], 3, [0.5, 1.0]))
+        assert calls["exact_partition"] == 1
+        model = homs.HomModel(3, [(0, 1), (1, 2)], [1.0, 2.0], [1.0, 0.5], [0.5, 1.0])
+        homs.hom_partition(model)
+        assert calls["exact_partition"] == 2
+        matrix = matroid.GFMatrix(matroid.gf(3), [[1, 2, 0], [0, 1, 1]])
+        matroid.matroid_potts_partition(matrix, [0.5, 1.0, 1.5])
+        assert calls["exact_partition"] == 3
+
+    def test_weight_enumerator_builds_and_sums_once(self, calls):
+        matrix = matroid.GFMatrix(matroid.gf(2), [[1, 1, 0], [0, 1, 1]])
+        matroid.weight_enumerator(matrix, 0.5, restarts=2)
+        assert calls == {"exact_partition": 1, "incidence_factor_graph": 1}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zbounds.covers import iter_cover_specs, layered_masks, sample_cover
-from zbounds.errors import EnumerationCapError, ModelError
+from zbounds.errors import EnumerationCapError, ModelError, NumericRangeError
 from zbounds.lattice import is_log_supermodular
 from zbounds.models import exact_partition
 from zbounds.potts import (
@@ -176,6 +176,19 @@ class TestRandomCluster:
             zp = potts_partition(model)
             zrc = rc_partition(model)
             assert abs(zrc - zp) / zp <= 1e-9
+
+    def test_overflowing_weights_refused(self):
+        # e^800 (a coupling) and e^(400 * 2) (a two-vertex component under
+        # the field) are beyond the float range: refused, not inf or a bare
+        # OverflowError
+        hot = PottsModel(3, [(0, 1), (1, 2)], 2, [800.0, 1.0])
+        for fn in (rc_partition, potts_partition, lambda m: rc_weight(m, 0b01)):
+            with pytest.raises(NumericRangeError, match=r"coupling weight exp\(800\.0\)"):
+                fn(hot)
+        field = PottsModel(3, [(0, 1), (1, 2)], 2, [1.0, 1.0], field=[0.0, 400.0])
+        for fn in (rc_partition, lambda m: rc_weight(m, 0b01)):
+            with pytest.raises(NumericRangeError, match="a 2-vertex component"):
+                fn(field)
 
     def test_real_q_allowed_on_rc_side(self):
         model = PottsModel(3, TRIANGLE, 2.7, [0.5, 0.8, 1.1])
