@@ -8,7 +8,7 @@ local marginal polytope is
 
 with the 0*log 0 = 0 convention.  Fixed points of sum-product BP are
 stationary points of F; the reported "Bethe partition function" is the
-best value found by multistart BP plus a feasible ascent refinement, and
+best envelope value of a multistart BP, mean-field or flat candidate, and
 is therefore a lower bound on the true optimum with an unquantified gap.
 """
 
@@ -33,7 +33,7 @@ _IPF_SWEEPS = 300
 _IPF_TOL = 1e-13
 # _envelope: an IPF residual above this means margins infeasible for the support
 _INFEASIBLE_TOL = 1e-8
-# _clean_nu's floor on a node potential's support; _positive_assignment_init's draws
+# maximize_bethe's floor on a node potential's support; _positive_assignment_init's draws
 _BELIEF_FLOOR = 1e-12
 _ASSIGNMENT_TRIES = 200
 
@@ -586,8 +586,8 @@ def run_bp(
 # ---------------------------------------------------------------------------
 
 
-# an infeasible row never converges, and its scalings may overflow
-@np.errstate(over="ignore", divide="ignore")
+# an infeasible row never converges, and its ratios may overflow
+@np.errstate(over="ignore")
 def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray]) -> tuple:
     """Iterative proportional fitting of each of a stack of kernels onto its
     row of margins.
@@ -598,19 +598,14 @@ def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray]) -> tuple:
     sweeps as when fitted alone.  Each row converges to the maximizer of
     <tau, log kernel> + H(tau) subject to its margin constraints whenever
     they are feasible for the kernel's support.  Returns (tables of the
-    kernels' shape, residuals, log-scalings): a residual that stays large
-    means the row's margins are infeasible for the support, and the
-    log-scalings hold one (rows, card) array per axis, the log of the
-    product of every scaling applied along it (-inf where a state's scaling
-    reached 0).  They are the Lagrange multipliers of the margin
-    constraints, up to a constant per axis.
+    kernels' shape, residuals): a residual that stays large means the row's
+    margins are infeasible for the support.
     """
     t = np.asarray(kernels, dtype=float)
     t = t / t.sum(axis=tuple(range(1, t.ndim)), keepdims=True)
     residual = np.zeros(len(t))
-    scale = [np.ones(target.shape) for target in margins]
-    # the rows still sweeping: their indices, tables, margins and scalings
-    active, cur_t, targets, cur_scale = np.arange(len(t)), t, list(margins), list(scale)
+    # the rows still sweeping: their indices, tables and margins
+    active, cur_t, targets = np.arange(len(t)), t, list(margins)
     for _ in range(_IPF_SWEEPS):
         worst = np.zeros(len(active))
         for axis, target in enumerate(targets):
@@ -624,23 +619,17 @@ def _ipf(kernels: np.ndarray, margins: Sequence[np.ndarray]) -> tuple:
             shape = [len(active)] + [1] * (t.ndim - 1)
             shape[1 + axis] = target.shape[1]
             cur_t = cur_t * ratio.reshape(shape)
-            cur_scale[axis] = cur_scale[axis] * ratio
         residual[active] = worst
         done = worst < _IPF_TOL
         if done.any():
             t[active[done]] = cur_t[done]
-            for s, cs in zip(scale, cur_scale):
-                s[active[done]] = cs[done]
             going = ~done
             active, cur_t = active[going], cur_t[going]
             targets = [target[going] for target in targets]
-            cur_scale = [cs[going] for cs in cur_scale]
             if not active.size:
                 break
     t[active] = cur_t
-    for s, cs in zip(scale, cur_scale):
-        s[active] = cs
-    return t, residual, [np.log(s) for s in scale]
+    return t, residual
 
 
 def _node_terms(g: _Graph, nu: list, rows: int) -> tuple:
@@ -669,21 +658,19 @@ def _envelope(g: _Graph, nu: list) -> tuple:
     decouple per factor and are solved by IPF, one call per table shape
     over the rows of all its factors, so the returned beliefs always
     satisfy the consistency constraints (up to IPF tolerance).  Returns
-    (values, factor beliefs by id per row, and per variable the (rows,
-    card) sum of its factors' IPF log-scalings).  A row whose margins are
+    (values, factor beliefs by id per row).  A row whose margins are
     infeasible for a table's support, or whose mass sits on a zero, scores
-    -inf with ``{}``; its log-scalings are meaningless.  Each row's terms
-    are added factor by factor in model order, as for that row alone, so
-    its value and beliefs do not depend on the other rows.
+    -inf with ``{}``.  Each row's terms are added factor by factor in model
+    order, as for that row alone, so its value and beliefs do not depend on
+    the other rows.
     """
     rows = len(nu[0]) if nu else 1
     value, dead, entropy = _node_terms(g, nu, rows)
-    lam = [np.zeros(ni.shape) for ni in nu]
     factor_beliefs = [{} for _ in range(rows)]
     # rows the node terms have killed are not fitted
     live = np.flatnonzero(~dead)
     if not live.size:
-        return np.full(rows, _NEG_INF), factor_beliefs, lam
+        return np.full(rows, _NEG_INF), factor_beliefs
     fits = [None] * len(g.factors)
     for grp in g.groups:
         # one row per (factor, live row), factor-major
@@ -691,135 +678,26 @@ def _envelope(g: _Graph, nu: list) -> tuple:
         if len(grp.scopes):
             kernels = np.repeat(grp.tables, live.size, axis=0)
             margins = [np.concatenate([nu[u][live] for u in col]) for col in grp.scopes]
-            t, residual, log_scale = _ipf(kernels, margins)
+            t, residual = _ipf(kernels, margins)
         else:  # constant factors: belief 1, so each row gains its log value
-            t, residual, log_scale = np.ones(size).ravel(), np.zeros(size).ravel(), []
+            t, residual = np.ones(size).ravel(), np.zeros(size).ravel()
         t = t.reshape(size + t.shape[1:])
         residual = residual.reshape(size)
-        log_scale = [ls.reshape(size + ls.shape[1:]) for ls in log_scale]
         for j, fi in enumerate(grp.factors):
-            fits[fi] = t[j], residual[j], [ls[j] for ls in log_scale]
+            fits[fi] = t[j], residual[j]
     for fi, (fid, scope, _table) in enumerate(g.factors):
-        t, residual, log_scale = fits[fi]
+        t, residual = fits[fi]
         e, blocked = _energy(t, *g.factor_logs[fi])
         # margins infeasible for the table's support: no consistent factor
         # belief exists, so the row is invalid
         dead[live] |= (residual > _INFEASIBLE_TOL) | blocked
         value[live] += e + _entropy(t)
-        for u, ls in zip(scope, log_scale):
+        for u in scope:
             value[live] -= entropy[u][live]
-            lam[u][live] += ls
         for r, tr in zip(live, t):
             factor_beliefs[r][fid] = tr
     value[dead] = _NEG_INF
-    return value, [{} if d else f for d, f in zip(dead, factor_beliefs)], lam
-
-
-def _clean_nu(g: _Graph, nu: list) -> list:
-    """Node beliefs floored on each node potential's support and
-    renormalized along their last axis; entries off the support are kept,
-    so a zero there stays a zero."""
-    out = []
-    for ni, node in zip(nu, g.node_logs):
-        ni = np.asarray(ni, dtype=float)
-        ni = np.where(True if node is None else node[0], np.maximum(ni, _BELIEF_FLOOR), ni)
-        out.append(ni / ni.sum(axis=-1, keepdims=True))
-    return out
-
-
-def _softmax(theta: np.ndarray) -> np.ndarray:
-    e = np.exp(theta - theta.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _logit_gradient(g: _Graph, nu: list, lam: list) -> list:
-    """Gradient of the envelope in the logits of one row of node beliefs.
-
-    With the factor beliefs optimal for nu, the envelope's gradient in nu_i
-    is log phi_i + (d_i - 1)(log nu_i + 1) - sum_a lambda_ai, where d_i is
-    the variable's degree and lambda_ai the log-scalings of its factors
-    (the envelope theorem).  Through the softmax that becomes
-    nu_i * (grad - <nu_i, grad>).  Entries off the node potential's support
-    and non-finite entries get gradient 0.
-    """
-    out = []
-    for vi, (ni, li) in enumerate(zip(nu, lam)):
-        support, log_phi = (True, 0.0) if g.node_logs[vi] is None else g.node_logs[vi]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = log_phi + (len(g.incident[vi]) - 1) * (np.log(ni) + 1.0) - li
-        grad = np.where(np.isfinite(grad) & support, grad, 0.0)
-        out.append(ni * (grad - ni @ grad))
-    return out
-
-
-def _polish_nu(g: _Graph, nu: list, steps: int, scored: tuple) -> tuple:
-    """Ascent on each of a stack of node-belief rows through the envelope,
-    in logit coordinates, all rows in lockstep.
-
-    ``nu`` holds one (rows, card) array per variable; a model without
-    variables has one row, which has nothing to move.  The rows start from
-    their ``_clean_nu``.  ``scored`` is the ``_envelope`` of nu as passed
-    in: a row the clean leaves bitwise unchanged keeps that score, and one
-    envelope call scores the others.  Each of the ``steps`` then makes one
-    batched call over the backtracking rates of every row still improving:
-    a row's own rate, rate / 2, ... >= 1e-4.  Each row takes its first rate
-    that improves and grows its next rate by 1.5 (at most 10); a row that no
-    rate improves, or whose start scores -inf, stops.  The gradient comes
-    from the IPF log-scalings of the row's current point.  The envelope is
-    row-independent, so each row ends exactly as when polished alone.
-    Every iterate is feasible because factor beliefs are re-derived by IPF;
-    a zero belief stays zero.  Returns (per variable the (rows, card) best
-    beliefs, per row its factor beliefs, the (rows,) best values).
-    """
-    clean = _clean_nu(g, nu)
-    redo = []
-    if nu:
-        bits = [np.concatenate(b, axis=1).view(np.uint64) for b in (clean, nu)]
-        redo = np.flatnonzero((bits[0] != bits[1]).any(axis=1))
-    values, factors, lam = scored
-    best_val, best_factors = values.copy(), list(factors)
-    best_lam = [[li[r] for li in lam] for r in range(len(best_val))]
-    if len(redo):
-        values, factors, lam = _envelope(g, [ni[redo] for ni in clean])
-        for j, r in enumerate(redo):
-            best_val[r], best_factors[r] = values[j], factors[j]
-            best_lam[r] = [li[j] for li in lam]
-    nu = clean
-    rate = [0.5] * len(best_val)
-    live = [r for r, value in enumerate(best_val) if value > _NEG_INF] if nu else []
-    for _ in range(steps):
-        if not live:
-            break
-        rates, logits = [], [[] for _ in nu]
-        for r in live:
-            mine = []
-            while rate[r] >= 1e-4:
-                mine.append(rate[r])
-                rate[r] *= 0.5
-            rates.append(mine)
-            grad = _logit_gradient(g, [ni[r] for ni in nu], best_lam[r])
-            for vi, (ni, d) in enumerate(zip(nu, grad)):
-                with np.errstate(divide="ignore"):
-                    moved = np.log(ni[r]) + np.array(mine)[:, None] * d
-                # a zero belief (logit -inf) stays zero
-                np.clip(moved, -40.0, 40.0, out=moved, where=np.isfinite(moved))
-                logits[vi].append(moved)
-        stepped = [_softmax(np.concatenate(theta)) for theta in logits]
-        values, factors, lam = _envelope(g, stepped)
-        going, start = [], 0
-        for r, row_rates in zip(live, rates):
-            better = np.flatnonzero(values[start : start + len(row_rates)] > best_val[r])
-            if better.size:
-                k = start + better[0]
-                for ni, rows in zip(nu, stepped):
-                    ni[r] = rows[k]
-                best_val[r], best_factors[r] = values[k], factors[k]
-                best_lam[r] = [li[k] for li in lam]
-                rate[r] = min(row_rates[better[0]] * 1.5, 10.0)
-                going.append(r)
-            start += len(row_rates)
-        live = going
-    return nu, best_factors, best_val
+    return value, [{} if d else f for d, f in zip(dead, factor_beliefs)]
 
 
 def partition_from_log(log_z: float, what: str) -> float:
@@ -859,19 +737,19 @@ def maximize_bethe(
     seed: int = 0,
     bp_iters: int = 2_000,
     damping: float = 0.5,
-    refine_steps: int = 60,
-    refine_top: int = 2,
+    refine_steps: int | None = None,
+    refine_top: int | None = None,
 ) -> tuple:
     """Best-found Bethe partition function and its beliefs.
 
     Runs ``restarts`` damped BP chains from random positive messages
-    (restart 0 is uniform), adds the mean-field solution and flat beliefs
-    as candidates, re-derives consistent factor beliefs for every
-    candidate through the envelope in one batched call, and polishes the
-    ``refine_top`` best together by feasible ascent, one ``_polish_nu``
-    call for all of them, which starts from their scores in that call.
-    The returned value is exp of the best objective seen; it is a lower
-    bound on the true Bethe optimum (the remaining gap is not quantified).
+    (restart 0 is uniform), adds the mean-field solution, flat beliefs and
+    the normalized node potentials as candidates, floors each on its node
+    potential's support, and scores them all in one batched envelope call,
+    which re-derives consistent factor beliefs.  The first candidate of
+    highest value wins; exp of its objective is a lower bound on the true
+    Bethe optimum (the remaining gap is not quantified).  ``refine_steps``
+    and ``refine_top`` are ignored, kept while the benchmark passes them.
     Raises ModelError for a damping outside [0, 1) or a model above
     DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS factors, and
     NumericRangeError when that value, the Z_MF computed on the way
@@ -895,25 +773,19 @@ def maximize_bethe(
     blocks.append([np.full((1, card), 1.0 / card) for card in g.cards])
     blocks.append([s[None] for s in g.start])  # field-proportional
 
-    nu = _clean_nu(g, [np.concatenate([b[vi] for b in blocks]) for vi in range(len(g.cards))])
-    values, factors, lam = _envelope(g, nu)
-    # a stable sort: ties keep candidate order; a model without variables
-    # has one row
-    scored = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-
-    best = scored[0]
-    best_val, best_nu, best_factors = values[best], [b[best] for b in nu], factors[best]
-    if refine_steps > 0:
-        top = scored[: max(1, refine_top)]
-        top_scores = values[top], [factors[r] for r in top], [li[top] for li in lam]
-        p_nu, p_factors, p_values = _polish_nu(g, [b[top] for b in nu], refine_steps, top_scores)
-        # in scored order, a later candidate replaces the best only when higher
-        for j, r_val in enumerate(p_values):
-            if r_val > best_val:
-                best_val, best_nu, best_factors = r_val, [b[j] for b in p_nu], p_factors[j]
-
-    tau = PseudoMarginals(node=dict(zip(g.var_ids, best_nu)), factor=dict(best_factors))
-    return tau, partition_from_log(best_val, "Bethe partition function")
+    # entries off a node potential's support are kept, so a zero there stays zero
+    nu = []
+    for vi, node in enumerate(g.node_logs):
+        ni = np.concatenate([b[vi] for b in blocks])
+        ni = np.where(True if node is None else node[0], np.maximum(ni, _BELIEF_FLOOR), ni)
+        nu.append(ni / ni.sum(axis=-1, keepdims=True))
+    values, factors = _envelope(g, nu)
+    # the first of the highest; a model without variables has one row
+    best = int(np.argmax(values))
+    tau = PseudoMarginals(
+        node={v: b[best] for v, b in zip(g.var_ids, nu)}, factor=dict(factors[best])
+    )
+    return tau, partition_from_log(values[best], "Bethe partition function")
 
 
 def mean_field(

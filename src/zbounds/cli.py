@@ -163,21 +163,17 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
 @click.option("--restarts", default=64, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--damping", default=0.5, show_default=True, type=_DAMPING)
-@click.option("--refine-steps", default=60, show_default=True, type=click.IntRange(min=0))
 @click.option("--csv", is_flag=True)
-def cmd_z_bethe(model_path, restarts, seed, damping, refine_steps, csv):
-    """Best-found Bethe partition function (multistart BP plus refinement)."""
+def cmd_z_bethe(model_path, restarts, seed, damping, csv):
+    """Best-found Bethe partition function (multistart BP, mean field and flat starts)."""
     doc = _load_json(model_path)
 
     def body():
         model = model_from_json(doc)
-        _tau, zb = maximize_bethe(
-            model, restarts=restarts, seed=seed, damping=damping, refine_steps=refine_steps
-        )
+        _tau, zb = maximize_bethe(model, restarts=restarts, seed=seed, damping=damping)
         return {"z_bethe": zb, "log_z_bethe": math.log(zb) if zb > 0 else float("-inf")}
 
-    settings = {"restarts": restarts, "damping": damping, "refine_steps": refine_steps}
-    _run("z-bethe", doc, seed, settings, body, csv)
+    _run("z-bethe", doc, seed, {"restarts": restarts, "damping": damping}, body, csv)
 
 
 @main.command("z-meanfield")
@@ -332,9 +328,7 @@ def cmd_counterexample(pair_mode, field_mode, restarts, seed, emit_model, csv):
     def body():
         model = potts_mod.build_counterexample(pair_mode, field_mode)
         z = exact_partition(model)
-        _tau, zb = maximize_bethe(
-            model, restarts=restarts, seed=seed, refine_steps=120, refine_top=3
-        )
+        _tau, zb = maximize_bethe(model, restarts=restarts, seed=seed)
         return {
             "z": z,
             "z_bethe": zb,

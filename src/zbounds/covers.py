@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ModelError
 from .lattice import sorted_stack
-from .models import Factor, FactorGraph, exact_partition
+from .models import Factor, FactorGraph, as_int, exact_partition
 
 
 def lifted_id(base_id, layer: int) -> str:
@@ -37,8 +37,9 @@ class CoverSpec:
 
     ``perms`` maps (factor id, variable id) to a length-M tuple that is a
     bijection on {0..M-1}; every incidence of the base model must appear.
-    It is validated once and read once into ``lifted_index``, so it must
-    not change after the spec is built.
+    M and the permutation entries must be integers (floats with integer
+    values are read as ints).  ``perms`` is validated once and read once
+    into ``lifted_index``, so it must not change after the spec is built.
     """
 
     base: FactorGraph
@@ -46,6 +47,7 @@ class CoverSpec:
     perms: Mapping
 
     def __post_init__(self) -> None:
+        self.m = as_int(self.m, "the cover degree M")
         if self.m < 1:
             raise ModelError(f"cover degree must be >= 1, got {self.m}")
         want = {
@@ -59,6 +61,9 @@ class CoverSpec:
                 f"permutations must cover each incidence exactly: "
                 f"missing {sorted(map(str, missing))[:3]}, extra {sorted(map(str, extra))[:3]}"
             )
+        self.perms = {
+            key: tuple([as_int(x, "a permutation entry") for x in p]) for key, p in self.perms.items()
+        }
         for key, perm in self.perms.items():
             if sorted(perm) != list(range(self.m)):
                 raise ModelError(f"permutation for incidence {key} is not a bijection")

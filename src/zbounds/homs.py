@@ -48,14 +48,12 @@ class HomModel:
     b: np.ndarray
 
     def __init__(self, n_vertices, edges, w, a, b) -> None:
-        self.n_vertices = int(n_vertices)
-        self.edges = _check_simple(self.n_vertices, edges)
+        self.n_vertices, self.edges = _check_simple(n_vertices, edges)
         self.w = float_array(w, "w")
         self.a = float_array(a, "a")
         self.b = float_array(b, "b")
-        n = self.w.size
-        if self.a.shape != (n,) or self.b.shape != (n,):
-            raise ModelError("w, a, b must share one length")
+        if self.w.ndim != 1 or self.a.shape != self.w.shape or self.b.shape != self.w.shape:
+            raise ModelError("w, a, b must be vectors of one length")
         for name, vec in (("w", self.w), ("a", self.a), ("b", self.b)):
             if np.any(vec < 0) or not np.all(np.isfinite(vec)):
                 raise ModelError(f"{name} must be nonnegative and finite")

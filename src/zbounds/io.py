@@ -48,7 +48,7 @@ def model_to_json(model: FactorGraph) -> dict:
 
 def model_from_json(doc: Mapping) -> FactorGraph:
     try:
-        variables = [(v["id"], int(v["cardinality"])) for v in doc["variables"]]
+        variables = [(v["id"], v["cardinality"]) for v in doc["variables"]]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed variables section: {exc}") from exc
     by_key = {str(v): v for v, _ in variables}
@@ -82,9 +82,9 @@ def cover_spec_to_json(spec: CoverSpec) -> dict:
 def cover_spec_from_json(doc: Mapping) -> CoverSpec:
     try:
         base = model_from_json(doc["base"])
-        m = int(doc["M"])
+        m = doc["M"]
         perms = {
-            (entry["factor"], entry["var"]): tuple(int(x) for x in entry["perm"])
+            (entry["factor"], entry["var"]): tuple(entry["perm"])
             for entry in doc["permutations"]
         }
     except (KeyError, TypeError) as exc:
@@ -105,8 +105,8 @@ def graph_from_json(doc: Mapping) -> tuple:
     Returns (n_vertices, edges, extras dict with any remaining keys).
     """
     try:
-        n = int(doc["n_vertices"])
-        edges = [tuple(int(x) for x in e) for e in doc["edges"]]
+        n = doc["n_vertices"]
+        edges = [(i, j) for i, j in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed graph document: {exc}") from exc
     extras = {k: v for k, v in doc.items() if k not in ("n_vertices", "edges")}

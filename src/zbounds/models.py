@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -58,6 +59,16 @@ def float_array(values, what: str) -> np.ndarray:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"{what} must be numbers: {exc}") from exc
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; ModelError unless it is an integer or a float
+    with an integer value (a bool or a string is neither)."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ModelError(f"{what} must be an integer, got {value!r}")
 
 
 def check_exp_range(exponents: np.ndarray, what: str) -> None:
@@ -147,7 +158,9 @@ class FactorGraph:
         var_list = []
         cards = {}
         for vid, card in variables:
-            card = int(card)
+            if isinstance(vid, bool) or not isinstance(vid, (str, numbers.Integral)):
+                raise ModelError(f"a variable id must be an integer or a string, got {vid!r}")
+            card = as_int(card, "a cardinality")
             if card < 1:
                 raise ModelError(f"variable {vid!r} has cardinality {card} < 1")
             if vid in cards:

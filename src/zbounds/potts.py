@@ -24,6 +24,7 @@ from .models import (
     Factor,
     FactorGraph,
     PotentialTable,
+    as_int,
     check_exp_range,
     check_subset_cap,
     exact_partition,
@@ -61,10 +62,14 @@ class UnionFind:
 
 
 def _check_simple(n_vertices: int, edges: Sequence) -> tuple:
+    """(vertex count, edges) as ints; ModelError unless they form a simple graph."""
+    n_vertices = as_int(n_vertices, "the vertex count")
+    if n_vertices < 0:
+        raise ModelError("negative vertex count")
     seen = set()
     out = []
     for i, j in edges:
-        i, j = int(i), int(j)
+        i, j = as_int(i, "an edge end"), as_int(j, "an edge end")
         if i == j:
             raise ModelError(f"self-loop at vertex {i}")
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):
@@ -74,7 +79,7 @@ def _check_simple(n_vertices: int, edges: Sequence) -> tuple:
             raise ModelError(f"duplicate edge {key}")
         seen.add(key)
         out.append((i, j))
-    return tuple(out)
+    return n_vertices, tuple(out)
 
 
 @dataclass
@@ -94,10 +99,7 @@ class PottsModel:
     field: np.ndarray | None = None
 
     def __init__(self, n_vertices, edges, q, coupling, field=None) -> None:
-        if n_vertices < 0:
-            raise ModelError("negative vertex count")
-        self.n_vertices = int(n_vertices)
-        self.edges = _check_simple(self.n_vertices, edges)
+        self.n_vertices, self.edges = _check_simple(n_vertices, edges)
         if not (q >= 1 and math.isfinite(q)):
             raise ModelError(f"q must be finite and >= 1, got {q}")
         self.q = float(q)

@@ -325,9 +325,7 @@ def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
 def _check_ordering(fg: FactorGraph, z: float, seed: int) -> tuple:
     """(ok, slack) of Z_MF <= Z_B <= Z within REL_TOL_ORDERING."""
     _nu, zmf = mean_field(fg, restarts=8, seed=seed)
-    _tau, zb = maximize_bethe(
-        fg, restarts=24, seed=seed, bp_iters=1200, refine_steps=25, refine_top=1
-    )
+    _tau, zb = maximize_bethe(fg, restarts=24, seed=seed, bp_iters=1200)
     upper = (z - zb) / max(z, 1e-300)
     lower = (zb - zmf) / max(z, 1e-300)
     ok = upper >= -REL_TOL_ORDERING and lower >= -REL_TOL_ORDERING
@@ -387,7 +385,7 @@ def verify_tree_exactness(trials: int = 30, seed: int = 0) -> VerifyReport:
         rng = np.random.default_rng(seed + i)
         model = random_tree_model(rng)
         z = exact_partition(model)
-        _tau, zb = maximize_bethe(model, restarts=8, seed=seed + i, refine_steps=10)
+        _tau, zb = maximize_bethe(model, restarts=8, seed=seed + i)
         rel = abs(zb - z) / max(z, 1e-300)
         return rel <= REL_TOL_TREE, -rel
 
@@ -508,9 +506,7 @@ def verify_counterexample(restarts: int = 64, seed: int = 0) -> VerifyReport:
         for field_mode in potts.COUNTEREXAMPLE_FIELD_MODES:
             model = build_counterexample(pair_mode, field_mode)
             z = exact_partition(model)
-            _tau, zb = maximize_bethe(
-                model, restarts=restarts, seed=seed, refine_steps=120, refine_top=3
-            )
+            _tau, zb = maximize_bethe(model, restarts=restarts, seed=seed)
             gaps[f"{pair_mode}/{field_mode}"] = {"z": z, "z_bethe": zb, "gap": zb - z}
     default_key = (
         f"{potts.COUNTEREXAMPLE_DEFAULT_PAIR_MODE}/{potts.COUNTEREXAMPLE_DEFAULT_FIELD_MODE}"

@@ -5,10 +5,10 @@ It records the four sections that ``tests/test_bethe.py`` pins with ==, at
 the settings documented above ``PINNED_BETHE`` there:
 
 - ``maximize_bethe``: each pinned model at restarts 8 and seed 1, and at
-  restarts 16 and seed 4, with refine_steps=10 and refine_top=2;
+  restarts 16 and seed 4;
 - ``run_bp``: each pinned model with init None and init 5;
 - ``maximize_bethe_long``: the four counterexample conventions at
-  restarts=64, seed=0, refine_steps=120 and refine_top=3;
+  restarts=64 and seed=0;
 - ``mean_field``: each pinned model except the counterexample at restarts 8
   and seed 1, and at restarts 16 and seed 4.
 
@@ -47,9 +47,7 @@ def record() -> dict:
     short, bp, long = {}, {}, {}
     for name, model in models.items():
         for restarts, seed in ((8, 1), (16, 4)):
-            tau, zb = maximize_bethe(
-                model, restarts=restarts, seed=seed, refine_steps=10, refine_top=2
-            )
+            tau, zb = maximize_bethe(model, restarts=restarts, seed=seed)
             short[f"{name}/{restarts}/{seed}"] = {"z_bethe": zb, **_tables(tau, model)}
     for name, model in models.items():
         for init in (None, 5):
@@ -63,7 +61,7 @@ def record() -> dict:
             }
     for key in CONVENTIONS:
         model = build_counterexample(*key.split("/"))
-        tau, zb = maximize_bethe(model, restarts=64, seed=0, refine_steps=120, refine_top=3)
+        tau, zb = maximize_bethe(model, restarts=64, seed=0)
         long[key] = {"z_bethe": zb, **_tables(tau, model)}
     mf = {}
     for name, model in _pinned_models().items():

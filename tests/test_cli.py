@@ -50,6 +50,23 @@ def tree_file(tmp_path):
     return str(path)
 
 
+def _one_variable(vid="x", card=2):
+    """A factor-graph document with one variable and no factors."""
+    return {"variables": [{"id": vid, "cardinality": card}], "factors": []}
+
+
+def _cover_spec(m=2, perm=(1, 0)):
+    """A cover-spec document on a two-variable, one-factor base."""
+    base = {
+        "variables": [{"id": 0, "cardinality": 2}, {"id": 1, "cardinality": 2}],
+        "factors": [{"id": "e", "scope": [0, 1], "table": [1.0, 2.0, 3.0, 4.0]}],
+    }
+    return {"M": m, "base": base, "permutations": [
+        {"factor": "e", "var": 0, "perm": list(perm)},
+        {"factor": "e", "var": 1, "perm": [0, 1]},
+    ]}
+
+
 def last_record(output):
     for line in output.splitlines():
         if line.startswith("{"):
@@ -372,7 +389,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "args",
         [["z-bethe", "--restarts", "-3"], ["z-bethe", "--restarts", "0"],
-         ["z-bethe", "--refine-steps", "-3"], ["z-meanfield", "--restarts", "-3"],
+         ["z-meanfield", "--restarts", "-3"],
          ["z-meanfield", "--restarts", "0"], ["z", "--cap", "0"], ["z", "--cap", "-5"]],
         ids=" ".join,
     )
@@ -442,10 +459,11 @@ class TestCommands:
         record = json.loads(line, parse_constant=refuse)
         assert record["results"]["iterations"] == 1
 
-    def test_zero_refine_steps_accepted(self, runner, tree_file):
-        res = runner.invoke(main, ["z-bethe", "--model", tree_file, "--refine-steps", "0"])
-        assert res.exit_code == 0, res.output
-        assert last_record(res.output)["settings"]["refine_steps"] == 0
+    def test_refine_steps_is_unknown_option(self, runner, tree_file):
+        res = runner.invoke(main, ["z-bethe", "--model", tree_file, "--refine-steps", "5"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output and "--refine-steps" in res.output
+        assert "{" not in res.output
 
     def test_cover_sample_missing_model_exit_2(self, runner, tmp_path):
         missing = str(tmp_path / "missing.json")
@@ -554,6 +572,56 @@ class TestCommands:
         res = runner.invoke(main, command + [flag, str(p)])
         assert res.exit_code == 2
         assert "error:" in res.output
+
+    @pytest.mark.parametrize(
+        "command,flag,doc",
+        [
+            (["z"], "--model", _one_variable(card="two")),
+            (["z"], "--model", _one_variable(card=2.7)),
+            (["z"], "--model", _one_variable(card=True)),
+            (["z"], "--model", _one_variable(vid=[0])),
+            (["cover", "build"], "--spec", _cover_spec(m="x")),
+            (["cover", "build"], "--spec", _cover_spec(m=2.5)),
+            (["cover", "build"], "--spec", _cover_spec(perm=["a", "b"])),
+            (["cover", "build"], "--spec", _cover_spec(perm=[0.9, 1.2])),
+            (["potts"], "--graph", {"n_vertices": 2.9, "edges": [[0, 1]], "q": 2, "J": 1.0}),
+            (["potts"], "--graph", {"n_vertices": 2, "edges": [[0.5, 1]], "q": 2, "J": 1.0}),
+            (["hom"], "--model",
+             {"n_vertices": -2, "edges": [], "w": [1, 1], "a": [1, 0], "b": [0, 1]}),
+            (["hom"], "--model",
+             {"n_vertices": 2, "edges": [[0, 1]], "w": [[1, 1]], "a": [1, 0], "b": [0, 1]}),
+            (["hom"], "--model",
+             {"n_vertices": 3, "edges": [[0, 1, 2]], "w": [1, 1], "a": [1, 0], "b": [0, 1]}),
+        ],
+        ids=["string-cardinality", "fractional-cardinality", "boolean-cardinality",
+             "list-variable-id", "string-M", "fractional-M",
+             "string-perm", "fractional-perm", "fractional-vertex-count",
+             "fractional-edge-end", "negative-vertex-count", "matrix-weights",
+             "three-ended-edge"],
+    )
+    def test_malformed_count_or_id_exit_2(self, runner, tmp_path, command, flag, doc):
+        # refused as input, with one error line and no traceback
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(doc))
+        res = runner.invoke(main, command + [flag, str(p)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert len(res.output.splitlines()) == 1 and res.output.startswith("error:")
+        assert "Traceback" not in res.output
+
+    def test_integral_float_counts_accepted(self, runner, tmp_path):
+        # 2.0 is a count; the documents are read as with 2
+        results = []
+        for card, m in ((2, 2), (2.0, 2.0)):
+            model, spec = tmp_path / "model.json", tmp_path / "spec.json"
+            model.write_text(json.dumps(_one_variable(card=card)))
+            spec.write_text(json.dumps(_cover_spec(m=m, perm=[1.0, 0.0])))
+            res_z = runner.invoke(main, ["z", "--model", str(model)])
+            res_c = runner.invoke(main, ["cover", "build", "--spec", str(spec), "--z"])
+            assert res_z.exit_code == res_c.exit_code == 0, res_z.output + res_c.output
+            results.append((res_z.output.splitlines()[-1].split(",")[3],
+                            last_record(res_c.output)["results"]))
+        assert results[0] == results[1]
+        assert results[0][1]["valid"] and results[0][1]["m"] == 2
 
     def test_counterexample_reports_gap(self, runner):
         res = runner.invoke(
