@@ -370,8 +370,8 @@ def cmd_wef(code_path, lam, restarts, seed, csv):
 
 @main.command("matroid")
 @click.option("--code", "code_path", required=True, type=click.Path())
-@click.option("--coupling", "-j", "coupling", default=None, type=float,
-              help="Uniform column coupling J (default 1.0).")
+@click.option("--coupling", "-j", "coupling", default=1.0, show_default=True, type=float,
+              help="Uniform column coupling J.")
 @click.option("--csv", is_flag=True)
 def cmd_matroid(code_path, coupling, csv):
     """Matroid Potts and random-cluster partition functions of a matrix."""
@@ -379,7 +379,7 @@ def cmd_matroid(code_path, coupling, csv):
 
     def body():
         mat = matroid_mod.parse_generator_matrix(text)
-        J = np.full(mat.n_cols, 1.0 if coupling is None else coupling)
+        J = np.full(mat.n_cols, coupling)
         return {
             "z_potts": matroid_mod.matroid_potts_partition(mat, J),
             "z_rc": matroid_mod.matroid_rc_partition(mat, np.expm1(J)),

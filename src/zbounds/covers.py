@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ModelError
 from .lattice import sorted_stack
-from .models import Factor, FactorGraph, as_int, exact_partition
+from .models import FactorGraph, as_int, exact_partition
 
 
 def lifted_id(base_id, layer: int) -> str:
@@ -155,7 +155,7 @@ def build_cover(spec: CoverSpec) -> LiftedModel:
         for m in range(m_total):
             lf = lifted_id(fac.id, m)
             scope = tuple(names[row[m]] for row in fac_rows)
-            factors.append(Factor(lf, scope, fac.table))
+            factors.append((lf, scope, fac.table))
             factor_copy_map[lf] = fac.id
     cover = FactorGraph(variables, factors, pots)
     return LiftedModel(
@@ -164,6 +164,15 @@ def build_cover(spec: CoverSpec) -> LiftedModel:
         factor_copy_map=factor_copy_map,
         layer_map=layer_map,
     )
+
+
+def _factors_around(model: FactorGraph, image: Mapping) -> dict:
+    """Each variable's Counter of the images of the factors whose scopes hold it."""
+    around = {v: Counter() for v in model.var_ids}
+    for fac in model.factors:
+        for v in fac.scope:
+            around[v][image[fac.id]] += 1
+    return around
 
 
 def validate_cover(
@@ -209,10 +218,10 @@ def validate_cover(
             return False, f"factor {fac.id!r} changes its table"
     # Local bijectivity at variables: each base incidence (alpha, i) must be
     # hit exactly once around every copy of i.
+    seen = _factors_around(candidate, factor_map)
+    want = _factors_around(base, {fac.id: fac.id for fac in base.factors})
     for v in candidate.var_ids:
-        seen = Counter(factor_map[fid] for fid, _pos in candidate.incidences(v))
-        want = Counter(fid for fid, _pos in base.incidences(var_map[v]))
-        if seen != want:
+        if seen[v] != want[var_map[v]]:
             return False, f"variable {v!r} breaks local bijectivity"
     counts_v = Counter(var_map[v] for v in candidate.var_ids)
     counts_f = Counter(factor_map[fac.id] for fac in candidate.factors)

@@ -21,9 +21,7 @@ import numpy as np
 from .errors import EnumerationCapError, ModelError
 from .lattice import DEFAULT_PAIRWISE_CAP, REL_TOL_LSM, LsmReport, is_log_supermodular
 from .models import (
-    Factor,
     FactorGraph,
-    PotentialTable,
     check_subset_cap,
     exact_partition,
     float_array,
@@ -203,8 +201,5 @@ def hom_to_factor_graph(model: HomModel) -> FactorGraph:
     n = model.n_states
     gamma = np.ravel(model.gamma)
     variables = [(v, n) for v in range(model.n_vertices)]
-    factors = [
-        Factor(f"e{k}", (i, j), PotentialTable((n, n), gamma))
-        for k, (i, j) in enumerate(model.edges)
-    ]
+    factors = [(f"e{k}", (i, j), gamma) for k, (i, j) in enumerate(model.edges)]
     return FactorGraph(variables, factors, {v: model.w for v in range(model.n_vertices)})

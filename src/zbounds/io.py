@@ -46,26 +46,25 @@ def model_to_json(model: FactorGraph) -> dict:
     return doc
 
 
+def _ids_by_key(ids) -> dict:
+    """Each id under its JSON object key, ``str(id)``; ModelError when two
+    ids share one, as 1 and "1" do."""
+    table = {}
+    for i in ids:
+        if table.setdefault(str(i), i) != i:
+            raise ModelError(f"ids {table[str(i)]!r} and {i!r} share the JSON key {str(i)!r}")
+    return table
+
+
 def model_from_json(doc: Mapping) -> FactorGraph:
     try:
         variables = [(v["id"], v["cardinality"]) for v in doc["variables"]]
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed variables section: {exc}") from exc
-    by_key = {str(v): v for v, _ in variables}
-    factors = []
-    for k, f in enumerate(doc.get("factors", ())):
-        try:
-            factors.append((f.get("id", f"f{k}"), tuple(f["scope"]), f["table"]))
-        except (KeyError, TypeError) as exc:
-            raise ModelError(f"malformed factor {k}: {exc}") from exc
-    pots = None
-    if doc.get("node_potentials"):
-        pots = {}
-        for key, vec in doc["node_potentials"].items():
-            if key not in by_key:
-                raise ModelError(f"node potential for unknown variable {key!r}")
-            pots[by_key[key]] = vec
-    return FactorGraph(variables, factors, pots)
+        factors = [(f.get("id"), f["scope"], f["table"]) for f in doc.get("factors", [])]
+        pots = doc.get("node_potentials", {}).items()
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ModelError(f"malformed factor-graph document: {exc}") from exc
+    keys = _ids_by_key(v for v, _ in variables)
+    return FactorGraph(variables, factors, {keys.get(k, k): vec for k, vec in pots})
 
 
 def cover_spec_to_json(spec: CoverSpec) -> dict:
@@ -90,12 +89,9 @@ def cover_spec_from_json(doc: Mapping) -> CoverSpec:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed cover spec: {exc}") from exc
     # JSON may have stringified ids that the base knows as ints.
-    fix_v = {str(v): v for v in base.var_ids}
-    fix_f = {str(fac.id): fac.id for fac in base.factors}
-    perms = {
-        (fix_f.get(str(fid), fid), fix_v.get(str(vid), vid)): perm
-        for (fid, vid), perm in perms.items()
-    }
+    fkeys = _ids_by_key(fac.id for fac in base.factors)
+    vkeys = _ids_by_key(base.var_ids)
+    perms = {(fkeys.get(str(f), f), vkeys.get(str(v), v)): p for (f, v), p in perms.items()}
     return CoverSpec(base=base, m=m, perms=perms)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ModelError
-from .models import Factor, FactorGraph, PotentialTable
+from .models import FactorGraph
 
 DEFAULT_PAIRWISE_CAP = 16
 # is_log_supermodular: the relative tolerance of f(x)f(y) <= f(x&y)f(x|y)
@@ -225,7 +225,7 @@ def switch_bipartite(model: FactorGraph, part_a, part_b) -> FactorGraph:
         else:
             side = "A" if u in part_a else "B"
             raise ModelError(f"edge {fac.id!r} lies inside side {side}")
-        factors.append(Factor(fac.id, fac.scope, PotentialTable((2, 2), flipped.ravel())))
+        factors.append((fac.id, fac.scope, flipped.ravel()))
     pots = {}
     for v, pot in model.node_potentials.items():
         pots[v] = pot[::-1] if v in part_b else pot

@@ -23,9 +23,7 @@ from .covers import CoverSpec, layered_masks
 from .errors import EnumerationCapError, ModelError
 from .models import (
     DEFAULT_ENUMERATION_CAP,
-    Factor,
     FactorGraph,
-    PotentialTable,
     check_exp_range,
     check_subset_cap,
     exact_partition,
@@ -276,7 +274,7 @@ def incidence_factor_graph(matrix: GFMatrix, couplings) -> FactorGraph:
         words = _codewords(GFMatrix(matrix.field, matrix.entries[support, c : c + 1]))[:, 0]
         table = np.where(words == 0, math.exp(J[c]), 1.0)
         scope = tuple(f"r{i}" for i in support)
-        factors.append(Factor(f"c{c}", scope, PotentialTable((q,) * len(support), table)))
+        factors.append((f"c{c}", scope, table))
     return FactorGraph(variables, factors)
 
 

@@ -142,11 +142,23 @@ class Factor:
 Assignment = Mapping
 
 
+def _check_id(vid, what: str):
+    """``vid`` if it is an int or a str (not a bool); ModelError otherwise."""
+    if isinstance(vid, (str, int, np.integer)) and not isinstance(vid, bool):
+        return vid
+    raise ModelError(f"{what} must be an integer or a string, got {vid!r}")
+
+
 class FactorGraph:
     """Variables with finite cardinalities plus factors over ordered scopes.
 
-    Node potentials are optional per-variable nonnegative vectors.  The
-    instance is immutable after construction and safe to share.
+    ``variables`` are (id, cardinality) pairs; ``factors`` are (id, scope,
+    table) rows, the scope a list or tuple of variable ids and the table a
+    flat array or a PotentialTable over the scope's cardinalities (a Factor
+    is read as its row, and the k-th row's id None as ``f"f{k}"``).  Every
+    id, scope entry and node-potential key must be an int or a str.  Node
+    potentials are optional per-variable nonnegative vectors.  The instance
+    is immutable after construction and safe to share.
     """
 
     def __init__(
@@ -158,8 +170,7 @@ class FactorGraph:
         var_list = []
         cards = {}
         for vid, card in variables:
-            if isinstance(vid, bool) or not isinstance(vid, (str, numbers.Integral)):
-                raise ModelError(f"a variable id must be an integer or a string, got {vid!r}")
+            _check_id(vid, "a variable id")
             card = as_int(card, "a cardinality")
             if card < 1:
                 raise ModelError(f"variable {vid!r} has cardinality {card} < 1")
@@ -172,41 +183,33 @@ class FactorGraph:
 
         fac_list = []
         fac_ids = set()
-        for k, fac in enumerate(factors):
-            if not isinstance(fac, Factor):
-                fid, scope, table = fac
-                if fid is None:
-                    fid = f"f{k}"
-                if not isinstance(table, PotentialTable):
-                    unknown = [v for v in scope if v not in cards]
-                    if unknown:
-                        raise ModelError(
-                            f"factor {fid!r} references unknown variable {unknown[0]!r}"
-                        )
-                    table = PotentialTable([cards[v] for v in scope], table)
-                fac = Factor(fid, tuple(scope), table)
-            if fac.id in fac_ids:
-                raise ModelError(f"duplicate factor id {fac.id!r}")
-            fac_ids.add(fac.id)
-            seen = set()
-            for v in fac.scope:
-                if v not in cards:
-                    raise ModelError(f"factor {fac.id!r} references unknown variable {v!r}")
-                if v in seen:
-                    raise ModelError(f"factor {fac.id!r} repeats variable {v!r} in its scope")
-                seen.add(v)
-            expected = tuple(cards[v] for v in fac.scope)
-            if fac.table.cards != expected:
+        for k, row in enumerate(factors):
+            fid, scope, table = (row.id, row.scope, row.table) if isinstance(row, Factor) else row
+            fid = _check_id(f"f{k}" if fid is None else fid, "a factor id")
+            if fid in fac_ids:
+                raise ModelError(f"duplicate factor id {fid!r}")
+            fac_ids.add(fid)
+            if not isinstance(scope, (list, tuple)):
+                raise ModelError(f"factor {fid!r} scope must be a list, got {scope!r}")
+            for v in scope:
+                if _check_id(v, f"factor {fid!r} scope entry") not in cards:
+                    raise ModelError(f"factor {fid!r} references unknown variable {v!r}")
+                if scope.count(v) > 1:
+                    raise ModelError(f"factor {fid!r} repeats variable {v!r} in its scope")
+            expected = tuple(cards[v] for v in scope)
+            if not isinstance(table, PotentialTable):
+                table = PotentialTable(expected, table)
+            elif table.cards != expected:
                 raise ModelError(
-                    f"factor {fac.id!r} table cards {fac.table.cards} != scope cards {expected}"
+                    f"factor {fid!r} table cards {table.cards} != scope cards {expected}"
                 )
-            fac_list.append(fac)
+            fac_list.append(Factor(fid, tuple(scope), table))
         self._factors = tuple(fac_list)
 
         pots = {}
         if node_potentials:
             for vid, vec in node_potentials.items():
-                if vid not in cards:
+                if _check_id(vid, "a node-potential key") not in cards:
                     raise ModelError(f"node potential for unknown variable {vid!r}")
                 arr = _as_table_array(vec)
                 if arr.size != cards[vid]:
@@ -216,11 +219,6 @@ class FactorGraph:
                     )
                 pots[vid] = arr
         self._node_potentials = pots
-
-        self._incidence = {v: [] for v in self._var_ids}
-        for fac in self._factors:
-            for pos, v in enumerate(fac.scope):
-                self._incidence[v].append((fac.id, pos))
 
     @property
     def var_ids(self) -> tuple:
@@ -239,10 +237,6 @@ class FactorGraph:
 
     def node_potential(self, vid: VarId):
         return self._node_potentials.get(vid)
-
-    def incidences(self, vid: VarId):
-        """(factor id, scope position) pairs of every factor touching ``vid``."""
-        return tuple(self._incidence[vid])
 
     @property
     def num_vars(self) -> int:

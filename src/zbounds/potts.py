@@ -21,9 +21,7 @@ import numpy as np
 from .covers import CoverSpec, layered_masks
 from .errors import ModelError, NumericRangeError
 from .models import (
-    Factor,
     FactorGraph,
-    PotentialTable,
     as_int,
     check_exp_range,
     check_subset_cap,
@@ -269,7 +267,7 @@ def potts_to_factor_graph(model: PottsModel) -> FactorGraph:
     factors = []
     for e, (i, j) in enumerate(model.edges):
         table = np.exp(model.coupling[e] * np.eye(q)).ravel()
-        factors.append(Factor(f"e{e}", (i, j), PotentialTable((q, q), table)))
+        factors.append((f"e{e}", (i, j), table))
     pots = None
     if model.field is not None:
         check_exp_range(model.field, "the field weight")
@@ -384,10 +382,7 @@ def build_counterexample(
         raise ModelError(f"unknown field mode {field_mode!r}")
     strength = 2.0 if pair_mode == "unordered" else 4.0
     table = np.exp(strength * np.eye(3)).ravel()
-    factors = [
-        Factor(f"e{k}", scope, PotentialTable((3, 3), table))
-        for k, scope in enumerate([(0, 1), (1, 2), (0, 2)])
-    ]
+    factors = [(f"e{k}", scope, table) for k, scope in enumerate([(0, 1), (1, 2), (0, 2)])]
     pots = {}
     for k in range(3):
         h = np.full(3, math.exp(-1))

@@ -15,6 +15,7 @@ from zbounds.io import (
     model_to_json,
 )
 from zbounds.covers import sample_cover
+from zbounds.errors import ModelError
 from zbounds.models import DEFAULT_ENUMERATION_CAP, FactorGraph, exact_partition
 
 
@@ -55,6 +56,18 @@ def _one_variable(vid="x", card=2):
     return {"variables": [{"id": vid, "cardinality": card}], "factors": []}
 
 
+def _one_factor(fid="f", scope=("x",)):
+    """A factor-graph document with one variable and one factor on it."""
+    return {"variables": [{"id": "x", "cardinality": 2}],
+            "factors": [{"id": fid, "scope": scope, "table": [1.0, 2.0]}]}
+
+
+def _same_key_variables():
+    """A factor-graph document whose variables 1 and "1" share one JSON key."""
+    return {"variables": [{"id": 1, "cardinality": 2}, {"id": "1", "cardinality": 2}],
+            "factors": [], "node_potentials": {"1": [1.0, 3.0]}}
+
+
 def _cover_spec(m=2, perm=(1, 0)):
     """A cover-spec document on a two-variable, one-factor base."""
     base = {
@@ -93,6 +106,19 @@ class TestRoundTrip:
         again = cover_spec_from_json(cover_spec_to_json(spec))
         assert again.m == 3
         assert again.perms == spec.perms
+
+    def test_same_json_key_refused(self):
+        # 1 and "1" are one JSON object key, so a document naming both is ambiguous
+        doc = {"variables": [{"id": 1, "cardinality": 2}, {"id": "1", "cardinality": 2}]}
+        with pytest.raises(ModelError, match="share the JSON key"):
+            model_from_json(doc)
+        base = {"variables": [{"id": 0, "cardinality": 2}], "factors": [
+            {"id": 1, "scope": [0], "table": [1.0, 2.0]},
+            {"id": "1", "scope": [0], "table": [3.0, 4.0]},
+        ]}
+        perms = [{"factor": f, "var": 0, "perm": [0, 1]} for f in (1, "1")]
+        with pytest.raises(ModelError, match="share the JSON key"):
+            cover_spec_from_json({"M": 2, "base": base, "permutations": perms})
 
 
 class TestCommands:
@@ -252,6 +278,14 @@ class TestCommands:
         assert rec["rank"] == 1
         assert rec["z_rc"] == pytest.approx(1 + np.expm1(2.0) / 41, rel=1e-12)
         assert rec["z_potts"] == pytest.approx(rec["z_rc"], rel=1e-9)
+
+    def test_matroid_records_default_coupling(self, runner, tmp_path):
+        # without --coupling the sum is taken at J = 1, and the record says so
+        code = tmp_path / "code.txt"
+        code.write_text("3 2 3\n1 0 2\n0 1 1\n")
+        res = runner.invoke(main, ["matroid", "--code", str(code)])
+        assert res.exit_code == 0, res.output
+        assert last_record(res.output)["settings"]["coupling"] == 1.0
 
     def test_wef(self, runner, tmp_path):
         code = tmp_path / "rep3.txt"
@@ -580,6 +614,18 @@ class TestCommands:
             (["z"], "--model", _one_variable(card=2.7)),
             (["z"], "--model", _one_variable(card=True)),
             (["z"], "--model", _one_variable(vid=[0])),
+            (["z"], "--model", _one_factor(fid=[0])),
+            (["z"], "--model", _one_factor(fid=1.5)),
+            (["z"], "--model", _one_factor(fid=True)),
+            (["z"], "--model", _one_factor(scope=[["x"]])),
+            (["z"], "--model", _one_factor(scope="x")),
+            (["z"], "--model", _one_factor(scope=5)),
+            (["z"], "--model", {**_one_factor(), "factors": {"f": _one_factor()["factors"][0]}}),
+            (["z"], "--model", {**_one_factor(), "factors": [["f", ["x"], [1, 2]]]}),
+            (["z"], "--model", {**_one_factor(), "node_potentials": [[1, 2]]}),
+            (["z"], "--model", _same_key_variables()),
+            (["cover", "build"], "--spec",
+             {"M": 2, "base": _same_key_variables(), "permutations": []}),
             (["cover", "build"], "--spec", _cover_spec(m="x")),
             (["cover", "build"], "--spec", _cover_spec(m=2.5)),
             (["cover", "build"], "--spec", _cover_spec(perm=["a", "b"])),
@@ -594,7 +640,10 @@ class TestCommands:
              {"n_vertices": 3, "edges": [[0, 1, 2]], "w": [1, 1], "a": [1, 0], "b": [0, 1]}),
         ],
         ids=["string-cardinality", "fractional-cardinality", "boolean-cardinality",
-             "list-variable-id", "string-M", "fractional-M",
+             "list-variable-id", "list-factor-id", "float-factor-id", "boolean-factor-id",
+             "list-scope-entry", "string-scope", "number-scope", "factors-object",
+             "factor-list", "node-potentials-list", "same-key-variables",
+             "same-key-cover-base", "string-M", "fractional-M",
              "string-perm", "fractional-perm", "fractional-vertex-count",
              "fractional-edge-end", "negative-vertex-count", "matrix-weights",
              "three-ended-edge"],

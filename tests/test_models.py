@@ -73,6 +73,38 @@ class TestConstruction:
         with pytest.raises(ModelError):
             FactorGraph([("x", 2)], [], {"x": [1.0, 1.0, 1.0]})
 
+    @pytest.mark.parametrize(
+        "factors,pots",
+        [
+            ([([0], ("x",), [1.0, 2.0])], None),
+            ([(1.5, ("x",), [1.0, 2.0])], None),
+            ([(True, ("x",), [1.0, 2.0])], None),
+            ([("f", (["x"],), [1.0, 2.0])], None),
+            ([("f", "x", [1.0, 2.0])], None),
+            ([("f", 5, [1.0, 2.0])], None),
+            ([], {1.0: [1.0, 2.0]}),
+        ],
+        ids=["list-factor-id", "float-factor-id", "boolean-factor-id", "list-scope-entry",
+             "string-scope", "number-scope", "float-potential-key"],
+    )
+    def test_malformed_id_or_scope_rejected(self, factors, pots):
+        with pytest.raises(ModelError):
+            FactorGraph([("x", 2), (1, 2)], factors, pots)
+
+    def test_rows_factors_and_tables_build_one_model(self):
+        table = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        rows = FactorGraph([("x", 2), (0, 3)], [("f", ["x", 0], table)])
+        fac = rows.factors[0]
+        for again in (
+            FactorGraph([("x", 2), (0, 3)], [fac]),
+            FactorGraph([("x", 2), (0, 3)], [("f", ("x", 0), fac.table)]),
+        ):
+            assert again.factors == rows.factors
+        assert fac.scope == ("x", 0) and fac.table == PotentialTable((2, 3), table)
+        assert FactorGraph([("x", 2)], [(None, ("x",), [1.0, 2.0])]).factors[0].id == "f0"
+        with pytest.raises(ModelError, match="table cards"):
+            FactorGraph([("x", 3), (0, 2)], [("f", ("x", 0), fac.table)])
+
     def test_zero_valued_tables_allowed(self):
         m = FactorGraph([("x", 2)], [("f", ("x",), [0.0, 0.0])])
         assert exact_partition(m) == 0.0
