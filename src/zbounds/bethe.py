@@ -195,32 +195,37 @@ class BPState:
 class _Group(NamedTuple):
     """The factors of one table shape: their indices in model order, their
     tables stacked as (factors, *shape), the stack's ``_log_support`` pair,
-    and per scope position the (factors,) variable indices and message
-    slots."""
+    per scope position the (factors,) variable indices, and per scope
+    position the slice of message slots it owns (one slot per factor, in
+    group order, among the slots of that position's cardinality).
+    ``kernels`` holds per scope position the table stack that BP contracts
+    for it: (factors, card, 1) for one axis, else the stack with that
+    position's axis first and the last other axis last, as a C-contiguous
+    (factors, rows, last card) matrix stack."""
 
     factors: list
     tables: np.ndarray
     support: np.ndarray
     log_table: np.ndarray
     scopes: np.ndarray
-    slots: np.ndarray
+    slots: list
+    kernels: list
 
 
 class _Card(NamedTuple):
     """The variables of one cardinality: their indices, node potentials
     stacked as (variables, card), and a (variables, max degree) incidence
     array of message slots whose padding points at the slot after the
-    last, which BP keeps at ones.  ``prefix`` and ``suffix`` are the
-    gathers of the leave-one-out products: per incidence entry d, the ones
-    slot then entries 0..d-1, and the ones slot then the entries from the
-    last down to 1.  ``flat`` indexes the real entries of the flattened
-    incidence, in slot order."""
+    last, which BP keeps at ones.  ``sides`` stacks the two (variables, max
+    degree) gathers of the leave-one-out products: per incidence entry d,
+    the ones slot then entries 0..d-1, and the ones slot then the entries
+    from the last down to 1.  ``flat`` maps slot order to incidence order:
+    slot s is entry ``flat[s]`` of the flattened incidence."""
 
     members: list
     phis: np.ndarray
     incidence: np.ndarray
-    prefix: np.ndarray
-    suffix: np.ndarray
+    sides: np.ndarray
     flat: np.ndarray
 
 
@@ -263,8 +268,10 @@ class _Graph:
     table shape, in order of first appearance.  Every (factor, scope
     position) pair owns a BP message slot among the pairs of its variable's
     cardinality: ``slots`` holds each factor's slots by position, and
-    ``by_card`` one ``_Card`` per cardinality.  Slots are numbered variable
-    by variable, each variable's in its incidence order.
+    ``by_card`` one ``_Card`` per cardinality.  Slots are numbered group by
+    group, and within a group position by position, so each (table shape,
+    scope position) owns a contiguous range of its cardinality's slots and
+    BP reads and writes it as a view.
     """
 
     def __init__(self, model: FactorGraph) -> None:
@@ -299,33 +306,46 @@ class _Graph:
                 self.incident[vi].append((fi, pos))
         ends = np.cumsum(self.cards, dtype=int)
         self.columns = [slice(end - card, end) for end, card in zip(ends, self.cards)]
-        self.slots = [[0] * len(scope) for _fid, scope, _table in self.factors]
-        self.by_card = {}
-        for card in dict.fromkeys(self.cards):
-            members = [vi for vi, c in enumerate(self.cards) if c == card]
-            degree = max(len(self.incident[vi]) for vi in members)
-            count = sum(len(self.incident[vi]) for vi in members)
-            incidence = np.full((len(members), degree), count)
-            slot = 0
-            for row, vi in enumerate(members):
-                for d, (fi, pos) in enumerate(self.incident[vi]):
-                    incidence[row, d] = self.slots[fi][pos] = slot
-                    slot += 1
-            phis = np.array([self.phis[vi] for vi in members])
-            prefix, suffix = np.full((2,) + incidence.shape, count)
-            prefix[:, 1:] = incidence[:, :-1]
-            suffix[:, 1:] = incidence[:, :0:-1]
-            flat = np.flatnonzero(incidence < count)
-            self.by_card[card] = _Card(members, phis, incidence, prefix, suffix, flat)
         shapes = {}
         for fi, (_fid, _scope, table) in enumerate(self.factors):
             shapes.setdefault(table.shape, []).append(fi)
+        self.slots = [[0] * len(scope) for _fid, scope, _table in self.factors]
+        count = dict.fromkeys(self.cards, 0)  # slots numbered so far, per cardinality
         self.groups = []
         for members in shapes.values():
             tables = np.array([self.factors[fi][2] for fi in members])
             scopes = np.array([self.factors[fi][1] for fi in members], dtype=int).T
-            slots = np.array([self.slots[fi] for fi in members], dtype=int).T
-            self.groups.append(_Group(members, tables, *_log_support(tables), scopes, slots))
+            n, shape = len(members), tables.shape[1:]
+            slots, kernels = [], []
+            for pos, card in enumerate(shape):
+                slots.append(slice(count[card], count[card] + n))
+                for j, fi in enumerate(members):
+                    self.slots[fi][pos] = count[card] + j
+                count[card] += n
+                if len(shape) == 1:
+                    kernels.append(tables[:, :, None])
+                else:
+                    kernel = np.moveaxis(tables, 1 + pos, 1)
+                    kernels.append(np.ascontiguousarray(kernel.reshape(n, -1, kernel.shape[-1])))
+            self.groups.append(
+                _Group(members, tables, *_log_support(tables), scopes, slots, kernels)
+            )
+        self.by_card = {}
+        for card in dict.fromkeys(self.cards):
+            members = [vi for vi, c in enumerate(self.cards) if c == card]
+            degree = max(len(self.incident[vi]) for vi in members)
+            incidence = np.full((len(members), degree), count[card])
+            for row, vi in enumerate(members):
+                for d, (fi, pos) in enumerate(self.incident[vi]):
+                    incidence[row, d] = self.slots[fi][pos]
+            phis = np.array([self.phis[vi] for vi in members])
+            sides = np.full((2,) + incidence.shape, count[card])
+            sides[0, :, 1:] = incidence[:, :-1]
+            sides[1, :, 1:] = incidence[:, :0:-1]
+            real = incidence < count[card]
+            flat = np.empty(count[card], dtype=int)
+            flat[incidence[real]] = np.flatnonzero(real)
+            self.by_card[card] = _Card(members, phis, incidence, sides, flat)
 
     @cached_property
     def mean_field(self) -> list:
@@ -419,59 +439,86 @@ def _normalize_rows(msg: np.ndarray) -> np.ndarray:
     return msg / s
 
 
+def _normalize(msg: np.ndarray) -> None:
+    """Normalize a (slots, card, restarts) stack in place along its state
+    axis; a vector summing to 0 becomes uniform."""
+    s = msg.sum(axis=1, keepdims=True)
+    bad = s <= 0
+    if bad.any():
+        np.copyto(msg, 1.0, where=bad)
+        s[bad] = msg.shape[1]
+    msg /= s
+
+
 def _init_messages(g: _Graph, restarts: int, seed: int | None) -> dict:
-    """Variable-to-factor messages: per cardinality, a (restarts, slots,
-    card) array.
+    """Variable-to-factor messages: per cardinality, a C-contiguous (slots,
+    card, restarts) array, restarts innermost.
 
     Restart 0 is the uniform initialization; the rest are random positive,
     deterministic given the seed, drawn factor by factor in model order.
     """
     rng = np.random.default_rng(seed if seed is not None else 0)
-    v2f = {c: np.empty((restarts, len(card.flat), c)) for c, card in g.by_card.items()}
+    v2f = {c: np.empty((len(card.flat), c, restarts)) for c, card in g.by_card.items()}
     for (_fid, scope, _table), slots in zip(g.factors, g.slots):
         for vi, slot in zip(scope, slots):
-            c = g.cards[vi]
-            m = rng.uniform(0.05, 1.0, size=(restarts, c))
+            m = rng.uniform(0.05, 1.0, size=(restarts, g.cards[vi]))
             m[0, :] = 1.0
-            v2f[c][:, slot] = _normalize_rows(m)
+            v2f[g.cards[vi]][slot] = _normalize_rows(m).T
     return v2f
 
 
-def _factor_to_var(g: _Graph, v2f: dict, restarts: int) -> dict:
-    """Factor-to-variable messages from v2f: per cardinality, a (restarts,
-    slots + 1, card) array whose last slot is the ones that pad
-    ``_Card.incidence``.  One product and sum per table shape and scope
-    position."""
-    f2v = {c: np.ones((restarts, v.shape[1] + 1, c)) for c, v in v2f.items()}
+def _factor_to_var(g: _Graph, msgs: dict) -> None:
+    """Fill the factor-to-variable block of each cardinality's message
+    buffer (see ``_bp_engine``) from its variable-to-factor block, and
+    normalize it.
+
+    Per table shape and scope position, one ``matmul`` of the position's
+    kernel with the last other position's incoming messages; each further
+    position is a broadcast product summed over its state axis.
+    """
     for grp in g.groups:
         shape = grp.tables.shape[1:]
-        incoming = [v2f[c][:, slots] for c, slots in zip(shape, grp.slots)]
-        for pos, (c, slots) in enumerate(zip(shape, grp.slots)):
-            if len(shape) == 1:
-                m = np.broadcast_to(grp.tables, (restarts,) + grp.tables.shape)
-            else:
-                # axes: 0 factor, 1 restart, 2 + l table axis l
-                operands = [grp.tables, [0, *range(2, 2 + len(shape))]]
-                for l, msg in enumerate(incoming):
-                    if l != pos:
-                        operands += [msg, [1, 0, 2 + l]]
-                m = np.einsum(*operands, [1, 0, 2 + pos])
-            f2v[c][:, slots] = _normalize_rows(m)
-    return f2v
+        incoming = [msgs[c][slots] for c, slots in zip(shape, grp.slots)]
+        for pos, (c, slots, kernel) in enumerate(zip(shape, grp.slots, grp.kernels)):
+            buf = msgs[c]
+            out = buf[len(buf) // 2 :][slots]
+            others = incoming[:pos] + incoming[pos + 1 :]
+            if not others:
+                out[...] = kernel
+                continue
+            if len(others) == 1:
+                np.matmul(kernel, others[0], out=out)
+                continue
+            # axes: factor, this position's state, the other states but the
+            # last, restart
+            m = np.matmul(kernel, others[-1])
+            m = m.reshape((len(m), c) + tuple(o.shape[1] for o in others[:-1]) + m.shape[-1:])
+            for k, o in enumerate(reversed(others[:-1])):
+                m = m * o.reshape(o.shape[:1] + (1,) * (m.ndim - 3) + o.shape[1:])
+                m = m.sum(axis=-2, out=out if k == len(others) - 2 else None)
+    for buf in msgs.values():
+        _normalize(buf[len(buf) // 2 : -1])
 
 
-def _var_to_factor(g: _Graph, f2v: dict) -> dict:
-    """Variable-to-factor messages: each slot's node potential times the
-    variable's other incoming messages, the leave-one-out products taken by
-    exclusive prefix and suffix products over the incidence."""
-    v2f = {}
+def _var_to_factor(g: _Graph, src: dict, dst: dict) -> None:
+    """Fill the variable-to-factor block of each cardinality's buffer in
+    dst from the factor-to-variable block of its buffer in src, and
+    normalize it: each slot's node potential times the variable's other
+    incoming messages, the leave-one-out products taken by exclusive prefix
+    and suffix products over the incidence.  The running products go slice
+    by slice down the degree axis, which gives cumprod's bits; cumprod
+    itself would loop innermost over that short axis."""
     for c, card in g.by_card.items():
-        # C-ordered (restarts, variables, max degree, c)
-        before = f2v[c].take(card.prefix, axis=1).cumprod(axis=2)
-        after = f2v[c].take(card.suffix, axis=1).cumprod(axis=2)
-        m = card.phis[:, None] * before * after[:, :, ::-1]
-        v2f[c] = _normalize_rows(m.reshape(len(m), -1, c).take(card.flat, axis=1))
-    return v2f
+        f2v = src[c][len(card.flat) :]
+        # C-ordered (prefix or suffix, variables, max degree, c, restarts)
+        before, after = sides = f2v.take(card.sides, axis=0)
+        for d in range(1, sides.shape[2]):
+            sides[:, :, d] *= sides[:, :, d - 1]
+        before *= card.phis[:, None, :, None]
+        before *= after[:, ::-1]
+        out = dst[c][: len(card.flat)]
+        before.reshape(-1, c, f2v.shape[-1]).take(card.flat, axis=0, out=out)
+        _normalize(out)
 
 
 def _node_beliefs(g: _Graph, f2v: dict) -> list:
@@ -479,13 +526,13 @@ def _node_beliefs(g: _Graph, f2v: dict) -> list:
     potential and incoming messages, multiplied in incidence order."""
     node = [None] * len(g.var_ids)
     for c, card in g.by_card.items():
-        inc = f2v[c][:, card.incidence]
-        b = np.broadcast_to(card.phis, inc.shape[:2] + (c,))
-        for d in range(inc.shape[2]):
-            b = b * inc[:, :, d]
-        b = _normalize_rows(b)
+        inc = f2v[c].take(card.incidence, axis=0)
+        b = np.array(np.broadcast_to(card.phis[:, :, None], inc.shape[:1] + inc.shape[2:]))
+        for d in range(inc.shape[1]):
+            b *= inc[:, d]
+        _normalize(b)
         for row, vi in enumerate(card.members):
-            node[vi] = b[:, row]
+            node[vi] = b[row].T
     return node
 
 
@@ -498,7 +545,7 @@ def _beliefs(g: _Graph, v2f: dict, f2v: dict) -> PseudoMarginals:
         for pos, (vi, slot) in enumerate(zip(scope, slots)):
             shape = [1] * len(scope)
             shape[pos] = g.cards[vi]
-            t = t * v2f[g.cards[vi]][0, slot].reshape(shape)
+            t = t * v2f[g.cards[vi]][slot, :, 0].reshape(shape)
         s = t.sum()
         factor[fid] = t / s if s > 0 else np.full(t.shape, 1.0 / t.size)
     return PseudoMarginals(node=node, factor=factor)
@@ -513,26 +560,45 @@ def _bp_engine(
 ) -> tuple:
     """Damped synchronous sweeps until every restart's residual is < tol.
 
-    The messages of v2f, and the engine's own factor-to-variable messages,
-    are damped in place: damping * old + (1 - damping) * new.
+    Each cardinality's messages live in a (2 * slots + 1, card, restarts)
+    buffer laid out [v2f | f2v | ones slot]; two are allocated per call and
+    sweeps alternate between them.  A sweep writes the new messages into
+    the other buffer, then the residual and the damping, damping * old +
+    (1 - damping) * new, run once per cardinality over the whole buffer
+    but the ones slot.  Returns (v2f, f2v, iterations, residuals): the last
+    buffer's views, f2v with its ones slot, and each restart's residual.
+
+    Restarts are independent to rounding, not bitwise: a restart's
+    messages need not be the same bits in a batch of another width,
+    because BLAS may round a ``matmul`` column differently with the number
+    of columns.
     """
     # a model without variables has no messages
-    restarts = next(iter(v2f.values())).shape[0] if v2f else 1
-    f2v = _factor_to_var(g, v2f, restarts)
+    restarts = next(iter(v2f.values())).shape[-1] if v2f else 1
+    cur, new = {}, {}
+    for c, m in v2f.items():
+        cur[c], new[c] = np.empty((2, 2 * len(m) + 1, c, restarts))
+        cur[c][: len(m)] = m
+        cur[c][-1] = new[c][-1] = 1.0
+    _factor_to_var(g, cur)
     residual = np.full(restarts, np.inf)
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new_v2f = _var_to_factor(g, f2v)
-        new_f2v = _factor_to_var(g, new_v2f, restarts)
+        _var_to_factor(g, cur, new)
+        _factor_to_var(g, new)
         residual = np.zeros(restarts)
-        for c in v2f:
-            for old, new in ((v2f[c], new_v2f[c]), (f2v[c], new_f2v[c])):
-                residual = np.maximum(residual, np.abs(new - old).max(axis=(1, 2), initial=0.0))
-                old *= damping
-                new *= 1.0 - damping
-                old += new
+        for c in cur:
+            old, fresh = cur[c][:-1], new[c][:-1]
+            diff = fresh - old
+            residual = np.maximum(residual, np.abs(diff, out=diff).max(axis=(0, 1), initial=0.0))
+            old *= damping
+            fresh *= 1.0 - damping
+            fresh += old
+        cur, new = new, cur
         if np.all(residual < tol):
             break
+    v2f = {c: buf[: len(buf) // 2] for c, buf in cur.items()}
+    f2v = {c: buf[len(buf) // 2 :] for c, buf in cur.items()}
     return v2f, f2v, iterations, residual
 
 
@@ -568,7 +634,7 @@ def run_bp(
     if init is None:
         v2f = _init_messages(g, 1, None)
     else:
-        v2f = {c: m[1:2] for c, m in _init_messages(g, 2, init).items()}
+        v2f = {c: m[..., 1:2] for c, m in _init_messages(g, 2, init).items()}
     v2f, f2v, iterations, residual = _bp_engine(g, v2f, max_iters, tol, damping)
     tau = _beliefs(g, v2f, f2v)
     state = BPState(

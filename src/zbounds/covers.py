@@ -50,6 +50,17 @@ class CoverSpec:
         self.m = as_int(self.m, "the cover degree M")
         if self.m < 1:
             raise ModelError(f"cover degree must be >= 1, got {self.m}")
+        # copies are named by lifted_id, so two ids with one str() would clash
+        for what, ids in (
+            ("variable", self.base.var_ids), ("factor", [fac.id for fac in self.base.factors])
+        ):
+            named = {}
+            for i in ids:
+                if named.setdefault(str(i), i) != i:
+                    raise ModelError(
+                        f"{what} ids {named[str(i)]!r} and {i!r} would lift to the same ids "
+                        f"({lifted_id(i, 0)!r}, ...)"
+                    )
         want = {
             (fac.id, v) for fac in self.base.factors for v in fac.scope
         }

@@ -25,6 +25,9 @@ from .models import FactorGraph
 
 
 def model_to_json(model: FactorGraph) -> dict:
+    """The factor-graph document of ``model``; ModelError when two variable
+    ids share a JSON key, since node potentials are keyed by ``str(id)``."""
+    _ids_by_key(model.var_ids)
     doc = {
         "variables": [
             {"id": v, "cardinality": model.card(v)} for v in model.var_ids

@@ -120,6 +120,12 @@ class TestRoundTrip:
         with pytest.raises(ModelError, match="share the JSON key"):
             cover_spec_from_json({"M": 2, "base": base, "permutations": perms})
 
+    def test_export_refuses_same_json_key(self):
+        # node potentials are keyed by str(id): one of the two would be dropped
+        m = FactorGraph([(1, 2), ("1", 2)], [], {1: [1.0, 2.0], "1": [3.0, 1.0]})
+        with pytest.raises(ModelError, match="ids 1 and '1' share the JSON key '1'"):
+            model_to_json(m)
+
 
 class TestCommands:
     def test_z(self, runner, single_var_file):

@@ -95,6 +95,15 @@ class TestBuildCover:
             layer = [v for v, l in lifted.layer_map.items() if l == m]
             assert sorted(lifted.var_copy_map[v] for v in layer) == ["a", "b"]
 
+    def test_ids_with_one_name_refused(self):
+        # copies are named f"{id}@{layer}", so 1 and "1" would both lift to "1@0"
+        same_vars = FactorGraph([(1, 2), ("1", 2)], [("e", (1, "1"), np.ones(4))])
+        with pytest.raises(ModelError, match="variable ids 1 and '1' would lift"):
+            sample_cover(same_vars, 2, seed=0)
+        same_factors = FactorGraph([("a", 2)], [(1, ("a",), [1.0, 2.0]), ("1", ("a",), [2.0, 1.0])])
+        with pytest.raises(ModelError, match="factor ids 1 and '1' would lift"):
+            sample_cover(same_factors, 2, seed=0)
+
     def test_malformed_permutation_rejected(self):
         base = single_edge_model()
         with pytest.raises(ModelError):
