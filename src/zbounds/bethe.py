@@ -8,8 +8,9 @@ local marginal polytope is
 
 with the 0*log 0 = 0 convention.  Fixed points of sum-product BP are
 stationary points of F; the reported "Bethe partition function" is the
-best envelope value of a multistart BP, mean-field or flat candidate, and
-is therefore a lower bound on the true optimum with an unquantified gap.
+best envelope value of a multistart BP, mean-field or field-proportional
+candidate, and is therefore a lower bound on the true optimum with an
+unquantified gap.
 """
 
 from __future__ import annotations
@@ -259,10 +260,10 @@ class _Graph:
     pairs; ``columns``, its slice of mean field's flat belief array, whose
     last column (after every variable's) holds ones; and ``mean_field``, its
     ``_MeanFieldStep`` (compiled on first use).
-    Per factor: ``factors`` holds (id, scope positions, table) and
-    ``factor_logs`` the table's ``_log_support`` pair.  ``potential_order``
-    lists the variables with a node potential in the order
-    ``models.evaluate`` multiplies them.
+    Per factor: ``factors`` holds (id, scope positions, table); the
+    table's ``_log_support`` pair is its row of its group's ``support`` and
+    ``log_table``.  ``potential_order`` lists the variables with a node
+    potential in the order ``models.evaluate`` multiplies them.
 
     The engines run on stacked arrays.  ``groups`` holds one ``_Group`` per
     table shape, in order of first appearance.  Every (factor, scope
@@ -293,7 +294,7 @@ class _Graph:
             self.node_logs.append(None if pot is None else _log_support(phi))
             self.start.append(start)
         self.potential_order = [vpos[v] for v in model.node_potentials]
-        self.factors, self.factor_logs = [], []
+        self.factors = []
         self.incident = [[] for _ in self.var_ids]
         for fi, fac in enumerate(model.factors):
             table = fac.table.as_ndarray()
@@ -301,7 +302,6 @@ class _Graph:
                 raise ModelError(f"factor {fac.id!r} has an all-zero table")
             scope = tuple(vpos[v] for v in fac.scope)
             self.factors.append((fac.id, scope, table))
-            self.factor_logs.append(_log_support(table))
             for pos, vi in enumerate(scope):
                 self.incident[vi].append((fi, pos))
         ends = np.cumsum(self.cards, dtype=int)
@@ -400,45 +400,6 @@ def _check_sums(g: _Graph) -> None:
             raise NumericRangeError(f"the entries of {what} sum beyond the float range")
 
 
-# A last axis at most this long is summed, or maximized, slice by slice in
-# index order, without the dispatch cost of a reduction.  On numpy 2.4.6,
-# .sum adds so few entries in the same order, so the bits match; that is
-# an implementation detail, checked on 2.4.6 only and guarded by the
-# tests' TestShortAxis.
-_SHORT_AXIS = 4
-
-
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """a summed along its last axis, which is kept with length 1."""
-    if not 1 <= a.shape[-1] <= _SHORT_AXIS:
-        return a.sum(axis=-1, keepdims=True)
-    s = a[..., :1]
-    for k in range(1, a.shape[-1]):
-        s = s + a[..., k : k + 1]
-    return s
-
-
-def _max_last(a: np.ndarray) -> np.ndarray:
-    """The maximum along a's last axis, which is kept with length 1."""
-    if not 1 <= a.shape[-1] <= _SHORT_AXIS:
-        return a.max(axis=-1, keepdims=True)
-    m = a[..., :1]
-    for k in range(1, a.shape[-1]):
-        m = np.maximum(m, a[..., k : k + 1])
-    return m
-
-
-def _normalize_rows(msg: np.ndarray) -> np.ndarray:
-    """msg normalized along its last axis; a vector summing to 0 becomes
-    uniform."""
-    s = _sum_last(msg)
-    bad = s <= 0
-    if bad.any():
-        msg = np.where(bad, 1.0, msg)
-        s = np.where(bad, msg.shape[-1], s)
-    return msg / s
-
-
 def _normalize(msg: np.ndarray) -> None:
     """Normalize a (slots, card, restarts) stack in place along its state
     axis; a vector summing to 0 becomes uniform."""
@@ -463,7 +424,7 @@ def _init_messages(g: _Graph, restarts: int, seed: int | None) -> dict:
         for vi, slot in zip(scope, slots):
             m = rng.uniform(0.05, 1.0, size=(restarts, g.cards[vi]))
             m[0, :] = 1.0
-            v2f[g.cards[vi]][slot] = _normalize_rows(m).T
+            v2f[g.cards[vi]][slot] = (m / m.sum(axis=-1, keepdims=True)).T
     return v2f
 
 
@@ -733,34 +694,29 @@ def _envelope(g: _Graph, nu: list) -> tuple:
     rows = len(nu[0]) if nu else 1
     value, dead, entropy = _node_terms(g, nu, rows)
     factor_beliefs = [{} for _ in range(rows)]
-    # rows the node terms have killed are not fitted
-    live = np.flatnonzero(~dead)
-    if not live.size:
-        return np.full(rows, _NEG_INF), factor_beliefs
     fits = [None] * len(g.factors)
     for grp in g.groups:
-        # one row per (factor, live row), factor-major
-        size = (len(grp.factors), live.size)
+        # one row per (factor, row), factor-major
+        size = (len(grp.factors), rows)
         if len(grp.scopes):
-            kernels = np.repeat(grp.tables, live.size, axis=0)
-            margins = [np.concatenate([nu[u][live] for u in col]) for col in grp.scopes]
+            kernels = np.repeat(grp.tables, rows, axis=0)
+            margins = [np.concatenate([nu[u] for u in col]) for col in grp.scopes]
             t, residual = _ipf(kernels, margins)
         else:  # constant factors: belief 1, so each row gains its log value
             t, residual = np.ones(size).ravel(), np.zeros(size).ravel()
         t = t.reshape(size + t.shape[1:])
         residual = residual.reshape(size)
         for j, fi in enumerate(grp.factors):
-            fits[fi] = t[j], residual[j]
-    for fi, (fid, scope, _table) in enumerate(g.factors):
-        t, residual = fits[fi]
-        e, blocked = _energy(t, *g.factor_logs[fi])
+            fits[fi] = t[j], residual[j], grp.support[j], grp.log_table[j]
+    for (fid, scope, _table), (t, residual, support, log_table) in zip(g.factors, fits):
+        e, blocked = _energy(t, support, log_table)
         # margins infeasible for the table's support: no consistent factor
         # belief exists, so the row is invalid
-        dead[live] |= (residual > _INFEASIBLE_TOL) | blocked
-        value[live] += e + _entropy(t)
+        dead |= (residual > _INFEASIBLE_TOL) | blocked
+        value += e + _entropy(t)
         for u in scope:
-            value[live] -= entropy[u][live]
-        for r, tr in zip(live, t):
+            value -= entropy[u]
+        for r, tr in enumerate(t):
             factor_beliefs[r][fid] = tr
     value[dead] = _NEG_INF
     return value, [{} if d else f for d, f in zip(dead, factor_beliefs)]
@@ -809,10 +765,10 @@ def maximize_bethe(
     """Best-found Bethe partition function and its beliefs.
 
     Runs ``restarts`` damped BP chains from random positive messages
-    (restart 0 is uniform), adds the mean-field solution, flat beliefs and
-    the normalized node potentials as candidates, floors each on its node
-    potential's support, and scores them all in one batched envelope call,
-    which re-derives consistent factor beliefs.  The first candidate of
+    (restart 0 is uniform), adds the mean-field solution and the normalized
+    node potentials (uniform where a variable has none) as candidates,
+    floors each on its node potential's support, and scores them all in one
+    batched envelope call, which re-derives consistent factor beliefs.  The first candidate of
     highest value wins; exp of its objective is a lower bound on the true
     Bethe optimum (the remaining gap is not quantified).  ``refine_steps``
     and ``refine_top`` are ignored, kept while the benchmark passes them.
@@ -836,7 +792,6 @@ def maximize_bethe(
 
     mf_nu, _mf_value = mean_field(model, restarts=min(16, max(4, restarts)), seed=seed)
     blocks.append([mf_nu[v][None] for v in g.var_ids])
-    blocks.append([np.full((1, card), 1.0 / card) for card in g.cards])
     blocks.append([s[None] for s in g.start])  # field-proportional
 
     # entries off a node potential's support are kept, so a zero there stays zero
@@ -957,14 +912,14 @@ def _mean_field_sweep(nu: np.ndarray, plan: list) -> np.ndarray:
         score = node_score + (w[:, None, :] * log_table).sum(axis=2)
         if off_support is not None:
             score[(w > _ZERO_TOL) @ off_support] = _NEG_INF
-        top = _max_last(score)
+        top = score.max(axis=-1, keepdims=True)
         if top.min() > _NEG_INF:  # every row moves: no masks needed
             e = np.exp(score - top)
-            nu[:, cols] = e / _sum_last(e)
+            nu[:, cols] = e / e.sum(axis=-1, keepdims=True)
             continue
         movable = top > _NEG_INF  # a row scored -inf everywhere keeps its belief
         e = np.exp(score - np.where(movable, top, 0.0))
-        new = e / np.where(movable, _sum_last(e), 1.0)
+        new = e / np.where(movable, e.sum(axis=-1, keepdims=True), 1.0)
         nu[:, cols] = np.where(movable, new, nu[:, cols])
     return np.abs(nu - before).max(axis=1)
 

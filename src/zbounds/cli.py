@@ -165,7 +165,7 @@ def cmd_bp(model_path, damping, tol, max_iters, seed, csv, beliefs):
 @click.option("--damping", default=0.5, show_default=True, type=_DAMPING)
 @click.option("--csv", is_flag=True)
 def cmd_z_bethe(model_path, restarts, seed, damping, csv):
-    """Best-found Bethe partition function (multistart BP, mean field and flat starts)."""
+    """Best-found Bethe partition function (BP restarts, mean field, field-proportional row)."""
     doc = _load_json(model_path)
 
     def body():

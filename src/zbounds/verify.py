@@ -56,18 +56,18 @@ class VerifyReport:
         )
 
 
-def run_trials(name: str, cases, one, tolerance: float) -> VerifyReport:
-    """Run one(case) for each case in order, each returning (ok, slack),
-    into one report; ``cases`` is ``range(trials)`` or a generator.
+def run_trials(name: str, results, tolerance: float) -> VerifyReport:
+    """Count an iterable of (ok, slack) results, taken in order, into one
+    report: ``map(one, range(trials))`` for a seeded suite, or a generator
+    of results.
 
-    ``details["worst_trial"]`` is the index of the first case with the
-    worst slack (None when there is no case); trial i of a seeded suite
-    runs on seed + i, so the index reruns it.
+    ``details["worst_trial"]`` is the index of the first result with the
+    worst slack (None when there is none); trial i of a seeded suite runs
+    on seed + i, so the index reruns it.
     """
     trials = passes = 0
     worst, worst_trial = 0.0, None
-    for case in cases:
-        ok, slack = one(case)
+    for ok, slack in results:
         if trials == 0 or slack < worst:
             worst, worst_trial = slack, trials
         trials += 1
@@ -182,7 +182,7 @@ def verify_cover_bound(trials: int = 100, seed: int = 0) -> VerifyReport:
         return worst >= -REL_TOL_COVER, worst
 
     name = "cover-bound (2- and 3-covers of log-supermodular models)"
-    return run_trials(name, range(trials), one, REL_TOL_COVER)
+    return run_trials(name, map(one, range(trials)), REL_TOL_COVER)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +230,8 @@ def verify_component_inequality(seed: int = 0) -> VerifyReport:
             for left, right in zip(lhs.tolist(), rhs):
                 yield left <= right, right - left
 
-    # each case is already a (pass, slack) result
     name = "component-count cover inequality (exhaustive, triangle 2-covers)"
-    return run_trials(name, results(), lambda result: result, 0)
+    return run_trials(name, results(), 0)
 
 
 def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyReport:
@@ -251,7 +250,7 @@ def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyR
         return bool(rep.ok), float(slack)
 
     name = "random-cluster weight cover inequality with uniform fields (sampled)"
-    return run_trials(name, range(trials), one, REL_TOL_COVER)
+    return run_trials(name, map(one, range(trials)), REL_TOL_COVER)
 
 
 def verify_rank_inequality(seed: int = 0) -> VerifyReport:
@@ -277,9 +276,8 @@ def verify_rank_inequality(seed: int = 0) -> VerifyReport:
                 for left, right in zip(lhs.tolist(), rhs):
                     yield left >= right, left - right
 
-    # each case is already a (pass, slack) result
     name = "matroid rank cover inequality (exhaustive, 2x3 matrices)"
-    return run_trials(name, results(), lambda result: result, 0)
+    return run_trials(name, results(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +298,8 @@ def verify_potts_rc_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
         rel = abs(zrc - zp) / max(zp, 1e-300)
         return rel <= REL_TOL_IDENTITY, -rel
 
-    return run_trials("Potts / random-cluster identity", range(trials), one, REL_TOL_IDENTITY)
+    name = "Potts / random-cluster identity"
+    return run_trials(name, map(one, range(trials)), REL_TOL_IDENTITY)
 
 
 def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
@@ -314,7 +313,8 @@ def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
         rel = abs(ze - zh) / max(zh, 1e-300)
         return rel <= REL_TOL_IDENTITY, -rel
 
-    return run_trials("homomorphism / edge-subset identity", range(trials), one, REL_TOL_IDENTITY)
+    name = "homomorphism / edge-subset identity"
+    return run_trials(name, map(one, range(trials)), REL_TOL_IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def verify_potts_ordering(
 
     label = "uniform-field" if with_field else "no-field"
     name = f"ferromagnetic Potts ordering ({label})"
-    return run_trials(name, range(trials), one, REL_TOL_ORDERING)
+    return run_trials(name, map(one, range(trials)), REL_TOL_ORDERING)
 
 
 def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
@@ -358,7 +358,7 @@ def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
         fg = matroid.incidence_factor_graph(mat, J)
         return _check_ordering(fg, exact_partition(fg), seed + i)
 
-    return run_trials("matroid Potts ordering", range(trials), one, REL_TOL_ORDERING)
+    return run_trials("matroid Potts ordering", map(one, range(trials)), REL_TOL_ORDERING)
 
 
 def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
@@ -370,7 +370,7 @@ def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
         z = hom_partition(model)
         return _check_ordering(hom_to_factor_graph(model), z, seed + i)
 
-    return run_trials("rank-2 homomorphism ordering", range(trials), one, REL_TOL_ORDERING)
+    return run_trials("rank-2 homomorphism ordering", map(one, range(trials)), REL_TOL_ORDERING)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,8 @@ def verify_tree_exactness(trials: int = 30, seed: int = 0) -> VerifyReport:
         rel = abs(zb - z) / max(z, 1e-300)
         return rel <= REL_TOL_TREE, -rel
 
-    return run_trials("tree exactness of the Bethe optimum", range(trials), one, REL_TOL_TREE)
+    name = "tree exactness of the Bethe optimum"
+    return run_trials(name, map(one, range(trials)), REL_TOL_TREE)
 
 
 def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
@@ -437,7 +438,7 @@ def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
         return worst_here <= REL_TOL_GRADIENT, REL_TOL_GRADIENT - worst_here
 
     name = "Bethe objective gradient vs finite differences"
-    return run_trials(name, cases(), one, REL_TOL_GRADIENT)
+    return run_trials(name, map(one, cases()), REL_TOL_GRADIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +484,8 @@ def verify_structure_suites(seed: int = 0) -> VerifyReport:
             rep = lattice.is_log_supermodular(edge_weight_table(model))
             yield rep.ok, 1.0 - rep.worst_ratio
 
-    # each case is already a (pass, slack) result
     name = "supermodularity / submodularity / rank-2 log-supermodularity"
-    return run_trials(name, results(), lambda result: result, lattice.REL_TOL_LSM)
+    return run_trials(name, results(), lattice.REL_TOL_LSM)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +576,12 @@ def verify_weight_enumerator(seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-# CLI tag -> (default trial count, runner(trials, seed) -> list of reports)
+# CLI tag -> (default trial count, runner -> list of reports): a runner
+# takes (trials, seed), or only the seed when its tag runs every case
+# (default None)
 SUITES = {
     "3.5": (100, lambda n, seed: [verify_cover_bound(n, seed)]),
-    "5.1": (None, lambda n, seed: [verify_component_inequality(seed)]),
+    "5.1": (None, lambda seed: [verify_component_inequality(seed)]),
     "5.2-ordering": (
         30,
         lambda n, seed: [
@@ -588,7 +590,7 @@ SUITES = {
         ],
     ),
     "5.3": (1000, lambda n, seed: [verify_field_weight_inequality(n, seed)]),
-    "5.5": (None, lambda n, seed: [verify_rank_inequality(seed)]),
+    "5.5": (None, lambda seed: [verify_rank_inequality(seed)]),
     "5.6": (30, lambda n, seed: [verify_matroid_ordering(n, seed)]),
     "6.2": (30, lambda n, seed: [verify_hom_ordering(n, seed)]),
     "appendix-a": (50, lambda n, seed: [verify_potts_rc_identity(n, seed)]),
@@ -599,8 +601,8 @@ SUITES = {
     ),
     "tree": (30, lambda n, seed: [verify_tree_exactness(n, seed)]),
     "gradient": (20, lambda n, seed: [verify_gradient(n, seed)]),
-    "structure": (None, lambda n, seed: [verify_structure_suites(seed)]),
-    "weight-enumerator": (None, lambda n, seed: [verify_weight_enumerator(seed)]),
+    "structure": (None, lambda seed: [verify_structure_suites(seed)]),
+    "weight-enumerator": (None, lambda seed: [verify_weight_enumerator(seed)]),
 }
 
 
@@ -612,6 +614,8 @@ def dispatch(tag: str, trials: int | None, seed: int) -> list:
     if tag not in SUITES:
         raise ModelError(f"unknown theorem tag; expected one of {', '.join(SUITES)}")
     default, run = SUITES[tag]
-    if default is None and trials is not None:
-        raise ModelError(f"tag {tag} runs every case; it takes no trial count")
+    if default is None:
+        if trials is not None:
+            raise ModelError(f"tag {tag} runs every case; it takes no trial count")
+        return run(seed)
     return run(default if trials is None else trials, seed)

@@ -17,17 +17,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "zbounds").glob("*.py"))
 
-_EXHAUSTIVE = "an exhaustive tag: dispatch refuses a trial count, but every runner takes (n, seed)"
-
 # Parameters no body reads, each kept for the reason given.
 ALLOWED = {
     "verify_component_inequality(seed)": (
         "the suite is exhaustive, but perfbench/workloads.py passes seed=23"
     ),
-    "SUITES['5.1'].<lambda>(n)": _EXHAUSTIVE,
-    "SUITES['5.5'].<lambda>(n)": _EXHAUSTIVE,
-    "SUITES['structure'].<lambda>(n)": _EXHAUSTIVE,
-    "SUITES['weight-enumerator'].<lambda>(n)": _EXHAUSTIVE,
     "maximize_bethe(refine_steps)": "perfbench/workloads.py:229 passes them; ROADMAP item 8",
     "maximize_bethe(refine_top)": "perfbench/workloads.py:229 passes them; ROADMAP item 8",
 }

@@ -25,9 +25,9 @@ def suite_cases(monkeypatch, suite, *args):
     every case, in order, as the suite handed them to ``run_trials``."""
     seen = []
 
-    def recording(name, cases, one, tolerance):
-        seen.extend(one(case) for case in cases)
-        return run_trials(name, seen, lambda result: result, tolerance)
+    def recording(name, results, tolerance):
+        seen.extend(results)
+        return run_trials(name, seen, tolerance)
 
     monkeypatch.setattr(verify, "run_trials", recording)
     return suite(*args), seen
@@ -93,7 +93,7 @@ def assert_same_cases(got, want):
 
 
 def assert_same_report(rep, name, ref_cases, tolerance):
-    ref = run_trials(name, ref_cases, lambda result: result, tolerance)
+    ref = run_trials(name, ref_cases, tolerance)
     assert (rep.name, rep.trials, rep.passes) == (ref.name, ref.trials, ref.passes)
     assert repr(rep.worst_slack) == repr(ref.worst_slack)
     assert rep.details == ref.details
