@@ -279,60 +279,82 @@ def evaluate(model: FactorGraph, x: Assignment) -> float:
     return total
 
 
-def _joint_slabs(model: FactorGraph) -> Iterator[np.ndarray]:
-    """The joint weight tensor in C-order slabs, one per assignment of the
-    leading variables.
+def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
+    """The joint weight tensor as (offset, slab) pairs, one per assignment
+    of the leading axes; a flat slab holds the C-order entries from
+    ``offset`` on and is overwritten by the next one.
 
-    A slab spans the trailing axes, at most 2^_MASK_BLOCK_BITS entries
-    unless the last axis alone is longer.  Each entry is the product of the
-    node potentials and factors in one canonical order: by the lowest axis
-    a term touches, highest first, a term without axes first of all, ties
-    in their model order (node potentials in dict order, then factors).
-    The terms that touch only the slab's axes then form a prefix, which is
-    multiplied once into a base that every slab starts from; each slab
-    multiplies only the remaining terms.  Every entry is the same product
-    whatever the slab size, so the tensor and its sum do not depend on it.
-    Every slab is written into the same buffer, which the next slab
-    overwrites; a joint that fits in one slab is the base itself.
+    Each entry multiplies the node potentials and factors in one canonical
+    order: by the lowest axis a term touches, highest first, a term without
+    axes first of all, ties in model order (node potentials in dict order,
+    then factors).  The product of the terms from axis a on depends only on
+    axes a.., so the trailing block is built from the last axis back and
+    the leading axes are walked last one slowest, with one partial product
+    per leading axis that carries terms: each term is multiplied once per
+    assignment of the leading axes from its lowest on.  The block and the
+    partial products fit in two 2^_MASK_BLOCK_BITS arrays, which sets how
+    many axes lead (at most all but the last); no entry depends on it.
     """
     axis = {v: k for k, v in enumerate(model.var_ids)}
     shape = tuple(model.card(v) for v in model.var_ids)
     n = len(shape)
-    terms = []  # (lowest axis touched, broadcastable array)
+    terms = []  # (lowest axis a touched, array over axes a..n-1)
     for v, pot in model.node_potentials.items():
-        vec_shape = [1] * n
-        vec_shape[axis[v]] = model.card(v)
-        terms.append((axis[v], pot.reshape(vec_shape)))
+        terms.append((axis[v], pot.reshape((-1,) + (1,) * (n - axis[v] - 1))))
     for fac in model.factors:
         positions = [axis[v] for v in fac.scope]
-        arr = fac.table.as_ndarray().transpose(np.argsort(positions))
-        new_shape = [1] * n
+        order = sorted(range(len(positions)), key=positions.__getitem__)
+        low = positions[order[0]] if order else n
+        new_shape = [1] * (n - low)
         for p in positions:
-            new_shape[p] = shape[p]
-        terms.append((min(positions, default=n), arr.reshape(new_shape)))
+            new_shape[p - low] = shape[p]
+        terms.append((low, fac.table.as_ndarray().transpose(order).reshape(new_shape)))
     terms.sort(key=operator.itemgetter(0), reverse=True)  # stable: ties keep model order
-    lead = max(n - 1, 0)
-    while lead > 0 and math.prod(shape[lead - 1 :]) <= 1 << _MASK_BLOCK_BITS:
-        lead -= 1
+    lead, size = 0, math.prod(shape)
+    while lead < n - 1:  # the block and one partial product per leading axis with terms
+        if size * max(2, 1 + len({a for a, _ in terms if a < lead})) <= 2 << _MASK_BLOCK_BITS:
+            break
+        size //= shape[lead]
+        lead += 1
+    flat = np.empty(size)
+    block = flat.reshape(shape[lead:])
+    part, top = np.ones(()), n  # the product of the terms from axis `top` on
+    rest = [term for term in terms if term[0] < lead]
     # overflow and inf * 0 surface in the checked sum, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        base = np.ones(shape[lead:])
-        for low, t in terms:
-            if low >= lead:
-                np.multiply(base, t[(0,) * lead], out=base)
-    if lead == 0:
-        yield base
+        for low, t in terms[: len(terms) - len(rest)]:
+            if low < top:  # widen over low..top-1 with the first term on low (overlap is buffered)
+                out = flat[size - math.prod(shape[low:]) :].reshape(shape[low:])
+                part, top = np.multiply(part, t, out=out), low
+            else:
+                np.multiply(part, t, out=part)
+        if top > lead or top == n:  # not yet widened to the block
+            np.copyto(block, part)
+    if not lead:  # the joint is the block
+        yield 0, flat
         return
-    rest = [t for low, t in terms if low < lead]
-    slab = np.empty_like(base)
-    for states in itertools.product(*map(range, shape[:lead])):
-        out = base
+    levels = []  # (axis, partial product, its source, its terms), highest axis first
+    for a, group in itertools.groupby(rest, operator.itemgetter(0)):
+        views = [np.broadcast_to(t, shape[a:lead] + t.shape[lead - a :]) for _, t in group]
+        levels.append((a, np.empty(shape[lead:]), levels[-1][1] if levels else block, views))
+    slab = levels[-1][1].reshape(-1) if levels else flat
+    stride = [math.prod(shape[a + 1 :]) for a in range(lead)]
+    states, top = [0] * lead, lead - 1  # top: the highest leading axis whose state changed
+    while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in rest:
-                index = tuple(s if t.shape[a] > 1 else 0 for a, s in enumerate(states))
-                np.multiply(out, t[index], out=slab)
-                out = slab
-        yield out
+            for a, out, source, views in levels:
+                if a <= top:
+                    key = tuple(states[a:])
+                    for view in views:
+                        np.multiply(source, view[key], out=out)
+                        source = out
+        yield sum(map(operator.mul, states, stride)), slab
+        for top in range(lead):  # the next assignment, axis 0 fastest
+            states[top] = (states[top] + 1) % shape[top]
+            if states[top]:
+                break
+        else:
+            return
 
 
 def dense_joint(model: FactorGraph) -> np.ndarray:
@@ -340,18 +362,16 @@ def dense_joint(model: FactorGraph) -> np.ndarray:
 
     Each entry multiplies the terms in ``_joint_slabs``' canonical order
     (by the lowest axis a term touches, highest first), so the tensor is
-    the same bit for bit whatever the slab size.  Refuses joints above
-    _DENSE_BLOCK states.
+    the same bit for bit whatever the slab size or order: each slab is
+    written at its own offset.  Refuses joints above _DENSE_BLOCK states.
     """
     if model.joint_size > _DENSE_BLOCK:
         raise EnumerationCapError(
             f"joint space of {model.joint_size} states exceeds the dense limit {_DENSE_BLOCK}"
         )
     w = np.empty(model.joint_size)
-    start = 0
-    for slab in _joint_slabs(model):
-        w[start : start + slab.size] = slab.ravel()
-        start += slab.size
+    for start, slab in _joint_slabs(model):
+        w[start : start + slab.size] = slab
     return w.reshape([model.card(v) for v in model.var_ids])
 
 
@@ -481,8 +501,8 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
     The joint is walked in slabs of about 2^16 entries (``_joint_slabs``)
     and summed correctly rounded, equal to ``math.fsum`` over the whole
     tensor, at every size up to ``cap``.  Each weight multiplies its terms
-    in one canonical order (by the lowest axis a term touches, highest
-    first), so Z does not depend on the slab size.
+    in one canonical order, each term once per assignment of the leading
+    axes from its lowest on, so Z depends on neither slab size nor order.
     Refuses models whose joint space exceeds ``cap``, and raises
     NumericRangeError when a weight or the sum overflows or is NaN.
     """
@@ -491,7 +511,7 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
         raise EnumerationCapError(
             f"joint space of {size} states exceeds the enumeration cap {cap}"
         )
-    return fsum_blocks(_joint_slabs(model))
+    return fsum_blocks(slab for _offset, slab in _joint_slabs(model))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -396,7 +397,31 @@ def slab_models():
         "no variables": FactorGraph([], [("c", (), [3.0]), ("k", (), [0.25])]),
         "no factors": FactorGraph([("x", 5)], [], {"x": [1.0, 0.0, 2.0, 0.5, 3.0]}),
         "all card 1": FactorGraph([(0, 1), (1, 1)], [("f", (1, 0), [4.0])], {0: [0.5]}),
+        # axis 1 carries no term (the lowest axis of its factors is 0), and
+        # axis 2 has one state and carries a potential and a factor
+        "termless axis, card 1": FactorGraph(
+            list(enumerate([2, 3, 1, 2, 3, 2])),
+            [
+                ("a", (1, 0), rng.uniform(0.1, 2.0, 6)),
+                ("b", (4, 2), rng.uniform(0.1, 2.0, 3)),
+                ("c", (5, 3), rng.uniform(0.1, 2.0, 4)),
+                ("d", (0, 4, 1), rng.uniform(0.1, 2.0, 18)),
+            ],
+            {5: rng.uniform(0.1, 2.0, 2), 2: [0.6], 0: rng.uniform(0.1, 2.0, 2), 3: [1.5, 0.0]},
+        ),
     }
+
+
+def field_potts_graph(seed, n):
+    """The q = 3 uniform-field Potts model of
+    ``test_correctly_rounded_above_dense_block`` on n vertices: a node
+    potential on every axis and n random edges."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    pick = rng.choice(len(pairs), size=n, replace=False)
+    edges = [pairs[int(i)] for i in sorted(pick)]
+    potts = PottsModel(n, edges, 3, rng.uniform(0.05, 1.0, n), field=rng.uniform(-1.0, 1.0, 3))
+    return potts_to_factor_graph(potts)
 
 
 class TestJointSlabs:
@@ -429,6 +454,37 @@ class TestJointSlabs:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
         assert z == math.fsum(one_shot_dense_joint(model).ravel().tolist())
+
+    def test_memory_bounded_with_a_term_on_every_leading_axis(self):
+        # 3^14 states with a node potential on every axis: the block and
+        # one partial product per leading axis share the slab budget
+        model = field_potts_graph(6, 14)
+        tracemalloc.start()
+        try:
+            exact_partition(model)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("enumerate_", [exact_partition, dense_joint])
+    def test_buffers_released_on_return(self, enumerate_):
+        # with the collector off, a reference cycle would keep the slab
+        # buffers alive after the call
+        model = field_potts_graph(11, 11)
+        assert len(list(models._joint_slabs(model))) > 1
+        enumerate_(model)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            enumerate_(model)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak - before > 256 * 1024  # the buffers were traced
+        assert abs(after - before) < 64 * 1024
 
     @pytest.mark.parametrize("seed", [6, 11])
     def test_correctly_rounded_above_dense_block(self, seed):
