@@ -7,7 +7,7 @@ encoding generates exactly the M-covers of each connected component and
 makes uniform sampling a matter of drawing independent permutations.
 
 Lifts number copies variable-major (copy l of base node i is i*M + l),
-through ``CoverSpec.lifted_index`` and ``layered_masks`` only.
+through ``CoverSpec.lifted_scopes`` and ``layered_masks`` only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ModelError
 from .lattice import sorted_stack
-from .models import FactorGraph, as_int, exact_partition
+from .models import FactorGraph, as_int, exact_partition, ids_by_name
 
 
 def lifted_id(base_id, layer: int) -> str:
@@ -39,7 +39,7 @@ class CoverSpec:
     bijection on {0..M-1}; every incidence of the base model must appear.
     M and the permutation entries must be integers (floats with integer
     values are read as ints).  ``perms`` is validated once and read once
-    into ``lifted_index``, so it must not change after the spec is built.
+    into ``lifted_scopes``, so it must not change after the spec is built.
     """
 
     base: FactorGraph
@@ -54,13 +54,11 @@ class CoverSpec:
         for what, ids in (
             ("variable", self.base.var_ids), ("factor", [fac.id for fac in self.base.factors])
         ):
-            named = {}
-            for i in ids:
-                if named.setdefault(str(i), i) != i:
-                    raise ModelError(
-                        f"{what} ids {named[str(i)]!r} and {i!r} would lift to the same ids "
-                        f"({lifted_id(i, 0)!r}, ...)"
-                    )
+            ids_by_name(
+                ids,
+                lambda first, other: f"{what} ids {first!r} and {other!r} would lift to "
+                f"the same ids ({lifted_id(other, 0)!r}, ...)",
+            )
         want = {
             (fac.id, v) for fac in self.base.factors for v in fac.scope
         }
@@ -86,19 +84,19 @@ class CoverSpec:
         return tuple(tuple(pos[v] for v in fac.scope) for fac in self.base.factors)
 
     @functools.cached_property
-    def lifted_index(self) -> tuple:
-        """An (incidences, M) tuple of tuples: row k for the k-th base
-        incidence (alpha, i) in factor then scope order, entry m the lifted
-        variable i*M + pi[alpha,i](m) that copy m of alpha meets."""
+    def lifted_scopes(self) -> tuple:
+        """Every lifted factor's scope as lifted variable positions: row
+        k*M + m is copy m of the k-th base factor alpha, and in the place of
+        its base variable i it holds i*M + pi[alpha,i](m)."""
         return tuple(
-            tuple(i * self.m + layer for layer in self.perms[(fac.id, v)])
+            tuple(i * self.m + self.perms[(fac.id, v)][m] for v, i in zip(fac.scope, scope))
             for fac, scope in zip(self.base.factors, self.scopes)
-            for v, i in zip(fac.scope, scope)
+            for m in range(self.m)
         )
 
     def require_base(self, n_vars: int, scopes: Sequence, what: str) -> None:
         """Refuse a base other than ``n_vars`` variables with these factor
-        scopes (as positions): a lift reads ``lifted_index`` by position."""
+        scopes (as positions): a lift reads ``lifted_scopes`` by position."""
         want = (n_vars, tuple(map(tuple, scopes)))
         if (self.base.num_vars, self.scopes) != want:
             raise ModelError(
@@ -158,19 +156,15 @@ def build_cover(spec: CoverSpec) -> LiftedModel:
             if v in base_pots:
                 pots[lv] = base_pots[v]
     names = [lv for lv, _card in variables]
-    rows = iter(spec.lifted_index)
     factors = []
     factor_copy_map = {}
-    for fac in base.factors:
-        fac_rows = [next(rows) for _ in fac.scope]
-        for m in range(m_total):
-            lf = lifted_id(fac.id, m)
-            scope = tuple(names[row[m]] for row in fac_rows)
-            factors.append((lf, scope, fac.table))
-            factor_copy_map[lf] = fac.id
-    cover = FactorGraph(variables, factors, pots)
+    copies = itertools.product(base.factors, range(m_total))
+    for (fac, m), scope in zip(copies, spec.lifted_scopes):
+        lf = lifted_id(fac.id, m)
+        factors.append((lf, tuple(names[x] for x in scope), fac.table))
+        factor_copy_map[lf] = fac.id
     return LiftedModel(
-        cover=cover,
+        cover=FactorGraph(variables, factors, pots),
         var_copy_map=var_copy_map,
         factor_copy_map=factor_copy_map,
         layer_map=layer_map,
@@ -264,14 +258,11 @@ def iter_cover_specs(base: FactorGraph, m: int) -> Iterator[CoverSpec]:
     factor copies that produce the same lifted graph, keeping exhaustive
     enumeration small.
     """
-    incidences = [(fac.id, v) for fac in base.factors for v in fac.scope]
+    identity = {(fac.id, v): tuple(range(m)) for fac in base.factors for v in fac.scope}
     free = [(fac.id, v) for fac in base.factors for v in fac.scope[1:]]
     all_perms = list(itertools.permutations(range(m)))
     for combo in itertools.product(all_perms, repeat=len(free)):
-        perms = {inc: tuple(range(m)) for inc in incidences}
-        for inc, perm in zip(free, combo):
-            perms[inc] = perm
-        yield CoverSpec(base=base, m=m, perms=perms)
+        yield CoverSpec(base=base, m=m, perms=identity | dict(zip(free, combo)))
 
 
 @dataclass

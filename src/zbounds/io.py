@@ -21,7 +21,7 @@ import numpy as np
 
 from .covers import CoverSpec
 from .errors import ModelError
-from .models import FactorGraph
+from .models import FactorGraph, ids_by_name
 
 
 def model_to_json(model: FactorGraph) -> dict:
@@ -52,11 +52,9 @@ def model_to_json(model: FactorGraph) -> dict:
 def _ids_by_key(ids) -> dict:
     """Each id under its JSON object key, ``str(id)``; ModelError when two
     ids share one, as 1 and "1" do."""
-    table = {}
-    for i in ids:
-        if table.setdefault(str(i), i) != i:
-            raise ModelError(f"ids {table[str(i)]!r} and {i!r} share the JSON key {str(i)!r}")
-    return table
+    return ids_by_name(
+        ids, lambda first, other: f"ids {first!r} and {other!r} share the JSON key {str(other)!r}"
+    )
 
 
 def model_from_json(doc: Mapping) -> FactorGraph:

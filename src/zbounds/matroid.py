@@ -200,11 +200,10 @@ def _codewords(matrix: GFMatrix) -> np.ndarray:
     array of sigmas is formed.
     """
     f = matrix.field
-    q, n = f.q, matrix.n_cols
-    total = q**matrix.n_rows
-    if total > DEFAULT_ENUMERATION_CAP:
+    q, k, n = f.q, matrix.n_rows, matrix.n_cols
+    if q**k > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{total} spin configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+            f"{q}^{k} spin configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     words = np.zeros((1, n), dtype=f.add_table.dtype)
     for row in matrix.entries:
@@ -291,10 +290,10 @@ def lift_matrix(matrix: GFMatrix, spec: CoverSpec) -> GFMatrix:
     supports = [[i for i, x in enumerate(col) if x] for col in matrix.entries.T.tolist()]
     spec.require_base(matrix.n_rows, supports, "the matrix's column supports")
     lifted = np.zeros((matrix.n_rows * m_total, matrix.n_cols * m_total), dtype=np.int64)
-    # the incidences in spec order: columns in order, each over its rows
-    incidences = [(i, c) for c, support in enumerate(supports) for i in support]
-    for (i, c), copies in zip(incidences, spec.lifted_index):
-        lifted[copies, range(c * m_total, (c + 1) * m_total)] = matrix.entries[i, c]
+    # column k*M + m is copy m of column k
+    for col, rows in enumerate(spec.lifted_scopes):
+        c = col // m_total
+        lifted[list(rows), col] = matrix.entries[supports[c], c]
     return GFMatrix(matrix.field, lifted)
 
 

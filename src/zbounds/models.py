@@ -71,6 +71,11 @@ def as_int(value, what: str) -> int:
     raise ModelError(f"{what} must be an integer, got {value!r}")
 
 
+def _size_text(n: int) -> str:
+    """``n`` in decimal below 2^64, else as 2^k (str refuses 4300+ digits)."""
+    return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
+
+
 def check_exp_range(exponents: np.ndarray, what: str) -> None:
     """NumericRangeError, before any numpy warning, when e^x of the largest
     of the finite ``exponents`` overflows the float range (as e^x - 1 then
@@ -147,6 +152,16 @@ def _check_id(vid, what: str):
     if isinstance(vid, (str, int, np.integer)) and not isinstance(vid, bool):
         return vid
     raise ModelError(f"{what} must be an integer or a string, got {vid!r}")
+
+
+def ids_by_name(ids: Iterable, clash) -> dict:
+    """Each id under its name ``str(id)``.  Two ids with one name, as 1 and
+    "1" have, raise ModelError(clash(first, other))."""
+    named = {}
+    for i in ids:
+        if named.setdefault(str(i), i) != i:
+            raise ModelError(clash(named[str(i)], i))
+    return named
 
 
 class FactorGraph:
@@ -253,7 +268,7 @@ class FactorGraph:
     def __repr__(self) -> str:
         return (
             f"FactorGraph({self.num_vars} variables, {len(self._factors)} factors, "
-            f"joint size {self.joint_size})"
+            f"joint size {_size_text(self.joint_size)})"
         )
 
 
@@ -367,7 +382,8 @@ def dense_joint(model: FactorGraph) -> np.ndarray:
     """
     if model.joint_size > _DENSE_BLOCK:
         raise EnumerationCapError(
-            f"joint space of {model.joint_size} states exceeds the dense limit {_DENSE_BLOCK}"
+            f"joint space of {_size_text(model.joint_size)} states exceeds the dense limit "
+            f"{_DENSE_BLOCK}"
         )
     w = np.empty(model.joint_size)
     for start, slab in _joint_slabs(model):
@@ -509,7 +525,7 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
     size = model.joint_size
     if size > cap:
         raise EnumerationCapError(
-            f"joint space of {size} states exceeds the enumeration cap {cap}"
+            f"joint space of {_size_text(size)} states exceeds the enumeration cap {cap}"
         )
     return fsum_blocks(slab for _offset, slab in _joint_slabs(model))
 

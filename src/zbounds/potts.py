@@ -276,27 +276,21 @@ def potts_to_factor_graph(model: PottsModel) -> FactorGraph:
     return FactorGraph(variables, factors, pots)
 
 
-def cover_potts_model(base: PottsModel, spec: CoverSpec) -> tuple:
+def cover_potts_model(base: PottsModel, spec: CoverSpec) -> PottsModel:
     """Lift a Potts model along a cover of its pairwise factor graph.
 
-    Returns (cover PottsModel, lifted edge list as (edge index, layer) in
-    enumeration order).  The spec must be built on potts_to_factor_graph
-    of the base: one variable per vertex and one factor per edge, in
-    order; any other base is refused with a ModelError.
+    Lifted edge e*M + m is copy m of base edge e.  The spec must be built
+    on potts_to_factor_graph of the base: one variable per vertex and one
+    factor per edge, in order; any other base is refused with a ModelError.
     """
-    m_total = spec.m
     spec.require_base(base.n_vertices, base.edges, "the Potts model's edges")
-    index = spec.lifted_index
-    lifted_edges = [edge for ends in zip(index[0::2], index[1::2]) for edge in zip(*ends)]
-    labels = [(e, layer) for e in range(len(base.edges)) for layer in range(m_total)]
-    cover = PottsModel(
-        base.n_vertices * m_total,
-        lifted_edges,
+    return PottsModel(
+        base.n_vertices * spec.m,
+        spec.lifted_scopes,
         base.q,
-        np.repeat(base.coupling, m_total),
+        np.repeat(base.coupling, spec.m),
         base.field,
     )
-    return cover, labels
 
 
 @dataclass
@@ -326,7 +320,7 @@ def check_cover_component_inequality(
     f_rc+(H) <= prod_m f_rc+(G at the m-th sorted stack) is checked too.
     """
     cover_mask, stack_masks = layered_masks(layers, spec.m, len(base.edges))
-    cover, _labels = cover_potts_model(base, spec)
+    cover = cover_potts_model(base, spec)
     # one labelling per mask gives its component count and, with a field,
     # its weight; the count alone needs no edge probabilities
     weigh = base.field is not None

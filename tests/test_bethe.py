@@ -936,7 +936,7 @@ class TestLayerProbe:
     def test_two_mean_field_calls_per_ordering_check(self, monkeypatch):
         calls = self._count_mean_field(monkeypatch)
         model = _pinned_models()["hom_hard_zeros"]
-        verify._check_ordering(model, exact_partition(model), seed=0)
+        verify._check_ordering(model, seed=0)
         assert len(calls) == 2
 
     def test_envelope_calls_per_maximize_bethe(self, monkeypatch):

@@ -167,6 +167,19 @@ class TestCommands:
         res = runner.invoke(main, ["z", "--model", tree_file, "--cap", "4"])
         assert res.exit_code == 1
 
+    def test_z_size_too_long_to_print_exit_1(self, runner, tmp_path):
+        # 2^15000 states: 4516 decimal digits, more than str() of an int allows
+        doc = {"variables": [{"id": i, "cardinality": 2} for i in range(15000)], "factors": []}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["z", "--model", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.output.splitlines() == [
+            f"error: joint space of at least 2^15000 states exceeds the enumeration cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
+        ]
+
     @pytest.mark.parametrize(
         "tables",
         [[[1e200] * 4, [1e200] * 4], [[1e308] * 4]],  # overflow in the products, in the sum

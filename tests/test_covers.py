@@ -155,6 +155,84 @@ class TestValidateCover:
         assert not ok
         assert "b@" in diag
 
+    # Each edit changes one thing in a valid 2-cover of single_edge_model
+    # plus a lone variable c, and names the diagnosis it must draw.
+    EDITS = {
+        "variable without image": (
+            lambda p: p["var_map"].pop("b@1"), "variable 'b@1' has no image"
+        ),
+        "unknown base variable": (
+            lambda p: p["var_map"].update({"b@1": "z"}),
+            "variable 'b@1' maps to unknown base variable",
+        ),
+        "changed cardinality": (
+            lambda p: p["variables"].update({"c@1": 2}), "variable 'c@1' changes cardinality"
+        ),
+        "changed node potential": (
+            lambda p: p["pots"].update({"b@1": [0.5, 2.0]}),
+            "variable 'b@1' changes its node potential",
+        ),
+        "dropped node potential": (
+            lambda p: p["pots"].pop("b@1"), "variable 'b@1' changes its node potential"
+        ),
+        "factor without image": (
+            lambda p: p["factor_map"].pop("e@1"), "factor 'e@1' has no image"
+        ),
+        "unknown base factor": (
+            lambda p: p["factor_map"].update({"e@1": "g"}),
+            "factor 'e@1' maps to unknown base factor",
+        ),
+        "changed arity": (
+            lambda p: p["factors"].update({"e@1": (("a@1",), [1.0, 1.0])}),
+            "factor 'e@1' changes arity",
+        ),
+        "changed table": (
+            lambda p: p["factors"].update({"e@1": (p["factors"]["e@1"][0], np.ones(4))}),
+            "factor 'e@1' changes its table",
+        ),
+        "unequal fibers": (
+            lambda p: (p["variables"].update({"c@2": 3}), p["var_map"].update({"c@2": "c"})),
+            "base nodes have unequal numbers of copies",
+        ),
+    }
+
+    @staticmethod
+    def _valid_lift_parts():
+        base = FactorGraph(
+            [("a", 2), ("b", 2), ("c", 3)],
+            [("e", ("a", "b"), np.exp([0.3, 0.0, 0.0, 0.7]))],
+            {"a": [1.0, 2.0], "b": [0.5, 1.0]},
+        )
+        lifted = build_cover(CoverSpec(base, 2, {("e", "a"): (0, 1), ("e", "b"): (1, 0)}))
+        cover = lifted.cover
+        parts = {
+            "variables": {v: cover.card(v) for v in cover.var_ids},
+            "factors": {fac.id: (fac.scope, fac.table) for fac in cover.factors},
+            "pots": cover.node_potentials,
+            "var_map": dict(lifted.var_copy_map),
+            "factor_map": dict(lifted.factor_copy_map),
+        }
+        return base, parts
+
+    @staticmethod
+    def _validate(base, parts):
+        candidate = FactorGraph(
+            parts["variables"].items(),
+            [(fid, scope, table) for fid, (scope, table) in parts["factors"].items()],
+            parts["pots"],
+        )
+        return validate_cover(candidate, base, parts["var_map"], parts["factor_map"])
+
+    def test_unedited_lift_validates(self):
+        assert self._validate(*self._valid_lift_parts()) == (True, None)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_each_diagnosis(self, edit):
+        change, diagnosis = self.EDITS[edit]
+        base, parts = self._valid_lift_parts()
+        change(parts)
+        assert self._validate(base, parts) == (False, diagnosis)
+
 
 class TestSampleCover:
     def test_deterministic(self):
@@ -260,15 +338,14 @@ def _ref_cover_potts_model(base, spec):
     for v in range(base.n_vertices):
         for layer in range(m_total):
             vid[lifted_id(v, layer)] = len(vid)
-    lifted_edges, lifted_J, labels = [], [], []
+    lifted_edges, lifted_J = [], []
     for e, (i, j) in enumerate(base.edges):
         for layer in range(m_total):
             u = vid[lifted_id(i, spec.perms[(f"e{e}", i)][layer])]
             w = vid[lifted_id(j, spec.perms[(f"e{e}", j)][layer])]
             lifted_edges.append((u, w))
             lifted_J.append(base.coupling[e])
-            labels.append((e, layer))
-    return lifted_edges, lifted_J, labels
+    return lifted_edges, lifted_J
 
 
 def _ref_lift_matrix(matrix, spec):
@@ -346,11 +423,10 @@ class TestLiftMatchesReference:
         for seed in range(20):
             base = _random_potts(seed)
             spec = sample_cover(potts_to_factor_graph(base), m, seed)
-            cover, labels = cover_potts_model(base, spec)
-            edges, couplings, ref_labels = _ref_cover_potts_model(base, spec)
+            cover = cover_potts_model(base, spec)
+            edges, couplings = _ref_cover_potts_model(base, spec)
             assert cover.edges == tuple(edges)
             assert cover.coupling.tolist() == couplings
-            assert labels == ref_labels
             assert cover.n_vertices == base.n_vertices * m and cover.q == base.q
             assert cover.field is base.field
 
@@ -375,10 +451,15 @@ class TestLiftMatchesReference:
             layers = [int(x) for x in rng.integers(-64, 64, size=m)]
             assert layered_masks(layers, m, 4) == _ref_masks(layers, m, 4)
 
-    def test_lifted_index_is_cached_and_outside_equality(self):
+    def test_lifted_scopes_is_cached_and_outside_equality(self):
         spec = sample_cover(double_edge_model(), 3, seed=4)
-        index = spec.lifted_index
-        assert index is spec.lifted_index
-        # incidences (e0,a), (e0,b), (e1,a), (e1,b); a is variable 0, b is 1
-        assert [sorted(row) for row in index] == [[0, 1, 2], [3, 4, 5]] * 2
+        scopes = spec.lifted_scopes
+        assert scopes is spec.lifted_scopes
+        # row k*3 + m is copy m of factor e_k; copy l of a (variable 0) is
+        # l, copy l of b (variable 1) is 3 + l
+        assert scopes == tuple(
+            (spec.perms[(f"e{k}", "a")][m], 3 + spec.perms[(f"e{k}", "b")][m])
+            for k in range(2)
+            for m in range(3)
+        )
         assert spec == CoverSpec(spec.base, 3, dict(spec.perms))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zbounds.covers import iter_cover_specs, sample_cover
-from zbounds.errors import ModelError, NumericRangeError
+from zbounds.errors import EnumerationCapError, ModelError, NumericRangeError
 from zbounds.lattice import is_log_supermodular
 from zbounds import matroid, verify
 from zbounds.matroid import (
@@ -443,6 +443,12 @@ class TestBlockedPottsSum:
                 tracemalloc.stop()
             peaks.append(peak)
         assert peaks[1] < peaks[0] / 4
+
+    def test_size_too_long_to_print_refused(self):
+        # one column over 15000 rows: 2^15000 words, 4516 decimal digits
+        matrix = GFMatrix(gf(2), np.ones((15000, 1), dtype=np.int64))
+        with pytest.raises(EnumerationCapError, match="2\\^15000 spin configurations exceed"):
+            matroid_potts_partition(matrix, [1.0])
 
 
 class TestRankCoverInequality:

@@ -276,6 +276,22 @@ class TestExactMarginals:
         assert exact_partition(m) == 6.0
 
 
+class TestSizesTooLongToPrint:
+    # 2^15000 has 4516 decimal digits, beyond what str() of an int allows
+    BIG = FactorGraph([(i, 2) for i in range(15000)])
+
+    def test_repr(self):
+        assert repr(self.BIG) == "FactorGraph(15000 variables, 0 factors, joint size at least 2^15000)"
+        assert repr(FactorGraph([(i, 3) for i in range(10)])).endswith("joint size 59049)")
+
+    @pytest.mark.parametrize(
+        "fn, limit", [(exact_partition, "enumeration cap"), (dense_joint, "dense limit")]
+    )
+    def test_refusal(self, fn, limit):
+        with pytest.raises(EnumerationCapError, match=f"at least 2\\^15000 states exceeds the {limit}"):
+            fn(self.BIG)
+
+
 def test_potential_table_roundtrip():
     t = PotentialTable((2, 3), np.arange(6, dtype=float))
     assert t.as_ndarray()[1, 2] == 5.0

@@ -301,7 +301,7 @@ class TestCoverComponentInequality:
             field = rng.uniform(-1, 1, q) if i % 3 else None
             base = PottsModel(3, TRIANGLE, q, rng.uniform(0.05, 2.0, 3), field=field)
             spec = sample_cover(potts_to_factor_graph(base), 2, seed=2000 + i)
-            cover, _labels = cover_potts_model(base, spec)
+            cover = cover_potts_model(base, spec)
             for mask in range(1 << 6):
                 assert rc_weight(cover, mask) == ref_weight(cover, mask)
             layers = [int(rng.integers(0, 8)), int(rng.integers(0, 8))]
@@ -358,7 +358,7 @@ class TestCoverComponentInequality:
         spec = sample_cover(fg, 2, seed=9)
         from zbounds.covers import build_cover
 
-        cover, _labels = cover_potts_model(base, spec)
+        cover = cover_potts_model(base, spec)
         lifted = build_cover(spec)
         assert potts_partition(cover) == pytest.approx(
             exact_partition(lifted.cover), rel=1e-12

@@ -157,4 +157,4 @@ def test_shared_triangle_draws_same_permutations(q):
         own = covers.sample_cover(potts_to_factor_graph(base), 2, seed=seed)
         shared = covers.sample_cover(verify._triangle_graph(), 2, seed=seed)
         assert shared.perms == own.perms
-        assert shared.lifted_index == own.lifted_index
+        assert shared.lifted_scopes == own.lifted_scopes
