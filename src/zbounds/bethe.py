@@ -772,21 +772,23 @@ def maximize_bethe(
     highest value wins; exp of its objective is a lower bound on the true
     Bethe optimum (the remaining gap is not quantified).  ``refine_steps``
     and ``refine_top`` are ignored, kept while the benchmark passes them.
-    Raises ModelError for a damping outside [0, 1) or a model above
-    DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS factors, and
+    Raises ModelError for a damping outside [0, 1), restarts below 1, or a
+    model above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS factors, and
     NumericRangeError when that value, the Z_MF computed on the way
     (Z_MF <= Z_B), or the sum of a potential's entries is beyond the float
     range.
     """
     _check_budget(model)
     _check_damping(damping)
+    if restarts < 1:
+        raise ModelError(f"restarts must be >= 1, got {restarts!r}")
     g = _Graph(model)
     _check_sums(g)
     # blocks of candidate rows, one (rows, card) array per variable each
     blocks = []
 
     if g.factors:
-        v2f = _init_messages(g, max(1, restarts), seed)
+        v2f = _init_messages(g, restarts, seed)
         v2f, f2v, _iters, _residual = _bp_engine(g, v2f, bp_iters, _BP_TOL, damping)
         blocks.append(_node_beliefs(g, f2v))
 
@@ -827,13 +829,14 @@ def mean_field(
     side (``_Graph.columns``) and ends in a column of ones; a restart whose
     sweep changes no belief by _MF_TOL or more stops moving while the others
     go on, for at most _MF_SWEEPS sweeps.  A restart's result does not
-    depend on the other restarts.  Raises ModelError above DEFAULT_MAX_VARS
-    variables or DEFAULT_MAX_FACTORS factors.
+    depend on the other restarts.  Raises ModelError for restarts below 1,
+    or above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS factors.
     """
     _check_budget(model)
+    if restarts < 1:
+        raise ModelError(f"restarts must be >= 1, got {restarts!r}")
     g = _Graph(model)
     rng = np.random.default_rng(seed)
-    restarts = max(1, restarts)
 
     # restart 0 starts at the normalized node potentials; the others at
     # uniform(0.05, 1) draws, restart by restart and variable by variable

@@ -22,13 +22,13 @@ from .errors import EnumerationCapError, ModelError
 from .lattice import DEFAULT_PAIRWISE_CAP, REL_TOL_LSM, LsmReport, is_log_supermodular
 from .models import (
     FactorGraph,
+    as_simple_graph,
     check_subset_cap,
     exact_partition,
     float_array,
     fsum_blocks,
     mask_blocks,
 )
-from .potts import _check_simple
 
 # check_rank2_lsm: the sampled exchange-inequality tuples and their seed
 _RANK2_SAMPLES = 200
@@ -46,15 +46,12 @@ class HomModel:
     b: np.ndarray
 
     def __init__(self, n_vertices, edges, w, a, b) -> None:
-        self.n_vertices, self.edges = _check_simple(n_vertices, edges)
-        self.w = float_array(w, "w")
-        self.a = float_array(a, "a")
-        self.b = float_array(b, "b")
+        self.n_vertices, self.edges = as_simple_graph(n_vertices, edges)
+        self.w = float_array(w, "w", nonnegative=True)
+        self.a = float_array(a, "a", nonnegative=True)
+        self.b = float_array(b, "b", nonnegative=True)
         if self.w.ndim != 1 or self.a.shape != self.w.shape or self.b.shape != self.w.shape:
             raise ModelError("w, a, b must be vectors of one length")
-        for name, vec in (("w", self.w), ("a", self.a), ("b", self.b)):
-            if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-                raise ModelError(f"{name} must be nonnegative and finite")
 
     @property
     def n_states(self) -> int:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ModelError
-from .models import FactorGraph
+from .models import FactorGraph, float_array
 
 DEFAULT_PAIRWISE_CAP = 16
 # is_log_supermodular: the relative tolerance of f(x)f(y) <= f(x&y)f(x|y)
@@ -60,12 +60,6 @@ class LsmReport:
     witness: tuple | None = None
 
 
-def _require_finite_nonnegative(values: np.ndarray) -> None:
-    # a NaN entry makes the minimum NaN, which fails the comparison
-    if not (values.min() >= 0 and values.max() < math.inf):
-        raise ModelError("table entries must be finite and >= 0")
-
-
 def is_log_supermodular(values, cap: int = DEFAULT_PAIRWISE_CAP) -> LsmReport:
     """Exhaustively check f(x)f(y) <= f(x AND y)f(x OR y) over all pairs.
 
@@ -74,14 +68,13 @@ def is_log_supermodular(values, cap: int = DEFAULT_PAIRWISE_CAP) -> LsmReport:
     violation.  Refuses tables of more than 2^cap entries, and entries
     that are negative or not finite.
     """
-    values = np.asarray(values, dtype=float).ravel()
+    values = float_array(values, "table entries", nonnegative=True).ravel()
     size = values.size
     n = size.bit_length() - 1
     if size == 0 or size != 1 << n:
         raise ModelError(f"table length {size} is not a power of two")
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds the pairwise-check cap {cap}")
-    _require_finite_nonnegative(values)
     ys = np.arange(size)
     worst = 0.0
     witness = None
@@ -141,12 +134,12 @@ def check_correlation_inequality(g, fs: Sequence) -> CorrelationReport:
 
     ``g`` is a table over {0,1}^(M*n) whose coordinates are the blocks
     x^1, ..., x^M in order; each f_m is a table over {0,1}^n.  Refuses
-    M*n above _CORRELATION_CAP_BITS, and f_m entries that are negative or
-    not finite; the inequalities hold within the relative tolerance
-    _REL_TOL_CORRELATION.
+    M*n above _CORRELATION_CAP_BITS, and entries of g or an f_m that are
+    negative or not finite; the inequalities hold within the relative
+    tolerance _REL_TOL_CORRELATION.
     """
-    g = np.asarray(g, dtype=float).ravel()
-    fs = [np.asarray(f, dtype=float).ravel() for f in fs]
+    g = float_array(g, "table entries", nonnegative=True).ravel()
+    fs = [float_array(f, "table entries", nonnegative=True).ravel() for f in fs]
     m_total = len(fs)
     if m_total == 0:
         raise ModelError("need at least one f_m")
@@ -154,7 +147,6 @@ def check_correlation_inequality(g, fs: Sequence) -> CorrelationReport:
     for f in fs:
         if f.size != 1 << n:
             raise ModelError("all f_m must share one dimension")
-        _require_finite_nonnegative(f)
     total_bits = m_total * n
     if g.size != 1 << total_bits:
         raise ModelError(

@@ -27,6 +27,7 @@ from .models import (
     check_exp_range,
     check_subset_cap,
     exact_partition,
+    float_array,
     fsum_blocks,
     subset_products,
 )
@@ -115,13 +116,14 @@ class GFMatrix:
     entries: np.ndarray
 
     def __init__(self, field: GaloisField, entries) -> None:
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = float_array(entries, "matrix entries")
         if arr.ndim != 2:
             raise ModelError("matrix must be two-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ModelError(f"entries must lie in 0..{field.q - 1}")
+        # as for any count, 2.0 is read as 2 and 1.7 is refused
+        if arr.size and (arr.min() < 0 or arr.max() >= field.q or (arr % 1).any()):
+            raise ModelError(f"entries must be integers in 0..{field.q - 1}")
         self.field = field
-        self.entries = arr
+        self.entries = arr.astype(np.int64)
 
     @property
     def n_rows(self) -> int:
@@ -227,11 +229,9 @@ def matroid_rc_partition(matrix: GFMatrix, weights) -> float:
 
     Z = sum_{A subseteq columns} q^(-r_S(A)) prod_{alpha in A} p_alpha.
     """
-    p = np.asarray(weights, dtype=float)
+    p = float_array(weights, "column weights", nonnegative=True)
     if p.shape != (matrix.n_cols,):
         raise ModelError("need one weight per column")
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise ModelError("column weights must be finite and >= 0")
     n = matrix.n_cols
     check_subset_cap(n, "column")
     q = float(matrix.field.q)
@@ -258,11 +258,9 @@ def incidence_factor_graph(matrix: GFMatrix, couplings) -> FactorGraph:
     Refuses a non-finite coupling with ModelError, and one whose weight
     exp(J) overflows with NumericRangeError.
     """
-    J = np.asarray(couplings, dtype=float)
+    J = float_array(couplings, "couplings")
     if J.shape != (matrix.n_cols,):
         raise ModelError("need one coupling per column")
-    if not np.all(np.isfinite(J)):
-        raise ModelError("couplings must be finite")
     check_exp_range(J, "the coupling weight")
     q = matrix.field.q
     variables = [(f"r{i}", q) for i in range(matrix.n_rows)]

@@ -53,12 +53,31 @@ _EXPONENT_SHIFT = np.uint64(52)
 _HI_MASK = np.uint64((1 << 64) - (1 << 26))
 
 
-def float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; ModelError when an entry is not a number."""
+def float_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
+    """``values`` as a float array, the one reader of real-valued input:
+    ModelError unless every entry is a finite real number (not a bool or a
+    string, at any depth of a list), and >= 0 when ``nonnegative`` is set.
+    A numpy array is judged by its dtype, with no Python scan of entries."""
+    _require_reals(values, what)
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(values, dtype=float)
+    except (OverflowError, ValueError) as exc:  # an int beyond float, a ragged list
         raise ModelError(f"{what} must be numbers: {exc}") from exc
+    if not np.isfinite(arr).all() or nonnegative and arr.min(initial=0.0) < 0:
+        raise ModelError(f"{what} must be finite" + (" and >= 0" if nonnegative else ""))
+    return arr
+
+
+def _require_reals(values, what: str) -> None:
+    """ModelError at the first entry of nested lists that is not a real number."""
+    if isinstance(values, (list, tuple)):
+        for x in values:
+            _require_reals(x, what)
+    elif isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ModelError(f"{what}: a {values.dtype} array is not real-valued")
+    elif not isinstance(values, numbers.Real) or isinstance(values, bool):
+        raise ModelError(f"{what}: {values!r} is not a real number")
 
 
 def as_int(value, what: str) -> int:
@@ -69,6 +88,25 @@ def as_int(value, what: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ModelError(f"{what} must be an integer, got {value!r}")
+
+
+def as_simple_graph(n_vertices, edges: Sequence) -> tuple:
+    """(vertex count, edges) as ints; ModelError unless they form a simple graph."""
+    n_vertices = as_int(n_vertices, "the vertex count")
+    if n_vertices < 0:
+        raise ModelError("negative vertex count")
+    seen = {}  # each edge under its sorted ends, in input order
+    for i, j in edges:
+        i, j = as_int(i, "an edge end"), as_int(j, "an edge end")
+        if i == j:
+            raise ModelError(f"self-loop at vertex {i}")
+        if not (0 <= i < n_vertices and 0 <= j < n_vertices):
+            raise ModelError(f"edge ({i},{j}) outside vertex range")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ModelError(f"duplicate edge {key}")
+        seen[key] = (i, j)
+    return n_vertices, tuple(seen.values())
 
 
 def _size_text(n: int) -> str:
@@ -89,12 +127,7 @@ def check_exp_range(exponents: np.ndarray, what: str) -> None:
 
 
 def _as_table_array(values) -> np.ndarray:
-    arr = float_array(values, "potential entries")
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
-        raise ModelError("potential entries must be finite and >= 0")
-    arr = arr.copy()
+    arr = float_array(values, "potential entries", nonnegative=True).flatten()
     arr.setflags(write=False)
     return arr
 

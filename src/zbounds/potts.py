@@ -22,14 +22,18 @@ from .covers import CoverSpec, layered_masks
 from .errors import ModelError, NumericRangeError
 from .models import (
     FactorGraph,
-    as_int,
+    as_simple_graph,
     check_exp_range,
     check_subset_cap,
     exact_partition,
+    float_array,
     fsum_blocks,
     mask_blocks,
     subset_products,
 )
+
+# relative tolerance of the cover weight check here and of verify's cover suites
+REL_TOL_COVER = 1e-9
 
 
 class UnionFind:
@@ -59,27 +63,6 @@ class UnionFind:
         return True
 
 
-def _check_simple(n_vertices: int, edges: Sequence) -> tuple:
-    """(vertex count, edges) as ints; ModelError unless they form a simple graph."""
-    n_vertices = as_int(n_vertices, "the vertex count")
-    if n_vertices < 0:
-        raise ModelError("negative vertex count")
-    seen = set()
-    out = []
-    for i, j in edges:
-        i, j = as_int(i, "an edge end"), as_int(j, "an edge end")
-        if i == j:
-            raise ModelError(f"self-loop at vertex {i}")
-        if not (0 <= i < n_vertices and 0 <= j < n_vertices):
-            raise ModelError(f"edge ({i},{j}) outside vertex range")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ModelError(f"duplicate edge {key}")
-        seen.add(key)
-        out.append((i, j))
-    return n_vertices, tuple(out)
-
-
 @dataclass
 class PottsModel:
     """A q-state Potts model: per-edge couplings, optional uniform field.
@@ -97,21 +80,18 @@ class PottsModel:
     field: np.ndarray | None = None
 
     def __init__(self, n_vertices, edges, q, coupling, field=None) -> None:
-        self.n_vertices, self.edges = _check_simple(n_vertices, edges)
-        if not (q >= 1 and math.isfinite(q)):
-            raise ModelError(f"q must be finite and >= 1, got {q}")
-        self.q = float(q)
-        self.coupling = np.asarray(coupling, dtype=float)
+        self.n_vertices, self.edges = as_simple_graph(n_vertices, edges)
+        q = float_array(q, "q").tolist()
+        if not isinstance(q, float) or q < 1:
+            raise ModelError(f"q must be one number >= 1, got {q!r}")
+        self.q = q
+        self.coupling = float_array(coupling, "couplings")
         if self.coupling.shape != (len(self.edges),):
             raise ModelError("need one coupling per edge")
         if field is not None:
-            field = np.asarray(field, dtype=float)
-            if float(q) != int(q) or field.shape != (int(q),):
+            field = float_array(field, "field entries")
+            if not self.q.is_integer() or field.shape != (int(self.q),):
                 raise ModelError("field must be a length-q vector with integer q")
-        # a Python pass over a few entries costs less than a numpy reduction
-        entries = self.coupling.tolist() + ([] if field is None else field.tolist())
-        if not all(map(math.isfinite, entries)):
-            raise ModelError("couplings and field entries must be finite")
         self.field = field
 
     @property
@@ -335,7 +315,7 @@ def check_cover_component_inequality(
         rw = math.prod((w for _k, w in stacks), start=1.0)
         report.lhs_weight = lw
         report.rhs_weight = rw
-        report.weight_ok = lw <= rw * (1 + 1e-9) + 1e-300
+        report.weight_ok = lw <= rw * (1 + REL_TOL_COVER) + 1e-300
     return report
 
 

@@ -20,10 +20,9 @@ from .errors import ModelError
 from .homs import HomModel, edge_partition, edge_weight_table, hom_partition, hom_to_factor_graph
 from .matroid import GFMatrix, gf
 from .models import FactorGraph, exact_marginals, exact_partition
-from .potts import PottsModel, build_counterexample, potts_to_factor_graph
+from .potts import REL_TOL_COVER, PottsModel, build_counterexample, potts_to_factor_graph
 
 REL_TOL_IDENTITY = 1e-9
-REL_TOL_COVER = 1e-9
 REL_TOL_ORDERING = 1e-6
 REL_TOL_TREE = 1e-6
 REL_TOL_GRADIENT = 1e-5

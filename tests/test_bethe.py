@@ -529,6 +529,15 @@ class TestMaximizeBethe:
 
 
 class TestMeanField:
+    @pytest.mark.parametrize("restarts", [0, -7])
+    def test_restarts_below_one_refused(self, restarts):
+        # no longer run as one restart
+        m = FactorGraph([("x", 2)], [], {"x": [1.0, 2.0]})
+        with pytest.raises(ModelError, match="restarts must be >= 1"):
+            mean_field(m, restarts=restarts)
+        with pytest.raises(ModelError, match="restarts must be >= 1"):
+            maximize_bethe(m, restarts=restarts)
+
     def test_budgets_enforced(self):
         for m in over_budget_models():
             with pytest.raises(ModelError, match="optimizer budget"):

@@ -657,6 +657,13 @@ class TestCommands:
              {"n_vertices": 2, "edges": [[0, 1]], "w": [[1, 1]], "a": [1, 0], "b": [0, 1]}),
             (["hom"], "--model",
              {"n_vertices": 3, "edges": [[0, 1, 2]], "w": [1, 1], "a": [1, 0], "b": [0, 1]}),
+            (["potts"], "--graph", {"n_vertices": 2, "edges": [[0, 1]], "q": True, "J": 1.0}),
+            (["potts"], "--graph", {"n_vertices": 2, "edges": [[0, 1]], "q": 2, "J": "0.5"}),
+            (["z"], "--model", {**_one_factor(), "factors": [
+                {"id": "f", "scope": ["x"], "table": [True, "2.5"]}]}),
+            (["hom"], "--model",
+             {"n_vertices": 2, "edges": [[0, 1]], "w": ["1", True], "a": [1, 0], "b": [0, 1]}),
+            (["check-lsm"], "--table", [True, "1", 1, 1]),
         ],
         ids=["string-cardinality", "fractional-cardinality", "boolean-cardinality",
              "list-variable-id", "list-factor-id", "float-factor-id", "boolean-factor-id",
@@ -665,7 +672,8 @@ class TestCommands:
              "same-key-cover-base", "string-M", "fractional-M",
              "string-perm", "fractional-perm", "fractional-vertex-count",
              "fractional-edge-end", "negative-vertex-count", "matrix-weights",
-             "three-ended-edge"],
+             "three-ended-edge", "boolean-q", "string-coupling", "boolean-string-table",
+             "string-boolean-hom-weights", "boolean-string-lsm-table"],
     )
     def test_malformed_count_or_id_exit_2(self, runner, tmp_path, command, flag, doc):
         # refused as input, with one error line and no traceback

@@ -52,6 +52,15 @@ class TestHomPartition:
         with pytest.raises(ModelError):
             HomModel(2, [(0, 1)], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("which", ["w", "a", "b"])
+    @pytest.mark.parametrize(
+        "bad", [[1.0, True], [1.0, "1"], [[1.0], [True]]], ids=["bool", "string", "nested-bool"]
+    )
+    def test_non_real_weight_rejected(self, which, bad):
+        vecs = {"w": [1.0, 1.0], "a": [1.0, 1.0], "b": [1.0, 1.0], which: bad}
+        with pytest.raises(ModelError, match="not a real number"):
+            HomModel(2, [(0, 1)], vecs["w"], vecs["a"], vecs["b"])
+
     def test_zero_states(self):
         # no colours: no colouring of a nonempty graph
         assert hom_partition(HomModel(3, TRIANGLE, [], [], [])) == 0.0

@@ -115,6 +115,14 @@ class TestLogSupermodular:
         with pytest.raises(ModelError, match="finite and >= 0"):
             is_log_supermodular(table)
 
+    @pytest.mark.parametrize(
+        "table", [[True, 1, 1, 1], ["1", 1, 1, 1], [[True, 1], [1, 1]]],
+        ids=["bool", "string", "nested-bool"],
+    )
+    def test_non_real_entry_refused(self, table):
+        with pytest.raises(ModelError, match="not a real number"):
+            is_log_supermodular(table)
+
     @pytest.mark.parametrize("table", [[], [1.0, 1.0, 1.0]])
     def test_length_not_power_of_two_refused(self, table):
         with pytest.raises(ModelError, match="power of two"):
@@ -182,6 +190,13 @@ class TestCorrelationInequality:
         # a bad entry would otherwise drop out of the pointwise half
         with pytest.raises(ModelError, match="finite and >= 0"):
             check_correlation_inequality([1, 1, 1, 1], [[bad, 1], [1, 1]])
+
+    @pytest.mark.parametrize("bad", [True, "1", [True]], ids=["bool", "string", "nested-bool"])
+    def test_non_real_g_or_f_refused(self, bad):
+        with pytest.raises(ModelError, match="not a real number"):
+            check_correlation_inequality([1, 1, 1, bad], [[1, 1], [1, 1]])
+        with pytest.raises(ModelError, match="not a real number"):
+            check_correlation_inequality([1, 1, 1, 1], [[1, bad], [1, 1]])
 
     @staticmethod
     def _ref_rhs(fs, n):

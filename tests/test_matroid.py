@@ -190,6 +190,26 @@ def _ref_incidence_table(matrix, J, c):
     return tuple(f"r{i}" for i in support), (q,) * len(support), table
 
 
+class TestGFMatrixEntries:
+    @pytest.mark.parametrize(
+        "entries,match",
+        [
+            ([[1.7, 1, 2]], "integers in 0..2"),
+            ([[True, 1, 2]], "not a real number"),
+            ([[1, 1], [0, True]], "not a real number"),
+            ([[1, "2", 0]], "not a real number"),
+            ([[1, 3, 0]], "integers in 0..2"),
+        ],
+    )
+    def test_non_integral_or_out_of_field_entry_refused(self, entries, match):
+        with pytest.raises(ModelError, match=match):
+            GFMatrix(gf(3), entries)
+
+    def test_integral_float_read_as_int(self):
+        m = GFMatrix(gf(3), [[2.0, 1, 0]])
+        assert m.entries.dtype == np.int64 and m.entries.tolist() == [[2, 1, 0]]
+
+
 class TestRank:
     def test_identity(self):
         m = GFMatrix(gf(2), [[1, 0], [0, 1]])
@@ -334,6 +354,14 @@ class TestMatroidPartitions:
         m = GFMatrix(gf(2), [[1, 1]])
         with pytest.raises(ModelError, match="finite"):
             matroid_rc_partition(m, [1.0, weight])
+
+    @pytest.mark.parametrize("bad", [[True], ["0.5"], [[True]]], ids=["bool", "string", "nested-bool"])
+    def test_non_real_weight_or_coupling_rejected(self, bad):
+        m = GFMatrix(gf(2), [[1]])
+        with pytest.raises(ModelError, match="not a real number"):
+            matroid_rc_partition(m, bad)
+        with pytest.raises(ModelError, match="not a real number"):
+            incidence_factor_graph(m, bad)
 
     def test_overflowing_coupling_refused(self):
         # exp(800) is beyond the float range: refused, not a bare OverflowError

@@ -21,6 +21,7 @@ from zbounds.models import (
     evaluate,
     exact_marginals,
     exact_partition,
+    float_array,
     fsum_blocks,
 )
 from zbounds.potts import PottsModel, potts_to_factor_graph
@@ -92,6 +93,17 @@ class TestConstruction:
         with pytest.raises(ModelError):
             FactorGraph([("x", 2), (1, 2)], factors, pots)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[True, 1.0], ["1", 1.0], [[True], [1.0]], np.array([True, False])],
+        ids=["bool", "string", "nested-bool", "bool-array"],
+    )
+    def test_non_real_table_or_potential_rejected(self, bad):
+        with pytest.raises(ModelError, match="not a real number|not real-valued"):
+            FactorGraph([("x", 2)], [("f", ("x",), bad)])
+        with pytest.raises(ModelError, match="not a real number|not real-valued"):
+            FactorGraph([("x", 2)], [], {"x": bad})
+
     def test_rows_factors_and_tables_build_one_model(self):
         table = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         rows = FactorGraph([("x", 2), (0, 3)], [("f", ["x", 0], table)])
@@ -109,6 +121,37 @@ class TestConstruction:
     def test_zero_valued_tables_allowed(self):
         m = FactorGraph([("x", 2)], [("f", ("x",), [0.0, 0.0])])
         assert exact_partition(m) == 0.0
+
+
+class TestFloatArray:
+    @pytest.mark.parametrize(
+        "values",
+        [True, "2.5", None, 1 + 2j, [1.0, True], [[1.0], ["2"]], [[[1.0, True]]],
+         [np.array([1.0]), [False]], np.array([True]), np.array(["1"])],
+    )
+    def test_non_real_refused(self, values):
+        with pytest.raises(ModelError, match="not a real number|not real-valued"):
+            float_array(values, "x")
+
+    @pytest.mark.parametrize("values", [math.nan, [1.0, math.inf], [[2.0], [-math.inf]]])
+    def test_non_finite_refused(self, values):
+        with pytest.raises(ModelError, match="^x must be finite$"):
+            float_array(values, "x")
+
+    def test_negative_refused_when_nonnegative(self):
+        assert float_array([0.0, -1.0], "x").tolist() == [0.0, -1.0]
+        with pytest.raises(ModelError, match="^x must be finite and >= 0$"):
+            float_array([0.0, -1.0], "x", nonnegative=True)
+
+    @pytest.mark.parametrize("values", [[10**400], [[1.0, 2.0], [3.0]]], ids=["huge-int", "ragged"])
+    def test_unreadable_refused(self, values):
+        with pytest.raises(ModelError, match="x must be numbers"):
+            float_array(values, "x")
+
+    def test_reads_every_real_spelling(self):
+        arr = float_array([(1, 2.5), [np.int64(3), np.float32(0.5)]], "x")
+        assert arr.dtype == float and arr.tolist() == [[1.0, 2.5], [3.0, 0.5]]
+        assert float_array(np.arange(3), "x").tolist() == [0.0, 1.0, 2.0]
 
 
 class TestEvaluate:

@@ -48,6 +48,25 @@ class TestGraphValidation:
         with pytest.raises(ModelError, match="finite"):
             PottsModel(2, [(0, 1)], q, coupling, field=field)
 
+    @pytest.mark.parametrize(
+        "q,coupling,field",
+        [
+            (True, [1.0], None),
+            ("2", [1.0], None),
+            ([[True]], [1.0], None),
+            ([2], [1.0], None),
+            (2, [True], None),
+            (2, ["0.5"], None),
+            (2, [[True]], None),
+            (2, [1.0], [True, False]),
+            (2, [1.0], ["0", 0.0]),
+            (2, [1.0], [[True], [0.0]]),
+        ],
+    )
+    def test_non_real_value_rejected(self, q, coupling, field):
+        with pytest.raises(ModelError, match="not a real number|one number"):
+            PottsModel(2, [(0, 1)], q, coupling, field=field)
+
     def test_ferromagnetic_flag(self):
         assert PottsModel(2, [(0, 1)], 2, [0.5]).ferromagnetic
         assert not PottsModel(2, [(0, 1)], 2, [-0.5]).ferromagnetic
