@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ModelError, NumericRangeError
-from .models import FactorGraph, PseudoMarginals
+from .models import FactorGraph, PseudoMarginals, float_array
 
 _NEG_INF = float("-inf")
 _ZERO_TOL = 1e-12
@@ -66,8 +66,9 @@ def bethe_objective(
 ) -> float:
     """Evaluate the Bethe objective at the given beliefs, in log domain.
 
-    Returns -inf when beliefs put mass on a zero of a potential.  With
-    ``validate`` the beliefs are first checked against the local
+    Returns -inf when beliefs put mass on a zero of a potential.  Raises
+    ModelError unless every belief is finite and real (``float_array``).
+    With ``validate`` the beliefs are first checked against the local
     consistency constraints up to _POLYTOPE_TOL.  The one evaluator is
     ``_objective_rows``, over a stack of belief rows; this is its one-row
     case.
@@ -79,8 +80,11 @@ def bethe_objective(
                 f"beliefs violate local consistency by {violation:.3g} "
                 f"(tolerance {_POLYTOPE_TOL:.3g})"
             )
-    node = [np.asarray(tau.node[v], dtype=float)[None] for v in model.var_ids]
-    factor = [np.asarray(tau.factor[fac.id], dtype=float)[None] for fac in model.factors]
+    node = [float_array(tau.node[v], f"node belief of {v!r}")[None] for v in model.var_ids]
+    factor = [
+        float_array(tau.factor[fac.id], f"factor belief of {fac.id!r}")[None]
+        for fac in model.factors
+    ]
     return float(_objective_rows(model, node, factor)[0])
 
 
@@ -136,7 +140,6 @@ def _check_interior(model: FactorGraph, tau: PseudoMarginals) -> None:
     for what, entries in named:
         if entries is None:
             continue
-        entries = np.asarray(entries, dtype=float)
         bad = np.argwhere(~(entries > 0))
         if len(bad):
             at = tuple(int(k) for k in bad[0])
@@ -149,19 +152,24 @@ def _check_interior(model: FactorGraph, tau: PseudoMarginals) -> None:
 def bethe_gradient(model: FactorGraph, tau: PseudoMarginals) -> PseudoMarginals:
     """Partial derivatives of the Bethe objective w.r.t. every belief entry.
 
-    Defined at interior points only: raises ModelError naming the first
-    belief or potential entry that is not positive.  Returned in a
+    Defined at interior points only: raises ModelError unless every belief
+    is finite and real (``float_array``), then naming the first belief or
+    potential entry that is not positive.  Returned in a
     PseudoMarginals-shaped container.
     """
+    tau = PseudoMarginals(
+        {v: float_array(tau.node[v], f"node belief of {v!r}") for v in model.var_ids},
+        {f.id: float_array(tau.factor[f.id], f"factor belief of {f.id!r}") for f in model.factors},
+    )
     _check_interior(model, tau)
     node_grads = {}
     incident_marg = {v: np.zeros(model.card(v)) for v in model.var_ids}
     factor_grads = {}
     for fac in model.factors:
-        ta = np.asarray(tau.factor[fac.id], dtype=float)
+        ta = tau.factor[fac.id]
         g = np.log(fac.table.as_ndarray()) - np.log(ta) - 1.0
         for pos, v in enumerate(fac.scope):
-            ti = np.asarray(tau.node[v], dtype=float)
+            ti = tau.node[v]
             shape = [1] * ta.ndim
             shape[pos] = ti.size
             g = g + np.log(ti).reshape(shape)
@@ -169,7 +177,7 @@ def bethe_gradient(model: FactorGraph, tau: PseudoMarginals) -> PseudoMarginals:
             incident_marg[v] += ta.sum(axis=axes)
         factor_grads[fac.id] = g
     for v in model.var_ids:
-        ti = np.asarray(tau.node[v], dtype=float)
+        ti = tau.node[v]
         pot = model.node_potential(v)
         g = -np.log(ti) - 1.0 + incident_marg[v] / ti
         if pot is not None:

@@ -355,14 +355,15 @@ def weight_enumerator(
     value q^k lam^n Z_Potts(S; q, log(1/lam)), and Bethe / mean-field
     lower bounds computed on the factor-graph form.  For lam > 1 the
     bounds are suppressed (the inequality only holds on (0, 1]).  Raises
-    ModelError unless lam is finite and positive with log(1/lam) finite
-    (below about 5.6e-309, 1/lam overflows).
+    ModelError unless lam is one real number (``float_array``), positive
+    with log(1/lam) finite (below about 5.6e-309, 1/lam overflows).
     """
     from .bethe import maximize_bethe, mean_field
 
-    if not (math.isfinite(lam) and lam > 0 and math.isfinite(math.log(1.0 / lam))):
+    lam = float_array(lam, "lambda").tolist()
+    if not (isinstance(lam, float) and lam > 0 and math.isfinite(math.log(1.0 / lam))):
         raise ModelError(
-            f"lambda must be positive and finite, with log(1/lambda) finite; got {lam!r}"
+            f"lambda must be one positive number with log(1/lambda) finite; got {lam!r}"
         )
     q = matrix.field.q
     k, n = matrix.n_rows, matrix.n_cols

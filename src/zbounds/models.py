@@ -41,12 +41,25 @@ _DENSE_BLOCK = 1 << 22
 # arrays of one block do not grow with the space.
 _MASK_BLOCK_BITS = 16
 
+# A leading-axis term whose slice varies along the block is stored with its
+# last block axes filled out to at least this many entries (or the whole
+# block), so each multiply runs contiguous inner loops of that length.
+_TAIL = 256
+
 # fsum_blocks: a lone array under _SMALL_SUM entries is cheaper to sum as
-# Python floats; larger streams go through the exponent buckets in chunks
-# of _SUM_CHUNK entries.  A bucket sum of at most _BUCKET_EXACT entries,
-# each below 2^27 units of its bucket's ulp, stays below 2^53 units: exact.
+# Python floats.  Larger blocks are summed in pieces of at most _SUM_CHUNK
+# entries, by at most _LEVELS extraction levels when they cover the piece
+# (106 - 3M bits of range for 2^M above its size, 61 for a full piece)
+# and its largest entry lies inside _EXTRACT_RANGE, else by the exponent
+# buckets; levels that leave a rest for the buckets measured slower than
+# the buckets alone.  The level sums join the buckets once _PENDING_SUMS
+# of them are held.  A bucket sum of at most _BUCKET_EXACT entries, each
+# below 2^27 units of its bucket's ulp, stays below 2^53 units: exact.
 _SMALL_SUM = 512
 _SUM_CHUNK = 1 << 14
+_LEVELS = 3
+_EXTRACT_RANGE = (2.0**-900, 2.0**900)
+_PENDING_SUMS = 256
 _BUCKET_EXACT = 1 << 26
 _BUCKETS = 1 << 12
 _EXPONENT_SHIFT = np.uint64(52)
@@ -341,7 +354,9 @@ def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
     per leading axis that carries terms: each term is multiplied once per
     assignment of the leading axes from its lowest on.  The block and the
     partial products fit in two 2^_MASK_BLOCK_BITS arrays, which sets how
-    many axes lead (at most all but the last); no entry depends on it.
+    many axes lead (at most all but the last); no entry depends on it.  A
+    leading-axis term whose slice varies along the block is stored with
+    its last block axes filled out (_TAIL), which changes no product.
     """
     axis = {v: k for k, v in enumerate(model.var_ids)}
     shape = tuple(model.card(v) for v in model.var_ids)
@@ -381,9 +396,17 @@ def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
     if not lead:  # the joint is the block
         yield 0, flat
         return
+    cut = n - 1  # the tail: the last block axes from `cut` on, _TAIL entries if the block has them
+    while cut > lead and math.prod(shape[cut:]) < _TAIL:
+        cut -= 1
     levels = []  # (axis, partial product, its source, its terms), highest axis first
     for a, group in itertools.groupby(rest, operator.itemgetter(0)):
-        views = [np.broadcast_to(t, shape[a:lead] + t.shape[lead - a :]) for _, t in group]
+        views = []
+        for _, t in group:
+            if t.shape[cut - a :] != shape[cut:] and t.size > math.prod(t.shape[: lead - a]):
+                # a slice that varies along the block, its tail filled out: long inner loops
+                t = np.ascontiguousarray(np.broadcast_to(t, t.shape[: cut - a] + shape[cut:]))
+            views.append(np.broadcast_to(t, shape[a:lead] + t.shape[lead - a :]))
         levels.append((a, np.empty(shape[lead:]), levels[-1][1] if levels else block, views))
     slab = levels[-1][1].reshape(-1) if levels else flat
     stride = [math.prod(shape[a + 1 :]) for a in range(lead)]
@@ -448,12 +471,24 @@ def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
     """The correctly rounded sum of every entry of a stream of arrays, equal
     to ``math.fsum`` over them, holding one array at a time.
 
-    Each entry splits into its top 27 significand bits and the exact rest.
-    Entries that share a sign and an exponent are multiples of one ulp, so
-    per (sign, exponent) bucket both parts sum exactly by ``np.bincount``
-    for up to _BUCKET_EXACT entries; ``math.fsum`` rounds the bucket sums
-    once.  A lone array under _SMALL_SUM entries goes to ``math.fsum``
-    directly.
+    A positive piece of n entries below 2^e is summed by extraction levels
+    (Rump, Ogita & Oishi, "Accurate floating-point summation part I", SIAM
+    J. Sci. Comput. 2008, Lemma 3.3): with sigma = 2^(e+M) and 2^M > n,
+    q = (x + sigma) - sigma is x rounded to a multiple of sigma 2^-53, so
+    x - q is exact and numpy sums q exactly in any order; the next level
+    takes sigma 2^(M-53) and x - q.  Once sigma is at most the piece's
+    smallest entry, every entry left is a multiple of sigma 2^-52 below
+    sigma 2^-M in magnitude, so numpy sums the rest exactly as it stands.
+    A piece that would need more than _LEVELS levels, or holds an entry
+    that is not positive, or lies outside _EXTRACT_RANGE (inf, NaN, huge
+    or subnormal), goes to the buckets instead: each entry splits into its
+    top 27 significand bits and the exact rest, and entries that share a
+    sign and an exponent are multiples of one ulp, so per (sign, exponent)
+    bucket both parts sum exactly by ``np.bincount`` for up to
+    _BUCKET_EXACT entries.  ``math.fsum`` rounds the bucket sums and the
+    level sums once; the level sums pass through the buckets whenever
+    _PENDING_SUMS of them are held, so memory stays at one piece.  A lone
+    array under _SMALL_SUM entries goes to ``math.fsum`` directly.
 
     Raises NumericRangeError when an entry or the sum is not finite, and
     also when the entries of one sign and exponent alone overflow, even if
@@ -472,35 +507,79 @@ def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
         blocks = itertools.chain((first, second), blocks)
     else:
         blocks = itertools.chain((first,), blocks)
-    step = min(_SUM_CHUNK, _BUCKET_EXACT)
-    hi_sums = np.zeros(_BUCKETS)
-    lo_sums = np.zeros(_BUCKETS)
-    parts = []
-    count = 0
+    buckets = _Buckets()
+    pending = []  # level sums not yet in the buckets
+    work = rest = np.empty(0)  # the two extraction buffers
     for block in blocks:
         x = np.ascontiguousarray(block, dtype=float).ravel()
+        if x.size < _SMALL_SUM:
+            buckets.add(x)
+            continue
+        size = min(x.size, _SUM_CHUNK)
+        if work.size < size:
+            work, rest = np.empty(size), np.empty(size)
+        for start in range(0, x.size, size):
+            piece = x[start : start + size]
+            # a piece with an entry <= 0 (or NaN) goes to the buckets, without a max pass
+            low = float(piece.min())
+            high = float(piece.max()) if low > 0.0 else 0.0
+            if not _EXTRACT_RANGE[0] < high < _EXTRACT_RANGE[1]:
+                buckets.add(piece)
+                continue
+            shift = piece.size.bit_length()  # M: 2^M > n
+            sigma = math.ldexp(1.0, math.frexp(high)[1] + shift)
+            if low < math.ldexp(sigma, (_LEVELS - 1) * (shift - 53)):  # too wide for the levels
+                buckets.add(piece)
+                continue
+            q, r = work[: piece.size], rest[: piece.size]
+            while low < sigma:
+                np.add(piece, sigma, out=q)
+                np.subtract(q, sigma, out=q)
+                pending.append(q.sum())
+                piece = np.subtract(piece, q, out=r)
+                sigma = math.ldexp(sigma, shift - 53)
+            pending.append(piece.sum())
+        if len(pending) >= _PENDING_SUMS:
+            buckets.add(np.array(pending))
+            pending.clear()
+    return _checked_fsum(buckets.flush() + pending)
+
+
+class _Buckets:
+    """Exact per-(sign, exponent) sums of every entry added, each entry as
+    its top 27 significand bits plus the exact rest; ``parts`` holds the
+    nonzero bucket sums flushed so far."""
+
+    def __init__(self) -> None:
+        self.hi_sums = np.zeros(_BUCKETS)
+        self.lo_sums = np.zeros(_BUCKETS)
+        self.parts = []
+        self.count = 0
+
+    def add(self, x: np.ndarray) -> None:
+        step = min(_SUM_CHUNK, _BUCKET_EXACT)
         for start in range(0, x.size, step):
             chunk = x[start : start + step]
-            if count + chunk.size > _BUCKET_EXACT:
-                _flush_buckets(parts, hi_sums, lo_sums)
-                count = 0
+            if self.count + chunk.size > _BUCKET_EXACT:
+                self.flush()
             bits = chunk.view(np.uint64)
             key = (bits >> _EXPONENT_SHIFT).view(np.int64)
             part = (bits & _HI_MASK).view(float)
-            hi_sums += np.bincount(key, part, _BUCKETS)
-            with np.errstate(invalid="ignore"):  # inf - inf; caught below
+            self.hi_sums += np.bincount(key, part, _BUCKETS)
+            with np.errstate(invalid="ignore"):  # inf - inf; caught by the final sum
                 np.subtract(chunk, part, out=part)
-            lo_sums += np.bincount(key, part, _BUCKETS)
-            count += chunk.size
-    _flush_buckets(parts, hi_sums, lo_sums)
-    return _checked_fsum(parts)
+            self.lo_sums += np.bincount(key, part, _BUCKETS)
+            self.count += chunk.size
 
-
-def _flush_buckets(parts: list, hi_sums: np.ndarray, lo_sums: np.ndarray) -> None:
-    """Move the nonzero bucket sums into ``parts`` and zero the buckets."""
-    for sums in (hi_sums, lo_sums):
-        parts.extend(sums[sums != 0].tolist())
-        sums.fill(0.0)
+    def flush(self) -> list:
+        """Move the nonzero bucket sums into ``parts``, zero the buckets and
+        return ``parts``."""
+        if self.count:
+            for sums in (self.hi_sums, self.lo_sums):
+                self.parts.extend(sums[sums != 0].tolist())
+                sums.fill(0.0)
+            self.count = 0
+        return self.parts
 
 
 def mask_blocks(m: int) -> Iterator[np.ndarray]:
@@ -529,8 +608,7 @@ def subset_products(weights: np.ndarray, first=1.0) -> Iterator[np.ndarray]:
     """
     m = len(weights)
     low = min(m, _MASK_BLOCK_BITS)
-    first = np.asarray(first, dtype=float)
-    low_products = np.empty(first.shape + (1 << low,))
+    low_products = np.empty(np.shape(first) + (1 << low,))
     low_products[..., 0] = first
     for j in range(low):
         np.multiply(
@@ -579,20 +657,21 @@ class PseudoMarginals:
 
         Checks nonnegativity, node normalization, and, for every factor and
         every scope variable, agreement between the factor belief marginal
-        and the node belief.
+        and the node belief.  Raises ModelError unless every belief is
+        finite and real (``float_array``).
         """
+        node = {v: float_array(self.node[v], f"node belief of {v!r}") for v in model.var_ids}
         worst = 0.0
-        for v in model.var_ids:
-            tau = np.asarray(self.node[v], dtype=float)
+        for tau in node.values():
             worst = max(worst, float(-tau.min(initial=0.0)))
             worst = max(worst, abs(float(tau.sum()) - 1.0))
         for fac in model.factors:
-            tab = np.asarray(self.factor[fac.id], dtype=float)
+            tab = float_array(self.factor[fac.id], f"factor belief of {fac.id!r}")
             worst = max(worst, float(-tab.min(initial=0.0)))
             for pos, v in enumerate(fac.scope):
                 axes = tuple(a for a in range(tab.ndim) if a != pos)
                 marg = tab.sum(axis=axes)
-                worst = max(worst, float(np.max(np.abs(marg - self.node[v]))))
+                worst = max(worst, float(np.max(np.abs(marg - node[v]))))
         return worst
 
 

@@ -95,6 +95,23 @@ class TestObjective:
         with pytest.raises(ModelError):
             bethe_objective(m, tau)
 
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize(
+        "node, factor",
+        [
+            ([True, False], [0.5, 0.5]),
+            (["0.5", "0.5"], [0.5, 0.5]),
+            ([0.5, 0.5], np.array([True, False])),
+            ([0.5, float("nan")], [0.5, 0.5]),
+        ],
+    )
+    def test_beliefs_must_be_real(self, validate, node, factor):
+        # read as 1.0/0.0 or 0.5/0.5, these gave 0.0 and log 2
+        m = FactorGraph([("x", 2)], [("f", ("x",), [1.0, 1.0])])
+        tau = PseudoMarginals(node={"x": node}, factor={"f": factor})
+        with pytest.raises(ModelError, match="belief of '[xf]'"):
+            bethe_objective(m, tau, validate=validate)
+
 
 class TestGradient:
     def test_matches_central_differences(self):
@@ -146,6 +163,13 @@ class TestGradient:
         m, tau = self._interior()
         tau.factor["f"] = np.array([[0.5, 0.0], [0.25, 0.25]])
         with pytest.raises(ModelError, match=r"factor belief of 'f' is 0\.0 at \(0, 1\)"):
+            bethe_gradient(m, tau)
+
+    @pytest.mark.parametrize("belief", [[True, True], ["0.5", "0.5"]])
+    def test_node_belief_must_be_real(self, belief):
+        m, tau = self._interior()
+        tau.node["a"] = belief
+        with pytest.raises(ModelError, match="node belief of 'a'"):
             bethe_gradient(m, tau)
 
     def test_zero_table_entry_rejected(self):

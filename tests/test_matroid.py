@@ -472,6 +472,16 @@ class TestBlockedPottsSum:
             peaks.append(peak)
         assert peaks[1] < peaks[0] / 4
 
+    def test_dense_columns_match_random_cluster(self):
+        # every column touches every row, so each factor of the incidence
+        # graph spans the whole joint: 2^16 spin configurations against
+        # 2^13 column subsets
+        matrix = GFMatrix(gf(2), np.ones((16, 13), dtype=np.int64))
+        J = np.random.default_rng(20).uniform(0.05, 1.0, 13)
+        zp = matroid_potts_partition(matrix, J)
+        zrc = matroid_rc_partition(matrix, np.expm1(J))
+        assert abs(zp - zrc) / zrc <= verify.REL_TOL_IDENTITY
+
     def test_size_too_long_to_print_refused(self):
         # one column over 15000 rows: 2^15000 words, 4516 decimal digits
         matrix = GFMatrix(gf(2), np.ones((15000, 1), dtype=np.int64))
@@ -647,6 +657,13 @@ class TestWeightEnumerator:
     @pytest.mark.parametrize("lam", [0.0, -0.5, float("inf"), float("nan"), 1e-320])
     def test_lambda_outside_range_refused(self, lam):
         # 1e-320 is positive, but 1/lam overflows, so J = log(1/lam) is inf
+        m = parse_generator_matrix("2 1 3\n1 1 1\n")
+        with pytest.raises(ModelError, match="lambda"):
+            weight_enumerator(m, lam, restarts=4)
+
+    @pytest.mark.parametrize("lam", [True, "0.5", [0.5]])
+    def test_lambda_must_be_one_real(self, lam):
+        # True ran as lambda = 1, and "0.5" raised a bare TypeError
         m = parse_generator_matrix("2 1 3\n1 1 1\n")
         with pytest.raises(ModelError, match="lambda"):
             weight_enumerator(m, lam, restarts=4)

@@ -305,6 +305,17 @@ class TestExactMarginals:
             tau = exact_marginals(m)
             assert tau.polytope_violation(m) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "node, factor",
+        [([True, False], [1.0, 0.0]), (["1", "0"], [1.0, 0.0]), ([1.0, 0.0], [[True], [False]])],
+    )
+    def test_polytope_violation_reads_reals(self, node, factor):
+        # read as numbers, each of these is a point of the polytope
+        m = FactorGraph([("x", 2)], [("f", ("x",), [1.0, 1.0])])
+        tau = models.PseudoMarginals(node={"x": node}, factor={"f": np.array(factor).ravel()})
+        with pytest.raises(ModelError, match="belief of '[xf]'"):
+            tau.polytope_violation(m)
+
     def test_unnormalizable(self):
         m = FactorGraph([("x", 2)], [("f", ("x",), [0.0, 0.0])])
         with pytest.raises(UnnormalizableError):
@@ -402,6 +413,112 @@ class TestCorrectlyRoundedSum:
         expected = math.fsum(np.concatenate([np.arange(5) * 10.0**k + 0.1 for k in range(4)]))
         assert fsum_blocks(stream()) == expected
 
+    @pytest.fixture
+    def bucketed(self, monkeypatch):
+        """The size of each array ``fsum_blocks`` hands to its buckets."""
+        sizes = []
+        add = models._Buckets.add
+
+        def recorded(buckets, x):
+            sizes.append(x.size)
+            add(buckets, x)
+
+        monkeypatch.setattr(models._Buckets, "add", recorded)
+        return sizes
+
+    def test_levels_take_a_narrow_block(self, bucketed):
+        # positive entries within 2^20 of each other: the levels take them
+        # all, and none reaches the buckets
+        x = np.random.default_rng(5).uniform(1.0, 2.0**20, 4096)
+        assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+        assert bucketed == []
+
+    # 4096 entries below 2^1 (M = 13): the last level's sigma
+    LAST_SIGMA = 2.0 ** (1 + 13 + (models._LEVELS - 1) * (13 - 53))
+
+    @pytest.mark.parametrize(
+        "low, sign", [(2.0**-60, 1.0), (2.0**-80, 1.0), (1.0, -1.0), (0.0, 1.0), (0.0, -1.0)]
+    )
+    def test_wide_or_signed_block_skips_the_levels(self, bucketed, low, sign):
+        # the levels take a block whose entries are all positive and at
+        # least the last level's sigma (2^-66 at three levels); any other
+        # block goes to the buckets whole
+        x = np.random.default_rng(6).uniform(1.0, 2.0, 4096)
+        x[::64] *= low
+        x *= sign
+        assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+        levels = sign > 0 and low >= self.LAST_SIGMA
+        assert bucketed == ([] if levels else [x.size])
+
+    def test_the_last_sigma_bounds_the_levels(self, bucketed):
+        # the smallest entry at the last level's sigma, then one ulp below
+        x = np.random.default_rng(9).uniform(1.0, 1.5, 4096)
+        below = np.nextafter(self.LAST_SIGMA, 0.0)
+        for smallest, expected in ((self.LAST_SIGMA, []), (below, [x.size])):
+            x[7] = smallest
+            bucketed.clear()
+            assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+            assert bucketed == expected
+
+    @pytest.mark.parametrize("size", [4095, 40000, 65535])
+    def test_entries_near_the_top(self, size):
+        # every level sum near its bound n 2^-M sigma, as close to sigma as
+        # n < 2^M allows
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            x = rng.uniform(0.5, 1.0, size)
+            assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize(
+        "scale, guarded",
+        [(2.0**899, False), (2.0**1000, True), (2.0**-899, False), (2.0**-901, True),
+         (2.0**-1060, True)],
+    )
+    def test_range_guard(self, bucketed, scale, guarded):
+        # a block at or above 2^900, at or below 2^-900, or subnormal skips
+        # the levels: its first sigma would overflow, or its last underflow
+        x = np.random.default_rng(7).uniform(1.0, 1.9, 2048) * scale
+        assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+        assert bucketed == ([x.size] if guarded else [])
+
+    @pytest.mark.parametrize("size", [1 << 14, 1 << 16, 3 << 15])
+    @pytest.mark.parametrize("exact_zero", [False, True])
+    def test_cancellation_in_large_blocks(self, size, exact_zero):
+        # each entry beside its negation, or its negation one ulp larger,
+        # and a few stragglers 2^-80 below the rest; the blocks span
+        # several pieces
+        rng = np.random.default_rng(size)
+        half = rng.standard_normal(size // 2) * np.exp2(rng.integers(-40, 40, size // 2))
+        x = np.concatenate([half, -half if exact_zero else -half * (1.0 + 2.0**-52)])
+        if not exact_zero:
+            x[rng.integers(0, size, 10)] = rng.standard_normal(10) * 2.0**-80
+        rng.shuffle(x)
+        assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+        assert same_float(fsum_blocks(split_stream(rng, x)), math.fsum(x.tolist()))
+
+    def test_memory_bounded_over_many_blocks(self):
+        # the level sums of 4000 blocks are bucketed as they come, not kept
+        base = np.exp(np.random.default_rng(8).normal(0.0, 1.0, models._SMALL_SUM))
+
+        def stream(count):
+            buf = np.empty(base.size)
+            for k in range(count):
+                np.multiply(base, k + 1.0, out=buf)
+                yield buf
+
+        peaks = []
+        for count in (400, 4000):
+            tracemalloc.start()
+            try:
+                total = fsum_blocks(stream(count))
+                _size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            expected = math.fsum(itertools.chain.from_iterable(b.tolist() for b in stream(count)))
+            assert same_float(total, expected)
+        assert peaks[1] < peaks[0] + 16 * 1024
+
     def test_flush_path(self, monkeypatch):
         # buckets flushed every 7 entries still sum to the same value
         monkeypatch.setattr(models, "_BUCKET_EXACT", 7)
@@ -468,6 +585,26 @@ def slab_models():
             ],
             {5: rng.uniform(0.1, 2.0, 2), 2: [0.6], 0: rng.uniform(0.1, 2.0, 2), 3: [1.5, 0.0]},
         ),
+        # terms on the leading axes whose slices vary along the last block
+        # axis, or along a middle one, with block axes between
+        "edge to the last axis": FactorGraph(
+            list(enumerate([3, 2, 3, 2, 3])),
+            [
+                ("a", (4, 0), rng.uniform(0.1, 2.0, 9)),
+                ("b", (1, 4, 2), rng.uniform(0.1, 2.0, 18)),
+                ("c", (3, 2), rng.uniform(0.1, 2.0, 6)),
+            ],
+            {0: rng.uniform(0.1, 2.0, 3), 4: rng.uniform(0.1, 2.0, 3)},
+        ),
+        "edge to a middle axis": FactorGraph(
+            list(enumerate([2, 3, 2, 3, 2, 3])),
+            [
+                ("a", (0, 3), rng.uniform(0.1, 2.0, 6)),
+                ("b", (2, 1), rng.uniform(0.1, 2.0, 6)),
+                ("c", (5, 4), rng.uniform(0.1, 2.0, 6)),
+            ],
+            {1: rng.uniform(0.1, 2.0, 3)},
+        ),
     }
 
 
@@ -497,6 +634,17 @@ class TestJointSlabs:
         w = dense_joint(model)
         assert w.shape == expected.shape and np.array_equal(w, expected)
         assert exact_partition(model) == math.fsum(expected.ravel().tolist())
+
+    @pytest.mark.parametrize("tail", [1, 4, models._TAIL])
+    @pytest.mark.parametrize("bits", [4, 5, 6, 7])
+    @pytest.mark.parametrize("name", list(slab_models()))
+    def test_filled_tails_equal_one_shot_joint(self, monkeypatch, bits, name, tail):
+        # at slabs of 2^4 to 2^7 entries the block has several axes, and
+        # the leading terms that vary along it are filled out: over the
+        # last block axes for a tail of 1 or 4 entries, over the whole
+        # block, shorter than _TAIL, for the default
+        monkeypatch.setattr(models, "_TAIL", tail)
+        self.test_equals_one_shot_joint(monkeypatch, bits, name)
 
     def test_memory_bounded_by_slab(self):
         # 2^22 states: the one-shot joint alone would take 32 MiB
