@@ -41,9 +41,10 @@ _DENSE_BLOCK = 1 << 22
 # arrays of one block do not grow with the space.
 _MASK_BLOCK_BITS = 16
 
-# A leading-axis term whose slice varies along the block is stored with its
-# last block axes filled out to at least this many entries (or the whole
-# block), so each multiply runs contiguous inner loops of that length.
+# A leading-axis term whose slice varies along some but not all of the last
+# block axes that hold at least this many entries (or the whole block) is
+# stored filled out over them, if that takes at most one block, so each
+# multiply runs contiguous inner loops of that length.
 _TAIL = 256
 
 # fsum_blocks: a lone array under _SMALL_SUM entries is cheaper to sum as
@@ -355,8 +356,8 @@ def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
     assignment of the leading axes from its lowest on.  The block and the
     partial products fit in two 2^_MASK_BLOCK_BITS arrays, which sets how
     many axes lead (at most all but the last); no entry depends on it.  A
-    leading-axis term whose slice varies along the block is stored with
-    its last block axes filled out (_TAIL), which changes no product.
+    leading-axis term whose slice varies along part of the block's tail
+    (_TAIL) is stored filled out over it, which changes no product.
     """
     axis = {v: k for k, v in enumerate(model.var_ids)}
     shape = tuple(model.card(v) for v in model.var_ids)
@@ -403,9 +404,13 @@ def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
     for a, group in itertools.groupby(rest, operator.itemgetter(0)):
         views = []
         for _, t in group:
-            if t.shape[cut - a :] != shape[cut:] and t.size > math.prod(t.shape[: lead - a]):
-                # a slice that varies along the block, its tail filled out: long inner loops
-                t = np.ascontiguousarray(np.broadcast_to(t, t.shape[: cut - a] + shape[cut:]))
+            filled = t.shape[: cut - a] + shape[cut:]
+            # a slice that varies along some but not all of the tail is
+            # filled out over it, if that takes at most one block: long
+            # inner loops (a tail it does not vary along is one already)
+            varied = math.prod(t.shape[cut - a :])
+            if 1 < varied < math.prod(shape[cut:]) and math.prod(filled) <= size:
+                t = np.ascontiguousarray(np.broadcast_to(t, filled))
             views.append(np.broadcast_to(t, shape[a:lead] + t.shape[lead - a :]))
         levels.append((a, np.empty(shape[lead:]), levels[-1][1] if levels else block, views))
     slab = levels[-1][1].reshape(-1) if levels else flat

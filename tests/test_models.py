@@ -640,9 +640,10 @@ class TestJointSlabs:
     @pytest.mark.parametrize("name", list(slab_models()))
     def test_filled_tails_equal_one_shot_joint(self, monkeypatch, bits, name, tail):
         # at slabs of 2^4 to 2^7 entries the block has several axes, and
-        # the leading terms that vary along it are filled out: over the
-        # last block axes for a tail of 1 or 4 entries, over the whole
-        # block, shorter than _TAIL, for the default
+        # the leading terms that vary along part of the tail are filled
+        # out: none for a tail of 1 entry (the last axis alone), over the
+        # last block axes for 4, over the whole block, shorter than _TAIL,
+        # for the default
         monkeypatch.setattr(models, "_TAIL", tail)
         self.test_equals_one_shot_joint(monkeypatch, bits, name)
 
@@ -661,6 +662,25 @@ class TestJointSlabs:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
         assert z == math.fsum(one_shot_dense_joint(model).ravel().tolist())
+
+    def test_memory_bounded_with_wide_leading_terms(self):
+        # 2^22 states, 6 leading axes: factors on axes 0-13 (constant along
+        # the tail, axes 14-21) and on axes 0-13 and 21 (varying along part
+        # of it), as the incidence graph of a GF(2) matrix has them.  Filled
+        # out over the tail, either would take 2^22 entries: 32 MiB
+        rng = np.random.default_rng(10)
+        n = 22
+        factors = [(f"e{i}", (i, i + 1), rng.uniform(0.5, 1.5, 4)) for i in range(n - 1)]
+        factors.append(("wide", tuple(range(14)), rng.uniform(0.5, 1.5, 1 << 14)))
+        factors.append(("wide, tail", tuple(range(14)) + (21,), rng.uniform(0.5, 1.5, 1 << 15)))
+        model = FactorGraph([(i, 2) for i in range(n)], factors)
+        tracemalloc.start()
+        try:
+            exact_partition(model)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_memory_bounded_with_a_term_on_every_leading_axis(self):
         # 3^14 states with a node potential on every axis: the block and
