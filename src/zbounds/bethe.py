@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ModelError, NumericRangeError
-from .models import FactorGraph, PseudoMarginals, float_array
+from .models import FactorGraph, PseudoMarginals, as_int, float_array
 
 _NEG_INF = float("-inf")
 _ZERO_TOL = 1e-12
@@ -780,14 +780,15 @@ def maximize_bethe(
     highest value wins; exp of its objective is a lower bound on the true
     Bethe optimum (the remaining gap is not quantified).  ``refine_steps``
     and ``refine_top`` are ignored, kept while the benchmark passes them.
-    Raises ModelError for a damping outside [0, 1), restarts below 1, or a
-    model above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS factors, and
-    NumericRangeError when that value, the Z_MF computed on the way
-    (Z_MF <= Z_B), or the sum of a potential's entries is beyond the float
-    range.
+    Raises ModelError for a damping outside [0, 1), restarts not an integer
+    >= 1, or a model above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS
+    factors, and NumericRangeError when that value, the Z_MF computed on
+    the way (Z_MF <= Z_B), or the sum of a potential's entries is beyond
+    the float range.
     """
     _check_budget(model)
     _check_damping(damping)
+    restarts = as_int(restarts, "restarts")
     if restarts < 1:
         raise ModelError(f"restarts must be >= 1, got {restarts!r}")
     g = _Graph(model)
@@ -837,10 +838,12 @@ def mean_field(
     side (``_Graph.columns``) and ends in a column of ones; a restart whose
     sweep changes no belief by _MF_TOL or more stops moving while the others
     go on, for at most _MF_SWEEPS sweeps.  A restart's result does not
-    depend on the other restarts.  Raises ModelError for restarts below 1,
-    or above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS factors.
+    depend on the other restarts.  Raises ModelError for restarts not an
+    integer >= 1, or above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS
+    factors.
     """
     _check_budget(model)
+    restarts = as_int(restarts, "restarts")
     if restarts < 1:
         raise ModelError(f"restarts must be >= 1, got {restarts!r}")
     g = _Graph(model)

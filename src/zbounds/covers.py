@@ -243,6 +243,7 @@ def sample_cover(base: FactorGraph, m: int, seed: int) -> CoverSpec:
     assignments (labeled covers), which weights isomorphism classes by
     their labeled multiplicity; see the module notes in the README.
     """
+    m = as_int(m, "the cover degree M")
     rng = np.random.default_rng(seed)
     perms = {}
     for fac in base.factors:
@@ -258,6 +259,7 @@ def iter_cover_specs(base: FactorGraph, m: int) -> Iterator[CoverSpec]:
     factor copies that produce the same lifted graph, keeping exhaustive
     enumeration small.
     """
+    m = as_int(m, "the cover degree M")
     identity = {(fac.id, v): tuple(range(m)) for fac in base.factors for v in fac.scope}
     free = [(fac.id, v) for fac in base.factors for v in fac.scope[1:]]
     all_perms = list(itertools.permutations(range(m)))
@@ -304,6 +306,8 @@ def bethe_estimate_via_covers(
     base: FactorGraph, m: int, num_samples: int, seed: int
 ) -> CoverEstimate:
     """Estimate the M-th root of the average cover partition function."""
+    m = as_int(m, "the cover degree M")
+    num_samples = as_int(num_samples, "the sample count")
     if num_samples < 1:
         raise ModelError("need at least one sample")
     specs = (sample_cover(base, m, seed + k) for k in range(num_samples))
@@ -312,4 +316,5 @@ def bethe_estimate_via_covers(
 
 def cover_average_exhaustive(base: FactorGraph, m: int) -> CoverEstimate:
     """Exact average of Z over all pinned permutation covers (small bases)."""
+    m = as_int(m, "the cover degree M")
     return _cover_average(m, iter_cover_specs(base, m), exhaustive=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ModelError
-from .models import FactorGraph, float_array
+from .models import FactorGraph, as_int, float_array
 
 DEFAULT_PAIRWISE_CAP = 16
 # is_log_supermodular: the relative tolerance of f(x)f(y) <= f(x&y)f(x|y)
@@ -69,6 +69,7 @@ def is_log_supermodular(values, cap: int = DEFAULT_PAIRWISE_CAP) -> LsmReport:
     that are negative or not finite.
     """
     values = float_array(values, "table entries", nonnegative=True).ravel()
+    cap = as_int(cap, "the pairwise-check cap")
     size = values.size
     n = size.bit_length() - 1
     if size == 0 or size != 1 << n:

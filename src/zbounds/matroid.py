@@ -24,6 +24,7 @@ from .errors import EnumerationCapError, ModelError
 from .models import (
     DEFAULT_ENUMERATION_CAP,
     FactorGraph,
+    as_int,
     check_exp_range,
     check_subset_cap,
     exact_partition,
@@ -70,6 +71,7 @@ class GaloisField:
     """
 
     def __init__(self, q: int) -> None:
+        q = as_int(q, "the field order")
         if q > _MAX_FIELD_ORDER:
             raise ModelError(f"field order {q} exceeds the largest supported, {_MAX_FIELD_ORDER}")
         p, k = _factor_prime_power(q)

@@ -47,22 +47,22 @@ _MASK_BLOCK_BITS = 16
 # multiply runs contiguous inner loops of that length.
 _TAIL = 256
 
-# fsum_blocks: a lone array under _SMALL_SUM entries is cheaper to sum as
+# fsum_blocks: a block under _SMALL_SUM entries is cheaper to sum as
 # Python floats.  Larger blocks are summed in pieces of at most _SUM_CHUNK
 # entries, by at most _LEVELS extraction levels when they cover the piece
 # (106 - 3M bits of range for 2^M above its size, 61 for a full piece)
 # and its largest entry lies inside _EXTRACT_RANGE, else by the exponent
 # buckets; levels that leave a rest for the buckets measured slower than
-# the buckets alone.  The level sums join the buckets once _PENDING_SUMS
-# of them are held.  A bucket sum of at most _BUCKET_EXACT entries, each
-# below 2^27 units of its bucket's ulp, stays below 2^53 units: exact.
+# the buckets alone.  Once _PENDING_SUMS floats are held for the final
+# sum, they pass through the buckets, with the next piece if it goes
+# there.  So no bucket call sees more than one piece and 2^13 + _SMALL_SUM
+# held floats (two sums per sign and exponent, and one small block), far
+# below the 2^26 entries that keep each bucket sum exact.
 _SMALL_SUM = 512
 _SUM_CHUNK = 1 << 14
 _LEVELS = 3
 _EXTRACT_RANGE = (2.0**-900, 2.0**900)
-_PENDING_SUMS = 256
-_BUCKET_EXACT = 1 << 26
-_BUCKETS = 1 << 12
+_PENDING_SUMS = 128
 _EXPONENT_SHIFT = np.uint64(52)
 _HI_MASK = np.uint64((1 << 64) - (1 << 26))
 
@@ -486,56 +486,50 @@ def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
     sigma 2^-M in magnitude, so numpy sums the rest exactly as it stands.
     A piece that would need more than _LEVELS levels, or holds an entry
     that is not positive, or lies outside _EXTRACT_RANGE (inf, NaN, huge
-    or subnormal), goes to the buckets instead: each entry splits into its
-    top 27 significand bits and the exact rest, and entries that share a
-    sign and an exponent are multiples of one ulp, so per (sign, exponent)
-    bucket both parts sum exactly by ``np.bincount`` for up to
-    _BUCKET_EXACT entries.  ``math.fsum`` rounds the bucket sums and the
-    level sums once; the level sums pass through the buckets whenever
-    _PENDING_SUMS of them are held, so memory stays at one piece.  A lone
-    array under _SMALL_SUM entries goes to ``math.fsum`` directly.
+    or subnormal), goes to ``_bucket_sums`` instead.  ``pending`` holds
+    floats whose exact sum is the sum so far: the level sums, the bucket
+    sums and the entries of each block under _SMALL_SUM entries.  Once it
+    holds _PENDING_SUMS floats it is replaced by its own bucket sums, taken
+    with the next piece if that goes to the buckets, so memory stays at one
+    piece.  ``math.fsum`` rounds it once at the end, so a lone block under
+    _SMALL_SUM entries reaches ``math.fsum`` as it is.
 
     Raises NumericRangeError when an entry or the sum is not finite, and
-    also when the entries of one sign and exponent alone overflow, even if
-    entries of the other sign would cancel them.
+    also when the entries of one sign and exponent overflow in one call of
+    ``_bucket_sums``, or ``math.fsum`` meets an intermediate overflow, even
+    if entries of the other sign would cancel them.
     """
-    blocks = iter(blocks)
-    first = next(blocks, None)
-    if first is None:
-        return 0.0
-    if first.size < _SMALL_SUM:
-        # the next block may overwrite this one's buffer
-        first = first.copy()
-        second = next(blocks, None)
-        if second is None:
-            return _checked_fsum(first.ravel().tolist())
-        blocks = itertools.chain((first, second), blocks)
-    else:
-        blocks = itertools.chain((first,), blocks)
-    buckets = _Buckets()
-    pending = []  # level sums not yet in the buckets
-    work = rest = np.empty(0)  # the two extraction buffers
+    pending = []  # floats whose exact sum is the sum so far
+    work = rest = None  # the two extraction buffers, made when a large block needs them
     for block in blocks:
-        x = np.ascontiguousarray(block, dtype=float).ravel()
-        if x.size < _SMALL_SUM:
-            buckets.add(x)
+        if block.size < _SMALL_SUM:
+            if len(pending) >= _PENDING_SUMS:
+                pending = _bucket_sums(np.array(pending, dtype=float))
+            pending += block.ravel().tolist()
             continue
+        x = np.ascontiguousarray(block, dtype=float).ravel()
         size = min(x.size, _SUM_CHUNK)
-        if work.size < size:
+        if work is None or work.size < size:
             work, rest = np.empty(size), np.empty(size)
         for start in range(0, x.size, size):
             piece = x[start : start + size]
             # a piece with an entry <= 0 (or NaN) goes to the buckets, without a max pass
             low = float(piece.min())
             high = float(piece.max()) if low > 0.0 else 0.0
-            if not _EXTRACT_RANGE[0] < high < _EXTRACT_RANGE[1]:
-                buckets.add(piece)
-                continue
             shift = piece.size.bit_length()  # M: 2^M > n
-            sigma = math.ldexp(1.0, math.frexp(high)[1] + shift)
-            if low < math.ldexp(sigma, (_LEVELS - 1) * (shift - 53)):  # too wide for the levels
-                buckets.add(piece)
+            top = math.frexp(high)[1] + shift  # sigma = 2^top
+            if not (
+                _EXTRACT_RANGE[0] < high < _EXTRACT_RANGE[1]
+                and low >= math.ldexp(1.0, top + (_LEVELS - 1) * (shift - 53))
+            ):  # outside the range, or too wide for the levels
+                if len(pending) < _PENDING_SUMS:
+                    pending += _bucket_sums(piece)
+                else:  # the held floats pass through the buckets with the piece
+                    pending = _bucket_sums(np.concatenate((np.array(pending, dtype=float), piece)))
                 continue
+            if len(pending) >= _PENDING_SUMS:
+                pending = _bucket_sums(np.array(pending, dtype=float))
+            sigma = math.ldexp(1.0, top)
             q, r = work[: piece.size], rest[: piece.size]
             while low < sigma:
                 np.add(piece, sigma, out=q)
@@ -544,47 +538,23 @@ def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
                 piece = np.subtract(piece, q, out=r)
                 sigma = math.ldexp(sigma, shift - 53)
             pending.append(piece.sum())
-        if len(pending) >= _PENDING_SUMS:
-            buckets.add(np.array(pending))
-            pending.clear()
-    return _checked_fsum(buckets.flush() + pending)
+    return _checked_fsum(pending)
 
 
-class _Buckets:
-    """Exact per-(sign, exponent) sums of every entry added, each entry as
-    its top 27 significand bits plus the exact rest; ``parts`` holds the
-    nonzero bucket sums flushed so far."""
-
-    def __init__(self) -> None:
-        self.hi_sums = np.zeros(_BUCKETS)
-        self.lo_sums = np.zeros(_BUCKETS)
-        self.parts = []
-        self.count = 0
-
-    def add(self, x: np.ndarray) -> None:
-        step = min(_SUM_CHUNK, _BUCKET_EXACT)
-        for start in range(0, x.size, step):
-            chunk = x[start : start + step]
-            if self.count + chunk.size > _BUCKET_EXACT:
-                self.flush()
-            bits = chunk.view(np.uint64)
-            key = (bits >> _EXPONENT_SHIFT).view(np.int64)
-            part = (bits & _HI_MASK).view(float)
-            self.hi_sums += np.bincount(key, part, _BUCKETS)
-            with np.errstate(invalid="ignore"):  # inf - inf; caught by the final sum
-                np.subtract(chunk, part, out=part)
-            self.lo_sums += np.bincount(key, part, _BUCKETS)
-            self.count += chunk.size
-
-    def flush(self) -> list:
-        """Move the nonzero bucket sums into ``parts``, zero the buckets and
-        return ``parts``."""
-        if self.count:
-            for sums in (self.hi_sums, self.lo_sums):
-                self.parts.extend(sums[sums != 0].tolist())
-                sums.fill(0.0)
-            self.count = 0
-        return self.parts
+def _bucket_sums(x: np.ndarray) -> list:
+    """The nonzero exact sums of the contiguous array ``x`` per (sign,
+    exponent) bucket.  Each entry splits into its top 27 significand bits
+    and the exact rest: in the bucket of exponent e the tops are multiples
+    of 2^(e-26) below 2^(e+1), and the rests multiples of 2^(e-52) below
+    2^(e-26), so up to 2^26 entries sum below 2^53 units in both parts."""
+    bits = x.view(np.uint64)
+    key = (bits >> _EXPONENT_SHIFT).view(np.int64)
+    part = (bits & _HI_MASK).view(float)
+    hi = np.bincount(key, part)
+    with np.errstate(invalid="ignore"):  # inf - inf; caught by the final sum
+        np.subtract(x, part, out=part)
+    lo = np.bincount(key, part)
+    return hi[hi != 0].tolist() + lo[lo != 0].tolist()
 
 
 def mask_blocks(m: int) -> Iterator[np.ndarray]:
@@ -639,6 +609,7 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
     NumericRangeError when a weight or the sum overflows or is NaN.
     """
     size = model.joint_size
+    cap = as_int(cap, "the enumeration cap")
     if size > cap:
         raise EnumerationCapError(
             f"joint space of {_size_text(size)} states exceeds the enumeration cap {cap}"

@@ -562,6 +562,21 @@ class TestMeanField:
         with pytest.raises(ModelError, match="restarts must be >= 1"):
             maximize_bethe(m, restarts=restarts)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_mean_field_restarts_are_a_count(self, bad):
+        # 2.0 is read as 2; a fraction, a bool or a string is refused
+        m = FactorGraph([("x", 2), ("y", 2)], [("f", ("x", "y"), [1.0, 2.0, 3.0, 4.0])])
+        assert mean_field(m, restarts=2.0)[1] == mean_field(m, restarts=2)[1]
+        with pytest.raises(ModelError, match="restarts must be an integer"):
+            mean_field(m, restarts=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_maximize_bethe_restarts_are_a_count(self, bad):
+        m = FactorGraph([("x", 2), ("y", 2)], [("f", ("x", "y"), [1.0, 2.0, 3.0, 4.0])])
+        assert maximize_bethe(m, restarts=2.0)[1] == maximize_bethe(m, restarts=2)[1]
+        with pytest.raises(ModelError, match="restarts must be an integer"):
+            maximize_bethe(m, restarts=bad)
+
     def test_budgets_enforced(self):
         for m in over_budget_models():
             with pytest.raises(ModelError, match="optimizer budget"):

@@ -241,6 +241,24 @@ class TestSampleCover:
         s2 = sample_cover(base, 3, seed=42)
         assert s1.perms == s2.perms
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_degree_is_a_count(self, bad):
+        # 2.0 is read as 2; a fraction, a bool or a string is refused
+        base = double_edge_model()
+        spec = sample_cover(base, 2.0, seed=3)
+        assert spec.m == 2 and spec.perms == sample_cover(base, 2, seed=3).perms
+        with pytest.raises(ModelError, match="the cover degree M must be an integer"):
+            sample_cover(base, bad, seed=3)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_enumerated_degree_is_a_count(self, bad):
+        base = double_edge_model()
+        specs = list(iter_cover_specs(base, 2.0))
+        assert [s.perms for s in specs] == [s.perms for s in iter_cover_specs(base, 2)]
+        assert all(s.m == 2 for s in specs)
+        with pytest.raises(ModelError, match="the cover degree M must be an integer"):
+            list(iter_cover_specs(base, bad))
+
     def test_m1_trivial(self):
         base = single_edge_model()
         spec = sample_cover(base, 1, seed=0)
@@ -273,6 +291,23 @@ class TestCoverEstimate:
         base = single_edge_model()
         est = bethe_estimate_via_covers(base, 1, num_samples=5, seed=0)
         assert est.estimate == pytest.approx(exact_partition(base), rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_counts_are_counts(self, bad):
+        # the cover degree and the sample count: 2.0 is read as 2, and a
+        # fraction, a bool or a string is refused
+        base = single_edge_model()
+        want = bethe_estimate_via_covers(base, 2, 2, seed=0)
+        for m, n in ((2.0, 2), (2, 2.0)):
+            got = bethe_estimate_via_covers(base, m, n, seed=0)
+            assert got == want and type(got.m) is int
+        got = cover_average_exhaustive(base, 2.0)
+        assert got == cover_average_exhaustive(base, 2) and type(got.m) is int
+        for m, n in ((bad, 2), (2, bad)):
+            with pytest.raises(ModelError, match="must be an integer"):
+                bethe_estimate_via_covers(base, m, n, seed=0)
+        with pytest.raises(ModelError, match="the cover degree M must be an integer"):
+            cover_average_exhaustive(base, bad)
 
     def test_lsm_estimate_below_z(self):
         # every cover of a log-supermodular model obeys Z(H) <= Z(G)^M

@@ -88,6 +88,16 @@ class TestLogSupermodular:
         table = np.exp([0.0, 0.0, 0.0, 1.0])  # exp(x1*x2)
         assert is_log_supermodular(table).ok
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_cap_is_a_count(self, bad):
+        # 2.0 is read as 2; a fraction, a bool or a string is refused
+        table = np.exp([0.0, 0.0, 0.0, 1.0, 0.0, 0.5, 0.2, 2.0])
+        assert is_log_supermodular(table[:4], cap=2.0) == is_log_supermodular(table[:4])
+        with pytest.raises(EnumerationCapError, match="pairwise-check cap 2$"):
+            is_log_supermodular(table, cap=2.0)
+        with pytest.raises(ModelError, match="the pairwise-check cap must be an integer"):
+            is_log_supermodular(table, cap=bad)
+
     def test_antiferro_pair_with_witness(self):
         table = np.exp([0.0, 0.0, 0.0, -1.0])
         rep = is_log_supermodular(table)

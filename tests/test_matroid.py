@@ -105,6 +105,16 @@ class TestGaloisField:
         with pytest.raises(ModelError):
             gf(32)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "4"])
+    def test_order_is_a_count(self, bad):
+        # 4.0 is read as 4; a fraction, a bool or a string is refused
+        f = matroid.GaloisField(4.0)
+        assert f.q == 4 and type(f.q) is int
+        assert np.array_equal(f.mul_table, gf(4).mul_table)
+        assert gf(4.0).q == 4
+        with pytest.raises(ModelError, match="the field order must be an integer"):
+            matroid.GaloisField(bad)
+
     def test_order_above_limit_refused_before_any_work(self):
         # 4099 is prime; building its tables would take 2 x 4099^2 entries
         tracemalloc.start()
@@ -616,6 +626,13 @@ class TestWeightEnumerator:
         rep = verify.verify_weight_enumerator(seed=0)
         assert rep.passes == 0 and rep.trials == 6
         assert rep.worst_slack == pytest.approx(-0.01, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_restarts_are_a_count(self, bad):
+        m = parse_generator_matrix("2 2 3\n1 0 1\n0 1 1\n")
+        assert weight_enumerator(m, 0.5, restarts=2.0) == weight_enumerator(m, 0.5, restarts=2)
+        with pytest.raises(ModelError, match="restarts must be an integer"):
+            weight_enumerator(m, 0.5, restarts=bad)
 
     def test_repetition_code(self):
         m = parse_generator_matrix("2 1 3\n1 1 1\n")

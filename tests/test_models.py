@@ -186,6 +186,16 @@ class TestExactPartition:
         m = FactorGraph([("x", 2)], [], {"x": [1.0, 2.0]})
         assert exact_partition(m) == 3.0
 
+    @pytest.mark.parametrize("bad", [2.5, True, "4"])
+    def test_cap_is_a_count(self, bad):
+        # 4.0 is read as 4; a fraction, a bool or a string is refused
+        m = FactorGraph([("a", 2), ("b", 2)], [], {"a": [1.0, 2.0], "b": [1.0, 3.0]})
+        assert exact_partition(m, cap=4.0) == 12.0
+        with pytest.raises(EnumerationCapError, match="enumeration cap 3$"):
+            exact_partition(m, cap=3.0)
+        with pytest.raises(ModelError, match="the enumeration cap must be an integer"):
+            exact_partition(m, cap=bad)
+
     def test_two_independent(self):
         m = FactorGraph([("a", 2), ("b", 2)], [], {"a": [1, 1], "b": [1, 1]})
         assert exact_partition(m) == 4.0
@@ -417,14 +427,21 @@ class TestCorrectlyRoundedSum:
     def bucketed(self, monkeypatch):
         """The size of each array ``fsum_blocks`` hands to its buckets."""
         sizes = []
-        add = models._Buckets.add
+        bucket_sums = models._bucket_sums
 
-        def recorded(buckets, x):
+        def recorded(x):
             sizes.append(x.size)
-            add(buckets, x)
+            return bucket_sums(x)
 
-        monkeypatch.setattr(models._Buckets, "add", recorded)
+        monkeypatch.setattr(models, "_bucket_sums", recorded)
         return sizes
+
+    def test_lone_small_array_skips_the_buckets(self, bucketed):
+        # a whole stream under _SMALL_SUM entries goes to math.fsum as it is
+        x = np.random.default_rng(10).standard_normal(models._SMALL_SUM - 1)
+        x[::7] *= 2.0**-1060
+        assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
+        assert bucketed == []
 
     def test_levels_take_a_narrow_block(self, bucketed):
         # positive entries within 2^20 of each other: the levels take them
@@ -519,13 +536,28 @@ class TestCorrectlyRoundedSum:
             assert same_float(total, expected)
         assert peaks[1] < peaks[0] + 16 * 1024
 
-    def test_flush_path(self, monkeypatch):
-        # buckets flushed every 7 entries still sum to the same value
-        monkeypatch.setattr(models, "_BUCKET_EXACT", 7)
+    def test_pending_sums_replaced_by_their_bucket_sums(self, monkeypatch):
+        # with the held floats passed through the buckets at every block
+        # and piece (alone, or with a piece the levels refuse), small
+        # blocks and pieces of every kind still sum to the same value
+        monkeypatch.setattr(models, "_PENDING_SUMS", 1)
         rng = np.random.default_rng(4)
-        x = rng.standard_normal(5000) * np.exp2(rng.integers(-60, 60, 5000).astype(float))
-        x[::11] = 2.0**-53
-        assert same_float(fsum_blocks(split_stream(rng, x)), math.fsum(x.tolist()))
+        n = models._SUM_CHUNK
+        wide = np.exp(rng.normal(0.0, 3.0, n)) * np.exp2(rng.integers(-60, 60, n))
+        blocks = [
+            rng.uniform(1.0, 2.0, 300),
+            np.where(rng.random(n) < 0.001, 0.0, rng.uniform(1.0, 2.0, n)),  # zeros
+            -rng.uniform(1.0, 2.0, 40),
+            rng.standard_normal(n + 5),  # negative entries, two pieces
+            wide,
+            rng.uniform(1.0, 2.0, 1000) * 2.0**1000,  # huge
+            np.array([2.0**-53, -1.0, 2.0**-1074]),
+            rng.uniform(1.0, 2.0, 2000) * 2.0**-1060,  # subnormal
+            rng.uniform(1.0, 2.0, n),  # the levels
+        ]
+        expected = math.fsum(np.concatenate(blocks).tolist())
+        assert same_float(fsum_blocks(iter(blocks)), expected)
+        assert same_float(fsum_blocks(split_stream(rng, np.concatenate(blocks))), expected)
 
 
 def one_shot_dense_joint(model):
