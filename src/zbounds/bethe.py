@@ -791,6 +791,7 @@ def maximize_bethe(
     restarts = as_int(restarts, "restarts")
     if restarts < 1:
         raise ModelError(f"restarts must be >= 1, got {restarts!r}")
+    seed, bp_iters = as_int(seed, "the seed"), as_int(bp_iters, "bp_iters")
     g = _Graph(model)
     _check_sums(g)
     # blocks of candidate rows, one (rows, card) array per variable each
@@ -847,7 +848,7 @@ def mean_field(
     if restarts < 1:
         raise ModelError(f"restarts must be >= 1, got {restarts!r}")
     g = _Graph(model)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "the seed"))
 
     # restart 0 starts at the normalized node potentials; the others at
     # uniform(0.05, 1) draws, restart by restart and variable by variable

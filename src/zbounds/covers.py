@@ -12,7 +12,6 @@ through ``CoverSpec.lifted_scopes`` and ``layered_masks`` only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -38,13 +37,19 @@ class CoverSpec:
     ``perms`` maps (factor id, variable id) to a length-M tuple that is a
     bijection on {0..M-1}; every incidence of the base model must appear.
     M and the permutation entries must be integers (floats with integer
-    values are read as ints).  ``perms`` is validated once and read once
-    into ``lifted_scopes``, so it must not change after the spec is built.
+    values are read as ints).  ``perms`` is validated once and read once,
+    so it must not change after the spec is built, into two tables:
+    ``scopes``, each base factor's scope as positions in ``base.var_ids``,
+    and ``lifted_scopes``, every lifted factor's scope as lifted variable
+    positions (row k*M + m is copy m of the k-th base factor alpha, and in
+    the place of its base variable i it holds i*M + pi[alpha,i](m)).
     """
 
     base: FactorGraph
     m: int
     perms: Mapping
+    scopes: tuple = field(init=False, repr=False, compare=False)
+    lifted_scopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.m = as_int(self.m, "the cover degree M")
@@ -59,16 +64,12 @@ class CoverSpec:
                 lambda first, other: f"{what} ids {first!r} and {other!r} would lift to "
                 f"the same ids ({lifted_id(other, 0)!r}, ...)",
             )
-        want = {
-            (fac.id, v) for fac in self.base.factors for v in fac.scope
-        }
+        want = {(fac.id, v) for fac in self.base.factors for v in fac.scope}
         have = set(self.perms.keys())
         if want != have:
-            missing = want - have
-            extra = have - want
             raise ModelError(
-                f"permutations must cover each incidence exactly: "
-                f"missing {sorted(map(str, missing))[:3]}, extra {sorted(map(str, extra))[:3]}"
+                f"permutations must cover each incidence exactly: missing "
+                f"{sorted(map(str, want - have))[:3]}, extra {sorted(map(str, have - want))[:3]}"
             )
         self.perms = {
             key: tuple([as_int(x, "a permutation entry") for x in p]) for key, p in self.perms.items()
@@ -76,19 +77,9 @@ class CoverSpec:
         for key, perm in self.perms.items():
             if sorted(perm) != list(range(self.m)):
                 raise ModelError(f"permutation for incidence {key} is not a bijection")
-
-    @functools.cached_property
-    def scopes(self) -> tuple:
-        """Each base factor's scope as positions in ``base.var_ids``."""
         pos = {v: i for i, v in enumerate(self.base.var_ids)}
-        return tuple(tuple(pos[v] for v in fac.scope) for fac in self.base.factors)
-
-    @functools.cached_property
-    def lifted_scopes(self) -> tuple:
-        """Every lifted factor's scope as lifted variable positions: row
-        k*M + m is copy m of the k-th base factor alpha, and in the place of
-        its base variable i it holds i*M + pi[alpha,i](m)."""
-        return tuple(
+        self.scopes = tuple(tuple(pos[v] for v in fac.scope) for fac in self.base.factors)
+        self.lifted_scopes = tuple(
             tuple(i * self.m + self.perms[(fac.id, v)][m] for v, i in zip(fac.scope, scope))
             for fac, scope in zip(self.base.factors, self.scopes)
             for m in range(self.m)
@@ -244,11 +235,11 @@ def sample_cover(base: FactorGraph, m: int, seed: int) -> CoverSpec:
     their labeled multiplicity; see the module notes in the README.
     """
     m = as_int(m, "the cover degree M")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "the seed"))
     perms = {}
     for fac in base.factors:
         for v in fac.scope:
-            perms[(fac.id, v)] = tuple(int(x) for x in rng.permutation(m))
+            perms[(fac.id, v)] = tuple(rng.permutation(m).tolist())
     return CoverSpec(base=base, m=m, perms=perms)
 
 
@@ -307,7 +298,7 @@ def bethe_estimate_via_covers(
 ) -> CoverEstimate:
     """Estimate the M-th root of the average cover partition function."""
     m = as_int(m, "the cover degree M")
-    num_samples = as_int(num_samples, "the sample count")
+    num_samples, seed = as_int(num_samples, "the sample count"), as_int(seed, "the seed")
     if num_samples < 1:
         raise ModelError("need at least one sample")
     specs = (sample_cover(base, m, seed + k) for k in range(num_samples))

@@ -77,25 +77,27 @@ def is_log_supermodular(values, cap: int = DEFAULT_PAIRWISE_CAP) -> LsmReport:
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds the pairwise-check cap {cap}")
     ys = np.arange(size)
-    worst = 0.0
-    witness = None
-    hard = False
-    for x in range(size):
-        lhs = values[x] * values
-        rhs = values[x & ys] * values[x | ys]
+    worst, witness = 0.0, None
+    # rows x of the pair table, as many per block as fit in 2^16 entries
+    rows = max(1, (1 << 16) // size)
+    for start in range(0, size, rows):
+        xs = np.arange(start, min(start + rows, size))[:, None]
+        lhs = values[xs] * values
+        rhs = values[xs & ys] * values[xs | ys]
         bad_zero = (rhs == 0) & (lhs > 0)
         if bad_zero.any():
-            y = int(np.argmax(bad_zero))
-            return LsmReport(ok=False, worst_ratio=float("inf"), witness=(x, y))
+            x, y = divmod(int(np.argmax(bad_zero)), size)
+            return LsmReport(ok=False, worst_ratio=float("inf"), witness=(start + x, y))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
-        y = int(np.argmax(ratio))
-        if ratio[y] > worst:
-            worst = float(ratio[y])
-            if worst > 1.0 + REL_TOL_LSM:
-                witness = (x, y)
-                hard = True
-    return LsmReport(ok=not hard, worst_ratio=worst, witness=witness)
+        # row by row, each row's largest ratio: NaN if it has one, which no
+        # comparison passes, so such a row moves nothing
+        for x, top in enumerate(ratio.max(axis=1).tolist()):
+            if top > worst:
+                worst = top
+                if worst > 1.0 + REL_TOL_LSM:
+                    witness = (start + x, int(np.argmax(ratio[x])))
+    return LsmReport(ok=witness is None, worst_ratio=worst, witness=witness)
 
 
 def model_is_log_supermodular(model: FactorGraph) -> dict:

@@ -141,33 +141,35 @@ def rc_weight(model: PottsModel, mask: int) -> float:
     Without a field: q^k(A) * prod p_e.  With a field h: every component C
     contributes sum_w exp(h_w * |V(C)|) in place of one factor of q.
     """
-    return _components_and_weight(model, mask, model.edge_probabilities)[1]
+    p = model.edge_probabilities
+    return _components_and_weight(model.n_vertices, model.edges, model.q, model.field, mask, p)[1]
 
 
-def _components_and_weight(model: PottsModel, mask: int, p: np.ndarray | None) -> tuple:
-    """(components, ``rc_weight``) of one edge subset from one union-find
-    pass; ``p`` is the model's ``edge_probabilities``, or None for the count
-    alone (weight None).  The edge factors are multiplied in edge order,
-    then a field's component factors in order of their smallest vertex, as
-    ``rc_partition`` multiplies them."""
-    uf = UnionFind(model.n_vertices)
+def _components_and_weight(n: int, edges: Sequence, q: float, field, mask: int, p) -> tuple:
+    """(components, ``rc_weight``) of one edge subset of the Potts model
+    (n, edges, q, field) from one union-find pass; ``p`` is its
+    ``edge_probabilities``, or None for the count alone (weight None).  The
+    edge factors are multiplied in edge order, then a field's component
+    factors in order of their smallest vertex, as ``rc_partition`` does."""
+    uf = UnionFind(n)
     w = 1.0
-    for idx, (i, j) in enumerate(model.edges):
+    for idx, (i, j) in enumerate(edges):
         if (mask >> idx) & 1:
             uf.union(i, j)
             if p is not None:
                 w *= p[idx]
     if p is None:
         return uf.count, None
-    if model.field is None:
-        return uf.count, w * model.q**uf.count
+    if field is None:
+        return uf.count, w * q**uf.count
+    h = field.tolist()
     # dict keys keep their first insertion, so the roots come by smallest vertex
-    for root in dict.fromkeys(map(uf.find, range(model.n_vertices))):
-        w *= _component_weight(model.field, uf.size[root])
+    for root in dict.fromkeys(map(uf.find, range(n))):
+        w *= _component_weight(h, uf.size[root])
     return uf.count, w
 
 
-def _component_weight(field: np.ndarray, size: int) -> float:
+def _component_weight(field: Sequence, size: int) -> float:
     """sum_w exp(h_w * size), the weight of one component of ``size``
     vertices under the field; NumericRangeError when it overflows."""
     try:
@@ -298,20 +300,22 @@ def check_cover_component_inequality(
     ``layers[m]`` is a bitmask over the base edges selecting the m-th copy
     of each edge.  With a field the random-cluster weight inequality
     f_rc+(H) <= prod_m f_rc+(G at the m-th sorted stack) is checked too.
+    H is not built: its edges are ``spec.lifted_scopes``, each copy of edge e with e's p_e.
     """
     cover_mask, stack_masks = layered_masks(layers, spec.m, len(base.edges))
-    cover = cover_potts_model(base, spec)
+    spec.require_base(base.n_vertices, base.edges, "the Potts model's edges")
     # one labelling per mask gives its component count and, with a field,
     # its weight; the count alone needs no edge probabilities
-    weigh = base.field is not None
-    lhs, lw = _components_and_weight(cover, cover_mask, cover.edge_probabilities if weigh else None)
-    p = base.edge_probabilities if weigh else None
-    stacks = [_components_and_weight(base, sm, p) for sm in stack_masks]
+    n, q, h = base.n_vertices, base.q, base.field
+    p = None if h is None else base.edge_probabilities
+    lifted_p = None if p is None else np.repeat(p, spec.m)
+    lhs, lw = _components_and_weight(n * spec.m, spec.lifted_scopes, q, h, cover_mask, lifted_p)
+    stacks = [_components_and_weight(n, base.edges, q, h, sm, p) for sm in stack_masks]
     rhs = sum(k for k, _w in stacks)
     report = CoverComponentReport(
         lhs_components=lhs, rhs_components=rhs, component_ok=lhs <= rhs
     )
-    if weigh:
+    if p is not None:
         rw = math.prod((w for _k, w in stacks), start=1.0)
         report.lhs_weight = lw
         report.rhs_weight = rw

@@ -19,7 +19,7 @@ from .bethe import _objective_rows, bethe_gradient, maximize_bethe, mean_field
 from .errors import ModelError
 from .homs import HomModel, edge_partition, edge_weight_table, hom_partition, hom_to_factor_graph
 from .matroid import GFMatrix, gf
-from .models import FactorGraph, exact_marginals, exact_partition
+from .models import FactorGraph, as_int, exact_marginals, exact_partition
 from .potts import REL_TOL_COVER, PottsModel, build_counterexample, potts_to_factor_graph
 
 REL_TOL_IDENTITY = 1e-9
@@ -181,7 +181,7 @@ def verify_cover_bound(trials: int = 100, seed: int = 0) -> VerifyReport:
         return worst >= -REL_TOL_COVER, worst
 
     name = "cover-bound (2- and 3-covers of log-supermodular models)"
-    return run_trials(name, map(one, range(trials)), REL_TOL_COVER)
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_COVER)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyR
         return bool(rep.ok), float(slack)
 
     name = "random-cluster weight cover inequality with uniform fields (sampled)"
-    return run_trials(name, map(one, range(trials)), REL_TOL_COVER)
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_COVER)
 
 
 def verify_rank_inequality(seed: int = 0) -> VerifyReport:
@@ -298,7 +298,7 @@ def verify_potts_rc_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
         return rel <= REL_TOL_IDENTITY, -rel
 
     name = "Potts / random-cluster identity"
-    return run_trials(name, map(one, range(trials)), REL_TOL_IDENTITY)
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_IDENTITY)
 
 
 def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
@@ -313,7 +313,7 @@ def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
         return rel <= REL_TOL_IDENTITY, -rel
 
     name = "homomorphism / edge-subset identity"
-    return run_trials(name, map(one, range(trials)), REL_TOL_IDENTITY)
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def verify_potts_ordering(
 
     label = "uniform-field" if with_field else "no-field"
     name = f"ferromagnetic Potts ordering ({label})"
-    return run_trials(name, map(one, range(trials)), REL_TOL_ORDERING)
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_ORDERING)
 
 
 def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
@@ -357,7 +357,8 @@ def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
         J = rng.uniform(0.0, 1.5, mat.n_cols)
         return _check_ordering(matroid.incidence_factor_graph(mat, J), seed + i)
 
-    return run_trials("matroid Potts ordering", map(one, range(trials)), REL_TOL_ORDERING)
+    name = "matroid Potts ordering"
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_ORDERING)
 
 
 def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
@@ -368,7 +369,8 @@ def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
         model = random_hom(rng, max_vertices=5, max_edges=7)
         return _check_ordering(hom_to_factor_graph(model), seed + i)
 
-    return run_trials("rank-2 homomorphism ordering", map(one, range(trials)), REL_TOL_ORDERING)
+    name = "rank-2 homomorphism ordering"
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_ORDERING)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,7 @@ def verify_tree_exactness(trials: int = 30, seed: int = 0) -> VerifyReport:
         return rel <= REL_TOL_TREE, -rel
 
     name = "tree exactness of the Bethe optimum"
-    return run_trials(name, map(one, range(trials)), REL_TOL_TREE)
+    return run_trials(name, map(one, range(as_int(trials, "trials"))), REL_TOL_TREE)
 
 
 def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
@@ -397,7 +399,7 @@ def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
     h = 1e-6
 
     def cases():
-        for _ in range(points):
+        for _ in range(as_int(points, "points")):
             model = random_tree_model(rng, max_vertices=4)
             ref = FactorGraph(
                 [(v, model.card(v)) for v in model.var_ids],

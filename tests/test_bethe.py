@@ -577,6 +577,25 @@ class TestMeanField:
         with pytest.raises(ModelError, match="restarts must be an integer"):
             maximize_bethe(m, restarts=bad)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_mean_field_seed_is_a_count(self, bad):
+        # 2.0 is read as 2; a fraction, a bool or a string is refused, not
+        # handed to numpy (True used to run as seed 1)
+        m = FactorGraph([("x", 2), ("y", 2)], [("f", ("x", "y"), [1.0, 2.0, 3.0, 4.0])])
+        assert mean_field(m, seed=2.0)[1] == mean_field(m, seed=2)[1]
+        with pytest.raises(ModelError, match="the seed must be an integer"):
+            mean_field(m, seed=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_maximize_bethe_seed_and_bp_iters_are_counts(self, bad):
+        m = FactorGraph([("x", 2), ("y", 2)], [("f", ("x", "y"), [1.0, 2.0, 3.0, 4.0])])
+        want = maximize_bethe(m, restarts=2, seed=2, bp_iters=2)[1]
+        assert maximize_bethe(m, restarts=2, seed=2.0, bp_iters=2.0)[1] == want
+        with pytest.raises(ModelError, match="the seed must be an integer"):
+            maximize_bethe(m, restarts=2, seed=bad)
+        with pytest.raises(ModelError, match="bp_iters must be an integer"):
+            maximize_bethe(m, restarts=2, bp_iters=bad)
+
     def test_budgets_enforced(self):
         for m in over_budget_models():
             with pytest.raises(ModelError, match="optimizer budget"):

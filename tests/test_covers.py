@@ -251,6 +251,15 @@ class TestSampleCover:
             sample_cover(base, bad, seed=3)
 
     @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_seed_is_a_count(self, bad):
+        # 2.0 is read as 2; a fraction, a bool or a string is refused, not
+        # handed to numpy (a bool would run as seed 0 or 1)
+        base = double_edge_model()
+        assert sample_cover(base, 3, 2.0) == sample_cover(base, 3, 2)
+        with pytest.raises(ModelError, match="the seed must be an integer"):
+            sample_cover(base, 3, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
     def test_enumerated_degree_is_a_count(self, bad):
         base = double_edge_model()
         specs = list(iter_cover_specs(base, 2.0))
@@ -308,6 +317,14 @@ class TestCoverEstimate:
                 bethe_estimate_via_covers(base, m, n, seed=0)
         with pytest.raises(ModelError, match="the cover degree M must be an integer"):
             cover_average_exhaustive(base, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_seed_is_a_count(self, bad):
+        base = double_edge_model()
+        want = bethe_estimate_via_covers(base, 2, 2, 2)
+        assert bethe_estimate_via_covers(base, 2, 2, 2.0) == want
+        with pytest.raises(ModelError, match="the seed must be an integer"):
+            bethe_estimate_via_covers(base, 2, 2, bad)
 
     def test_lsm_estimate_below_z(self):
         # every cover of a log-supermodular model obeys Z(H) <= Z(G)^M

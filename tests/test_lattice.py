@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from zbounds.errors import EnumerationCapError, ModelError
 from zbounds.lattice import (
+    REL_TOL_LSM,
+    LsmReport,
     check_correlation_inequality,
     is_log_supermodular,
     model_is_log_supermodular,
@@ -148,6 +150,68 @@ class TestLogSupermodular:
                                rng.uniform(0.1, 2.0, 5))
             table = [rc_weight(model, mask) for mask in range(1 << 5)]
             assert is_log_supermodular(table).ok
+
+
+def _ref_is_log_supermodular(values):
+    """``is_log_supermodular`` as it was, one row x of pairs per numpy call."""
+    values = np.asarray(values, dtype=float).ravel()
+    ys = np.arange(values.size)
+    worst, witness, hard = 0.0, None, False
+    for x in range(values.size):
+        lhs = values[x] * values
+        rhs = values[x & ys] * values[x | ys]
+        bad_zero = (rhs == 0) & (lhs > 0)
+        if bad_zero.any():
+            y = int(np.argmax(bad_zero))
+            return LsmReport(ok=False, worst_ratio=float("inf"), witness=(x, y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
+        y = int(np.argmax(ratio))
+        if ratio[y] > worst:
+            worst = float(ratio[y])
+            if worst > 1.0 + REL_TOL_LSM:
+                witness, hard = (x, y), True
+    return LsmReport(ok=not hard, worst_ratio=worst, witness=witness)
+
+
+def _lsm_tables(rng, n):
+    """Tables over {0,1}^n: log-supermodular ones, noisy ones, ones with
+    zeros, and ones near 1e300 whose products overflow (inf and NaN ratios)."""
+    x = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    upper = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+    lsm = np.exp(np.einsum("si,ij,sj->s", x, upper, x) + x @ rng.normal(size=n))
+    yield lsm
+    yield lsm * np.exp(rng.normal(0.0, 0.05, lsm.size))
+    yield np.where(rng.random(lsm.size) < 0.2, 0.0, lsm)
+    yield np.zeros(lsm.size)
+    yield np.where(rng.random(lsm.size) < 0.3, 1e300, lsm) * rng.uniform(0.5, 1.0, lsm.size)
+
+
+class TestLogSupermodularBlocks:
+    """Rows of pairs are checked a block at a time; the report must equal
+    the row-by-row loop's, witness and worst ratio included."""
+
+    def test_equals_row_loop(self):
+        rng = np.random.default_rng(33)
+        checked = 0
+        for n in list(range(9)) * 8 + [9, 10]:
+            for table in _lsm_tables(rng, n):
+                with np.errstate(over="ignore"):
+                    got, want = is_log_supermodular(table), _ref_is_log_supermodular(table)
+                assert got == want and repr(got) == repr(want)
+                checked += 1
+        assert checked == 5 * (9 * 8 + 2)
+
+    def test_hard_zero_in_late_row(self):
+        # zero below entry 512, positive and log-supermodular above it, and
+        # one more zero at 1020: the first violation is in row 516 of 1024,
+        # past the first blocks, and its witness is the first such column
+        x = (np.arange(1024)[:, None] >> np.arange(10)) & 1
+        table = np.where(x[:, 9] == 1, np.exp(0.1 * x.sum(axis=1) ** 2), 0.0)
+        table[1020] = 0.0
+        want = _ref_is_log_supermodular(table)
+        assert want.witness[0] == 516 and not want.ok
+        assert is_log_supermodular(table) == want
 
 
 class TestCorrelationInequality:

@@ -9,6 +9,8 @@ from zbounds.errors import EnumerationCapError, ModelError, NumericRangeError
 from zbounds.lattice import is_log_supermodular
 from zbounds.models import exact_partition
 from zbounds.potts import (
+    REL_TOL_COVER,
+    CoverComponentReport,
     PottsModel,
     UnionFind,
     build_counterexample,
@@ -249,6 +251,21 @@ class TestComponentSupermodularity:
             assert np.all(lhs <= rhs)
 
 
+def _ref_cover_report(base, spec, layers):
+    """The cover check as it was when it built the lifted PottsModel:
+    ``cover_potts_model``, then the lift's own components and ``rc_weight``."""
+    lifted, stacks = layered_masks(layers, spec.m, len(base.edges))
+    cover = cover_potts_model(base, spec)
+    lhs = count_components(cover.n_vertices, cover.edges, lifted)
+    rhs = sum(count_components(base.n_vertices, base.edges, mask) for mask in stacks)
+    rep = CoverComponentReport(lhs_components=lhs, rhs_components=rhs, component_ok=lhs <= rhs)
+    if base.field is not None:
+        rep.lhs_weight = rc_weight(cover, lifted)
+        rep.rhs_weight = math.prod((rc_weight(base, mask) for mask in stacks), start=1.0)
+        rep.weight_ok = rep.lhs_weight <= rep.rhs_weight * (1 + REL_TOL_COVER) + 1e-300
+    return rep
+
+
 class TestCoverComponentInequality:
     def test_empty_layers_equality(self):
         base = PottsModel(3, TRIANGLE, 2, [1.0] * 3)
@@ -336,6 +353,33 @@ class TestCoverComponentInequality:
                 for m in stacks:
                     rhs *= ref_weight(base, m)
                 assert rep.rhs_weight == rhs
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_equals_built_lift(self, m):
+        # the check reads the lift off spec.lifted_scopes; every report must
+        # equal the one from the built lifted model, in value and in type
+        rng = np.random.default_rng(33 + m)
+        for i in range(120):
+            n = int(rng.integers(2, 6))
+            pairs = list(itertools.combinations(range(n), 2))
+            keep = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+            edges = [pairs[k][:: 1 - 2 * int(rng.integers(0, 2))] for k in keep]
+            q = int(rng.integers(2, 4))
+            field = rng.uniform(-1.0, 1.0, q) if i % 2 else None
+            base = PottsModel(n, edges, q, rng.uniform(0.0, 2.0, len(edges)), field=field)
+            spec = sample_cover(potts_to_factor_graph(base), m, seed=500 * m + i)
+            layers = [int(x) for x in rng.integers(0, 1 << len(edges), m)]
+            got = check_cover_component_inequality(base, spec, layers)
+            want = _ref_cover_report(base, spec, layers)
+            assert got == want and repr(got) == repr(want)
+        # a spec on another base: the same refusal, word for word
+        other = PottsModel(3, [(0, 1), (1, 2)], 2, [1.0, 1.0], field=[0.2, 0.0])
+        spec = sample_cover(potts_to_factor_graph(PottsModel(3, TRIANGLE, 2, [1.0] * 3)), m, 1)
+        with pytest.raises(ModelError) as want:
+            _ref_cover_report(other, spec, [0] * m)
+        with pytest.raises(ModelError) as got:
+            check_cover_component_inequality(other, spec, [0] * m)
+        assert str(got.value) == str(want.value)
 
     def test_antiferromagnetic_counts_without_weights(self):
         # the count needs no edge probabilities, so a negative coupling is

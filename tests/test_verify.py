@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from zbounds import covers, matroid, potts, verify
+from zbounds.errors import ModelError
 from zbounds.matroid import GFMatrix, gf
 from zbounds.potts import count_components, potts_to_factor_graph
 
@@ -158,3 +159,50 @@ def test_shared_triangle_draws_same_permutations(q):
         shared = covers.sample_cover(verify._triangle_graph(), 2, seed=seed)
         assert shared.perms == own.perms
         assert shared.lifted_scopes == own.lifted_scopes
+
+
+class TestCoverLayerProbe:
+    """The field-weight suite reads each cover off its spec; building the
+    lifted PottsModel again per trial would cost most of the suite's time."""
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    def test_one_potts_model_per_field_weight_trial(self, monkeypatch, trials):
+        verify._triangle_graph()  # the cached structural triangle, built once
+        built = []
+        original = potts.PottsModel.__init__
+
+        def counted(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self.n_vertices)
+
+        monkeypatch.setattr(potts.PottsModel, "__init__", counted)
+        verify.verify_field_weight_inequality(trials=trials, seed=5)
+        # the base triangles, and no lift of one
+        assert built == [3] * trials
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"])
+def test_potts_ordering_trials_are_a_count(bad):
+    # 2.0 is read as 2; a fraction, a bool or a string is refused
+    got = verify.verify_potts_ordering(trials=2.0, seed=1)
+    assert got == verify.verify_potts_ordering(trials=2, seed=1) and got.trials == 2
+    with pytest.raises(ModelError, match="trials must be an integer"):
+        verify.verify_potts_ordering(trials=bad, seed=1)
+
+
+@pytest.mark.parametrize(
+    "suite, count",
+    [
+        (verify.verify_cover_bound, "trials"),
+        (verify.verify_field_weight_inequality, "trials"),
+        (verify.verify_potts_rc_identity, "trials"),
+        (verify.verify_hom_edge_identity, "trials"),
+        (verify.verify_matroid_ordering, "trials"),
+        (verify.verify_hom_ordering, "trials"),
+        (verify.verify_tree_exactness, "trials"),
+        (verify.verify_gradient, "points"),
+    ],
+)
+def test_every_suite_count_is_read_as_int(suite, count):
+    with pytest.raises(ModelError, match=f"{count} must be an integer, got 2.5"):
+        suite(**{count: 2.5})
