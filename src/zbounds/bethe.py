@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ModelError, NumericRangeError
-from .models import FactorGraph, PseudoMarginals, as_int, float_array
+from .models import FactorGraph, PseudoMarginals, as_int, as_seed, float_array
 
 _NEG_INF = float("-inf")
 _ZERO_TOL = 1e-12
@@ -781,17 +781,17 @@ def maximize_bethe(
     Bethe optimum (the remaining gap is not quantified).  ``refine_steps``
     and ``refine_top`` are ignored, kept while the benchmark passes them.
     Raises ModelError for a damping outside [0, 1), restarts not an integer
-    >= 1, or a model above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS
-    factors, and NumericRangeError when that value, the Z_MF computed on
-    the way (Z_MF <= Z_B), or the sum of a potential's entries is beyond
-    the float range.
+    >= 1, a seed not an integer >= 0, or a model above DEFAULT_MAX_VARS
+    variables or DEFAULT_MAX_FACTORS factors, and NumericRangeError when
+    that value, the Z_MF computed on the way (Z_MF <= Z_B), or the sum of a
+    potential's entries is beyond the float range.
     """
     _check_budget(model)
     _check_damping(damping)
     restarts = as_int(restarts, "restarts")
     if restarts < 1:
         raise ModelError(f"restarts must be >= 1, got {restarts!r}")
-    seed, bp_iters = as_int(seed, "the seed"), as_int(bp_iters, "bp_iters")
+    seed, bp_iters = as_seed(seed), as_int(bp_iters, "bp_iters")
     g = _Graph(model)
     _check_sums(g)
     # blocks of candidate rows, one (rows, card) array per variable each
@@ -840,15 +840,15 @@ def mean_field(
     sweep changes no belief by _MF_TOL or more stops moving while the others
     go on, for at most _MF_SWEEPS sweeps.  A restart's result does not
     depend on the other restarts.  Raises ModelError for restarts not an
-    integer >= 1, or above DEFAULT_MAX_VARS variables or DEFAULT_MAX_FACTORS
-    factors.
+    integer >= 1, a seed not an integer >= 0, or above DEFAULT_MAX_VARS
+    variables or DEFAULT_MAX_FACTORS factors.
     """
     _check_budget(model)
     restarts = as_int(restarts, "restarts")
     if restarts < 1:
         raise ModelError(f"restarts must be >= 1, got {restarts!r}")
     g = _Graph(model)
-    rng = np.random.default_rng(as_int(seed, "the seed"))
+    rng = np.random.default_rng(as_seed(seed))
 
     # restart 0 starts at the normalized node potentials; the others at
     # uniform(0.05, 1) draws, restart by restart and variable by variable

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ModelError
 from .lattice import sorted_stack
-from .models import FactorGraph, as_int, exact_partition, ids_by_name
+from .models import FactorGraph, as_int, as_seed, exact_partition
 
 
 def lifted_id(base_id, layer: int) -> str:
@@ -55,15 +55,6 @@ class CoverSpec:
         self.m = as_int(self.m, "the cover degree M")
         if self.m < 1:
             raise ModelError(f"cover degree must be >= 1, got {self.m}")
-        # copies are named by lifted_id, so two ids with one str() would clash
-        for what, ids in (
-            ("variable", self.base.var_ids), ("factor", [fac.id for fac in self.base.factors])
-        ):
-            ids_by_name(
-                ids,
-                lambda first, other: f"{what} ids {first!r} and {other!r} would lift to "
-                f"the same ids ({lifted_id(other, 0)!r}, ...)",
-            )
         want = {(fac.id, v) for fac in self.base.factors for v in fac.scope}
         have = set(self.perms.keys())
         if want != have:
@@ -99,14 +90,17 @@ class CoverSpec:
 def layered_masks(layers: Sequence[int], m: int, n: int) -> tuple:
     """Map M layer bitmasks over n base items to (lifted mask, stack masks).
 
-    ``layers[l]`` selects copy l of each item (bits of n and above are
-    ignored).  The lifted mask has bit i*M + l set iff bit i of
-    ``layers[l]`` is.  Stack mask k has bit i set iff at least k+1 layers
-    have it: ``lattice.sorted_stack`` of the layers.
+    ``layers[l]``, an integer >= 0, selects copy l of each item (bits of n
+    and above are ignored).  The lifted mask has bit i*M + l set iff bit i
+    of ``layers[l]`` is.  Stack mask k has bit i set iff at least k+1
+    layers have it: ``lattice.sorted_stack`` of the layers.
     """
     if len(layers) != m:
         raise ModelError(f"need {m} layers, got {len(layers)}")
-    layers = [int(x) & ((1 << n) - 1) for x in layers]
+    layers = [as_int(x, "a layer mask") for x in layers]
+    if any(x < 0 for x in layers):
+        raise ModelError(f"layer masks must be >= 0, got {layers}")
+    layers = [x & ((1 << n) - 1) for x in layers]
     lifted = sum(
         1 << (i * m + layer) for layer, x in enumerate(layers) for i in range(n) if (x >> i) & 1
     )
@@ -235,7 +229,7 @@ def sample_cover(base: FactorGraph, m: int, seed: int) -> CoverSpec:
     their labeled multiplicity; see the module notes in the README.
     """
     m = as_int(m, "the cover degree M")
-    rng = np.random.default_rng(as_int(seed, "the seed"))
+    rng = np.random.default_rng(as_seed(seed))
     perms = {}
     for fac in base.factors:
         for v in fac.scope:
@@ -298,7 +292,7 @@ def bethe_estimate_via_covers(
 ) -> CoverEstimate:
     """Estimate the M-th root of the average cover partition function."""
     m = as_int(m, "the cover degree M")
-    num_samples, seed = as_int(num_samples, "the sample count"), as_int(seed, "the seed")
+    num_samples, seed = as_int(num_samples, "the sample count"), as_seed(seed)
     if num_samples < 1:
         raise ModelError("need at least one sample")
     specs = (sample_cover(base, m, seed + k) for k in range(num_samples))

@@ -21,13 +21,10 @@ import numpy as np
 
 from .covers import CoverSpec
 from .errors import ModelError
-from .models import FactorGraph, ids_by_name
+from .models import FactorGraph
 
 
 def model_to_json(model: FactorGraph) -> dict:
-    """The factor-graph document of ``model``; ModelError when two variable
-    ids share a JSON key, since node potentials are keyed by ``str(id)``."""
-    _ids_by_key(model.var_ids)
     doc = {
         "variables": [
             {"id": v, "cardinality": model.card(v)} for v in model.var_ids
@@ -50,11 +47,9 @@ def model_to_json(model: FactorGraph) -> dict:
 
 
 def _ids_by_key(ids) -> dict:
-    """Each id under its JSON object key, ``str(id)``; ModelError when two
-    ids share one, as 1 and "1" do."""
-    return ids_by_name(
-        ids, lambda first, other: f"ids {first!r} and {other!r} share the JSON key {str(other)!r}"
-    )
+    """Each id under its JSON object key, ``str(id)`` (``FactorGraph``
+    refuses two ids with one)."""
+    return {str(i): i for i in ids}
 
 
 def model_from_json(doc: Mapping) -> FactorGraph:

@@ -104,6 +104,15 @@ def as_int(value, what: str) -> int:
     raise ModelError(f"{what} must be an integer, got {value!r}")
 
 
+def as_seed(value) -> int:
+    """``value`` as a random seed: an integer (read by ``as_int``) >= 0, as
+    numpy seeds its generators from nonnegative integers only."""
+    seed = as_int(value, "the seed")
+    if seed < 0:
+        raise ModelError(f"the seed must be >= 0, got {seed}")
+    return seed
+
+
 def as_simple_graph(n_vertices, edges: Sequence) -> tuple:
     """(vertex count, edges) as ints; ModelError unless they form a simple graph."""
     n_vertices = as_int(n_vertices, "the vertex count")
@@ -201,14 +210,18 @@ def _check_id(vid, what: str):
     raise ModelError(f"{what} must be an integer or a string, got {vid!r}")
 
 
-def ids_by_name(ids: Iterable, clash) -> dict:
-    """Each id under its name ``str(id)``.  Two ids with one name, as 1 and
-    "1" have, raise ModelError(clash(first, other))."""
-    named = {}
-    for i in ids:
-        if named.setdefault(str(i), i) != i:
-            raise ModelError(clash(named[str(i)], i))
-    return named
+def _claim_name(names: dict, vid, what: str) -> None:
+    """Enter ``vid`` in ``names`` under ``str(vid)``, the name its JSON key
+    and its cover copies (``f"{vid}@{m}"``) are made from; ModelError when
+    an earlier id has that name, whether it equals ``vid`` or not (1, "1")."""
+    name = str(vid)
+    if name in names:
+        first = names[name]
+        raise ModelError(
+            f"duplicate {what} id {vid!r}" if first == vid
+            else f"{what} ids {first!r} and {vid!r} share the name {name!r}"
+        )
+    names[name] = vid
 
 
 class FactorGraph:
@@ -218,7 +231,8 @@ class FactorGraph:
     table) rows, the scope a list or tuple of variable ids and the table a
     flat array or a PotentialTable over the scope's cardinalities (a Factor
     is read as its row, and the k-th row's id None as ``f"f{k}"``).  Every
-    id, scope entry and node-potential key must be an int or a str.  Node
+    id, scope entry and node-potential key must be an int or a str, and no
+    two variable ids, nor two factor ids, may share a ``str()``.  Node
     potentials are optional per-variable nonnegative vectors.  The instance
     is immutable after construction and safe to share.
     """
@@ -231,26 +245,24 @@ class FactorGraph:
     ) -> None:
         var_list = []
         cards = {}
+        names = {}
         for vid, card in variables:
             _check_id(vid, "a variable id")
             card = as_int(card, "a cardinality")
             if card < 1:
                 raise ModelError(f"variable {vid!r} has cardinality {card} < 1")
-            if vid in cards:
-                raise ModelError(f"duplicate variable id {vid!r}")
+            _claim_name(names, vid, "variable")
             cards[vid] = card
             var_list.append(vid)
         self._var_ids = tuple(var_list)
         self._cards = cards
 
         fac_list = []
-        fac_ids = set()
+        names = {}
         for k, row in enumerate(factors):
             fid, scope, table = (row.id, row.scope, row.table) if isinstance(row, Factor) else row
             fid = _check_id(f"f{k}" if fid is None else fid, "a factor id")
-            if fid in fac_ids:
-                raise ModelError(f"duplicate factor id {fid!r}")
-            fac_ids.add(fid)
+            _claim_name(names, fid, "factor")
             if not isinstance(scope, (list, tuple)):
                 raise ModelError(f"factor {fid!r} scope must be a list, got {scope!r}")
             for v in scope:

@@ -19,7 +19,7 @@ from .bethe import _objective_rows, bethe_gradient, maximize_bethe, mean_field
 from .errors import ModelError
 from .homs import HomModel, edge_partition, edge_weight_table, hom_partition, hom_to_factor_graph
 from .matroid import GFMatrix, gf
-from .models import FactorGraph, as_int, exact_marginals, exact_partition
+from .models import FactorGraph, as_int, as_seed, exact_marginals, exact_partition
 from .potts import REL_TOL_COVER, PottsModel, build_counterexample, potts_to_factor_graph
 
 REL_TOL_IDENTITY = 1e-9
@@ -163,6 +163,7 @@ def random_hom(
 
 def verify_cover_bound(trials: int = 100, seed: int = 0) -> VerifyReport:
     """Z(H) <= Z(G)^M for random covers of log-supermodular models."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -235,6 +236,7 @@ def verify_component_inequality(seed: int = 0) -> VerifyReport:
 
 def verify_field_weight_inequality(trials: int = 1000, seed: int = 0) -> VerifyReport:
     """Sampled weighted version with uniform external fields."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -258,7 +260,7 @@ def verify_rank_inequality(seed: int = 0) -> VerifyReport:
     Per cover, one ``ranks`` call ranks every lifted subset; the stacks
     are read from a table of the matrix's 8 column subsets.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     lifted, stacks = _layer_pair_masks(3)
 
     def results():
@@ -286,6 +288,7 @@ def verify_rank_inequality(seed: int = 0) -> VerifyReport:
 
 def verify_potts_rc_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
     """Z_rc == Z_Potts under p = e^J - 1 on random ferromagnetic instances."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -303,6 +306,7 @@ def verify_potts_rc_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
 
 def verify_hom_edge_identity(trials: int = 50, seed: int = 0) -> VerifyReport:
     """Z_edge == Z_hom on random rank-2 homomorphism models."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -337,6 +341,7 @@ def verify_potts_ordering(
     trials: int = 30, seed: int = 0, with_field: bool = False
 ) -> VerifyReport:
     """Z_MF <= Z_B <= Z for ferromagnetic Potts (optionally uniform field)."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -350,6 +355,7 @@ def verify_potts_ordering(
 
 def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
     """Z_MF <= Z_B <= Z_Potts for matroid Potts models with J >= 0."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -363,6 +369,7 @@ def verify_matroid_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
 
 def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
     """Z_MF <= Z_B <= Z_hom for rank-2 homomorphism models."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -380,6 +387,7 @@ def verify_hom_ordering(trials: int = 30, seed: int = 0) -> VerifyReport:
 
 def verify_tree_exactness(trials: int = 30, seed: int = 0) -> VerifyReport:
     """Bethe optimum equals the true partition function on trees."""
+    seed = as_seed(seed)
 
     def one(i: int) -> tuple:
         rng = np.random.default_rng(seed + i)
@@ -395,7 +403,7 @@ def verify_tree_exactness(trials: int = 30, seed: int = 0) -> VerifyReport:
 
 def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
     """Analytic objective gradient vs central finite differences."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     h = 1e-6
 
     def cases():
@@ -449,6 +457,7 @@ def verify_gradient(points: int = 20, seed: int = 0) -> VerifyReport:
 def verify_structure_suites(seed: int = 0) -> VerifyReport:
     """Exhaustive component supermodularity, rank submodularity, and
     edge-weight log-supermodularity on small instances."""
+    seed = as_seed(seed)
 
     def results():
         # k_G supermodular: every labeled graph on <= 4 vertices, all subset

@@ -596,6 +596,13 @@ class TestMeanField:
         with pytest.raises(ModelError, match="bp_iters must be an integer"):
             maximize_bethe(m, restarts=2, bp_iters=bad)
 
+    def test_negative_seed_refused(self):
+        # numpy raised its own ValueError for a negative seed
+        m = FactorGraph([("x", 2), ("y", 2)], [("f", ("x", "y"), [1.0, 2.0, 3.0, 4.0])])
+        for run in (mean_field, maximize_bethe):
+            with pytest.raises(ModelError, match="the seed must be >= 0, got -1"):
+                run(m, seed=-1)
+
     def test_budgets_enforced(self):
         for m in over_budget_models():
             with pytest.raises(ModelError, match="optimizer budget"):

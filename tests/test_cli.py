@@ -110,20 +110,20 @@ class TestRoundTrip:
     def test_same_json_key_refused(self):
         # 1 and "1" are one JSON object key, so a document naming both is ambiguous
         doc = {"variables": [{"id": 1, "cardinality": 2}, {"id": "1", "cardinality": 2}]}
-        with pytest.raises(ModelError, match="share the JSON key"):
+        with pytest.raises(ModelError, match="variable ids 1 and '1' share the name '1'"):
             model_from_json(doc)
         base = {"variables": [{"id": 0, "cardinality": 2}], "factors": [
             {"id": 1, "scope": [0], "table": [1.0, 2.0]},
             {"id": "1", "scope": [0], "table": [3.0, 4.0]},
         ]}
         perms = [{"factor": f, "var": 0, "perm": [0, 1]} for f in (1, "1")]
-        with pytest.raises(ModelError, match="share the JSON key"):
+        with pytest.raises(ModelError, match="factor ids 1 and '1' share the name '1'"):
             cover_spec_from_json({"M": 2, "base": base, "permutations": perms})
 
     def test_export_refuses_same_json_key(self):
         # node potentials are keyed by str(id): one of the two would be dropped
-        m = FactorGraph([(1, 2), ("1", 2)], [], {1: [1.0, 2.0], "1": [3.0, 1.0]})
-        with pytest.raises(ModelError, match="ids 1 and '1' share the JSON key '1'"):
+        with pytest.raises(ModelError, match="variable ids 1 and '1' share the name '1'"):
+            m = FactorGraph([(1, 2), ("1", 2)], [], {1: [1.0, 2.0], "1": [3.0, 1.0]})
             model_to_json(m)
 
 

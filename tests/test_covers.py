@@ -97,11 +97,11 @@ class TestBuildCover:
 
     def test_ids_with_one_name_refused(self):
         # copies are named f"{id}@{layer}", so 1 and "1" would both lift to "1@0"
-        same_vars = FactorGraph([(1, 2), ("1", 2)], [("e", (1, "1"), np.ones(4))])
-        with pytest.raises(ModelError, match="variable ids 1 and '1' would lift"):
+        with pytest.raises(ModelError, match="variable ids 1 and '1' share the name"):
+            same_vars = FactorGraph([(1, 2), ("1", 2)], [("e", (1, "1"), np.ones(4))])
             sample_cover(same_vars, 2, seed=0)
-        same_factors = FactorGraph([("a", 2)], [(1, ("a",), [1.0, 2.0]), ("1", ("a",), [2.0, 1.0])])
-        with pytest.raises(ModelError, match="factor ids 1 and '1' would lift"):
+        with pytest.raises(ModelError, match="factor ids 1 and '1' share the name"):
+            same_factors = FactorGraph([("a", 2)], [(1, ("a",), [1.0, 2.0]), ("1", ("a",), [2.0, 1.0])])
             sample_cover(same_factors, 2, seed=0)
 
     def test_malformed_permutation_rejected(self):
@@ -363,6 +363,21 @@ class TestCoverEstimate:
 # nodes through lifted_id strings.
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda base: CoverSpec(base, 0, {}), "cover degree must be >= 1, got 0"),
+        (lambda base: bethe_estimate_via_covers(base, 2, 0, 0), "need at least one sample"),
+        (lambda base: sample_cover(base, 2, -1), "the seed must be >= 0, got -1"),
+        (lambda base: bethe_estimate_via_covers(base, 2, 2, -1), "the seed must be >= 0, got -1"),
+    ],
+    ids=["degree", "samples", "sample-seed", "estimate-seed"],
+)
+def test_refusals(call, match):
+    with pytest.raises(ModelError, match=match):
+        call(single_edge_model())
+
+
 def _ref_build_cover(spec):
     base, m_total = spec.base, spec.m
     variables, var_copy_map, layer_map, pots = [], {}, {}, {}
@@ -497,11 +512,20 @@ class TestLiftMatchesReference:
         n = 3
         for layers in itertools.product(range(1 << n), repeat=m):
             assert layered_masks(list(layers), m, n) == _ref_masks(layers, m, n)
-        # bits at and above n, and negative masks, are read as the reference reads them
+        # bits at and above n are read as the reference reads them
         rng = np.random.default_rng(m)
         for _ in range(50):
-            layers = [int(x) for x in rng.integers(-64, 64, size=m)]
+            layers = [int(x) for x in rng.integers(0, 64, size=m)]
             assert layered_masks(layers, m, 4) == _ref_masks(layers, m, 4)
+        # a mask is an integer >= 0: 2.0 reads as 2, and a bool, a fraction,
+        # a string or a negative mask is refused
+        rest = [0] * (m - 1)
+        assert layered_masks([2.0] + rest, m, n) == layered_masks([2] + rest, m, n)
+        for bad in (True, 2.7, "3"):
+            with pytest.raises(ModelError, match="a layer mask must be an integer"):
+                layered_masks([bad] + rest, m, n)
+        with pytest.raises(ModelError, match="layer masks must be >= 0"):
+            layered_masks([-1] + rest, m, n)
 
     def test_lifted_scopes_is_cached_and_outside_equality(self):
         spec = sample_cover(double_edge_model(), 3, seed=4)

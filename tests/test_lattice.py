@@ -16,6 +16,7 @@ from zbounds.lattice import (
     switch_bipartite,
 )
 from zbounds.models import FactorGraph, dense_joint, exact_partition
+from zbounds.verify import REL_TOL_IDENTITY
 
 masks = st.integers(0, 255)
 
@@ -325,6 +326,26 @@ class TestSwitchBipartite:
         assert is_log_supermodular(1 / m.factors[0].table.values).ok
         assert is_log_supermodular(sw.factors[0].table.values).ok
         assert exact_partition(sw) == pytest.approx(exact_partition(m), rel=1e-12)
+
+    def test_edge_written_b_side_first(self):
+        # e1 lists its B-side variable first, so its first axis is the one reversed
+        t0, t1 = np.exp([0.0, 0.3, 0.2, -1.0]), np.exp([0.5, 0.0, 0.1, -0.7])
+        pots = {"a0": [1.0, 2.0], "b0": [0.5, 1.5]}
+        variables = [("a0", 2), ("a1", 2), ("b0", 2)]
+        m = FactorGraph(variables, [("e0", ("a0", "b0"), t0), ("e1", ("b0", "a1"), t1)], pots)
+        written_ab = FactorGraph(
+            variables,
+            [("e0", ("a0", "b0"), t0), ("e1", ("a1", "b0"), t1.reshape(2, 2).T.ravel())],
+            pots,
+        )
+        sw = switch_bipartite(m, {"a0", "a1"}, {"b0"})
+        ref = switch_bipartite(written_ab, {"a0", "a1"}, {"b0"})
+        assert exact_partition(sw) == pytest.approx(exact_partition(m), rel=REL_TOL_IDENTITY)
+        assert all(is_log_supermodular(fac.table.values).ok for fac in sw.factors)
+        assert sw.factors[0].table == ref.factors[0].table
+        assert np.array_equal(sw.factors[1].table.as_ndarray().T, ref.factors[1].table.as_ndarray())
+        for v in sw.var_ids:
+            assert np.array_equal(sw.node_potential(v), ref.node_potential(v))
 
     def test_identity_on_all_ones(self):
         m = FactorGraph([("a", 2), ("b", 2)], [("e", ("a", "b"), np.ones(4))])

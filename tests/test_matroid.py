@@ -28,6 +28,19 @@ from zbounds.models import exact_partition
 from zbounds.potts import count_components
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda m: matroid_rc_partition(m, [1.0, 1.0]), "need one weight per column"),
+        (lambda m: incidence_factor_graph(m, np.zeros(4)), "need one coupling per column"),
+    ],
+    ids=["weights", "couplings"],
+)
+def test_refusals(call, match):
+    with pytest.raises(ModelError, match=match):
+        call(GFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
+
+
 def _ref_field_tables(q):
     """Reference: the add, mul, neg and inv tables of GF(q) built one entry
     at a time, from base-p digit lists and a schoolbook polynomial product
@@ -600,6 +613,13 @@ class TestRankCoverInequality:
         spec = sample_cover(incidence_factor_graph(m, np.zeros(3)), 2, seed=1)
         with pytest.raises(ModelError, match=f"need 2 layers, got {len(layers)}"):
             check_rank_cover_inequality(m, spec, layers)
+
+    def test_negative_layer_mask_refused(self):
+        # -1 used to put every column in layer 0
+        m = self._matrix(2, 0)
+        spec = sample_cover(incidence_factor_graph(m, np.zeros(3)), 2, seed=1)
+        with pytest.raises(ModelError, match=r"layer masks must be >= 0, got \[-1, 0\]"):
+            check_rank_cover_inequality(m, spec, [-1, 0])
 
     def test_lifted_matrix_shape(self):
         m = self._matrix(2, 9)

@@ -118,6 +118,36 @@ class TestConstruction:
         with pytest.raises(ModelError, match="table cards"):
             FactorGraph([("x", 3), (0, 2)], [("f", ("x", 0), fac.table)])
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: models.as_simple_graph(2, [(0, 2)]), r"edge \(0,2\) outside vertex range"),
+            (lambda: PotentialTable((2, 0), []), r"cardinalities must be >= 1, got \(2, 0\)"),
+            (lambda: FactorGraph([("x", 2), ("x", 3)]), "duplicate variable id 'x'"),
+            (lambda: FactorGraph([(1, 2), (np.int64(1), 2)]), "duplicate variable id"),
+            (
+                lambda: FactorGraph([("x", 2)], [("f", ["x"], [1, 1]), ("f", ["x"], [1, 1])]),
+                "duplicate factor id 'f'",
+            ),
+            (lambda: FactorGraph([(1, 2), ("1", 2)]), "variable ids 1 and '1' share the name '1'"),
+            (
+                lambda: FactorGraph([("x", 2)], [(1, ["x"], [1, 1]), ("1", ["x"], [1, 1])]),
+                "factor ids 1 and '1' share the name '1'",
+            ),
+            (
+                lambda: FactorGraph([("x", 2)], [], {"y": [1.0, 1.0]}),
+                "node potential for unknown variable 'y'",
+            ),
+        ],
+        ids=["edge-range", "table-cardinality", "duplicate-variable", "duplicate-numpy-variable",
+             "duplicate-factor", "variable-name", "factor-name", "potential-key"],
+    )
+    def test_refusals(self, build, match):
+        # ids are named by str(): a cover copy is f"{id}@{m}" and a JSON key
+        # str(id), so two ids with one name are refused as a repeated one is
+        with pytest.raises(ModelError, match=match):
+            build()
+
     def test_zero_valued_tables_allowed(self):
         m = FactorGraph([("x", 2)], [("f", ("x",), [0.0, 0.0])])
         assert exact_partition(m) == 0.0

@@ -206,3 +206,19 @@ def test_potts_ordering_trials_are_a_count(bad):
 def test_every_suite_count_is_read_as_int(suite, count):
     with pytest.raises(ModelError, match=f"{count} must be an integer, got 2.5"):
         suite(**{count: 2.5})
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3", -1])
+@pytest.mark.parametrize("tag", [tag for tag in verify.SUITES if tag != "5.1"])
+def test_every_suite_seed_is_read_as_a_seed(tag, bad):
+    # 5.1 is exhaustive and reads no seed; every other suite refuses a
+    # seed that is not an integer >= 0 before numpy sees it
+    default, run = verify.SUITES[tag]
+    with pytest.raises(ModelError, match="the seed must be"):
+        run(bad) if default is None else run(1, bad)
+
+
+@pytest.mark.parametrize("tag", ["3.5", "appendix-a"])
+def test_integer_float_seed_reads_as_int(tag):
+    _default, run = verify.SUITES[tag]
+    assert run(1, 2.0) == run(1, 2)
