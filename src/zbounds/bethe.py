@@ -591,9 +591,10 @@ def run_bp(
     None for uniform messages.  Returns (BPState, beliefs, Bethe objective
     at the beliefs).  Non-convergence is reported through the state's
     ``converged`` flag; the last iterate is returned either way.  Raises
-    ModelError for a damping outside [0, 1) or a tolerance that is not
-    positive (no residual is below 0, and none compares below NaN), and
-    NumericRangeError when a potential's entries sum beyond the float range.
+    ModelError for an ``init`` that is not a seed (``as_seed``), a damping
+    outside [0, 1) or a tolerance that is not positive (no residual is
+    below 0, and none compares below NaN), and NumericRangeError when a
+    potential's entries sum beyond the float range.
     """
     _check_damping(damping)
     if not tol > 0.0:
@@ -603,7 +604,7 @@ def run_bp(
     if init is None:
         v2f = _init_messages(g, 1, None)
     else:
-        v2f = {c: m[..., 1:2] for c, m in _init_messages(g, 2, init).items()}
+        v2f = {c: m[..., 1:2] for c, m in _init_messages(g, 2, as_seed(init)).items()}
     v2f, f2v, iterations, residual = _bp_engine(g, v2f, max_iters, tol, damping)
     tau = _beliefs(g, v2f, f2v)
     state = BPState(

@@ -66,7 +66,9 @@ class HomModel:
 
 
 def hom_partition(model: HomModel) -> float:
-    """Weighted homomorphism count Z_hom by enumeration over colorings."""
+    """Weighted homomorphism count Z_hom, the sum over colorings, by
+    ``exact_partition`` on ``hom_to_factor_graph``: correctly rounded by
+    the dense walk, or within that function's stated bound by elimination."""
     if model.n_states == 0:
         # No colours: no colouring exists unless there is nothing to colour.
         return 0.0 if model.n_vertices else 1.0

@@ -25,6 +25,7 @@ from .models import (
     DEFAULT_ENUMERATION_CAP,
     FactorGraph,
     as_int,
+    as_seed,
     check_exp_range,
     check_subset_cap,
     exact_partition,
@@ -220,7 +221,8 @@ def matroid_potts_partition(matrix: GFMatrix, couplings) -> float:
     """Normalized matroid Potts partition function.
 
     Z = q^(-k) sum_sigma prod_alpha exp(J_alpha * [sum_i S_{i,alpha} sigma_i = 0]),
-    enumerated by ``exact_partition`` on the incidence factor graph.
+    summed by ``exact_partition`` on the incidence factor graph (correctly
+    rounded by the dense walk, or within its stated bound by elimination).
     """
     fg = incidence_factor_graph(matrix, couplings)
     return exact_partition(fg) / float(matrix.field.q) ** matrix.n_rows
@@ -358,10 +360,12 @@ def weight_enumerator(
     lower bounds computed on the factor-graph form.  For lam > 1 the
     bounds are suppressed (the inequality only holds on (0, 1]).  Raises
     ModelError unless lam is one real number (``float_array``), positive
-    with log(1/lam) finite (below about 5.6e-309, 1/lam overflows).
+    with log(1/lam) finite (below about 5.6e-309, 1/lam overflows), and
+    unless ``seed`` is a seed (``as_seed``), at every lam.
     """
     from .bethe import maximize_bethe, mean_field
 
+    seed = as_seed(seed)
     lam = float_array(lam, "lambda").tolist()
     if not (isinstance(lam, float) and lam > 0 and math.isfinite(math.log(1.0 / lam))):
         raise ModelError(

@@ -1,4 +1,5 @@
-"""Factor-graph data model and exact inference by enumeration.
+"""Factor-graph data model and exact inference by enumeration and by
+bucket elimination.
 
 A model is a collection of finite-cardinality variables, nonnegative
 potential tables attached to ordered variable scopes, and optional
@@ -33,12 +34,14 @@ VarId = Union[int, str]
 DEFAULT_ENUMERATION_CAP = 1 << 26
 
 # Joint tensors above this size are never materialized (dense_joint and
-# exact_marginals); exact_partition sums larger spaces slab by slab.
+# exact_marginals); exact_partition sums larger spaces by elimination or
+# slab by slab.
 _DENSE_BLOCK = 1 << 22
 
 # Subset sums walk their 2^m masks in blocks of this many consecutive masks,
 # and dense joints are built in slabs of at most this many states, so the
-# arrays of one block do not grow with the space.
+# arrays of one block do not grow with the space.  exact_partition
+# eliminates a joint above one block when every bucket fits in one.
 _MASK_BLOCK_BITS = 16
 
 # A leading-axis term whose slice varies along some but not all of the last
@@ -610,15 +613,29 @@ def subset_products(weights: np.ndarray, first=1.0) -> Iterator[np.ndarray]:
 
 
 def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Partition function by exhaustive enumeration.
+    """Partition function, exact up to rounding, by one of two engines.
 
-    The joint is walked in slabs of about 2^16 entries (``_joint_slabs``)
-    and summed correctly rounded, equal to ``math.fsum`` over the whole
-    tensor, at every size up to ``cap``.  Each weight multiplies its terms
-    in one canonical order, each term once per assignment of the leading
-    axes from its lowest on, so Z depends on neither slab size nor order.
-    Refuses models whose joint space exceeds ``cap``, and raises
-    NumericRangeError when a weight or the sum overflows or is NaN.
+    Refuses models whose joint space exceeds ``cap`` first, whatever the
+    engine.  A joint of more than one block (2^_MASK_BLOCK_BITS states)
+    whose min-degree elimination order keeps every bucket within one block
+    is summed by bucket elimination (``_eliminated_sum``): Z is within
+    gamma_K = K u / (1 - K u), u = 2^-53, of the exact sum of the exact
+    weights, relative, where each bucket of t tables on a variable of c
+    states adds t + c - 2 to K and each scalar one more, so K <= T + the
+    sum over variables of (card - 1), T the number of node potentials and
+    factors (no entry scaled or summed below 2^-1022, where underflow
+    loses digits).
+
+    Every other joint (one block or less, or too wide for elimination) is
+    walked in slabs of about 2^16 entries (``_joint_slabs``) and summed
+    correctly rounded: Z equals ``math.fsum`` over the canonical joint, in
+    which each weight multiplies its terms in one canonical order, each
+    term once per assignment of the leading axes from its lowest on, so Z
+    depends on neither slab size nor order.
+
+    Either engine returns 0.0 for a zero Z, gives the same Z on every call
+    and raises NumericRangeError when Z (or, in the walk, a weight) is
+    beyond the float range or NaN.
     """
     size = model.joint_size
     cap = as_int(cap, "the enumeration cap")
@@ -626,7 +643,75 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
         raise EnumerationCapError(
             f"joint space of {_size_text(size)} states exceeds the enumeration cap {cap}"
         )
+    if size > 1 << _MASK_BLOCK_BITS:
+        z = _eliminated_sum(model)
+        if z is not None:
+            return z
     return fsum_blocks(slab for _offset, slab in _joint_slabs(model))
+
+
+def _eliminated_sum(model: FactorGraph) -> float | None:
+    """Z by bucket elimination (Dechter 1999), or None, before any
+    arithmetic, when a bucket's variables span more than one block.
+
+    Card-1 axes are dropped.  The order is min-degree on the graph of
+    variables that share a term, ties to the lowest model position.  Each
+    table joins the bucket of its first variable in that order; a bucket
+    is one ``np.einsum`` over labels local to it, which sums out its
+    variable, and its result joins the next bucket of its scope.  Every
+    input table and bucket result is scaled by the power of two that puts
+    its maximum in [0.5, 1) (exact, as its exponent is kept apart as an
+    int), so no table overflows; scalars (tables without variables, and a
+    variable that no term touches, which contributes its cardinality)
+    multiply one running float.  A zero table makes Z 0.0.
+    """
+    cards = [model.card(v) for v in model.var_ids]
+    axes = {v: k for k, v in enumerate(model.var_ids) if cards[k] > 1}
+    terms = [((v,), pot) for v, pot in model.node_potentials.items()]
+    terms += [(f.scope, f.table.values) for f in model.factors]
+    terms = [(tuple(axes[v] for v in scope if v in axes), t) for scope, t in terms]
+    nbrs = {a: set() for a in axes.values()}
+    for scope, _t in terms:
+        for a in scope:
+            nbrs[a].update(b for b in scope if b != a)
+    order = []
+    while nbrs:
+        a = min(nbrs, key=lambda b: (len(nbrs[b]), b))
+        group = nbrs.pop(a)
+        if cards[a] * math.prod(cards[b] for b in group) > 1 << _MASK_BLOCK_BITS:
+            return None
+        for b in group:
+            nbrs[b] = (nbrs[b] | group) - {a, b}
+        order.append(a)
+    rank = {a: k for k, a in enumerate(order)}
+    buckets = [[] for _ in order]
+    z, exponent = 1.0, 0  # Z = z 2^exponent times the summed product of the queued tables
+    for k in range(len(order) + 1):
+        for scope, t in terms:  # queue the inputs, then bucket k - 1's result
+            top = float(t.max())
+            if top == 0.0:
+                return 0.0
+            shift = math.frexp(top)[1]
+            exponent += shift
+            if scope:
+                t = np.ldexp(t, -shift).reshape([cards[b] for b in scope])
+                buckets[min(rank[b] for b in scope)].append((scope, t))
+            else:
+                z, e = math.frexp(z * math.ldexp(top, -shift))
+                exponent += e
+        if k == len(order):
+            break
+        a = order[k]
+        tables = buckets[k] or [((a,), np.ones(cards[a]))]  # no term touches a: its count
+        labels = sorted({b for scope, _t in tables for b in scope})
+        local = {b: j for j, b in enumerate(labels)}
+        kept = tuple(b for b in labels if b != a)
+        operands = [x for scope, t in tables for x in (t, [local[b] for b in scope])]
+        terms = [(kept, np.einsum(*operands, [local[b] for b in kept]))]
+    try:
+        return math.ldexp(z, exponent)
+    except OverflowError:
+        raise NumericRangeError(f"Z = {z!r} * 2^{exponent} is out of float range") from None
 
 
 @dataclass

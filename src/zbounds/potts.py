@@ -131,7 +131,9 @@ def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
 
 
 def potts_partition(model: PottsModel) -> float:
-    """Sum the spin model over all q^n spin vectors (integer q only)."""
+    """The spin model's sum over all q^n spin vectors (integer q only), by
+    ``exact_partition`` on its factor graph: correctly rounded by the dense
+    walk, or within that function's stated bound by elimination."""
     return exact_partition(potts_to_factor_graph(model))
 
 

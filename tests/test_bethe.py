@@ -412,8 +412,16 @@ class TestRunBP:
         # BPState no longer carries messages, so it cannot resume a run
         m = random_tree_model(np.random.default_rng(3))
         state, _tau, _value = run_bp(m)
-        with pytest.raises(TypeError):
+        with pytest.raises(ModelError, match="the seed must be an integer"):
             run_bp(m, init=state)
+
+    @pytest.mark.parametrize("bad", [True, -1])
+    def test_init_is_a_seed(self, bad):
+        m = random_tree_model(np.random.default_rng(3))
+        # 2.0 is read as 2: the same state and Bethe value
+        assert run_bp(m, init=2.0)[::2] == run_bp(m, init=2)[::2] != run_bp(m)[::2]
+        with pytest.raises(ModelError, match="the seed"):
+            run_bp(m, init=bad)
 
     @pytest.mark.xfail(
         reason="no stationary point above log Z is reachable on this instance "

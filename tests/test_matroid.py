@@ -654,6 +654,14 @@ class TestWeightEnumerator:
         with pytest.raises(ModelError, match="restarts must be an integer"):
             weight_enumerator(m, 0.5, restarts=bad)
 
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("bad", ["3", -1, True])
+    def test_seed_read_at_every_lambda(self, lam, bad):
+        # above lambda = 1 no bound is computed, but the seed is still read
+        m = parse_generator_matrix("2 1 3\n1 1 1\n")
+        with pytest.raises(ModelError, match="the seed"):
+            weight_enumerator(m, lam, restarts=2, seed=bad)
+
     def test_repetition_code(self):
         m = parse_generator_matrix("2 1 3\n1 1 1\n")
         for lam in (0.25, 0.7, 1.0):

@@ -250,8 +250,8 @@ class TestExactPartition:
             exact_partition(m, cap=255)
 
     def test_chunked_enumeration_above_dense_block(self):
-        # 23 binary variables exceed the dense-tensor block, forcing the
-        # conditioning recursion; the product structure gives Z exactly.
+        # 23 binary variables exceed the dense-tensor block; the product
+        # structure gives Z to within a few roundings.
         rng = np.random.default_rng(12)
         pots = {i: rng.uniform(0.2, 1.0, 2) for i in range(23)}
         m = FactorGraph([(i, 2) for i in range(23)], [], pots)
@@ -616,6 +616,11 @@ def one_shot_dense_joint(model):
     return w
 
 
+def dense_sum(model):
+    """The dense engine's Z: the correctly rounded sum of ``_joint_slabs``."""
+    return fsum_blocks(slab for _offset, slab in models._joint_slabs(model))
+
+
 def slab_models():
     rng = np.random.default_rng(8)
     cards = [3, 1, 2, 4, 2, 3]
@@ -695,7 +700,7 @@ class TestJointSlabs:
         expected = one_shot_dense_joint(model)
         w = dense_joint(model)
         assert w.shape == expected.shape and np.array_equal(w, expected)
-        assert exact_partition(model) == math.fsum(expected.ravel().tolist())
+        assert dense_sum(model) == math.fsum(expected.ravel().tolist())
 
     @pytest.mark.parametrize("tail", [1, 4, models._TAIL])
     @pytest.mark.parametrize("bits", [4, 5, 6, 7])
@@ -718,7 +723,7 @@ class TestJointSlabs:
         model = FactorGraph([(i, 2) for i in range(n)], factors, pots)
         tracemalloc.start()
         try:
-            z = exact_partition(model)
+            z = dense_sum(model)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -738,7 +743,7 @@ class TestJointSlabs:
         model = FactorGraph([(i, 2) for i in range(n)], factors)
         tracemalloc.start()
         try:
-            exact_partition(model)
+            dense_sum(model)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -750,13 +755,13 @@ class TestJointSlabs:
         model = field_potts_graph(6, 14)
         tracemalloc.start()
         try:
-            exact_partition(model)
+            dense_sum(model)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
 
-    @pytest.mark.parametrize("enumerate_", [exact_partition, dense_joint])
+    @pytest.mark.parametrize("enumerate_", [dense_sum, dense_joint])
     def test_buffers_released_on_return(self, enumerate_):
         # with the collector off, a reference cycle would keep the slab
         # buffers alive after the call
@@ -790,7 +795,180 @@ class TestJointSlabs:
         )
         model = potts_to_factor_graph(potts)
         assert model.joint_size > models._DENSE_BLOCK
-        assert exact_partition(model) == fsum_blocks([one_shot_dense_joint(model)])
+        assert dense_sum(model) == fsum_blocks([one_shot_dense_joint(model)])
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the relative error
+    of k roundings of nonnegative products and sums."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def elimination_bound(model):
+    """How far the eliminated Z may lie from the dense sum, relative to the
+    dense sum: gamma_K for elimination, K = T + sum(card - 1) over the
+    variables, and gamma_T for the dense sum (T - 1 products per weight and
+    one rounding of the sum), T the number of node potentials and factors."""
+    t = len(model.factors) + len(model.node_potentials)
+    k = t + sum(model.card(v) - 1 for v in model.var_ids)
+    return (gamma(k) + gamma(t)) / (1 - gamma(t))
+
+
+def banded_model(seed):
+    """A random model of 2^16 + 1 to 2^22 states, narrow enough to
+    eliminate: cards 1-4, factors of arity 0-4 on five neighbouring
+    variables of one of two halves that no factor joins (two disconnected
+    parts), node potentials on about half the variables, about one entry
+    in ten of a table of 4+ entries a hard zero, and one variable that no
+    term touches."""
+    rng = np.random.default_rng(seed)
+    target = 2.0 ** rng.uniform(16, 21)
+    cards = []
+    while math.prod(cards) <= target:
+        card = int(rng.choice([1, 2, 3, 4], p=[0.15, 0.35, 0.3, 0.2]))
+        cards.append(min(card, (1 << 22) // math.prod(cards)))
+    n = len(cards)
+    free = int(rng.choice([v for v in range(n) if cards[v] > 1]))
+    half = n // 2
+
+    def table(size):
+        values = rng.uniform(0.0, 2.0, size)
+        if size >= 4:
+            values[rng.random(size) < 0.1] = 0.0
+        return values
+
+    factors = []
+    for k in range(2 * n):
+        start = int(rng.integers(n))
+        end = min(start + 5, half if start < half else n)
+        window = [v for v in range(start, end) if v != free]
+        arity = min(int(rng.integers(5)), len(window))
+        scope = tuple(int(v) for v in rng.permutation(window)[:arity])
+        factors.append((f"f{k}", scope, table(math.prod(cards[v] for v in scope))))
+    pots = {v: table(cards[v]) for v in range(n) if v != free and rng.random() < 0.5}
+    return FactorGraph(list(enumerate(cards)), factors, pots)
+
+
+class TestElimination:
+    """Above one block (2^_MASK_BLOCK_BITS states) ``exact_partition``
+    eliminates a joint whose min-degree order keeps every bucket within one
+    block; Z is then within the stated bound of the dense sum."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_within_bound_of_dense_sum(self, seed):
+        model = banded_model(seed)
+        assert 1 << 16 < model.joint_size <= 1 << 22
+        z = exact_partition(model)
+        assert z == models._eliminated_sum(model) == exact_partition(model)
+        dense = dense_sum(model)
+        assert abs(z - dense) <= elimination_bound(model) * dense
+
+    def test_factor_free_model(self):
+        rng = np.random.default_rng(3)
+        cards = [1, 3, 2, 4, 2, 3, 1, 4, 2, 3, 2, 4, 3, 2]
+        pots = {v: rng.uniform(0.1, 2.0, c) for v, c in enumerate(cards) if v % 3}
+        model = FactorGraph(list(enumerate(cards)), [], pots)
+        assert model.joint_size > 1 << 16
+        z = exact_partition(model)
+        assert z == models._eliminated_sum(model)
+        dense = dense_sum(model)
+        assert abs(z - dense) <= elimination_bound(model) * dense
+        product = math.prod(pots[v].sum() if v in pots else c for v, c in enumerate(cards))
+        assert z == pytest.approx(product, rel=1e-14)
+
+    def test_zero_z(self):
+        n = 18
+        chain = [(f"e{i}", (i, i + 1), [1.0, 0.5, 0.5, 1.0]) for i in range(n - 1)]
+        variables = [(i, 2) for i in range(n)]
+        # a zero table, and two tables whose supports miss each other, so
+        # that only their bucket's result is zero
+        zero = FactorGraph(variables, chain + [("z", (3,), [0.0, 0.0])])
+        apart = FactorGraph(
+            variables,
+            chain + [("a", (5, 9), [1.0, 0.0, 0.0, 1.0]), ("b", (9, 5), [0.0, 2.0, 3.0, 0.0])],
+        )
+        for model in (zero, apart):
+            assert dense_sum(model) == 0.0
+            assert models._eliminated_sum(model) == 0.0 == exact_partition(model)
+
+    def test_z_beyond_float_range(self):
+        # 2^20 weights of 1e300: Z is 1.05e306; at 1e16 per variable it
+        # overflows, though every scaled table stays below 1
+        variables = [(i, 2) for i in range(20)]
+        for scale, fits in ((10.0**15, True), (10.0**16, False)):
+            model = FactorGraph(variables, [], {i: [scale, scale] for i in range(20)})
+            if fits:
+                z = exact_partition(model)
+                assert z == pytest.approx(2.0**20 * 1e300, rel=1e-13)
+                assert abs(z - dense_sum(model)) <= elimination_bound(model) * z
+            else:
+                with pytest.raises(NumericRangeError, match="out of float range"):
+                    exact_partition(model)
+
+    def test_more_variables_than_einsum_labels(self):
+        # 60 variables, 40 of them card 1, in factors of 6 variables: only
+        # the 20 binary ones take labels
+        rng = np.random.default_rng(4)
+        cards = [2 if v % 7 in (0, 3) or v >= 56 else 1 for v in range(60)]
+        assert cards.count(2) == 20
+        factors = []
+        for k in range(55):
+            scope = tuple(range(k, k + 6))
+            size = math.prod(cards[v] for v in scope)
+            factors.append((f"f{k}", scope, rng.uniform(0.1, 2.0, size)))
+        model = FactorGraph(list(enumerate(cards)), factors, {v: [0.5, 2.0] for v in range(56, 60)})
+        z = exact_partition(model)
+        assert z == models._eliminated_sum(model)
+        dense = dense_sum(model)
+        assert abs(z - dense) <= elimination_bound(model) * dense
+
+    def test_wide_joint_takes_the_walk(self):
+        # a bucket of 2^17 states exceeds one block: the dense sum, exactly
+        rng = np.random.default_rng(5)
+        n = 17
+        variables = [(i, 2) for i in range(n)]
+        pairs = itertools.combinations(range(n), 2)
+        complete = FactorGraph(
+            variables, [(f"e{i}-{j}", (i, j), rng.uniform(0.5, 1.5, 4)) for i, j in pairs]
+        )
+        one_table = FactorGraph(
+            variables, [("f", tuple(range(n)), rng.uniform(0.5, 1.5, 1 << n))]
+        )
+        for model in (complete, one_table):
+            assert models._eliminated_sum(model) is None
+            assert exact_partition(model) == dense_sum(model)
+
+    @pytest.mark.parametrize("name", ["potts 3^14", "chain 2^22"])
+    def test_memory_bounded_and_released(self, name):
+        # with the collector off, a reference cycle would keep the tables
+        # alive after the call
+        if name == "potts 3^14":
+            model = field_potts_graph(6, 14)
+        else:
+            rng = np.random.default_rng(9)
+            factors = [(f"e{i}", (i, i + 1), rng.uniform(0.5, 1.5, 4)) for i in range(21)]
+            pots = {i: rng.uniform(0.5, 1.5, 2) for i in range(22)}
+            model = FactorGraph([(i, 2) for i in range(22)], factors, pots)
+        assert models._eliminated_sum(model) is not None
+        exact_partition(model)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            exact_partition(model)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak - before < 2 * 1024 * 1024
+        assert peak > before  # the tables were traced
+        assert abs(after - before) < 4 * 1024
 
 
 class TestNonFiniteRefused:
