@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ModelError
 from .lattice import sorted_stack
-from .models import FactorGraph, as_int, as_seed, exact_partition
+from .models import FactorGraph, as_int, as_mask, as_seed, exact_partition
 
 
 def lifted_id(base_id, layer: int) -> str:
@@ -97,10 +97,7 @@ def layered_masks(layers: Sequence[int], m: int, n: int) -> tuple:
     """
     if len(layers) != m:
         raise ModelError(f"need {m} layers, got {len(layers)}")
-    layers = [as_int(x, "a layer mask") for x in layers]
-    if any(x < 0 for x in layers):
-        raise ModelError(f"layer masks must be >= 0, got {layers}")
-    layers = [x & ((1 << n) - 1) for x in layers]
+    layers = [as_mask(x, "a layer mask") & ((1 << n) - 1) for x in layers]
     lifted = sum(
         1 << (i * m + layer) for layer, x in enumerate(layers) for i in range(n) if (x >> i) & 1
     )

@@ -22,6 +22,7 @@ from .errors import EnumerationCapError, ModelError
 from .lattice import DEFAULT_PAIRWISE_CAP, REL_TOL_LSM, LsmReport, is_log_supermodular
 from .models import (
     FactorGraph,
+    as_mask,
     as_simple_graph,
     check_subset_cap,
     exact_partition,
@@ -79,6 +80,7 @@ def s_count(model: HomModel, i: int, mask: int) -> int:
     """Number of subset edges incident to vertex i."""
     if not 0 <= i < model.n_vertices:
         raise ModelError(f"unknown vertex {i}")
+    mask = as_mask(mask, "an edge mask")
     return sum(
         1
         for idx, (u, v) in enumerate(model.edges)
@@ -88,7 +90,7 @@ def s_count(model: HomModel, i: int, mask: int) -> int:
 
 def edge_weight(model: HomModel, mask: int) -> float:
     """The per-vertex product for one edge subset (0^0 = 1)."""
-    tables = _vertex_tables(model)
+    tables, mask = _vertex_tables(model), as_mask(mask, "an edge mask")
     return float(math.prod(table[s_count(model, i, mask)] for i, table in enumerate(tables)))
 
 

@@ -25,6 +25,7 @@ from .models import (
     DEFAULT_ENUMERATION_CAP,
     FactorGraph,
     as_int,
+    as_mask,
     as_seed,
     check_exp_range,
     check_subset_cap,
@@ -141,7 +142,8 @@ def rank(matrix: GFMatrix, mask: int | None = None) -> int:
     """Rank over GF(q) of the columns selected by ``mask`` (all if None):
     the one-mask case of ``ranks``, for a Python int mask of any width."""
     full = (1 << matrix.n_cols) - 1
-    return int(_eliminate(matrix, _selection(matrix, [full if mask is None else mask]))[0])
+    mask = full if mask is None else as_mask(mask, "a column mask")
+    return int(_eliminate(matrix, _selection(matrix, [mask]))[0])
 
 
 def _selection(matrix: GFMatrix, masks) -> np.ndarray:
@@ -157,6 +159,8 @@ def ranks(matrix: GFMatrix, masks) -> np.ndarray:
     array does not grow with their number.
     """
     masks = np.asarray(masks, dtype=np.int64)
+    if masks.min(initial=0) < 0:
+        raise ModelError(f"column masks must be >= 0, got {masks.min()}")
     columns = np.arange(matrix.n_cols)
     out = np.zeros(masks.size, dtype=np.int64)
     step = 1 << models._MASK_BLOCK_BITS

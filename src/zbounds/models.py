@@ -13,7 +13,6 @@ row-major, with the LAST scope variable fastest.  States are 0-based.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -44,27 +43,15 @@ _DENSE_BLOCK = 1 << 22
 # eliminates a joint above one block when every bucket fits in one.
 _MASK_BLOCK_BITS = 16
 
-# A leading-axis term whose slice varies along some but not all of the last
-# block axes that hold at least this many entries (or the whole block) is
-# stored filled out over them, if that takes at most one block, so each
-# multiply runs contiguous inner loops of that length.
-_TAIL = 256
-
 # fsum_blocks: a block under _SMALL_SUM entries is cheaper to sum as
-# Python floats.  Larger blocks are summed in pieces of at most _SUM_CHUNK
-# entries, by at most _LEVELS extraction levels when they cover the piece
-# (106 - 3M bits of range for 2^M above its size, 61 for a full piece)
-# and its largest entry lies inside _EXTRACT_RANGE, else by the exponent
-# buckets; levels that leave a rest for the buckets measured slower than
-# the buckets alone.  Once _PENDING_SUMS floats are held for the final
-# sum, they pass through the buckets, with the next piece if it goes
-# there.  So no bucket call sees more than one piece and 2^13 + _SMALL_SUM
+# Python floats.  Larger blocks are summed by the exponent buckets in
+# pieces of at most _SUM_CHUNK entries.  Once _PENDING_SUMS floats are
+# held for the final sum, they pass through the buckets with the next
+# piece.  So no bucket call sees more than one piece and 2^13 + _SMALL_SUM
 # held floats (two sums per sign and exponent, and one small block), far
 # below the 2^26 entries that keep each bucket sum exact.
 _SMALL_SUM = 512
 _SUM_CHUNK = 1 << 14
-_LEVELS = 3
-_EXTRACT_RANGE = (2.0**-900, 2.0**900)
 _PENDING_SUMS = 128
 _EXPONENT_SHIFT = np.uint64(52)
 _HI_MASK = np.uint64((1 << 64) - (1 << 26))
@@ -114,6 +101,15 @@ def as_seed(value) -> int:
     if seed < 0:
         raise ModelError(f"the seed must be >= 0, got {seed}")
     return seed
+
+
+def as_mask(value, what: str) -> int:
+    """``value`` as a subset bitmask: an integer (read by ``as_int``) >= 0,
+    as a negative int has every bit above some point set (-1 selects all)."""
+    mask = as_int(value, what)
+    if mask < 0:
+        raise ModelError(f"{what} must be >= 0, got {mask}")
+    return mask
 
 
 def as_simple_graph(n_vertices, edges: Sequence) -> tuple:
@@ -358,21 +354,19 @@ def evaluate(model: FactorGraph, x: Assignment) -> float:
 
 def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
     """The joint weight tensor as (offset, slab) pairs, one per assignment
-    of the leading axes; a flat slab holds the C-order entries from
-    ``offset`` on and is overwritten by the next one.
+    of the leading axes in C order; a flat slab holds the C-order entries
+    from ``offset`` on and is overwritten by the next one.
 
     Each entry multiplies the node potentials and factors in one canonical
     order: by the lowest axis a term touches, highest first, a term without
     axes first of all, ties in model order (node potentials in dict order,
-    then factors).  The product of the terms from axis a on depends only on
-    axes a.., so the trailing block is built from the last axis back and
-    the leading axes are walked last one slowest, with one partial product
-    per leading axis that carries terms: each term is multiplied once per
-    assignment of the leading axes from its lowest on.  The block and the
-    partial products fit in two 2^_MASK_BLOCK_BITS arrays, which sets how
-    many axes lead (at most all but the last); no entry depends on it.  A
-    leading-axis term whose slice varies along part of the block's tail
-    (_TAIL) is stored filled out over it, which changes no product.
+    then factors).  The leading axes are the fewest that leave a trailing
+    block of at most 2^_MASK_BLOCK_BITS entries (at most all but the last
+    axis).  The block, the product of the terms on its own axes, is built
+    once from the last axis back; each slab is a copy of it multiplied by
+    each leading term's slice at the slab's assignment, in the canonical
+    order.  So no entry depends on the block size, and the walk holds two
+    block-sized arrays.
     """
     axis = {v: k for k, v in enumerate(model.var_ids)}
     shape = tuple(model.card(v) for v in model.var_ids)
@@ -390,9 +384,7 @@ def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
         terms.append((low, fac.table.as_ndarray().transpose(order).reshape(new_shape)))
     terms.sort(key=operator.itemgetter(0), reverse=True)  # stable: ties keep model order
     lead, size = 0, math.prod(shape)
-    while lead < n - 1:  # the block and one partial product per leading axis with terms
-        if size * max(2, 1 + len({a for a, _ in terms if a < lead})) <= 2 << _MASK_BLOCK_BITS:
-            break
+    while lead < n - 1 and size > 1 << _MASK_BLOCK_BITS:
         size //= shape[lead]
         lead += 1
     flat = np.empty(size)
@@ -412,40 +404,16 @@ def _joint_slabs(model: FactorGraph) -> Iterator[tuple]:
     if not lead:  # the joint is the block
         yield 0, flat
         return
-    cut = n - 1  # the tail: the last block axes from `cut` on, _TAIL entries if the block has them
-    while cut > lead and math.prod(shape[cut:]) < _TAIL:
-        cut -= 1
-    levels = []  # (axis, partial product, its source, its terms), highest axis first
-    for a, group in itertools.groupby(rest, operator.itemgetter(0)):
-        views = []
-        for _, t in group:
-            filled = t.shape[: cut - a] + shape[cut:]
-            # a slice that varies along some but not all of the tail is
-            # filled out over it, if that takes at most one block: long
-            # inner loops (a tail it does not vary along is one already)
-            varied = math.prod(t.shape[cut - a :])
-            if 1 < varied < math.prod(shape[cut:]) and math.prod(filled) <= size:
-                t = np.ascontiguousarray(np.broadcast_to(t, filled))
-            views.append(np.broadcast_to(t, shape[a:lead] + t.shape[lead - a :]))
-        levels.append((a, np.empty(shape[lead:]), levels[-1][1] if levels else block, views))
-    slab = levels[-1][1].reshape(-1) if levels else flat
-    stride = [math.prod(shape[a + 1 :]) for a in range(lead)]
-    states, top = [0] * lead, lead - 1  # top: the highest leading axis whose state changed
-    while True:
+    # each leading term over all of axes low..lead-1, so a slab's states index it
+    views = [(low, np.broadcast_to(t, shape[low:lead] + t.shape[lead - low :])) for low, t in rest]
+    slab = np.empty(size)
+    out = slab.reshape(shape[lead:])
+    for k, states in enumerate(np.ndindex(shape[:lead])):
+        np.copyto(slab, flat)
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, out, source, views in levels:
-                if a <= top:
-                    key = tuple(states[a:])
-                    for view in views:
-                        np.multiply(source, view[key], out=out)
-                        source = out
-        yield sum(map(operator.mul, states, stride)), slab
-        for top in range(lead):  # the next assignment, axis 0 fastest
-            states[top] = (states[top] + 1) % shape[top]
-            if states[top]:
-                break
-        else:
-            return
+            for low, view in views:
+                np.multiply(out, view[states[low:]], out=out)
+        yield k * size, slab
 
 
 def dense_joint(model: FactorGraph) -> np.ndarray:
@@ -491,23 +459,14 @@ def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
     """The correctly rounded sum of every entry of a stream of arrays, equal
     to ``math.fsum`` over them, holding one array at a time.
 
-    A positive piece of n entries below 2^e is summed by extraction levels
-    (Rump, Ogita & Oishi, "Accurate floating-point summation part I", SIAM
-    J. Sci. Comput. 2008, Lemma 3.3): with sigma = 2^(e+M) and 2^M > n,
-    q = (x + sigma) - sigma is x rounded to a multiple of sigma 2^-53, so
-    x - q is exact and numpy sums q exactly in any order; the next level
-    takes sigma 2^(M-53) and x - q.  Once sigma is at most the piece's
-    smallest entry, every entry left is a multiple of sigma 2^-52 below
-    sigma 2^-M in magnitude, so numpy sums the rest exactly as it stands.
-    A piece that would need more than _LEVELS levels, or holds an entry
-    that is not positive, or lies outside _EXTRACT_RANGE (inf, NaN, huge
-    or subnormal), goes to ``_bucket_sums`` instead.  ``pending`` holds
-    floats whose exact sum is the sum so far: the level sums, the bucket
-    sums and the entries of each block under _SMALL_SUM entries.  Once it
-    holds _PENDING_SUMS floats it is replaced by its own bucket sums, taken
-    with the next piece if that goes to the buckets, so memory stays at one
-    piece.  ``math.fsum`` rounds it once at the end, so a lone block under
-    _SMALL_SUM entries reaches ``math.fsum`` as it is.
+    Each block of at least _SMALL_SUM entries is replaced, in pieces of at
+    most _SUM_CHUNK entries, by its exact per-(sign, exponent) bucket sums
+    (``_bucket_sums``).  ``pending`` holds floats whose exact sum is the
+    sum so far: the bucket sums and the entries of each block under
+    _SMALL_SUM entries.  Once it holds _PENDING_SUMS floats it is replaced
+    by its own bucket sums, taken with the next piece, so memory stays at
+    one piece.  ``math.fsum`` rounds it once at the end, so a lone block
+    under _SMALL_SUM entries reaches ``math.fsum`` as it is.
 
     Raises NumericRangeError when an entry or the sum is not finite, and
     also when the entries of one sign and exponent overflow in one call of
@@ -515,7 +474,6 @@ def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
     if entries of the other sign would cancel them.
     """
     pending = []  # floats whose exact sum is the sum so far
-    work = rest = None  # the two extraction buffers, made when a large block needs them
     for block in blocks:
         if block.size < _SMALL_SUM:
             if len(pending) >= _PENDING_SUMS:
@@ -523,36 +481,12 @@ def fsum_blocks(blocks: Iterable[np.ndarray]) -> float:
             pending += block.ravel().tolist()
             continue
         x = np.ascontiguousarray(block, dtype=float).ravel()
-        size = min(x.size, _SUM_CHUNK)
-        if work is None or work.size < size:
-            work, rest = np.empty(size), np.empty(size)
-        for start in range(0, x.size, size):
-            piece = x[start : start + size]
-            # a piece with an entry <= 0 (or NaN) goes to the buckets, without a max pass
-            low = float(piece.min())
-            high = float(piece.max()) if low > 0.0 else 0.0
-            shift = piece.size.bit_length()  # M: 2^M > n
-            top = math.frexp(high)[1] + shift  # sigma = 2^top
-            if not (
-                _EXTRACT_RANGE[0] < high < _EXTRACT_RANGE[1]
-                and low >= math.ldexp(1.0, top + (_LEVELS - 1) * (shift - 53))
-            ):  # outside the range, or too wide for the levels
-                if len(pending) < _PENDING_SUMS:
-                    pending += _bucket_sums(piece)
-                else:  # the held floats pass through the buckets with the piece
-                    pending = _bucket_sums(np.concatenate((np.array(pending, dtype=float), piece)))
-                continue
-            if len(pending) >= _PENDING_SUMS:
-                pending = _bucket_sums(np.array(pending, dtype=float))
-            sigma = math.ldexp(1.0, top)
-            q, r = work[: piece.size], rest[: piece.size]
-            while low < sigma:
-                np.add(piece, sigma, out=q)
-                np.subtract(q, sigma, out=q)
-                pending.append(q.sum())
-                piece = np.subtract(piece, q, out=r)
-                sigma = math.ldexp(sigma, shift - 53)
-            pending.append(piece.sum())
+        for start in range(0, x.size, _SUM_CHUNK):
+            piece = x[start : start + _SUM_CHUNK]
+            if len(pending) < _PENDING_SUMS:
+                pending += _bucket_sums(piece)
+            else:  # the held floats pass through the buckets with the piece
+                pending = _bucket_sums(np.concatenate((np.array(pending, dtype=float), piece)))
     return _checked_fsum(pending)
 
 
@@ -629,8 +563,7 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
     Every other joint (one block or less, or too wide for elimination) is
     walked in slabs of about 2^16 entries (``_joint_slabs``) and summed
     correctly rounded: Z equals ``math.fsum`` over the canonical joint, in
-    which each weight multiplies its terms in one canonical order, each
-    term once per assignment of the leading axes from its lowest on, so Z
+    which each weight multiplies its terms in one canonical order, so Z
     depends on neither slab size nor order.
 
     Either engine returns 0.0 for a zero Z, gives the same Z on every call

@@ -22,6 +22,7 @@ from .covers import CoverSpec, layered_masks
 from .errors import ModelError, NumericRangeError
 from .models import (
     FactorGraph,
+    as_mask,
     as_simple_graph,
     check_exp_range,
     check_subset_cap,
@@ -109,6 +110,7 @@ class PottsModel:
 
 def count_components(n_vertices: int, edges: Sequence, mask: int) -> int:
     """Connected components of (V, A) for the edge subset encoded by mask."""
+    mask = as_mask(mask, "an edge mask")
     uf = UnionFind(n_vertices)
     for idx, (i, j) in enumerate(edges):
         if (mask >> idx) & 1:
@@ -125,6 +127,8 @@ def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
     ``rc_partition`` uses; a component is a vertex that is its own label.
     """
     masks = np.asarray(masks, dtype=np.int64)
+    if masks.min(initial=0) < 0:
+        raise ModelError(f"edge masks must be >= 0, got {masks.min()}")
     bits = ((masks >> np.arange(len(edges))[:, None]) & 1).astype(bool)
     labels = _component_labels(n_vertices, edges, bits)
     return (labels == np.arange(n_vertices)[:, None]).sum(axis=0, dtype=np.int64)
@@ -143,7 +147,7 @@ def rc_weight(model: PottsModel, mask: int) -> float:
     Without a field: q^k(A) * prod p_e.  With a field h: every component C
     contributes sum_w exp(h_w * |V(C)|) in place of one factor of q.
     """
-    p = model.edge_probabilities
+    mask, p = as_mask(mask, "an edge mask"), model.edge_probabilities
     return _components_and_weight(model.n_vertices, model.edges, model.q, model.field, mask, p)[1]
 
 

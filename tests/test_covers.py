@@ -524,7 +524,7 @@ class TestLiftMatchesReference:
         for bad in (True, 2.7, "3"):
             with pytest.raises(ModelError, match="a layer mask must be an integer"):
                 layered_masks([bad] + rest, m, n)
-        with pytest.raises(ModelError, match="layer masks must be >= 0"):
+        with pytest.raises(ModelError, match="a layer mask must be >= 0, got -1"):
             layered_masks([-1] + rest, m, n)
 
     def test_lifted_scopes_is_cached_and_outside_equality(self):

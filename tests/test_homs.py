@@ -102,6 +102,19 @@ class TestSCount:
         with pytest.raises(ModelError):
             s_count(m, 99, 0)
 
+    @pytest.mark.parametrize(
+        "call", [lambda m, mask: s_count(m, 1, mask), edge_weight], ids=["s_count", "edge_weight"]
+    )
+    def test_mask_is_a_count(self, call):
+        # a negative mask would select every edge
+        m = HomModel(3, TRIANGLE, [0.5, 1.5], [0.3, 1.2], [0.7, 0.9])
+        assert call(m, 3.0) == call(m, 3)
+        with pytest.raises(ModelError, match="an edge mask must be >= 0, got -1"):
+            call(m, -1)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ModelError, match="an edge mask must be an integer"):
+                call(m, bad)
+
 
 class TestEdgeWeight:
     def test_all_ones(self):

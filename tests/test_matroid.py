@@ -33,8 +33,12 @@ from zbounds.potts import count_components
     [
         (lambda m: matroid_rc_partition(m, [1.0, 1.0]), "need one weight per column"),
         (lambda m: incidence_factor_graph(m, np.zeros(4)), "need one coupling per column"),
+        # a negative mask would select every column
+        (lambda m: rank(m, -1), "a column mask must be >= 0, got -1"),
+        (lambda m: rank(m, 2.5), "a column mask must be an integer, got 2.5"),
+        (lambda m: ranks(m, [-1, 7, 0]), "column masks must be >= 0, got -1"),
     ],
-    ids=["weights", "couplings"],
+    ids=["weights", "couplings", "negative-mask", "fractional-mask", "negative-masks"],
 )
 def test_refusals(call, match):
     with pytest.raises(ModelError, match=match):
@@ -618,7 +622,7 @@ class TestRankCoverInequality:
         # -1 used to put every column in layer 0
         m = self._matrix(2, 0)
         spec = sample_cover(incidence_factor_graph(m, np.zeros(3)), 2, seed=1)
-        with pytest.raises(ModelError, match=r"layer masks must be >= 0, got \[-1, 0\]"):
+        with pytest.raises(ModelError, match="a layer mask must be >= 0, got -1"):
             check_rank_cover_inequality(m, spec, [-1, 0])
 
     def test_lifted_matrix_shape(self):

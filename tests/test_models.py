@@ -473,60 +473,41 @@ class TestCorrectlyRoundedSum:
         assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
         assert bucketed == []
 
-    def test_levels_take_a_narrow_block(self, bucketed):
-        # positive entries within 2^20 of each other: the levels take them
-        # all, and none reaches the buckets
+    def test_levels_take_a_narrow_block(self):
+        # positive entries within 2^20 of each other
         x = np.random.default_rng(5).uniform(1.0, 2.0**20, 4096)
         assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
-        assert bucketed == []
-
-    # 4096 entries below 2^1 (M = 13): the last level's sigma
-    LAST_SIGMA = 2.0 ** (1 + 13 + (models._LEVELS - 1) * (13 - 53))
 
     @pytest.mark.parametrize(
         "low, sign", [(2.0**-60, 1.0), (2.0**-80, 1.0), (1.0, -1.0), (0.0, 1.0), (0.0, -1.0)]
     )
-    def test_wide_or_signed_block_skips_the_levels(self, bucketed, low, sign):
-        # the levels take a block whose entries are all positive and at
-        # least the last level's sigma (2^-66 at three levels); any other
-        # block goes to the buckets whole
+    def test_wide_or_signed_block_skips_the_levels(self, low, sign):
+        # one entry in 64 scaled by 2^-60, 2^-80 or 0, or every entry negative
         x = np.random.default_rng(6).uniform(1.0, 2.0, 4096)
         x[::64] *= low
         x *= sign
         assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
-        levels = sign > 0 and low >= self.LAST_SIGMA
-        assert bucketed == ([] if levels else [x.size])
 
-    def test_the_last_sigma_bounds_the_levels(self, bucketed):
-        # the smallest entry at the last level's sigma, then one ulp below
+    def test_the_last_sigma_bounds_the_levels(self):
+        # the smallest entry 2^-66 times the rest, then one ulp below
         x = np.random.default_rng(9).uniform(1.0, 1.5, 4096)
-        below = np.nextafter(self.LAST_SIGMA, 0.0)
-        for smallest, expected in ((self.LAST_SIGMA, []), (below, [x.size])):
+        for smallest in (2.0**-66, np.nextafter(2.0**-66, 0.0)):
             x[7] = smallest
-            bucketed.clear()
             assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
-            assert bucketed == expected
 
     @pytest.mark.parametrize("size", [4095, 40000, 65535])
     def test_entries_near_the_top(self, size):
-        # every level sum near its bound n 2^-M sigma, as close to sigma as
-        # n < 2^M allows
+        # every entry in [0.5, 1): one bucket takes each whole piece
         rng = np.random.default_rng(size)
         for _ in range(20):
             x = rng.uniform(0.5, 1.0, size)
             assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
 
-    @pytest.mark.parametrize(
-        "scale, guarded",
-        [(2.0**899, False), (2.0**1000, True), (2.0**-899, False), (2.0**-901, True),
-         (2.0**-1060, True)],
-    )
-    def test_range_guard(self, bucketed, scale, guarded):
-        # a block at or above 2^900, at or below 2^-900, or subnormal skips
-        # the levels: its first sigma would overflow, or its last underflow
+    @pytest.mark.parametrize("scale", [2.0**899, 2.0**1000, 2.0**-899, 2.0**-901, 2.0**-1060])
+    def test_range_guard(self, scale):
+        # blocks near 2^+-900, beyond them, and subnormal
         x = np.random.default_rng(7).uniform(1.0, 1.9, 2048) * scale
         assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
-        assert bucketed == ([x.size] if guarded else [])
 
     @pytest.mark.parametrize("size", [1 << 14, 1 << 16, 3 << 15])
     @pytest.mark.parametrize("exact_zero", [False, True])
@@ -544,7 +525,8 @@ class TestCorrectlyRoundedSum:
         assert same_float(fsum_blocks(split_stream(rng, x)), math.fsum(x.tolist()))
 
     def test_memory_bounded_over_many_blocks(self):
-        # the level sums of 4000 blocks are bucketed as they come, not kept
+        # the held bucket sums of 4000 blocks pass through the buckets as
+        # they come, not kept
         base = np.exp(np.random.default_rng(8).normal(0.0, 1.0, models._SMALL_SUM))
 
         def stream(count):
@@ -568,8 +550,8 @@ class TestCorrectlyRoundedSum:
 
     def test_pending_sums_replaced_by_their_bucket_sums(self, monkeypatch):
         # with the held floats passed through the buckets at every block
-        # and piece (alone, or with a piece the levels refuse), small
-        # blocks and pieces of every kind still sum to the same value
+        # (alone) and piece (with it), small blocks and pieces of every
+        # kind still sum to the same value
         monkeypatch.setattr(models, "_PENDING_SUMS", 1)
         rng = np.random.default_rng(4)
         n = models._SUM_CHUNK
@@ -583,7 +565,7 @@ class TestCorrectlyRoundedSum:
             rng.uniform(1.0, 2.0, 1000) * 2.0**1000,  # huge
             np.array([2.0**-53, -1.0, 2.0**-1074]),
             rng.uniform(1.0, 2.0, 2000) * 2.0**-1060,  # subnormal
-            rng.uniform(1.0, 2.0, n),  # the levels
+            rng.uniform(1.0, 2.0, n),  # narrow and positive
         ]
         expected = math.fsum(np.concatenate(blocks).tolist())
         assert same_float(fsum_blocks(iter(blocks)), expected)
@@ -691,10 +673,11 @@ class TestJointSlabs:
     """``dense_joint`` and the dense sum read the joint in slabs; each
     entry must be the product formed by the one-shot tensor."""
 
-    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 16])
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 4, 5, 6, 7, 16])
     @pytest.mark.parametrize("name", list(slab_models()))
     def test_equals_one_shot_joint(self, monkeypatch, bits, name):
-        # slabs of 2^bits entries slice several leading axes
+        # slabs of 2^bits entries slice several leading axes, and from 2^4
+        # on the block has several axes
         monkeypatch.setattr(models, "_MASK_BLOCK_BITS", bits)
         model = slab_models()[name]
         expected = one_shot_dense_joint(model)
@@ -702,16 +685,14 @@ class TestJointSlabs:
         assert w.shape == expected.shape and np.array_equal(w, expected)
         assert dense_sum(model) == math.fsum(expected.ravel().tolist())
 
-    @pytest.mark.parametrize("tail", [1, 4, models._TAIL])
+    @pytest.mark.parametrize("small_sum", [1, 4, 256])
     @pytest.mark.parametrize("bits", [4, 5, 6, 7])
     @pytest.mark.parametrize("name", list(slab_models()))
-    def test_filled_tails_equal_one_shot_joint(self, monkeypatch, bits, name, tail):
-        # at slabs of 2^4 to 2^7 entries the block has several axes, and
-        # the leading terms that vary along part of the tail are filled
-        # out: none for a tail of 1 entry (the last axis alone), over the
-        # last block axes for 4, over the whole block, shorter than _TAIL,
-        # for the default
-        monkeypatch.setattr(models, "_TAIL", tail)
+    def test_filled_tails_equal_one_shot_joint(self, monkeypatch, bits, name, small_sum):
+        # the slab stream through either path of fsum_blocks: at a
+        # _SMALL_SUM of 1 every slab goes to the buckets, at 4 every slab
+        # of 4+ entries, and at 256 none (no slab here exceeds 2^7)
+        monkeypatch.setattr(models, "_SMALL_SUM", small_sum)
         self.test_equals_one_shot_joint(monkeypatch, bits, name)
 
     def test_memory_bounded_by_slab(self):
@@ -728,13 +709,14 @@ class TestJointSlabs:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
-        assert z == math.fsum(one_shot_dense_joint(model).ravel().tolist())
+        expected = math.fsum(one_shot_dense_joint(model).ravel().tolist())
+        assert z == expected
 
     def test_memory_bounded_with_wide_leading_terms(self):
         # 2^22 states, 6 leading axes: factors on axes 0-13 (constant along
-        # the tail, axes 14-21) and on axes 0-13 and 21 (varying along part
-        # of it), as the incidence graph of a GF(2) matrix has them.  Filled
-        # out over the tail, either would take 2^22 entries: 32 MiB
+        # axes 14-21 of the block) and on axes 0-13 and 21 (varying along
+        # part of it), as the incidence graph of a GF(2) matrix has them.
+        # Filled out over the joint, either would take 2^22 entries: 32 MiB
         rng = np.random.default_rng(10)
         n = 22
         factors = [(f"e{i}", (i, i + 1), rng.uniform(0.5, 1.5, 4)) for i in range(n - 1)]
@@ -750,8 +732,8 @@ class TestJointSlabs:
         assert peak < 2 * 1024 * 1024
 
     def test_memory_bounded_with_a_term_on_every_leading_axis(self):
-        # 3^14 states with a node potential on every axis: the block and
-        # one partial product per leading axis share the slab budget
+        # 3^14 states with a node potential on every axis: every leading
+        # axis carries a term
         model = field_potts_graph(6, 14)
         tracemalloc.start()
         try:
@@ -795,7 +777,8 @@ class TestJointSlabs:
         )
         model = potts_to_factor_graph(potts)
         assert model.joint_size > models._DENSE_BLOCK
-        assert dense_sum(model) == fsum_blocks([one_shot_dense_joint(model)])
+        expected = fsum_blocks([one_shot_dense_joint(model)])
+        assert dense_sum(model) == expected
 
 
 def gamma(k):
@@ -942,7 +925,10 @@ class TestElimination:
         )
         for model in (complete, one_table):
             assert models._eliminated_sum(model) is None
-            assert exact_partition(model) == dense_sum(model)
+            z = exact_partition(model)
+            assert z == dense_sum(model)
+            expected = fsum_blocks([one_shot_dense_joint(model)])
+            assert z == expected
 
     @pytest.mark.parametrize("name", ["potts 3^14", "chain 2^22"])
     def test_memory_bounded_and_released(self, name):

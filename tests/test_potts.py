@@ -85,6 +85,23 @@ class TestCountComponents:
     def test_path_edge_on_four_vertices(self):
         assert count_components(4, [(0, 1)], 0b1) == 3
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mask: count_components(3, [(0, 1), (1, 2)], mask),
+            lambda mask: rc_weight(PottsModel(3, [(0, 1), (1, 2)], 2, [0.5, 0.5]), mask),
+        ],
+        ids=["count_components", "rc_weight"],
+    )
+    def test_mask_is_a_count(self, call):
+        # a negative mask would select every edge
+        assert call(3.0) == call(3)
+        with pytest.raises(ModelError, match="an edge mask must be >= 0, got -1"):
+            call(-1)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ModelError, match="an edge mask must be an integer"):
+                call(bad)
+
 
 class TestPottsPartition:
     def test_single_edge_q2(self):

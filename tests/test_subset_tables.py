@@ -17,7 +17,7 @@ import pytest
 from test_matroid import _ref_rank
 
 from zbounds import models
-from zbounds.errors import EnumerationCapError
+from zbounds.errors import EnumerationCapError, ModelError
 from zbounds.homs import HomModel, edge_partition, edge_weight, edge_weight_table
 from zbounds.matroid import GFMatrix, _codewords, gf, matroid_rc_partition
 from zbounds.potts import (
@@ -147,6 +147,11 @@ class TestComponentCounts:
     def test_empty_mask_array(self):
         got = component_counts(3, [(0, 1), (1, 2)], np.array([], dtype=np.int64))
         assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_negative_mask_refused(self):
+        # a negative mask would select every edge
+        with pytest.raises(ModelError, match="edge masks must be >= 0, got -1"):
+            component_counts(3, [(0, 1), (1, 2)], [-1, 3, 0])
 
 
 class TestEdgeSums:
