@@ -25,13 +25,14 @@ from .models import (
     DEFAULT_ENUMERATION_CAP,
     FactorGraph,
     as_int,
-    as_mask,
     as_seed,
     check_exp_range,
     check_subset_cap,
     exact_partition,
     float_array,
     fsum_blocks,
+    mask_bits,
+    mask_blocks,
     subset_products,
 )
 
@@ -140,63 +141,46 @@ class GFMatrix:
 
 def rank(matrix: GFMatrix, mask: int | None = None) -> int:
     """Rank over GF(q) of the columns selected by ``mask`` (all if None):
-    the one-mask case of ``ranks``, for a Python int mask of any width."""
-    full = (1 << matrix.n_cols) - 1
-    mask = full if mask is None else as_mask(mask, "a column mask")
-    return int(_eliminate(matrix, _selection(matrix, [mask]))[0])
-
-
-def _selection(matrix: GFMatrix, masks) -> np.ndarray:
-    """The columns each Python int mask selects, as a (masks, columns) bool array."""
-    return np.array([[(m >> c) & 1 for c in range(matrix.n_cols)] for m in masks], dtype=bool)
+    the one-mask case of ``ranks``."""
+    return int(ranks(matrix, [(1 << matrix.n_cols) - 1 if mask is None else mask])[0])
 
 
 def ranks(matrix: GFMatrix, masks) -> np.ndarray:
-    """Rank over GF(q) of the columns selected by each mask, as an int64
-    array; equal to ``rank(matrix, mask)`` for every mask.
-
-    The masks are eliminated 2^_MASK_BLOCK_BITS at a time, so the working
-    array does not grow with their number.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.min(initial=0) < 0:
-        raise ModelError(f"column masks must be >= 0, got {masks.min()}")
-    columns = np.arange(matrix.n_cols)
-    out = np.zeros(masks.size, dtype=np.int64)
-    step = 1 << models._MASK_BLOCK_BITS
-    for start in range(0, masks.size, step):
-        block = masks[start : start + step]
-        out[start : start + step] = _eliminate(matrix, ((block[:, None] >> columns) & 1) == 1)
-    return out
+    """Rank over GF(q) of the columns selected by each mask, read by
+    ``mask_bits`` (an integer >= 0 of any width), as an int64 array."""
+    return _eliminate(matrix, mask_bits(masks, matrix.n_cols, "a column mask"))
 
 
 def _eliminate(matrix: GFMatrix, selected: np.ndarray) -> np.ndarray:
-    """Rank over GF(q) of the columns selected by each row of ``selected``,
-    a (sets, columns) bool array, as an int64 array.
+    """Rank over GF(q) of the columns that each column of ``selected``, a
+    (columns, sets) bool array from ``mask_bits``, selects, as int64.
 
-    One Gaussian elimination runs over a (sets, rows, columns) array whose
-    unselected columns are zero, one column step at a time, for all sets at
-    once.  A step subtracts a multiple of the set's pivot row from every
-    row, the pivot row itself included, in the later columns, so a used row
-    is zero there and never pivots again.
+    Per block of 2^_MASK_BLOCK_BITS sets, one Gaussian elimination runs
+    over a (sets, rows, columns) array whose unselected columns are zero,
+    one column step at a time.  A step subtracts a multiple of the set's
+    pivot row from every row, the pivot row itself included, in the later
+    columns, so a used row is zero there and never pivots again.
     """
     f = matrix.field
-    found = np.zeros(len(selected), dtype=np.int64)
+    found = np.zeros(selected.shape[1], dtype=np.int64)
     if matrix.n_rows == 0:
         return found
     entries = matrix.entries.astype(f.add_table.dtype)
-    which = np.arange(len(selected))
-    sub = np.where(selected[:, None, :], entries, 0).astype(entries.dtype)
-    for c in np.flatnonzero(selected.any(axis=0)):  # columns no set selects stay 0
-        col = sub[:, :, c]
-        pivot = (col != 0).argmax(axis=1)  # the first nonzero row, else row 0
-        value = col[which, pivot]
-        found += value != 0
-        # every row plus -(its entry / the pivot's) times the pivot row;
-        # the multiple is 0 in every row where the column is all zero
-        factor = f.neg_table[f.mul_table[col, f.inv_table[value][:, None]]]
-        scaled = f.mul_table[factor[:, :, None], sub[which, pivot, c + 1 :][:, None, :]]
-        sub[:, :, c + 1 :] = f.add_table[sub[:, :, c + 1 :], scaled]
+    step = 1 << models._MASK_BLOCK_BITS
+    for start in range(0, len(found), step):
+        chosen, rank_of = selected[:, start : start + step], found[start : start + step]
+        which = np.arange(chosen.shape[1])
+        sub = np.where(chosen.T[:, None, :], entries, 0).astype(entries.dtype)
+        for c in np.flatnonzero(chosen.any(axis=1)):  # columns no set selects stay 0
+            col = sub[:, :, c]
+            pivot = (col != 0).argmax(axis=1)  # the first nonzero row, else row 0
+            value = col[which, pivot]
+            rank_of += value != 0
+            # every row plus -(its entry / the pivot's) times the pivot row;
+            # the multiple is 0 in every row where the column is all zero
+            factor = f.neg_table[f.mul_table[col, f.inv_table[value][:, None]]]
+            scaled = f.mul_table[factor[:, :, None], sub[which, pivot, c + 1 :][:, None, :]]
+            sub[:, :, c + 1 :] = f.add_table[sub[:, :, c + 1 :], scaled]
     return found
 
 
@@ -245,15 +229,10 @@ def matroid_rc_partition(matrix: GFMatrix, weights) -> float:
     q = float(matrix.field.q)
     # one product row per possible rank r, each started from q^(-r)
     first = [q ** (-r) for r in range(min(matrix.n_rows, n) + 1)]
-
-    def blocks():
-        start = 0
-        for products in subset_products(p, first):
-            size = products.shape[1]
-            yield products[ranks(matrix, np.arange(start, start + size)), np.arange(size)]
-            start += size
-
-    return fsum_blocks(blocks())
+    return fsum_blocks(
+        w[_eliminate(matrix, bits), np.arange(w.shape[1])]
+        for bits, w in zip(mask_blocks(n), subset_products(p, first))
+    )
 
 
 def incidence_factor_graph(matrix: GFMatrix, couplings) -> FactorGraph:
@@ -328,7 +307,7 @@ def check_rank_cover_inequality(
     cover_mask, stack_masks = layered_masks(layers, spec.m, matrix.n_cols)
     lhs = rank(lift_matrix(matrix, spec), cover_mask)
     # one elimination ranks every stack mask, at the base's width
-    rhs = int(_eliminate(matrix, _selection(matrix, stack_masks)).sum())
+    rhs = int(ranks(matrix, stack_masks).sum())
     return RankCoverReport(lhs_rank=lhs, rhs_rank=rhs)
 
 

@@ -13,6 +13,7 @@ row-major, with the LAST scope variable fastest.  States are 0-based.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -506,19 +507,35 @@ def _bucket_sums(x: np.ndarray) -> list:
     return hi[hi != 0].tolist() + lo[lo != 0].tolist()
 
 
+def mask_bits(masks, width: int, what: str) -> np.ndarray:
+    """The one reader of mask arrays: [j, r] of the (width, masks) bool
+    array is bit j of mask r.  Each mask follows ``as_mask``'s rule (an
+    integer >= 0 of any width, no bool, no fraction); an integer numpy
+    array is judged by its dtype and minimum, with no Python scan."""
+    if isinstance(masks, np.ndarray) and masks.dtype.kind in "iu":
+        if masks.ndim != 1:
+            raise ModelError(f"{what} array must be one-dimensional, got shape {masks.shape}")
+        if masks.min(initial=0) < 0:
+            raise ModelError(f"{what} must be >= 0, got {masks.min()}")
+        data = masks.astype("<u8")[:, None].view(np.uint8)
+    else:  # the little-endian bytes of each mask's bits below the width
+        size, below = -(-width // 8), (1 << width) - 1
+        masks = [as_mask(x, what) & below for x in masks]
+        data = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in masks), np.uint8)
+        data = data.reshape(len(masks), size)
+    bits = np.unpackbits(data.T, axis=0, count=width, bitorder="little")
+    return np.ascontiguousarray(bits).view(bool)
+
+
 def mask_blocks(m: int) -> Iterator[np.ndarray]:
     """The 2^m subsets of m indices, in blocks of consecutive masks.
 
-    Yields one (m, size) bool array per block, in increasing mask order:
-    entry [j, r] is set when the block's r-th mask holds index j.
+    Yields one (m, size) bool array (``mask_bits``) per block of
+    2^_MASK_BLOCK_BITS masks or fewer, in increasing mask order.
     """
-    low = min(m, _MASK_BLOCK_BITS)
-    low_bits = ((np.arange(1 << low) >> np.arange(low)[:, None]) & 1).astype(bool)
-    for start in range(0, 1 << m, 1 << low):
-        bits = np.empty((m, 1 << low), dtype=bool)
-        bits[:low] = low_bits
-        bits[low:] = ((start >> np.arange(low, m)) & 1).astype(bool)[:, None]
-        yield bits
+    step = 1 << min(m, _MASK_BLOCK_BITS)
+    for start in range(0, 1 << m, step):
+        yield mask_bits(np.arange(start, start + step), m, "a mask")
 
 
 def subset_products(weights: np.ndarray, first=1.0) -> Iterator[np.ndarray]:
@@ -554,11 +571,11 @@ def exact_partition(model: FactorGraph, cap: int = DEFAULT_ENUMERATION_CAP) -> f
     whose min-degree elimination order keeps every bucket within one block
     is summed by bucket elimination (``_eliminated_sum``): Z is within
     gamma_K = K u / (1 - K u), u = 2^-53, of the exact sum of the exact
-    weights, relative, where each bucket of t tables on a variable of c
-    states adds t + c - 2 to K and each scalar one more, so K <= T + the
-    sum over variables of (card - 1), T the number of node potentials and
-    factors (no entry scaled or summed below 2^-1022, where underflow
-    loses digits).
+    weights, relative, where a bucket of t tables on a variable of c states
+    adds t + c - 2 to K (t - 1 products and c - 1 sums per entry), each
+    scalar one more, so K <= T + the sum over variables of (card - 1), T
+    the number of node potentials and factors (no entry scaled or summed
+    below 2^-1022, where underflow loses digits).
 
     Every other joint (one block or less, or too wide for elimination) is
     walked in slabs of about 2^16 entries (``_joint_slabs``) and summed
@@ -590,13 +607,14 @@ def _eliminated_sum(model: FactorGraph) -> float | None:
     Card-1 axes are dropped.  The order is min-degree on the graph of
     variables that share a term, ties to the lowest model position.  Each
     table joins the bucket of its first variable in that order; a bucket
-    is one ``np.einsum`` over labels local to it, which sums out its
-    variable, and its result joins the next bucket of its scope.  Every
-    input table and bucket result is scaled by the power of two that puts
-    its maximum in [0.5, 1) (exact, as its exponent is kept apart as an
-    int), so no table overflows; scalars (tables without variables, and a
-    variable that no term touches, which contributes its cardinality)
-    multiply one running float.  A zero table makes Z 0.0.
+    multiplies its tables in joining order, broadcast over its variables
+    in increasing order, then sums its variable out, and the result joins
+    the next bucket of its scope.  Every input table and bucket result is
+    scaled by the power of two that puts its maximum in [0.5, 1) (exact,
+    as its exponent is kept apart as an int), so no table overflows;
+    scalars (tables without variables, and a variable that no term
+    touches, which contributes its cardinality) multiply one running
+    float.  A zero table makes Z 0.0.
     """
     cards = [model.card(v) for v in model.var_ids]
     axes = {v: k for k, v in enumerate(model.var_ids) if cards[k] > 1}
@@ -637,10 +655,14 @@ def _eliminated_sum(model: FactorGraph) -> float | None:
         a = order[k]
         tables = buckets[k] or [((a,), np.ones(cards[a]))]  # no term touches a: its count
         labels = sorted({b for scope, _t in tables for b in scope})
-        local = {b: j for j, b in enumerate(labels)}
-        kept = tuple(b for b in labels if b != a)
-        operands = [x for scope, t in tables for x in (t, [local[b] for b in scope])]
-        terms = [(kept, np.einsum(*operands, [local[b] for b in kept]))]
+        aligned = (  # each table over all labels, its axes in label order
+            t.transpose(sorted(range(t.ndim), key=scope.__getitem__)).reshape(
+                [cards[b] if b in scope else 1 for b in labels]
+            )
+            for scope, t in tables
+        )
+        product = functools.reduce(np.multiply, aligned)
+        terms = [(tuple(b for b in labels if b != a), product.sum(axis=labels.index(a)))]
     try:
         return math.ldexp(z, exponent)
     except OverflowError:

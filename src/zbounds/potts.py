@@ -29,6 +29,7 @@ from .models import (
     exact_partition,
     float_array,
     fsum_blocks,
+    mask_bits,
     mask_blocks,
     subset_products,
 )
@@ -111,11 +112,7 @@ class PottsModel:
 def count_components(n_vertices: int, edges: Sequence, mask: int) -> int:
     """Connected components of (V, A) for the edge subset encoded by mask."""
     mask = as_mask(mask, "an edge mask")
-    uf = UnionFind(n_vertices)
-    for idx, (i, j) in enumerate(edges):
-        if (mask >> idx) & 1:
-            uf.union(i, j)
-    return uf.count
+    return _components_and_weight(n_vertices, edges, None, None, mask, None)[0]
 
 
 def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
@@ -126,10 +123,7 @@ def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
     All masks are labelled at once by the min-label propagation
     ``rc_partition`` uses; a component is a vertex that is its own label.
     """
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.min(initial=0) < 0:
-        raise ModelError(f"edge masks must be >= 0, got {masks.min()}")
-    bits = ((masks >> np.arange(len(edges))[:, None]) & 1).astype(bool)
+    bits = mask_bits(masks, len(edges), "an edge mask")
     labels = _component_labels(n_vertices, edges, bits)
     return (labels == np.arange(n_vertices)[:, None]).sum(axis=0, dtype=np.int64)
 
@@ -223,9 +217,9 @@ def rc_partition(model: PottsModel) -> float:
 def _component_labels(n_vertices: int, edges: Sequence, bits: np.ndarray) -> np.ndarray:
     """Per vertex and mask, the smallest vertex of its component.
 
-    ``bits`` is a block from ``mask_blocks``.  Each sweep lowers both ends
-    of every chosen edge to their smaller label, until a sweep changes
-    nothing.  Returns an (n_vertices, masks) array.
+    ``bits`` is an (edges, masks) block from ``mask_bits``.  Each sweep
+    lowers both ends of every chosen edge to their smaller label, until a
+    sweep changes nothing.  Returns an (n_vertices, masks) array.
     """
     kind = np.min_scalar_type(n_vertices)
     # an unchosen edge ORs all ones into the label it offers, so the

@@ -180,6 +180,19 @@ class TestCommands:
             f"{DEFAULT_ENUMERATION_CAP}"
         ]
 
+    def test_z_bucket_of_70_tables_exit_0(self, runner, tmp_path):
+        # 17 binary variables (elimination), 70 tables on one variable
+        doc = {
+            "variables": [{"id": i, "cardinality": 2} for i in range(17)],
+            "factors": [{"id": f"u{k}", "scope": [0], "table": [1.0, 1.5]} for k in range(70)],
+        }
+        path = tmp_path / "bucket.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["z", "--model", str(path)])
+        assert res.exit_code == 0, res.output
+        z = last_record(res.output)["results"]["z"]
+        assert z == pytest.approx(2.0**16 * (1 + 1.5**70), rel=1e-13)
+
     @pytest.mark.parametrize(
         "tables",
         [[[1e200] * 4, [1e200] * 4], [[1e308] * 4]],  # overflow in the products, in the sum

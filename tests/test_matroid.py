@@ -36,9 +36,24 @@ from zbounds.potts import count_components
         # a negative mask would select every column
         (lambda m: rank(m, -1), "a column mask must be >= 0, got -1"),
         (lambda m: rank(m, 2.5), "a column mask must be an integer, got 2.5"),
-        (lambda m: ranks(m, [-1, 7, 0]), "column masks must be >= 0, got -1"),
+        (lambda m: ranks(m, [-1, 7, 0]), "a column mask must be >= 0, got -1"),
+        # mask arrays follow the scalar rule: no fraction, bool or string
+        (lambda m: ranks(m, [2.5, 1.9]), "a column mask must be an integer, got 2.5"),
+        (lambda m: ranks(m, np.array([True])), "a column mask must be an integer, got (np.)?True"),
+        (lambda m: ranks(m, ["3"]), "a column mask must be an integer, got '3'"),
+        (lambda m: ranks(m, np.ones((2, 2), dtype=int)), "array must be one-dimensional"),
     ],
-    ids=["weights", "couplings", "negative-mask", "fractional-mask", "negative-masks"],
+    ids=[
+        "weights",
+        "couplings",
+        "negative-mask",
+        "fractional-mask",
+        "negative-masks",
+        "fractional-masks",
+        "bool-masks",
+        "string-masks",
+        "mask-table",
+    ],
 )
 def test_refusals(call, match):
     with pytest.raises(ModelError, match=match):
@@ -337,6 +352,23 @@ class TestBatchedRanks:
         masks = rng.permutation(1 << 7)
         assert ranks(m, masks).tolist() == [_ref_rank(m, int(mask)) for mask in masks]
         assert ranks(m, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_masks_of_any_width(self):
+        # 70 columns: bit 64 of a Python int mask is read, not cast away
+        rng = np.random.default_rng(29)
+        m = GFMatrix(gf(3), rng.integers(0, 3, size=(3, 70)))
+        wide = [(1 << 64) | 1, 1 << 69, (1 << 70) + 2, 0]
+        assert ranks(m, wide).tolist() == [_ref_rank(m, mask) for mask in wide]
+        assert ranks(m, [(1 << 64) | 1]).tolist() == [rank(m, (1 << 64) | 1)]
+        assert ranks(m, np.array([1 << 63], dtype=np.uint64)).tolist() == [rank(m, 1 << 63)]
+
+    def test_integer_valued_floats_read_as_the_scalar_rule(self):
+        # 2.0 reads as 2, and 2.0**70 as 2**70, whose bits are all above the width
+        m = GFMatrix(gf(2), [[1, 1, 0], [0, 1, 1]])
+        want = [rank(m, 2.0), rank(m, 3), rank(m, 2.0**70)]
+        assert want == [1, 2, 0]
+        assert ranks(m, [2.0, 3, 2.0**70]).tolist() == want
+        assert ranks(m, np.array([2.0, 3.0, 2.0**70])).tolist() == want
 
 
 class TestMatroidPartitions:

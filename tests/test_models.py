@@ -1,3 +1,4 @@
+import fractions
 import gc
 import itertools
 import math
@@ -893,6 +894,17 @@ class TestElimination:
             else:
                 with pytest.raises(NumericRangeError, match="out of float range"):
                     exact_partition(model)
+
+    def test_bucket_of_more_tables_than_einsum_operands(self):
+        # 17 binary variables, 70 tables [1, 1.5] in variable 0's bucket
+        # (numpy's einsum takes at most 63 operands)
+        variables = [(i, 2) for i in range(17)]
+        model = FactorGraph(variables, [(f"u{k}", (0,), [1.0, 1.5]) for k in range(70)])
+        z = exact_partition(model)
+        assert z == models._eliminated_sum(model)
+        # within gamma_K of the exact Z, K = 70 tables + 17 variables' card - 1
+        exact = 2**16 * (1 + fractions.Fraction(3, 2) ** 70)
+        assert abs(fractions.Fraction(z) - exact) <= fractions.Fraction(gamma(70 + 17)) * exact
 
     def test_more_variables_than_einsum_labels(self):
         # 60 variables, 40 of them card 1, in factors of 6 variables: only

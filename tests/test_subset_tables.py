@@ -150,8 +150,24 @@ class TestComponentCounts:
 
     def test_negative_mask_refused(self):
         # a negative mask would select every edge
-        with pytest.raises(ModelError, match="edge masks must be >= 0, got -1"):
+        with pytest.raises(ModelError, match="an edge mask must be >= 0, got -1"):
             component_counts(3, [(0, 1), (1, 2)], [-1, 3, 0])
+
+    @pytest.mark.parametrize(
+        "masks", [[2.5, 1.9], np.array([True]), ["3"]], ids=["fractions", "bools", "strings"]
+    )
+    def test_non_integer_masks_refused(self, masks):
+        # the scalar rule: no fraction, no bool, no string
+        with pytest.raises(ModelError, match="an edge mask must be an integer"):
+            component_counts(3, [(0, 1), (1, 2)], masks)
+
+    def test_integer_valued_floats_read_as_the_scalar_rule(self):
+        # 2.0 reads as 2, and 2.0**70 as 2**70, whose bits are all above the edges
+        edges = [(0, 1), (1, 2)]
+        want = [count_components(3, edges, mask) for mask in (2.0, 3, 2.0**70)]
+        assert want == [2, 1, 3]
+        assert component_counts(3, edges, [2.0, 3, 2.0**70]).tolist() == want
+        assert component_counts(3, edges, np.array([2.0, 3.0, 2.0**70])).tolist() == want
 
 
 class TestEdgeSums:
