@@ -155,33 +155,73 @@ def _eliminate(matrix: GFMatrix, selected: np.ndarray) -> np.ndarray:
     """Rank over GF(q) of the columns that each column of ``selected``, a
     (columns, sets) bool array from ``mask_bits``, selects, as int64.
 
-    Per block of 2^_MASK_BLOCK_BITS sets, one Gaussian elimination runs
-    over a (sets, rows, columns) array whose unselected columns are zero,
-    one column step at a time.  A step subtracts a multiple of the set's
-    pivot row from every row, the pivot row itself included, in the later
-    columns, so a used row is zero there and never pivots again.
+    After columns 0..c-1 a set's elimination state depends only on which
+    of them it selects.  So per block of 2^_MASK_BLOCK_BITS sets, one
+    working matrix (rows by the columns not yet passed) is kept per
+    distinct prefix of selection bits, a node, and a set's rank is its
+    node's pivot count at the end.  At column c each node splits into the
+    child that selects c and the child that does not, and only the
+    selecting children pivot on c (``_pivot``).  Row operations keep the
+    rank of every column subset, so unselected columns keep their entries.
+
+    Once a split could leave as many nodes as sets, each set takes its own
+    node instead, in set order, with its unselected columns set to zero;
+    from there every set pivots on every column, and a zero column pivots
+    nowhere.  A column that every set selects, or none, splits no node.
     """
     f = matrix.field
     found = np.zeros(selected.shape[1], dtype=np.int64)
     if matrix.n_rows == 0:
         return found
-    entries = matrix.entries.astype(f.add_table.dtype)
     step = 1 << models._MASK_BLOCK_BITS
     for start in range(0, len(found), step):
-        chosen, rank_of = selected[:, start : start + step], found[start : start + step]
-        which = np.arange(chosen.shape[1])
-        sub = np.where(chosen.T[:, None, :], entries, 0).astype(entries.dtype)
-        for c in np.flatnonzero(chosen.any(axis=1)):  # columns no set selects stay 0
-            col = sub[:, :, c]
-            pivot = (col != 0).argmax(axis=1)  # the first nonzero row, else row 0
-            value = col[which, pivot]
-            rank_of += value != 0
-            # every row plus -(its entry / the pivot's) times the pivot row;
-            # the multiple is 0 in every row where the column is all zero
-            factor = f.neg_table[f.mul_table[col, f.inv_table[value][:, None]]]
-            scaled = f.mul_table[factor[:, :, None], sub[which, pivot, c + 1 :][:, None, :]]
-            sub[:, :, c + 1 :] = f.add_table[sub[:, :, c + 1 :], scaled]
+        chosen = selected[:, start : start + step]
+        node = np.zeros(chosen.shape[1], dtype=np.intp)  # each set's node
+        work = matrix.entries.astype(f.add_table.dtype)[None]
+        count = np.zeros(1, dtype=np.int64)
+        takers = np.count_nonzero(chosen, axis=1).tolist()
+        for c, picks in enumerate(chosen):
+            if not takers[c]:
+                work = work[:, :, 1:]
+                continue
+            if len(work) < len(node) and takers[c] < len(node):
+                if 2 * len(work) < len(node):
+                    # children keyed picks * nodes + parent, so those that
+                    # select the column come last and pivot as one slice
+                    key = picks * len(work) + node
+                    kids = np.zeros(2 * len(work), dtype=bool)
+                    kids[key] = True
+                    node = kids.cumsum()[key] - 1
+                    split = np.count_nonzero(kids[: len(work)])
+                    kids = np.flatnonzero(kids) % len(work)
+                    work, count = work[kids], count[kids]
+                    work[split:, :, 1:], pivoted = _pivot(f, work[split:])
+                    count[split:] += pivoted
+                    work = work[:, :, 1:]
+                    continue
+                work = work[node] * chosen[c:].T[:, None, :]
+                count, node = count[node], np.arange(len(node))
+            work, pivoted = _pivot(f, work)
+            count += pivoted
+        found[start : start + step] = count[node]
     return found
+
+
+def _pivot(f: GaloisField, work: np.ndarray) -> tuple:
+    """Pivot each (rows, columns) matrix of ``work`` on its first column.
+
+    Returns the later columns after the step, and where a pivot was found.
+    The pivot is a row whose entry there is largest, so nonzero unless the
+    column is.  Every row gains -(its entry / the pivot's) times the pivot
+    row, the pivot row itself included, so a used row is zero from then on
+    and never pivots again; the multiple is 0 in every row of a matrix
+    whose column is all zero.
+    """
+    col = work[:, :, 0]
+    row = work[np.arange(len(work)), col.argmax(axis=1)]
+    value = row[:, 0]
+    scale = f.mul_table[f.neg_table[f.inv_table[value]][:, None], row[:, 1:]]
+    return f.add_table[work[:, :, 1:], f.mul_table[col[:, :, None], scale[:, None, :]]], value != 0
 
 
 def _codewords(matrix: GFMatrix) -> np.ndarray:

@@ -511,10 +511,11 @@ def mask_bits(masks, width: int, what: str) -> np.ndarray:
     """The one reader of mask arrays: [j, r] of the (width, masks) bool
     array is bit j of mask r.  Each mask follows ``as_mask``'s rule (an
     integer >= 0 of any width, no bool, no fraction); an integer numpy
-    array is judged by its dtype and minimum, with no Python scan."""
+    array is judged by its dtype and minimum, with no Python scan.  A
+    scalar is refused: the masks come as a sequence, even a single one."""
+    if (isinstance(masks, np.ndarray) and masks.ndim != 1) or not isinstance(masks, Iterable):
+        raise ModelError(f"{what} array must be one-dimensional, got shape {np.shape(masks)}")
     if isinstance(masks, np.ndarray) and masks.dtype.kind in "iu":
-        if masks.ndim != 1:
-            raise ModelError(f"{what} array must be one-dimensional, got shape {masks.shape}")
         if masks.min(initial=0) < 0:
             raise ModelError(f"{what} must be >= 0, got {masks.min()}")
         data = masks.astype("<u8")[:, None].view(np.uint8)
@@ -531,11 +532,17 @@ def mask_blocks(m: int) -> Iterator[np.ndarray]:
     """The 2^m subsets of m indices, in blocks of consecutive masks.
 
     Yields one (m, size) bool array (``mask_bits``) per block of
-    2^_MASK_BLOCK_BITS masks or fewer, in increasing mask order.
+    2^_MASK_BLOCK_BITS masks or fewer, in increasing mask order.  The
+    first block is read once; each later one is a copy of the one before
+    with its high rows, the bits of its first mask, rewritten.
     """
-    step = 1 << min(m, _MASK_BLOCK_BITS)
-    for start in range(0, 1 << m, step):
-        yield mask_bits(np.arange(start, start + step), m, "a mask")
+    low = min(m, _MASK_BLOCK_BITS)
+    bits = mask_bits(np.arange(1 << low), m, "a mask")
+    for start in range(0, 1 << m, 1 << low):
+        if start:
+            bits = bits.copy()
+            bits[low:] = mask_bits([start], m, "a mask")[low:]
+        yield bits
 
 
 def subset_products(weights: np.ndarray, first=1.0) -> Iterator[np.ndarray]:

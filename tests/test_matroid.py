@@ -323,6 +323,7 @@ class TestBatchedRanks:
             "zero columns": zero_columns,
             "full rank": np.hstack([np.eye(3, dtype=np.int64), rng.integers(0, q, size=(3, 1))]),
             "negated row": np.vstack([row, gf(q).neg_table[row]]),
+            "more rows than columns": rng.integers(0, q, size=(6, 3)),
         }
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 41, 257])
@@ -352,6 +353,72 @@ class TestBatchedRanks:
         masks = rng.permutation(1 << 7)
         assert ranks(m, masks).tolist() == [_ref_rank(m, int(mask)) for mask in masks]
         assert ranks(m, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    @staticmethod
+    def _assert_references(m, masks):
+        got = ranks(m, masks).tolist()
+        assert got == [_ref_rank(m, int(mask)) for mask in masks]
+        if m.field.q ** m.n_cols <= 5**6:  # the oracle tries every combination
+            assert got == [independent_subset_rank(m, int(mask)) for mask in masks]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+    def test_repeated_masks_share_a_node(self, q):
+        # equal masks share every prefix; a lattice twice over, and few
+        # masks drawn with repeats, which come to one node per set mid-walk
+        rng = np.random.default_rng(30 + q)
+        m = GFMatrix(gf(q), rng.integers(0, q, size=(3, 5)))
+        self._assert_references(m, np.tile(np.arange(1 << 5), 2))
+        self._assert_references(m, rng.integers(0, 1 << 5, size=9))
+        self._assert_references(m, [13, 13, 13])
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_prefixes_shared_across_blocks(self, monkeypatch, q):
+        # blocks of 2^3 masks, shuffled; many masks share their low bits
+        # (the first columns) with masks in other blocks
+        monkeypatch.setattr(models, "_MASK_BLOCK_BITS", 3)
+        rng = np.random.default_rng(40 + q)
+        m = GFMatrix(gf(q), rng.integers(0, q, size=(4, 6)))
+        shared = rng.integers(0, 1 << 3, size=30) << 3 | 0b101
+        masks = rng.permutation(np.concatenate([shared, rng.integers(0, 1 << 6, size=10)]))
+        self._assert_references(m, masks)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_unselected_and_zero_columns(self, q):
+        # column 1 is zero, and no mask selects column 3, whose entries
+        # stay in every working matrix and must not count
+        rng = np.random.default_rng(50 + q)
+        entries = rng.integers(0, q, size=(3, 5))
+        entries[:, 1] = 0
+        entries[0, 3] = 1
+        m = GFMatrix(gf(q), entries)
+        masks = [mask for mask in range(1 << 5) if not mask >> 3 & 1]
+        self._assert_references(m, masks)
+        self._assert_references(m, masks[5:9])
+
+    def test_all_columns_of_forty(self):
+        rng = np.random.default_rng(60)
+        for q, rows in [(2, 8), (3, 5), (7, 41)]:
+            m = GFMatrix(gf(q), rng.integers(0, q, size=(rows, 40)))
+            assert rank(m) == _ref_rank(m, (1 << 40) - 1)
+        # 41 rows, 40 columns of an identity with one row repeated: full rank
+        m = GFMatrix(gf(5), np.vstack([np.eye(40, dtype=np.int64), np.eye(40)[:1]]))
+        assert rank(m) == 40
+
+    def test_memory_of_one_block(self):
+        # 2^16 sets of an 8x16 matrix: the peak stays below one (sets,
+        # rows, columns) int16 array, which eliminating every set on its
+        # own working matrix took three times over
+        m = GFMatrix(gf(3), np.random.default_rng(61).integers(0, 3, size=(8, 16)))
+        bits = models.mask_bits(np.arange(1 << 16), 16, "a column mask")
+        tracemalloc.start()
+        try:
+            got = matroid._eliminate(m, bits)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 16) * 8 * 16 * 2
+        sample = np.random.default_rng(62).integers(0, 1 << 16, size=50)
+        assert got[sample].tolist() == [_ref_rank(m, int(mask)) for mask in sample]
 
     def test_masks_of_any_width(self):
         # 70 columns: bit 64 of a Python int mask is read, not cast away

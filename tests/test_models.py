@@ -474,7 +474,7 @@ class TestCorrectlyRoundedSum:
         assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
         assert bucketed == []
 
-    def test_levels_take_a_narrow_block(self):
+    def test_narrow_positive_block_equals_fsum(self):
         # positive entries within 2^20 of each other
         x = np.random.default_rng(5).uniform(1.0, 2.0**20, 4096)
         assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
@@ -482,14 +482,14 @@ class TestCorrectlyRoundedSum:
     @pytest.mark.parametrize(
         "low, sign", [(2.0**-60, 1.0), (2.0**-80, 1.0), (1.0, -1.0), (0.0, 1.0), (0.0, -1.0)]
     )
-    def test_wide_or_signed_block_skips_the_levels(self, low, sign):
+    def test_wide_or_signed_block_equals_fsum(self, low, sign):
         # one entry in 64 scaled by 2^-60, 2^-80 or 0, or every entry negative
         x = np.random.default_rng(6).uniform(1.0, 2.0, 4096)
         x[::64] *= low
         x *= sign
         assert same_float(fsum_blocks([x]), math.fsum(x.tolist()))
 
-    def test_the_last_sigma_bounds_the_levels(self):
+    def test_one_tiny_entry_equals_fsum(self):
         # the smallest entry 2^-66 times the rest, then one ulp below
         x = np.random.default_rng(9).uniform(1.0, 1.5, 4096)
         for smallest in (2.0**-66, np.nextafter(2.0**-66, 0.0)):

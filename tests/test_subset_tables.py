@@ -19,7 +19,7 @@ from test_matroid import _ref_rank
 from zbounds import models
 from zbounds.errors import EnumerationCapError, ModelError
 from zbounds.homs import HomModel, edge_partition, edge_weight, edge_weight_table
-from zbounds.matroid import GFMatrix, _codewords, gf, matroid_rc_partition
+from zbounds.matroid import GFMatrix, _codewords, gf, matroid_rc_partition, ranks
 from zbounds.potts import (
     PottsModel,
     component_counts,
@@ -170,6 +170,24 @@ class TestComponentCounts:
         assert component_counts(3, edges, np.array([2.0, 3.0, 2.0**70])).tolist() == want
 
 
+@pytest.mark.parametrize(
+    "masks", [3, np.int64(3), np.array(3), np.array(3.0)], ids=["int", "np-int", "0-d", "0-d-float"]
+)
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda masks: ranks(GFMatrix(gf(3), [[1, 1, 0], [0, 1, 1]]), masks), "a column mask"),
+        (lambda masks: component_counts(3, [(0, 1), (1, 2)], masks), "an edge mask"),
+    ],
+    ids=["ranks", "component_counts"],
+)
+def test_scalar_masks_refused(call, what, masks):
+    # the masks come as a sequence, even a single one; a generator is one
+    with pytest.raises(ModelError, match=f"{what} array must be one-dimensional, got shape"):
+        call(masks)
+    assert call(x for x in [3, 1]).tolist() == call([3, 1]).tolist()
+
+
 class TestEdgeSums:
     @pytest.mark.parametrize("name", sorted(HOM_CASES))
     def test_edge_cases_equal_reference(self, block_bits, name):
@@ -246,6 +264,19 @@ class TestBlocks:
             for col in bits.T
         ]
         assert masks == list(range(1 << m))
+
+    @pytest.mark.parametrize("m", [0, 2, 3, 5, 7])
+    def test_blocks_equal_mask_bits_of_every_mask(self, monkeypatch, m):
+        # blocks of 2^3 masks; each later block is a copy of the one before
+        # with its high rows rewritten, which must leave the earlier intact
+        monkeypatch.setattr(models, "_MASK_BLOCK_BITS", 3)
+        blocks = list(models.mask_blocks(m))
+        want = models.mask_bits(np.arange(1 << m), m, "a mask")
+        step = 1 << min(m, 3)
+        assert len(blocks) == (1 << m) // step
+        for k, bits in enumerate(blocks):
+            assert bits.dtype == bool
+            assert np.array_equal(bits, want[:, k * step : (k + 1) * step])
 
     def test_products_match_bit_loop(self, block_bits):
         weights = np.random.default_rng(16).uniform(0.1, 3.0, 6)
