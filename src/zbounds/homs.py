@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError, ModelError
+from .errors import EnumerationCapError, ModelError, NumericRangeError
 from .lattice import DEFAULT_PAIRWISE_CAP, REL_TOL_LSM, LsmReport, is_log_supermodular
 from .models import (
     FactorGraph,
@@ -28,7 +28,7 @@ from .models import (
     exact_partition,
     float_array,
     fsum_blocks,
-    mask_blocks,
+    mask_block_starts,
 )
 
 # check_rank2_lsm: the sampled exchange-inequality tuples and their seed
@@ -89,24 +89,37 @@ def s_count(model: HomModel, i: int, mask: int) -> int:
 
 
 def edge_weight(model: HomModel, mask: int) -> float:
-    """The per-vertex product for one edge subset (0^0 = 1)."""
+    """The per-vertex product for one edge subset (0^0 = 1);
+    NumericRangeError when it overflows."""
     tables, mask = _vertex_tables(model), as_mask(mask, "an edge mask")
-    return float(math.prod(table[s_count(model, i, mask)] for i, table in enumerate(tables)))
+    weight = math.prod(float(table[s_count(model, i, mask)]) for i, table in enumerate(tables))
+    if not math.isfinite(weight):
+        raise NumericRangeError("an edge-subset weight is out of float range")
+    return weight
 
 
 def _vertex_tables(model: HomModel) -> list:
     """Per vertex i, its factor fsum_t w_t a_t^s b_t^(deg(i) - s) of
-    f_edge for s = 0..deg(i), as an array."""
-    return [
-        np.array([
-            math.fsum(
-                model.w[t] * model.a[t] ** s * model.b[t] ** (d - s)
-                for t in range(model.n_states)
-            )
-            for s in range(d + 1)
-        ])
-        for d in map(model.degree, range(model.n_vertices))
-    ]
+    f_edge for s = 0..deg(i), as an array; NumericRangeError when a
+    factor is out of float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        try:
+            tables = [
+                np.array([
+                    math.fsum(
+                        model.w[t] * model.a[t] ** s * model.b[t] ** (d - s)
+                        for t in range(model.n_states)
+                    )
+                    for s in range(d + 1)
+                ])
+                for d in map(model.degree, range(model.n_vertices))
+            ]
+            finite = all(np.isfinite(table).all() for table in tables)
+        except OverflowError:  # an intermediate overflow in fsum
+            finite = False
+    if not finite:
+        raise NumericRangeError("a vertex factor of the edge-subset weight is out of float range")
+    return tables
 
 
 def edge_partition(model: HomModel) -> float:
@@ -129,21 +142,40 @@ def edge_weight_table(model: HomModel) -> np.ndarray:
 
 
 def _edge_weight_blocks(model: HomModel):
-    """edge_weight of every mask, in the blocks of ``mask_blocks``.
+    """edge_weight of every mask, in the blocks of ``mask_block_starts``;
+    NumericRangeError when one overflows.
 
-    Vertex i's factor depends on the mask only through s_i, so it is read
-    from the table ``edge_weight`` reads; the factors are multiplied over
-    i = 0..n-1 in edge_weight's order.
+    Vertex i's factor depends on the mask only through s_i, its number of
+    chosen edges, so it is read from the table ``edge_weight`` reads; the
+    factors are multiplied over i = 0..n-1 in edge_weight's order.  The
+    counts are built by doubling: the masks whose top bit is j are those
+    below 2^j with one more edge at both ends of edge j.  The counts of
+    the low masks are built once; a block adds its first mask's counts,
+    from its high edges, by reading each table from that offset on.
     """
     tables = _vertex_tables(model)
-    for bits in mask_blocks(len(model.edges)):
-        s = np.zeros((model.n_vertices, bits.shape[1]), dtype=np.int64)
-        for (u, v), chosen in zip(model.edges, bits):
-            s[u] += chosen
-            s[v] += chosen
-        total = np.ones(bits.shape[1])
-        for table, s_i in zip(tables, s):
-            total *= table[s_i]
+    n, m = model.n_vertices, len(model.edges)
+    low, starts = mask_block_starts(m)
+    counts = np.zeros((n, 1 << low), dtype=np.min_scalar_type(m))
+    for j, (u, v) in enumerate(model.edges[:low]):
+        h = 1 << j
+        counts[:, h : 2 * h] = counts[:, :h]
+        counts[u, h : 2 * h] += 1
+        counts[v, h : 2 * h] += 1
+    for start in starts:
+        first = [0] * n  # the first mask's counts
+        for j in range(low, m):
+            if start >> j & 1:
+                u, v = model.edges[j]
+                first[u] += 1
+                first[v] += 1
+        total = np.ones(1 << low)
+        try:
+            with np.errstate(over="raise"):
+                for table, s_i, s_first in zip(tables, counts, first):
+                    total *= table[s_first:].take(s_i)
+        except FloatingPointError:
+            raise NumericRangeError("an edge-subset weight is out of float range") from None
         yield total
 
 
@@ -198,9 +230,13 @@ def check_rank2_lsm(model: HomModel) -> Rank2LsmReport:
 
 
 def hom_to_factor_graph(model: HomModel) -> FactorGraph:
-    """Pairwise factor-graph form: node potentials w, edge tables Gamma."""
+    """Pairwise factor-graph form: node potentials w, edge tables Gamma;
+    NumericRangeError when an entry of Gamma is out of float range."""
     n = model.n_states
-    gamma = np.ravel(model.gamma)
+    with np.errstate(over="ignore"):  # refused below
+        gamma = np.ravel(model.gamma)
+    if not np.isfinite(gamma).all():
+        raise NumericRangeError("an entry of the target matrix Gamma is out of float range")
     variables = [(v, n) for v in range(model.n_vertices)]
     factors = [(f"e{k}", (i, j), gamma) for k, (i, j) in enumerate(model.edges)]
     return FactorGraph(variables, factors, {v: model.w for v in range(model.n_vertices)})

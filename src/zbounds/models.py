@@ -528,17 +528,24 @@ def mask_bits(masks, width: int, what: str) -> np.ndarray:
     return np.ascontiguousarray(bits).view(bool)
 
 
-def mask_blocks(m: int) -> Iterator[np.ndarray]:
-    """The 2^m subsets of m indices, in blocks of consecutive masks.
-
-    Yields one (m, size) bool array (``mask_bits``) per block of
-    2^_MASK_BLOCK_BITS masks or fewer, in increasing mask order.  The
-    first block is read once; each later one is a copy of the one before
-    with its high rows, the bits of its first mask, rewritten.
-    """
+def mask_block_starts(m: int) -> tuple:
+    """(low, starts): the 2^m subsets of m indices in blocks of 2^low
+    consecutive masks, 2^_MASK_BLOCK_BITS or fewer, each from one of
+    ``starts`` in increasing order.  A start sets only bits >= low."""
     low = min(m, _MASK_BLOCK_BITS)
+    return low, range(0, 1 << m, 1 << low)
+
+
+def mask_blocks(m: int) -> Iterator[np.ndarray]:
+    """The 2^m subsets of m indices, in the blocks of ``mask_block_starts``.
+
+    Yields one (m, size) bool array (``mask_bits``) per block.  The first
+    block is read once; each later one is a copy of the one before with
+    its high rows, the bits of its first mask, rewritten.
+    """
+    low, starts = mask_block_starts(m)
     bits = mask_bits(np.arange(1 << low), m, "a mask")
-    for start in range(0, 1 << m, 1 << low):
+    for start in starts:
         if start:
             bits = bits.copy()
             bits[low:] = mask_bits([start], m, "a mask")[low:]
@@ -546,27 +553,32 @@ def mask_blocks(m: int) -> Iterator[np.ndarray]:
 
 
 def subset_products(weights: np.ndarray, first=1.0) -> Iterator[np.ndarray]:
-    """Products of ``weights`` over every mask, blocked as in ``mask_blocks``.
+    """Products of ``weights`` over every mask, in the blocks of
+    ``mask_block_starts``.
 
     Each entry is ``first`` times weights[j] for every set bit j, multiplied
     one at a time in increasing j, so it equals that loop's value bit for
     bit.  The products are built by doubling: the masks with top bit j are
     those below 2^j times weights[j].  ``first`` may be an array; the
-    blocks then carry its shape in front of the mask axis.
+    blocks then carry its shape in front of the mask axis.  A product
+    that overflows is inf, with no numpy warning: every caller sums the
+    blocks by ``fsum_blocks``, which refuses it.
     """
     m = len(weights)
-    low = min(m, _MASK_BLOCK_BITS)
+    low, starts = mask_block_starts(m)
     low_products = np.empty(np.shape(first) + (1 << low,))
     low_products[..., 0] = first
-    for j in range(low):
-        np.multiply(
-            low_products[..., : 1 << j], weights[j], out=low_products[..., 1 << j : 2 << j]
-        )
-    for start in range(0, 1 << m, 1 << low):
+    with np.errstate(over="ignore"):
+        for j in range(low):
+            np.multiply(
+                low_products[..., : 1 << j], weights[j], out=low_products[..., 1 << j : 2 << j]
+            )
+    for start in starts:
         out = low_products.copy()
-        for j in range(low, m):
-            if start >> j & 1:
-                out *= weights[j]
+        with np.errstate(over="ignore"):
+            for j in range(low, m):
+                if start >> j & 1:
+                    out *= weights[j]
         yield out
 
 

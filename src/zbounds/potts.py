@@ -29,8 +29,8 @@ from .models import (
     exact_partition,
     float_array,
     fsum_blocks,
+    mask_block_starts,
     mask_bits,
-    mask_blocks,
     subset_products,
 )
 
@@ -111,6 +111,7 @@ class PottsModel:
 
 def count_components(n_vertices: int, edges: Sequence, mask: int) -> int:
     """Connected components of (V, A) for the edge subset encoded by mask."""
+    n_vertices, edges = as_simple_graph(n_vertices, edges)
     mask = as_mask(mask, "an edge mask")
     return _components_and_weight(n_vertices, edges, None, None, mask, None)[0]
 
@@ -120,9 +121,11 @@ def component_counts(n_vertices: int, edges: Sequence, masks) -> np.ndarray:
     an int64 array; equal to ``count_components(n_vertices, edges, mask)``
     for every mask.
 
-    All masks are labelled at once by the min-label propagation
-    ``rc_partition`` uses; a component is a vertex that is its own label.
+    The masks are arbitrary, so they are labelled at once by min-label
+    propagation (``_component_labels``); a component is a vertex that is
+    its own label.
     """
+    n_vertices, edges = as_simple_graph(n_vertices, edges)
     bits = mask_bits(masks, len(edges), "an edge mask")
     labels = _component_labels(n_vertices, edges, bits)
     return (labels == np.arange(n_vertices)[:, None]).sum(axis=0, dtype=np.int64)
@@ -141,16 +144,18 @@ def rc_weight(model: PottsModel, mask: int) -> float:
     Without a field: q^k(A) * prod p_e.  With a field h: every component C
     contributes sum_w exp(h_w * |V(C)|) in place of one factor of q.
     """
-    mask, p = as_mask(mask, "an edge mask"), model.edge_probabilities
+    mask, p = as_mask(mask, "an edge mask"), model.edge_probabilities.tolist()
     return _components_and_weight(model.n_vertices, model.edges, model.q, model.field, mask, p)[1]
 
 
 def _components_and_weight(n: int, edges: Sequence, q: float, field, mask: int, p) -> tuple:
     """(components, ``rc_weight``) of one edge subset of the Potts model
     (n, edges, q, field) from one union-find pass; ``p`` is its
-    ``edge_probabilities``, or None for the count alone (weight None).  The
-    edge factors are multiplied in edge order, then a field's component
-    factors in order of their smallest vertex, as ``rc_partition`` does."""
+    ``edge_probabilities`` as a list, or None for the count alone (weight
+    None).  The edge factors are multiplied in edge order, then a field's
+    component factors in order of their smallest vertex, as
+    ``rc_partition`` does.  The weight is a Python float, which overflows
+    to inf with no numpy warning; NumericRangeError when it does."""
     uf = UnionFind(n)
     w = 1.0
     for idx, (i, j) in enumerate(edges):
@@ -161,12 +166,24 @@ def _components_and_weight(n: int, edges: Sequence, q: float, field, mask: int, 
     if p is None:
         return uf.count, None
     if field is None:
-        return uf.count, w * q**uf.count
-    h = field.tolist()
-    # dict keys keep their first insertion, so the roots come by smallest vertex
-    for root in dict.fromkeys(map(uf.find, range(n))):
-        w *= _component_weight(h, uf.size[root])
+        w *= _q_power(q, uf.count)
+    else:
+        h = field.tolist()
+        # dict keys keep their first insertion, so the roots come by smallest vertex
+        for root in dict.fromkeys(map(uf.find, range(n))):
+            w *= _component_weight(h, uf.size[root])
+    if not math.isfinite(w):
+        raise NumericRangeError("a random-cluster weight is out of float range")
     return uf.count, w
+
+
+def _q_power(q: float, k: int) -> float:
+    """q^k, the weight of k components without a field;
+    NumericRangeError when it overflows."""
+    try:
+        return q**k
+    except OverflowError:
+        raise NumericRangeError(f"q^{k} is out of float range at q = {q!r}") from None
 
 
 def _component_weight(field: Sequence, size: int) -> float:
@@ -184,34 +201,87 @@ def rc_partition(model: PottsModel) -> float:
     """Sum rc_weight over all 2^|E| edge subsets.
 
     The weights are built one block of masks at a time: the edge products
-    by ``subset_products``, and every mask's components by min-label
-    propagation.  Each weight equals ``rc_weight`` bit for bit: both
-    multiply a field's component factors in order of their smallest vertex.
+    by ``subset_products``, and every mask's components by doubling
+    (``_component_blocks``).  Each weight equals ``rc_weight`` bit for bit:
+    both multiply a field's component factors in order of their smallest
+    vertex.
     """
     n, m = model.n_vertices, len(model.edges)
     check_subset_cap(m, "edge")
+    with_field = model.field is not None
     # q^k for k components, by the same power rc_weight takes; with a field,
-    # the weight of one component by its number of vertices
-    if model.field is None:
-        q_power = np.array([model.q**k for k in range(n + 1)])
+    # the weight of one component by its number of vertices, and 1.0 for
+    # the size 0 of a vertex that is not its component's smallest
+    if with_field:
+        size_weight = np.ones(n + 1)
+        size_weight[1:] = [_component_weight(model.field, s) for s in range(1, n + 1)]
     else:
-        size_weight = np.array([_component_weight(model.field, size) for size in range(n + 1)])
+        q_power = np.array([_q_power(model.q, k) for k in range(n + 1)])
 
     def blocks():
-        for bits, w in zip(mask_blocks(m), subset_products(model.edge_probabilities)):
-            labels = _component_labels(n, model.edges, bits)
-            roots = labels == np.arange(n)[:, None]
-            if model.field is None:
-                w *= q_power[roots.sum(axis=0)]
-            else:
-                # sizes[v, r]: the vertices labelled v under mask r
-                flat = labels.astype(np.intp) * w.size + np.arange(w.size)
-                sizes = np.bincount(flat.ravel(), minlength=n * w.size).reshape(n, w.size)
-                for v in range(n):
-                    w *= np.where(roots[v], size_weight[sizes[v]], 1.0)
+        states = _component_blocks(n, model.edges, with_field)
+        for (count, sizes), w in zip(states, subset_products(model.edge_probabilities)):
+            with np.errstate(over="ignore"):  # fsum_blocks refuses an infinite weight
+                if with_field:
+                    for row in sizes:
+                        w *= size_weight.take(row)
+                else:
+                    w *= q_power.take(count)
             yield w
 
     return fsum_blocks(blocks())
+
+
+def _component_blocks(n: int, edges: Sequence, with_sizes: bool):
+    """Per block of ``mask_block_starts``, every mask's component count
+    and, ``with_sizes``, an (n, masks) array holding each component's
+    number of vertices at its smallest vertex and 0 elsewhere.
+
+    Each vertex is labelled by the smallest vertex of its component.  A
+    block's first mask sets only edges at and above the block bits; a
+    ``UnionFind`` merges those.  The rest is built by doubling: the masks
+    whose top bit is j are those below 2^j with edge j added, which
+    relabels the larger of its ends' labels to the smaller, and moves that
+    label's size to it.  The arrays are reused from block to block.
+    """
+    low, starts = mask_block_starts(len(edges))
+    width = 1 << low
+    kind = np.min_scalar_type(n)
+    vertices = np.arange(n, dtype=kind)[:, None]
+    labels = np.empty((n, width), dtype=kind)
+    count = np.empty(width, dtype=kind)
+    sizes = np.empty((n, width), dtype=kind) if with_sizes else None
+    for start in starts:
+        uf = UnionFind(n)
+        for j in range(low, len(edges)):
+            if start >> j & 1:
+                uf.union(*edges[j])
+        smallest = {}  # each root's smallest vertex: the first met in vertex order
+        for v in range(n):
+            labels[v, 0] = smallest.setdefault(uf.find(v), v)
+        count[0] = uf.count
+        if with_sizes:
+            sizes[:, 0] = 0
+            for root, v in smallest.items():
+                sizes[v, 0] = uf.size[root]
+        for j in range(low):
+            h = 1 << j
+            u, v = edges[j]
+            lo = np.minimum(labels[u, :h], labels[v, :h])
+            hi = np.maximum(labels[u, :h], labels[v, :h])
+            gap = hi - lo
+            old, new = labels[:, :h], labels[:, h : 2 * h]
+            # new = old - gap where old == hi: label hi becomes lo
+            np.multiply(old == hi, gap, out=new)
+            np.subtract(old, new, out=new)
+            joined = gap.astype(bool)
+            np.subtract(count[:h], joined, out=count[h : 2 * h])
+            if with_sizes:
+                # root hi's size, where the edge joins two components
+                moved = sizes.take(hi.astype(np.intp) * width + np.arange(h)) * joined
+                np.add(sizes[:, :h], (vertices == lo) * moved, out=sizes[:, h : 2 * h])
+                sizes[:, h : 2 * h] -= (vertices == hi) * moved
+        yield count, sizes
 
 
 def _component_labels(n_vertices: int, edges: Sequence, bits: np.ndarray) -> np.ndarray:
@@ -307,8 +377,8 @@ def check_cover_component_inequality(
     # one labelling per mask gives its component count and, with a field,
     # its weight; the count alone needs no edge probabilities
     n, q, h = base.n_vertices, base.q, base.field
-    p = None if h is None else base.edge_probabilities
-    lifted_p = None if p is None else np.repeat(p, spec.m)
+    p = None if h is None else base.edge_probabilities.tolist()
+    lifted_p = None if p is None else [x for x in p for _copy in range(spec.m)]
     lhs, lw = _components_and_weight(n * spec.m, spec.lifted_scopes, q, h, cover_mask, lifted_p)
     stacks = [_components_and_weight(n, base.edges, q, h, sm, p) for sm in stack_masks]
     rhs = sum(k for k, _w in stacks)

@@ -343,6 +343,28 @@ class TestCommands:
         assert "{" not in res.output  # no record
         assert "Traceback" not in res.output and "Warning" not in res.output
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("rc", {"n_vertices": 3, "edges": [[0, 1], [1, 2]], "q": 1e200, "J": 0.5}),
+            (
+                "hom",
+                {"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "w": [1, 1],
+                 "a": [1e200, 1], "b": [1, 1]},
+            ),
+        ],
+        ids=["rc", "hom"],
+    )
+    def test_overflow_exit_1(self, runner, tmp_path, command, doc):
+        # q^2, and a_0^2 in Gamma and in every vertex factor, overflow
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        flag = "--graph" if command == "rc" else "--model"
+        res = runner.invoke(main, [command, flag, str(p)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.output.startswith("error: ") and "out of float range" in res.output
+
     def test_hom(self, runner, tmp_path):
         doc = {
             "n_vertices": 2,

@@ -4,21 +4,30 @@
 ``matroid_rc_partition`` build their weights one block of masks at a time;
 each weight must equal the single-mask function bit for bit, so the sums
 are compared with ``==``.  Every check runs at the default block size and
-at blocks of 2^2 masks, where models with more than two edges span
-several blocks.
+at blocks of 2^2, 2^1 and 2^0 masks, where models with more edges than
+block bits span several blocks; at one mask per block the union-find of
+each block's first mask does all of the work.
 """
 
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from test_matroid import _ref_rank
 
 from zbounds import models
-from zbounds.errors import EnumerationCapError, ModelError
-from zbounds.homs import HomModel, edge_partition, edge_weight, edge_weight_table
+from zbounds.errors import EnumerationCapError, ModelError, NumericRangeError
+from zbounds.homs import (
+    HomModel,
+    edge_partition,
+    edge_weight,
+    edge_weight_table,
+    hom_partition,
+    hom_to_factor_graph,
+)
 from zbounds.matroid import GFMatrix, _codewords, gf, matroid_rc_partition, ranks
 from zbounds.potts import (
     PottsModel,
@@ -29,7 +38,10 @@ from zbounds.potts import (
 )
 
 
-@pytest.fixture(params=[models._MASK_BLOCK_BITS, 2], ids=["default-block", "block-4"])
+@pytest.fixture(
+    params=[models._MASK_BLOCK_BITS, 2, 1, 0],
+    ids=["default-block", "block-4", "block-2", "block-1"],
+)
 def block_bits(request, monkeypatch):
     monkeypatch.setattr(models, "_MASK_BLOCK_BITS", request.param)
     return request.param
@@ -39,6 +51,12 @@ def random_edges(rng, n, m):
     pairs = list(itertools.combinations(range(n), 2))
     pick = rng.choice(len(pairs), size=min(m, len(pairs)), replace=False)
     return [pairs[int(i)] for i in sorted(pick)]
+
+
+def mixed_edges(rng, n, m):
+    """``random_edges`` in shuffled order, each edge's ends swapped at random."""
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in random_edges(rng, n, m)]
+    return [edges[int(i)] for i in rng.permutation(len(edges))]
 
 
 def rc_reference(model):
@@ -74,7 +92,16 @@ def radix_codewords(matrix):
     return words
 
 
+# Edges in both orientations on 8 vertices, 3 and 7 isolated.  Edge 3
+# joins the components {0, 2} and {4, 5} of edges 0 and 1, and edge 4
+# joins {1, 6} of edge 2 to them.  At blocks of 2^2 masks edges 2 to 5
+# are high edges, merged before the low edges 0 and 1 join them.
+JOINED = [(2, 0), (5, 4), (1, 6), (4, 2), (6, 0), (5, 1)]
+JOINED_COUPLINGS = [0.3, 1.2, 0.5, 0.9, 0.1, 0.7]
+
 POTTS_CASES = {
+    "joined": PottsModel(8, JOINED, 3, JOINED_COUPLINGS),
+    "joined-field": PottsModel(8, JOINED, 3, JOINED_COUPLINGS, field=[0.4, -1.1, 0.8]),
     "no-edges": PottsModel(4, [], 3, []),
     "no-vertices": PottsModel(0, [], 2, []),
     "isolated-vertices": PottsModel(6, [(0, 1), (1, 2), (0, 2)], 2, [0.3, 0.7, 1.1]),
@@ -113,8 +140,21 @@ class TestRcPartition:
             ref = rc_reference(model)
             assert rc_partition(model) == ref
 
+    @pytest.mark.parametrize("with_field", [False, True], ids=["no-field", "field"])
+    def test_mixed_orientations_equal_reference(self, block_bits, with_field):
+        # shuffled edges in both orientations, often with isolated vertices
+        rng = np.random.default_rng(19)
+        for _ in range(12):
+            n = int(rng.integers(1, 10))
+            edges = mixed_edges(rng, n, int(rng.integers(0, 10)))
+            q = int(rng.integers(1, 4))
+            field = rng.uniform(-1, 1, q) if with_field else None
+            model = PottsModel(n, edges, q, rng.uniform(0.0, 1.5, len(edges)), field=field)
+            assert rc_partition(model) == rc_reference(model)
+
 
 HOM_CASES = {
+    "joined": HomModel(8, JOINED, [0.6, 1.3], [0.9, 0.2], [0.4, 1.1]),
     "no-edges": HomModel(3, [], [1.0, 2.0], [0.5, 1.0], [1.0, 0.3]),
     "no-vertices": HomModel(0, [], [1.0], [1.0], [1.0]),
     "isolated-vertices": HomModel(5, [(0, 1), (1, 2)], [0.4, 1.2], [0.7, 1.1], [0.2, 0.9]),
@@ -208,6 +248,99 @@ class TestEdgeSums:
             ref = edge_reference(model)
             assert np.array_equal(edge_weight_table(model), ref)
             assert edge_partition(model) == math.fsum(ref)
+
+    def test_mixed_orientations_equal_reference(self, block_bits):
+        rng = np.random.default_rng(20)
+        for _ in range(12):
+            n = int(rng.integers(1, 10))
+            edges = mixed_edges(rng, n, int(rng.integers(0, 10)))
+            s = int(rng.integers(1, 4))
+            a, b = rng.uniform(0.0, 1.5, s), rng.uniform(0.0, 1.5, s)
+            model = HomModel(n, edges, rng.uniform(0.1, 1.5, s), a, b)
+            ref = edge_reference(model)
+            assert np.array_equal(edge_weight_table(model), ref)
+            assert edge_partition(model) == math.fsum(ref)
+
+
+class TestRefusals:
+    def test_overflowing_q_power(self):
+        # q^k overflows at k >= 2, so every weight with 2 or 3 components
+        model = PottsModel(3, [(0, 1), (1, 2)], 1e200, [0.5, 0.5])
+        assert math.isfinite(rc_weight(model, 0b11))
+        for call in (lambda: rc_weight(model, 0), lambda: rc_partition(model)):
+            with pytest.raises(NumericRangeError, match="out of float range"):
+                call()
+
+    @pytest.mark.parametrize(
+        "model, mask",
+        [
+            # each component's field weight, about e^300, is finite; four are not
+            (PottsModel(4, [(0, 1)], 2, [0.5], field=[300.0, 0.0]), 0),
+            # q^1 and p_0 p_1 are finite, their product is not
+            (PottsModel(3, [(0, 1), (1, 2)], 1e300, [20.0, 20.0]), 0b11),
+            # p_0 p_1, about e^800, overflows
+            (PottsModel(3, [(0, 1), (1, 2)], 2, [400.0, 400.0]), 0b11),
+        ],
+        ids=["field-product", "q-times-p", "edge-product"],
+    )
+    def test_overflowing_rc_weight_refused_without_warnings(self, model, mask):
+        for call in (lambda: rc_weight(model, mask), lambda: rc_partition(model)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericRangeError):
+                    call()
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: component_counts(3, [(0, -1)], [1]), "outside vertex range"),
+            (lambda: component_counts(2, [(0, 5)], [1]), "outside vertex range"),
+            (lambda: count_components(2, [(0, 5)], 1), "outside vertex range"),
+            (lambda: count_components(-1, [], 0), "negative vertex count"),
+            (lambda: component_counts(-1, [], [0]), "negative vertex count"),
+            (lambda: count_components(2.5, [], 0), "vertex count must be an integer"),
+            (lambda: component_counts(2.5, [], [0]), "vertex count must be an integer"),
+            (lambda: component_counts(2, [(1, 1)], [1]), "self-loop"),
+        ],
+        ids=[
+            "negative-end", "end-past-n", "one-mask-end-past-n", "one-mask-negative-n",
+            "negative-n", "one-mask-float-n", "float-n", "self-loop",
+        ],
+    )
+    def test_component_counts_read_a_simple_graph(self, call, match):
+        # -1 would read as the last vertex, and 5 index past the labels
+        with pytest.raises(ModelError, match=match):
+            call()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # a_0^2 overflows in the factor of every vertex, and in Gamma
+            HomModel(3, [(0, 1), (1, 2), (0, 2)], [1, 1], [1e200, 1], [1, 1]),
+            # every factor is finite, the product over 40 vertices is not
+            HomModel(40, [(i, i + 1) for i in range(10)], [1.0], [1e30], [1e30]),
+        ],
+        ids=["factor", "product"],
+    )
+    def test_hom_overflow_refused_without_warnings(self, model):
+        calls = [
+            lambda: edge_weight(model, (1 << len(model.edges)) - 1),
+            lambda: edge_partition(model),
+            lambda: edge_weight_table(model),
+            lambda: hom_partition(model),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericRangeError):
+                    call()
+
+    def test_overflowing_gamma_refused(self):
+        model = HomModel(2, [(0, 1)], [1.0, 1.0], [1e160, 0.0], [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match="Gamma"):
+                hom_to_factor_graph(model)
 
 
 MATRIX_CASES = {
